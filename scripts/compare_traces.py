@@ -1,0 +1,151 @@
+"""Dumps every method's trace JSON for fixed benchmark shapes from a given
+source tree, and diffs two such dumps. Used to show that a change to the
+library leaves seeded decisions as they were and to bound how far its
+floats moved.
+
+    python scripts/compare_traces.py dump --src OLD/src --out /tmp/old
+    python scripts/compare_traces.py dump --src src --out /tmp/new
+    python scripts/compare_traces.py diff /tmp/old /tmp/new [--tol 1e-12]
+
+``dump`` imports ``snpl`` from ``--src`` and runs ``run_benchmark`` with
+saved traces, one worker, all five methods, for each shape in ``SHAPES``
+(name: mode, grid size, n, replications, master seed, in-loop bound); the
+traces land in ``OUT/<shape>/traces/``. ``diff`` pairs the files of two
+dumps by path and reports, per pair, a decision mismatch (``decision`` or
+``is_baseline`` differ), a structural difference (keys, list lengths,
+types or any non-float value differ) or float-only differences, plus the
+largest absolute float difference and where it is. The exit code is 1 when
+a decision or the structure differs, a file is missing on one side, or the
+largest float difference exceeds ``--tol``; else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import sys
+
+METHODS = ("snpl", "bonferroni", "ds-25", "ds-50", "ds-75")
+
+# name: (mode, grid_size, n, replications, master_seed, in_loop)
+SHAPES = {
+    "paper": ("asymptotic", 500, 1000, 20, 0, "bonferroni-normal"),
+    "mid": ("asymptotic", 100, 500, 40, 1, "bonferroni-normal"),
+    "finite": ("finite", 100, 2000, 20, 2, "bonferroni-normal"),
+    "supt": ("asymptotic", 20, 400, 10, 3, "supt"),
+}
+
+
+def dump(src: str, out: str) -> None:
+    sys.path.insert(0, os.path.abspath(src))
+    from snpl.harness import BenchmarkConfig, run_benchmark
+
+    for name, (mode, grid, n, reps, seed, in_loop) in SHAPES.items():
+        config = BenchmarkConfig(
+            methods=METHODS,
+            mode=mode,
+            grid_size=grid,
+            n=n,
+            replications=reps,
+            master_seed=seed,
+            in_loop=in_loop,
+            n_sim=20_000,
+            save_traces=True,
+        )
+        run_benchmark(config, workers=1, out_dir=os.path.join(out, name))
+        print(f"{name}: {reps * len(METHODS)} traces", flush=True)
+
+
+def _walk(a, b, path: str, found: dict) -> None:
+    """Records in ``found`` the first structural difference under ``path``
+    and the largest float difference."""
+    if isinstance(a, float) and isinstance(b, float):
+        if a != b and not (math.isnan(a) and math.isnan(b)):
+            found["floats"] = True
+            gap = abs(a - b)
+            if gap > found["max"][0]:
+                found["max"] = (gap, path)
+    elif type(a) is not type(b):
+        found.setdefault("struct", f"{path}: {type(a).__name__} vs {type(b).__name__}")
+    elif isinstance(a, dict):
+        if a.keys() != b.keys():
+            found.setdefault("struct", f"{path}: keys {sorted(a.keys() ^ b.keys())}")
+        for key in a.keys() & b.keys():
+            _walk(a[key], b[key], f"{path}.{key}", found)
+    elif isinstance(a, list):
+        if len(a) != len(b):
+            found.setdefault("struct", f"{path}: length {len(a)} vs {len(b)}")
+        for i, (x, y) in enumerate(zip(a, b)):
+            _walk(x, y, f"{path}[{i}]", found)
+    elif a != b:
+        found.setdefault("struct", f"{path}: {a!r} vs {b!r}")
+
+
+def _trace_files(root: str) -> set[str]:
+    return {
+        os.path.relpath(os.path.join(d, f), root)
+        for d, _, files in os.walk(root)
+        for f in files
+        if f.endswith(".json")
+    }
+
+
+def diff(left: str, right: str, tol: float) -> int:
+    files_l, files_r = _trace_files(left), _trace_files(right)
+    missing = sorted(files_l ^ files_r)
+    decisions, structure = [], []
+    identical = float_only = 0
+    worst = (0.0, "")
+    for rel in sorted(files_l & files_r):
+        with open(os.path.join(left, rel), encoding="utf-8") as fh:
+            a = json.load(fh)
+        with open(os.path.join(right, rel), encoding="utf-8") as fh:
+            b = json.load(fh)
+        if (a["decision"], a["is_baseline"]) != (b["decision"], b["is_baseline"]):
+            decisions.append(f"{rel}: {a['decision']} vs {b['decision']}")
+        found = {"max": (0.0, "")}
+        _walk(a, b, "", found)
+        if "struct" in found:
+            structure.append(f"{rel}{found['struct']}")
+        elif found.get("floats"):
+            float_only += 1
+        else:
+            identical += 1
+        if found["max"][0] > worst[0]:
+            worst = (found["max"][0], rel + found["max"][1])
+
+    print(f"traces compared: {len(files_l & files_r)}; only on one side: {len(missing)}")
+    for rel in missing:
+        print(f"  missing: {rel}")
+    print(f"decision mismatches: {len(decisions)}")
+    for line in decisions:
+        print(f"  {line}")
+    print(f"structural differences: {len(structure)}")
+    for line in structure:
+        print(f"  {line}")
+    print(f"identical: {identical}; float-only differences: {float_only}")
+    print(f"max float difference: {worst[0]:.3g}" + (f" at {worst[1]}" if worst[1] else ""))
+    return int(bool(missing or decisions or structure) or worst[0] > tol)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    d = sub.add_parser("dump", help="write every shape's traces from one source tree")
+    d.add_argument("--src", required=True, help="directory holding the snpl package")
+    d.add_argument("--out", required=True, help="output directory")
+    c = sub.add_parser("diff", help="compare two dumps")
+    c.add_argument("left")
+    c.add_argument("right")
+    c.add_argument("--tol", type=float, default=1e-12, help="largest float difference allowed")
+    args = parser.parse_args(argv)
+    if args.command == "dump":
+        dump(args.src, args.out)
+        return 0
+    return diff(args.left, args.right, args.tol)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -7,7 +7,15 @@ Mode ``finite`` pairs the IPW estimator with the empirical-Bernstein bounds;
 mode ``asymptotic`` pairs the cross-fitted DR estimator with sup-t bounds.
 Inside the loop, finite mode evaluates widths as if |pruned| = eta;
 asymptotic mode uses either a Bonferroni-normal quantile per candidate
-(default, O(1) per candidate) or sup-t over pruned + candidate.
+(default) or sup-t over pruned + candidate.
+
+Cost: with the fixed-width bounds (finite, Bonferroni-normal), the margins of
+the whole class come from one ``class_stats`` call before the scan, which for
+threshold classes is O(n log |Pi| + |Pi|) per feature family and for other
+classes one O(n) pass per policy; each scan step is then O(1). The sup-t
+option skips that call and, per scanned candidate, builds the candidate's
+influence columns (O(n)) and draws loop_n_sim samples of a joint Gaussian
+over the pruned set plus the candidate.
 """
 
 from __future__ import annotations
@@ -23,9 +31,24 @@ from .bounds import (
     asymptotic_bounds,
     bonferroni_normal_bounds,
     finite_bounds,
-    normal_quantile,
+    supt_quantile,
 )
-from .core import Dataset, Hyperparams, Policy, SafetySpec, validate_dataset
+from .classstats import (
+    ClassStats,
+    bernstein_widths,
+    class_stats,
+    margins_from_stats,
+    normal_widths,
+)
+from .core import (
+    Dataset,
+    Hyperparams,
+    Policy,
+    SafetySpec,
+    normalize_seed,
+    seed_tuple,
+    validate_dataset,
+)
 from .estimators import (
     NuisanceModel,
     arm_scores,
@@ -113,7 +136,7 @@ class SnplTrace:
             "n": self.n,
             "class_size": self.class_size,
             "baseline": self.baseline_id,
-            "spec": _spec_to_obj(self.spec),
+            "spec": self.spec.to_json_dict(),
             "hyper": {
                 "gamma": self.gamma,
                 "epsilon": self.epsilon,
@@ -143,7 +166,7 @@ class SnplTrace:
                 ],
             },
             "pruned": list(self.pruned_ids),
-            "final_bounds": bounds_to_obj(self.final),
+            "final_bounds": self.final.to_json_dict(),
             "goal_values": dict(self.goal_values),
             "baseline_goal_value": self.baseline_goal_value,
             "certified": list(self.certified_ids),
@@ -153,122 +176,16 @@ class SnplTrace:
         }
 
 
-def _spec_to_obj(spec: SafetySpec) -> dict:
-    return {
-        "goal": spec.goal,
-        "guardrails": list(spec.guardrails),
-        "weights": list(spec.weights),
-        "alpha": spec.alpha,
-        "senses": list(spec.senses),
-    }
-
-
-def bounds_to_obj(table: LowerBoundTable) -> dict:
-    return {
-        "method": table.method,
-        "level": table.level,
-        "meta": {k: v for k, v in table.meta.items()},
-        "entries": [
-            {
-                "policy": e.policy_id,
-                "guardrail": e.guardrail,
-                "sense": e.sense,
-                "estimate": e.estimate,
-                "width": e.width,
-                "bound": e.bound,
-                "margin": e.margin,
-            }
-            for e in table.entries
-        ],
-    }
-
-
-def _seed_tuple(seed_seq: np.random.SeedSequence) -> tuple:
-    ent = seed_seq.entropy
-    base = tuple(ent) if isinstance(ent, (tuple, list)) else (int(ent),)
-    return base + tuple(seed_seq.spawn_key)
-
-
-def _normalize_seed(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
-
-
-@dataclass
-class _Stats:
-    """Per-candidate first and second moments of the influence columns,
-    goal-value means, and (optionally) the raw columns for sup-t reuse."""
-
-    means: np.ndarray
-    variances: np.ndarray
-    goal: np.ndarray
-    columns: list | None
-
-
-def _candidate_stats(
-    dataset: Dataset,
-    candidates: list[Policy],
-    spec: SafetySpec,
-    baseline: Policy,
-    scores: np.ndarray,
-    keep_columns: bool = False,
-) -> _Stats:
-    X = dataset.covariates
-    jdx = np.asarray(spec.guardrails, dtype=np.int64) - 1
-    w = np.asarray(spec.weights)
-    base = policy_scores(scores, baseline, X)[:, jdx]
-    means = np.empty((len(candidates), spec.s_count))
-    variances = np.empty((len(candidates), spec.s_count))
-    goal = np.empty(len(candidates))
-    cols = [] if keep_columns else None
-    for i, pol in enumerate(candidates):
-        psi = policy_scores(scores, pol, X)
-        d = psi[:, jdx] - (1.0 + w) * base
-        mu = d.mean(axis=0)
-        means[i] = mu
-        variances[i] = np.mean((d - mu) ** 2, axis=0)
-        goal[i] = psi[:, spec.goal - 1].mean()
-        if cols is not None:
-            cols.append(d)
-    return _Stats(means=means, variances=variances, goal=goal, columns=cols)
-
-
-def _margins_from_stats(stats: _Stats, spec: SafetySpec, widths: np.ndarray) -> np.ndarray:
-    """min over guardrails of (sense-flipped estimate - width)."""
-    signs = np.array([spec.sign(s) for s in range(spec.s_count)])
-    return (signs * stats.means - widths).min(axis=1)
-
-
-def _bernstein_widths(
-    stats: _Stats, spec: SafetySpec, level: float, class_size: int, n: int, c: float
-) -> np.ndarray:
-    """Vectorized Bernstein widths at the given assumed class size."""
-    L = math.log(3.0 * class_size * spec.s_count / (2.0 * level))
-    if not math.isfinite(L):
-        raise ValueError("level too small: log argument overflows")
-    R = (2.0 + np.asarray(spec.weights)) / c
-    return np.sqrt(stats.variances) * math.sqrt(2.0 * L / n) + 3.0 * R * L / n
-
-
-def _normal_widths(
-    stats: _Stats, spec: SafetySpec, level: float, class_size: int, n: int
-) -> np.ndarray:
-    """Vectorized Bonferroni-normal widths at the given assumed class size."""
-    z = normal_quantile(1.0 - level / (class_size * spec.s_count))
-    return z * np.sqrt(stats.variances) / math.sqrt(n)
-
-
 def _margins_fixed(
-    stats: _Stats, config: SnplConfig, level: float, eta: int, n: int, c: float
+    stats: ClassStats, config: SnplConfig, level: float, eta: int, n: int, c: float
 ) -> np.ndarray:
     """Vector of in-loop M'(pi) for the bounds that do not depend on the
     current pruned set (finite, bonferroni-normal)."""
     if config.mode == "finite":
-        widths = _bernstein_widths(stats, config.spec, level, eta, n, c)
+        widths = bernstein_widths(stats, config.spec, level, eta, n, c)
     else:
-        widths = _normal_widths(stats, config.spec, level, eta, n)
-    return _margins_from_stats(stats, config.spec, widths)
+        widths = normal_widths(stats, config.spec, level, eta, n)
+    return margins_from_stats(stats, config.spec, widths)
 
 
 def in_loop_bound(
@@ -364,7 +281,7 @@ def snpl_run(dataset: Dataset, policies: list[Policy], config: SnplConfig, seed=
     validate_dataset(dataset)
     if len(policies) == 0:
         raise ValueError("empty policy class")
-    seed_seq = _normalize_seed(seed if seed is not None else config.hyper.seed)
+    seed_seq = normalize_seed(seed if seed is not None else config.hyper.seed)
     rng_nuisance, rng_svt, rng_loop, rng_final = [
         np.random.default_rng(s) for s in seed_seq.spawn(4)
     ]
@@ -404,23 +321,24 @@ def snpl_run(dataset: Dataset, policies: list[Policy], config: SnplConfig, seed=
 
     loop_n_sim = config.loop_n_sim if config.loop_n_sim is not None else hyper.n_sim
     supt_loop = config.mode == "asymptotic" and config.in_loop == "supt"
-    stats = _candidate_stats(
-        dataset, candidates, spec, config.baseline, scores, keep_columns=supt_loop
-    )
-    if not supt_loop and candidates:
+    if supt_loop:
+        jdx = np.asarray(spec.guardrails, dtype=np.int64) - 1
+        base = policy_scores(scores, config.baseline, dataset.covariates)[:, jdx]
+        pruned_cols: list[np.ndarray] = []
+    elif candidates:
+        stats = class_stats(dataset, candidates, spec, config.baseline, scores)
         margins = _margins_fixed(stats, config, aprime, eta, n, dataset.propensity.c)
 
     # SVT scan: one threshold draw, then one independent noise per scanned
     # candidate, stopping once eta policies are admitted.
     v = laplace(threshold_scale, rng_svt)
     pruned: list[Policy] = []
-    pruned_idx: list[int] = []
     records: list[ScanRecord] = []
     for i, pol in enumerate(candidates):
         if supt_loop:
-            margin = _supt_loop_margin(
-                dataset, stats, pruned_idx, i, config, aprime, loop_n_sim, rng_loop
-            )
+            psi = policy_scores(scores, pol, dataset.covariates)[:, jdx]
+            col = psi - (1.0 + np.asarray(spec.weights)) * base
+            margin = _supt_loop_margin(pruned_cols, col, spec, aprime, loop_n_sim, rng_loop)
         else:
             margin = float(margins[i])
         noise = laplace(query_scale, rng_svt)
@@ -428,7 +346,8 @@ def snpl_run(dataset: Dataset, policies: list[Policy], config: SnplConfig, seed=
         records.append(ScanRecord(pol.policy_id, margin, noise, admitted))
         if admitted:
             pruned.append(pol)
-            pruned_idx.append(i)
+            if supt_loop:
+                pruned_cols.append(col)
             if len(pruned) == eta:
                 break
 
@@ -474,31 +393,28 @@ def snpl_run(dataset: Dataset, policies: list[Policy], config: SnplConfig, seed=
         certified_ids=certified,
         decision=decision,
         is_baseline=decision == config.baseline.policy_id,
-        seed=_seed_tuple(seed_seq),
+        seed=seed_tuple(seed_seq),
     )
 
 
 def _supt_loop_margin(
-    dataset: Dataset,
-    stats: _Stats,
-    pruned_idx: list[int],
-    i: int,
-    config: SnplConfig,
+    pruned_cols: list[np.ndarray],
+    col: np.ndarray,
+    spec: SafetySpec,
     level: float,
     n_sim: int,
     rng,
 ) -> float:
-    """M'(pi_i) from sup-t over the current pruned set plus the candidate,
-    reusing the precomputed influence columns."""
-    from .bounds import supt_quantile
-
-    spec = config.spec
-    idx = pruned_idx + [i]
-    cols = np.concatenate([stats.columns[j] for j in idx], axis=1)
-    signs = np.tile([spec.sign(s) for s in range(spec.s_count)], len(idx))
-    centered = cols - cols.mean(axis=0)
-    cov = (centered.T @ centered / dataset.n) * np.outer(signs, signs)
-    q = supt_quantile(cov, level, n_sim, rng)
-    se = np.sqrt(stats.variances[i] / dataset.n)
+    """M'(pi) from sup-t over the current pruned set plus the candidate,
+    given the influence columns (n, |S|) of the admitted policies and of
+    the candidate."""
+    n = col.shape[0]
+    cols = np.concatenate(pruned_cols + [col], axis=1)
     sgn = np.array([spec.sign(s) for s in range(spec.s_count)])
-    return float((sgn * stats.means[i] + q.z_star * se).min())
+    signs = np.tile(sgn, len(pruned_cols) + 1)
+    centered = cols - cols.mean(axis=0)
+    cov = (centered.T @ centered / n) * np.outer(signs, signs)
+    q = supt_quantile(cov, level, n_sim, rng)
+    mu = col.mean(axis=0)
+    se = np.sqrt(np.mean((col - mu) ** 2, axis=0) / n)
+    return float((sgn * mu + q.z_star * se).min())

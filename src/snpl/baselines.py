@@ -15,27 +15,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithm import (
-    _bernstein_widths,
-    _candidate_stats,
-    _margins_from_stats,
-    _normal_widths,
-    _seed_tuple,
-    _spec_to_obj,
-    bounds_to_obj,
-)
 from .bounds import (
     LowerBoundTable,
     asymptotic_bounds,
     bonferroni_normal_bounds,
     finite_bounds,
 )
+from .classstats import bernstein_widths, class_stats, margins_from_stats, normal_widths
 from .core import (
     Dataset,
     Hyperparams,
     Policy,
     SafetySpec,
     TabularPropensity,
+    normalize_seed,
+    seed_tuple,
     validate_dataset,
 )
 from .estimators import arm_scores, fit_nuisance, influence_table, policy_scores
@@ -85,10 +79,10 @@ class BaselineTrace:
             "n": self.n,
             "class_size": self.class_size,
             "baseline": self.baseline_id,
-            "spec": _spec_to_obj(self.spec),
+            "spec": self.spec.to_json_dict(),
             "hyper": {"folds": self.folds, "n_sim": self.n_sim},
             "pruned": [],
-            "final_bounds": bounds_to_obj(self.final),
+            "final_bounds": self.final.to_json_dict(),
             "goal_values": dict(self.goal_values),
             "baseline_goal_value": self.baseline_goal_value,
             "certified": list(self.certified_ids),
@@ -114,12 +108,6 @@ def _subset(dataset: Dataset, rows: np.ndarray) -> Dataset:
     return Dataset(
         dataset.covariates[rows], dataset.actions[rows], dataset.outcomes[rows], prop
     )
-
-
-def _normalize_seed(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
 
 
 def hcpi_run(
@@ -157,7 +145,7 @@ def hcpi_run(
     n_learn = int(math.floor(rho * n))
     if n_learn < 1 or n - n_learn < 1:
         raise ValueError("both splits must be nonempty")
-    seed_seq = _normalize_seed(seed if seed is not None else hyper.seed)
+    seed_seq = normalize_seed(seed if seed is not None else hyper.seed)
     rng_split, rng_nuis_l, rng_nuis_t, rng_supt = [
         np.random.default_rng(s) for s in seed_seq.spawn(4)
     ]
@@ -175,14 +163,14 @@ def hcpi_run(
 
     nuis_l = fit_nuisance(data_l, hyper.folds, rng_nuis_l) if mode == "asymptotic" else None
     scores_l = arm_scores(data_l, estimator, nuis_l)
-    stats = _candidate_stats(data_l, candidates, spec, baseline, scores_l)
+    stats = class_stats(data_l, candidates, spec, baseline, scores_l)
     if mode == "finite":
-        widths = _bernstein_widths(
+        widths = bernstein_widths(
             stats, spec, spec.alpha, len(candidates), data_l.n, data_l.propensity.c
         )
     else:
-        widths = _normal_widths(stats, spec, spec.alpha, 1, data_l.n)
-    margins = _margins_from_stats(stats, spec, widths)
+        widths = normal_widths(stats, spec, spec.alpha, 1, data_l.n)
+    margins = margins_from_stats(stats, spec, widths)
     f = np.where(margins >= 0.0, stats.goal, margins)
     pick = int(np.argmax(f))
     selected = candidates[pick]
@@ -224,7 +212,7 @@ def hcpi_run(
         certified_ids=(selected.policy_id,) if passed else (),
         decision=decision,
         is_baseline=decision == baseline.policy_id,
-        seed=_seed_tuple(seed_seq),
+        seed=seed_tuple(seed_seq),
     )
 
 
@@ -248,7 +236,7 @@ def bonferroni_run(
     candidates = [p for p in policies if p.policy_id != baseline.policy_id]
     if not candidates:
         raise ValueError("empty policy class")
-    seed_seq = _normalize_seed(seed if seed is not None else hyper.seed)
+    seed_seq = normalize_seed(seed if seed is not None else hyper.seed)
     (nuis_seed,) = seed_seq.spawn(1)
     estimator = "ipw" if mode == "finite" else "dr"
     nuisance = (
@@ -257,13 +245,13 @@ def bonferroni_run(
         else None
     )
     scores = arm_scores(dataset, estimator, nuisance)
-    stats = _candidate_stats(dataset, candidates, spec, baseline, scores)
+    stats = class_stats(dataset, candidates, spec, baseline, scores)
     m = len(candidates)
     if mode == "finite":
-        widths = _bernstein_widths(stats, spec, spec.alpha, m, dataset.n, dataset.propensity.c)
+        widths = bernstein_widths(stats, spec, spec.alpha, m, dataset.n, dataset.propensity.c)
     else:
-        widths = _normal_widths(stats, spec, spec.alpha, m, dataset.n)
-    margins = _margins_from_stats(stats, spec, widths)
+        widths = normal_widths(stats, spec, spec.alpha, m, dataset.n)
+    margins = margins_from_stats(stats, spec, widths)
 
     certified_idx = [i for i in range(m) if margins[i] > 0.0]
     decision = baseline.policy_id
@@ -311,5 +299,5 @@ def bonferroni_run(
         certified_ids=tuple(candidates[i].policy_id for i in certified_idx),
         decision=decision,
         is_baseline=decision == baseline.policy_id,
-        seed=_seed_tuple(seed_seq),
+        seed=seed_tuple(seed_seq),
     )

@@ -73,6 +73,25 @@ class LowerBoundTable:
     def min_margin(self, policy_id: str) -> float:
         return min(e.margin for e in self.for_policy(policy_id))
 
+    def to_json_dict(self) -> dict:
+        return {
+            "method": self.method,
+            "level": self.level,
+            "meta": dict(self.meta),
+            "entries": [
+                {
+                    "policy": e.policy_id,
+                    "guardrail": e.guardrail,
+                    "sense": e.sense,
+                    "estimate": e.estimate,
+                    "width": e.width,
+                    "bound": e.bound,
+                    "margin": e.margin,
+                }
+                for e in self.entries
+            ],
+        }
+
     def certified_ids(self) -> list[str]:
         """Policies whose every guardrail margin is strictly positive,
         in first-appearance order."""

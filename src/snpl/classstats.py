@@ -1,0 +1,189 @@
+"""Class statistics: for every candidate of a policy class, the means and
+(1/n)-normalized variances of its influence columns
+d_j(O_i, pi) = psi_j(O_i, pi) - (1 + w_j) psi_j(O_i, pi0), and its estimated
+goal value; plus the width and margin helpers that turn them into the
+Bernstein and Bonferroni-normal scan, selection and union bounds.
+
+``class_stats`` serves a whole class at once. Threshold policies over two
+actions take a batched path: each feature is evaluated once per family, the
+rows are bucketed by the family's sorted cutoffs, and per-bucket sums give
+every cutoff's moments through prefix sums (treated side) and suffix sums
+(untreated side). Any other candidate takes ``policy_loop_stats``, the
+per-policy reference. Both paths sum the same per-row values d_i, so a
+candidate that matches the baseline on every row has exact-zero moments on a
+w = 0 guardrail either way, and rules that treat the same rows get identical
+statistics either way.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .bounds import normal_quantile
+from .core import Dataset, Policy, SafetySpec
+from .estimators import policy_scores
+from .synthetic import ThresholdPolicy
+
+__all__ = [
+    "ClassStats",
+    "class_stats",
+    "policy_loop_stats",
+    "bernstein_widths",
+    "normal_widths",
+    "margins_from_stats",
+]
+
+
+@dataclass
+class ClassStats:
+    """Per-candidate means and variances of the influence columns, shape
+    (|Pi|, |S|), and goal-value means, shape (|Pi|,)."""
+
+    means: np.ndarray
+    variances: np.ndarray
+    goal: np.ndarray
+
+
+def policy_loop_stats(
+    dataset: Dataset,
+    candidates: list[Policy],
+    spec: SafetySpec,
+    baseline: Policy,
+    scores: np.ndarray,
+) -> ClassStats:
+    """Reference path: one policy_scores evaluation per candidate."""
+    X = dataset.covariates
+    jdx = np.asarray(spec.guardrails, dtype=np.int64) - 1
+    w = np.asarray(spec.weights)
+    base = policy_scores(scores, baseline, X)[:, jdx]
+    means = np.empty((len(candidates), spec.s_count))
+    variances = np.empty((len(candidates), spec.s_count))
+    goal = np.empty(len(candidates))
+    for i, pol in enumerate(candidates):
+        psi = policy_scores(scores, pol, X)
+        d = psi[:, jdx] - (1.0 + w) * base
+        mu = d.mean(axis=0)
+        means[i] = mu
+        variances[i] = np.mean((d - mu) ** 2, axis=0)
+        goal[i] = psi[:, spec.goal - 1].mean()
+    return ClassStats(means=means, variances=variances, goal=goal)
+
+
+def class_stats(
+    dataset: Dataset,
+    candidates: list[Policy],
+    spec: SafetySpec,
+    baseline: Policy,
+    scores: np.ndarray,
+) -> ClassStats:
+    """Statistics of every candidate, in candidate order: batched per
+    feature family for two-action threshold policies, the per-policy loop
+    for the rest."""
+    n, S = dataset.n, spec.s_count
+    families: dict[str, list[int]] = {}
+    rest: list[int] = []
+    for i, pol in enumerate(candidates):
+        if isinstance(pol, ThresholdPolicy) and scores.shape[1] == 2:
+            families.setdefault(pol.feature, []).append(i)
+        else:
+            rest.append(i)
+
+    # Per-candidate sums of (d_1..d_S, d_1^2..d_S^2, goal score).
+    sums = np.zeros((len(candidates), 2 * S + 1))
+    if families:
+        X = dataset.covariates
+        jdx = np.asarray(spec.guardrails, dtype=np.int64) - 1
+        w = np.asarray(spec.weights)
+        base = policy_scores(scores, baseline, X)[:, jdx]
+        # Per arm, the summed quantities as contiguous rows (bincount reads
+        # a contiguous weight vector without copying it).
+        arm = []
+        for k in (0, 1):
+            D = scores[:, k, jdx] - (1.0 + w) * base
+            arm.append(np.vstack([D.T, (D * D).T, scores[:, k, spec.goal - 1]]))
+        earlier = []
+        for members in families.values():
+            cutoffs = np.array([candidates[i].cutoff for i in members])
+            order = np.argsort(cutoffs, kind="stable")
+            members = np.asarray(members)[order]
+            values = candidates[members[0]].feature_values(X)
+            # Row i falls in bucket b_i = #{cutoffs <= g(x_i)}; the t-th
+            # sorted cutoff treats exactly the rows with b_i <= t.
+            bucket = np.searchsorted(cutoffs[order], values, side="right")
+            nb = len(members) + 1
+            count = np.cumsum(np.bincount(bucket, minlength=nb))[:-1]
+            same, source = _coinciding(members, count, bucket, earlier)
+            if not same.all():
+                treated, untreated = (
+                    np.stack(
+                        [np.bincount(bucket, weights=row, minlength=nb) for row in a],
+                        axis=1,
+                    )
+                    for a in arm
+                )
+                sums[members] = (
+                    np.cumsum(treated, axis=0)[:-1]
+                    + np.cumsum(untreated[::-1], axis=0)[::-1][1:]
+                )
+            sums[members[same]] = sums[source[same]]
+            earlier.append((members, count, bucket))
+
+    means = sums[:, :S] / n
+    variances = np.maximum(sums[:, S : 2 * S] / n - means**2, 0.0)
+    goal = sums[:, 2 * S] / n
+    if rest:
+        ref = policy_loop_stats(dataset, [candidates[i] for i in rest], spec, baseline, scores)
+        means[rest], variances[rest], goal[rest] = ref.means, ref.variances, ref.goal
+    return ClassStats(means=means, variances=variances, goal=goal)
+
+
+def _coinciding(
+    members: np.ndarray, count: np.ndarray, bucket: np.ndarray, earlier: list
+) -> tuple[np.ndarray, np.ndarray]:
+    """Which rules of this family treat exactly the rows of some rule of an
+    earlier family, and that rule's candidate index. Such rules take the
+    earlier rule's sums, so coinciding rules (always-treat, never-treat,
+    ...) get identical statistics, as in the per-policy loop, and a family
+    whose rules all coincide needs no sums of its own. Rule t here treats
+    the rows with bucket <= t; it coincides with the earlier family's rule
+    u of the same treated count iff none of those rows has an
+    earlier-family bucket above u."""
+    same = np.zeros(len(members), dtype=bool)
+    source = np.zeros(len(members), dtype=np.int64)
+    for prev_members, prev_count, prev_bucket in earlier:
+        top = np.full(len(members) + 1, -1)
+        np.maximum.at(top, bucket, prev_bucket)
+        top = np.maximum.accumulate(top)[:-1]
+        pos = np.minimum(np.searchsorted(prev_count, count), len(prev_count) - 1)
+        hit = ~same & (prev_count[pos] == count) & (top <= pos)
+        source[hit] = prev_members[pos[hit]]
+        same |= hit
+    return same, source
+
+
+def margins_from_stats(stats: ClassStats, spec: SafetySpec, widths: np.ndarray) -> np.ndarray:
+    """min over guardrails of (sense-flipped estimate - width)."""
+    signs = np.array([spec.sign(s) for s in range(spec.s_count)])
+    return (signs * stats.means - widths).min(axis=1)
+
+
+def bernstein_widths(
+    stats: ClassStats, spec: SafetySpec, level: float, class_size: int, n: int, c: float
+) -> np.ndarray:
+    """Vectorized Bernstein widths at the given assumed class size."""
+    L = math.log(3.0 * class_size * spec.s_count / (2.0 * level))
+    if not math.isfinite(L):
+        raise ValueError("level too small: log argument overflows")
+    R = (2.0 + np.asarray(spec.weights)) / c
+    return np.sqrt(stats.variances) * math.sqrt(2.0 * L / n) + 3.0 * R * L / n
+
+
+def normal_widths(
+    stats: ClassStats, spec: SafetySpec, level: float, class_size: int, n: int
+) -> np.ndarray:
+    """Vectorized Bonferroni-normal widths at the given assumed class size."""
+    z = normal_quantile(1.0 - level / (class_size * spec.s_count))
+    return z * np.sqrt(stats.variances) / math.sqrt(n)

@@ -227,6 +227,15 @@ class SafetySpec:
         """+1 for lower sense, -1 for upper; index s is 0-based into S."""
         return 1.0 if self.senses[s] == "lower" else -1.0
 
+    def to_json_dict(self) -> dict:
+        return {
+            "goal": self.goal,
+            "guardrails": list(self.guardrails),
+            "weights": list(self.weights),
+            "alpha": self.alpha,
+            "senses": list(self.senses),
+        }
+
 
 @dataclass(frozen=True)
 class Hyperparams:
@@ -258,6 +267,21 @@ class Hyperparams:
             raise ValueError("p must be < 1")
         if self.epsilon is not None and self.epsilon <= 0:
             raise ValueError("epsilon override must be positive")
+
+
+def normalize_seed(seed) -> np.random.SeedSequence:
+    """A run's root seed sequence: passed through, or built from an int or
+    entropy tuple."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    return np.random.SeedSequence(seed)
+
+
+def seed_tuple(seed_seq: np.random.SeedSequence) -> tuple:
+    """Entropy plus spawn key, the tuple a trace records to name its seed."""
+    ent = seed_seq.entropy
+    base = tuple(ent) if isinstance(ent, (tuple, list)) else (int(ent),)
+    return base + tuple(seed_seq.spawn_key)
 
 
 def validate_dataset(dataset: Dataset) -> None:

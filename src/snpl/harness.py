@@ -21,7 +21,7 @@ import numpy as np
 
 from .algorithm import SnplConfig, snpl_run
 from .baselines import bonferroni_run, hcpi_run
-from .bounds import normal_quantile
+from .classstats import bernstein_widths, class_stats, normal_widths
 from .core import (
     ConstantPropensity,
     Dataset,
@@ -564,7 +564,8 @@ def emit_bounds_scatter(dataset: Dataset, policies, config: BenchmarkConfig, out
     A lower-sense coordinate certifies iff bound > threshold (upper sense:
     bound < threshold). Widths reuse the run's final-certification critical
     value and its nuisance stream, so pruned rows reproduce the trace's
-    final margins exactly.
+    final margins up to rounding. Per-policy statistics come from
+    ``class_stats``; the estimate of guardrail j is mean(d_j) + w_j V_j(pi0).
     """
     spec = config.spec()
     baseline = config.baseline()
@@ -593,25 +594,22 @@ def emit_bounds_scatter(dataset: Dataset, policies, config: BenchmarkConfig, out
     w = np.asarray(spec.weights)
     n = dataset.n
 
-    psi0 = policy_scores(scores, baseline, dataset.covariates)[:, jdx]
-    v0 = psi0.mean(axis=0)
+    rows = [baseline] + [p for p in policies if p.policy_id != baseline.policy_id]
+    stats = class_stats(dataset, rows, spec, baseline, scores)
+    v0 = policy_scores(scores, baseline, dataset.covariates)[:, jdx].mean(axis=0)
     thresholds = w * v0
+    estimates = stats.means + thresholds
     if config.mode == "finite":
         class_size = max(len(trace.pruned_ids), 1)
-        L = math.log(3.0 * class_size * spec.s_count / (2.0 * trace.alpha_prime))
-        R = (2.0 + w) / dataset.propensity.c
-
-        def widths_for(var):
-            return np.sqrt(var) * math.sqrt(2.0 * L / n) + 3.0 * R * L / n
-
+        widths = bernstein_widths(
+            stats, spec, trace.alpha_prime, class_size, n, dataset.propensity.c
+        )
+    elif trace.pruned_ids:
+        widths = -trace.final.meta["z_star"] * np.sqrt(stats.variances / n)
     else:
-        if trace.pruned_ids:
-            z = -trace.final.meta["z_star"]
-        else:
-            z = normal_quantile(1.0 - trace.alpha_prime / (trace.eta * spec.s_count))
-
-        def widths_for(var):
-            return z * np.sqrt(var / n)
+        widths = normal_widths(stats, spec, trace.alpha_prime, trace.eta, n)
+    signs = np.array([spec.sign(s) for s in range(spec.s_count)])
+    bounds = estimates - signs * widths
 
     pruned = set(trace.pruned_ids)
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
@@ -621,16 +619,14 @@ def emit_bounds_scatter(dataset: Dataset, policies, config: BenchmarkConfig, out
             cols += [f"estimate_{s+1}", f"bound_{s+1}", f"threshold_{s+1}"]
         cols += ["pruned", "selected", "pruned_size"]
         writer.writerow(cols)
-        for pol in [baseline] + [p for p in policies if p.policy_id != baseline.policy_id]:
-            psi = policy_scores(scores, pol, dataset.covariates)[:, jdx]
-            d = psi - (1.0 + w) * psi0
-            var = np.mean((d - d.mean(axis=0)) ** 2, axis=0)
-            widths = widths_for(var)
-            est = psi.mean(axis=0) - v0
+        for i, pol in enumerate(rows):
             row = [pol.policy_id]
             for s in range(spec.s_count):
-                bound = est[s] - widths[s] if spec.senses[s] == "lower" else est[s] + widths[s]
-                row += [repr(float(est[s])), repr(float(bound)), repr(float(thresholds[s]))]
+                row += [
+                    repr(float(estimates[i, s])),
+                    repr(float(bounds[i, s])),
+                    repr(float(thresholds[s])),
+                ]
             row += [
                 int(pol.policy_id in pruned),
                 int(pol.policy_id == trace.decision),

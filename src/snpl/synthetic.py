@@ -65,8 +65,12 @@ class ThresholdPolicy(Policy):
         self.cutoff = float(cutoff)
         self.policy_id = f"{feature}@{self.cutoff:.10g}"
 
+    def feature_values(self, covariates: np.ndarray) -> np.ndarray:
+        """g(x) per row; shared by every policy of the same family."""
+        return _feature(self.feature, np.asarray(covariates, dtype=float))
+
     def treat_mask(self, covariates: np.ndarray) -> np.ndarray:
-        return _feature(self.feature, np.asarray(covariates, dtype=float)) < self.cutoff
+        return self.feature_values(covariates) < self.cutoff
 
     def distribution(self, x: np.ndarray) -> np.ndarray:
         treat = bool(self.treat_mask(np.asarray(x, dtype=float).reshape(1, -1))[0])

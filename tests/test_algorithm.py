@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -260,6 +261,32 @@ class TestSnplRun:
         trace = snpl_run(ds, small_class(), config, seed=4)
         assert trace.in_loop == "supt"
         assert len(trace.pruned_ids) <= 2
+
+    def test_supt_scan_margins_match_in_loop_bounds(self):
+        # replays the scan: sup-t over the pruned set so far plus each
+        # candidate, drawing from the run's own loop stream
+        ds = generate(400, np.random.default_rng(104))
+        config = dataclasses.replace(
+            make_config(mode="asymptotic", in_loop="supt", eta=3, n_sim=2000), loop_n_sim=1000
+        )
+        policies = build_class(4)
+        trace = snpl_run(ds, policies, config, seed=6)
+        r_nuis, _, r_loop, _ = (
+            np.random.default_rng(s) for s in np.random.SeedSequence(6).spawn(4)
+        )
+        nuis = fit_nuisance(ds, config.hyper.folds, r_nuis)
+        by_id = {p.policy_id: p for p in policies}
+        pruned = []
+        for r in trace.scan:
+            entries = in_loop_bound(
+                ds, by_id[r.policy_id], pruned, config, trace.alpha_prime, trace.eta,
+                nuisance=nuis, rng=r_loop, loop_n_sim=1000,
+            )
+            assert r.margin == pytest.approx(min(e.margin for e in entries), abs=1e-12)
+            if r.admitted:
+                pruned.append(by_id[r.policy_id])
+        assert trace.pruned_ids == tuple(p.policy_id for p in pruned)
+        assert pruned
 
 
 class TestHighSignalSelection:

@@ -433,3 +433,47 @@ class TestCli:
         sel = [r for r in rows[1:] if r[-2] == "1"]
         assert len(sel) == 1
         assert len(rows) == 1 + 25  # baseline + the 24 non-baseline grid policies
+
+
+class TestBoundsScatter:
+    @pytest.mark.parametrize(
+        "mode,senses", (("asymptotic", None), ("asymptotic", ("lower", "upper")), ("finite", None))
+    )
+    def test_pruned_rows_reproduce_final_margins(self, tmp_path, mode, senses):
+        from snpl.algorithm import SnplConfig, snpl_run
+        from snpl.harness import emit_bounds_scatter
+        from snpl.synthetic import build_class
+
+        cfg = tiny_config(
+            methods=("snpl",), mode=mode, eta=3, grid_size=8, n_sim=2000,
+            weights=(-0.3, -0.3), senses=senses,
+        )
+        ds = generate(400, np.random.default_rng(3))
+        policies = build_class(cfg.grid_size)
+        out = tmp_path / "scatter.csv"
+        emit_bounds_scatter(ds, policies, cfg, str(out))
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+
+        # one row per policy: the baseline first, then the class in order
+        base_id = cfg.baseline().policy_id
+        ids = [r["policy_id"] for r in rows]
+        assert ids == [base_id] + [p.policy_id for p in policies if p.policy_id != base_id]
+
+        run_cfg = SnplConfig(
+            spec=cfg.spec(), hyper=cfg.hyper(), mode=mode, baseline=cfg.baseline()
+        )
+        trace = snpl_run(
+            ds, policies, run_cfg, seed=_replication_seed(cfg.master_seed, 0, METHOD_STREAMS["snpl"])
+        )
+        assert trace.pruned_ids
+        spec = cfg.spec()
+        pruned = [r for r in rows if r["pruned"] == "1"]
+        assert [r["policy_id"] for r in pruned] == sorted(trace.pruned_ids, key=ids.index)
+        for r in pruned:
+            for e in trace.final.for_policy(r["policy_id"]):
+                s = spec.guardrails.index(e.guardrail)
+                gap = float(r[f"bound_{s+1}"]) - float(r[f"threshold_{s+1}"])
+                assert spec.sign(s) * gap == pytest.approx(e.margin, abs=1e-12)
+        selected = [r["policy_id"] for r in rows if r["selected"] == "1"]
+        assert selected == [trace.decision]  # the baseline row on fallback
