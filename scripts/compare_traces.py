@@ -1,7 +1,7 @@
-"""Dumps every method's trace JSON for fixed benchmark shapes from a given
-source tree, and diffs two such dumps. Used to show that a change to the
-library leaves seeded decisions as they were and to bound how far its
-floats moved.
+"""Dumps every method's trace JSON for fixed benchmark shapes, and the
+bounds-scatter CSV for fixed cases, from a given source tree, and diffs two
+such dumps. Used to show that a change to the library leaves seeded
+decisions as they were and to bound how far its floats moved.
 
     python scripts/compare_traces.py dump --src OLD/src --out /tmp/old
     python scripts/compare_traces.py dump --src src --out /tmp/new
@@ -10,22 +10,30 @@ floats moved.
 ``dump`` imports ``snpl`` from ``--src`` and runs ``run_benchmark`` with
 saved traces, one worker, all five methods, for each shape in ``SHAPES``
 (name: mode, grid size, n, replications, master seed, in-loop bound); the
-traces land in ``OUT/<shape>/traces/``. ``diff`` pairs the files of two
-dumps by path and reports, per pair, a decision mismatch (``decision`` or
-``is_baseline`` differ), a structural difference (keys, list lengths,
-types or any non-float value differ) or float-only differences, plus the
-largest absolute float difference and where it is. The exit code is 1 when
-a decision or the structure differs, a file is missing on one side, or the
-largest float difference exceeds ``--tol``; else 0.
+traces land in ``OUT/<shape>/traces/`` and each shape's wall time is
+printed. It then writes ``emit_bounds_scatter`` for each case in
+``SCATTERS`` (name: mode, grid size, n, seed of the data and the run,
+senses, weights) to ``OUT/scatter/<case>.csv``.
+
+``diff`` pairs the files of two dumps by path and reports, per pair, a
+decision mismatch (a trace's ``decision`` or ``is_baseline``, or a
+scatter's selected row, differ), a structural difference (keys, list
+lengths, types or any non-float value differ; in a scatter, the header or
+any id or flag cell) or float-only differences, plus the largest absolute
+float difference and where it is. The exit code is 1 when a decision or the
+structure differs, a file is missing on one side, or the largest float
+difference exceeds ``--tol``; else 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
 import sys
+import time
 
 METHODS = ("snpl", "bonferroni", "ds-25", "ds-50", "ds-75")
 
@@ -37,10 +45,22 @@ SHAPES = {
     "supt": ("asymptotic", 20, 400, 10, 3, "supt"),
 }
 
+# name: (mode, grid_size, n, seed, senses, weights)
+SCATTERS = {
+    "finite": ("finite", 100, 2000, 2, None, (0.0, -0.1)),
+    "asymptotic": ("asymptotic", 500, 1000, 0, None, (0.0, -0.1)),
+    "upper": ("asymptotic", 100, 1000, 1, ("lower", "upper"), (0.0, 0.0)),
+}
+
+# Scatter columns holding floats; every other column must match exactly.
+_SCATTER_FLOATS = ("estimate_", "bound_", "threshold_")
+
 
 def dump(src: str, out: str) -> None:
     sys.path.insert(0, os.path.abspath(src))
-    from snpl.harness import BenchmarkConfig, run_benchmark
+    import numpy as np
+    from snpl.harness import BenchmarkConfig, emit_bounds_scatter, run_benchmark
+    from snpl.synthetic import build_class, generate
 
     for name, (mode, grid, n, reps, seed, in_loop) in SHAPES.items():
         config = BenchmarkConfig(
@@ -54,8 +74,48 @@ def dump(src: str, out: str) -> None:
             n_sim=20_000,
             save_traces=True,
         )
+        start = time.perf_counter()
         run_benchmark(config, workers=1, out_dir=os.path.join(out, name))
-        print(f"{name}: {reps * len(METHODS)} traces", flush=True)
+        elapsed = time.perf_counter() - start
+        print(f"{name}: {reps * len(METHODS)} traces in {elapsed:.2f} s", flush=True)
+
+    os.makedirs(os.path.join(out, "scatter"), exist_ok=True)
+    for name, (mode, grid, n, seed, senses, weights) in SCATTERS.items():
+        config = BenchmarkConfig(
+            methods=("snpl",),
+            mode=mode,
+            grid_size=grid,
+            n=n,
+            master_seed=seed,
+            senses=senses,
+            weights=weights,
+            n_sim=20_000,
+        )
+        dataset = generate(n, np.random.default_rng(seed))
+        path = os.path.join(out, "scatter", f"{name}.csv")
+        emit_bounds_scatter(dataset, build_class(grid), config, path)
+        print(f"scatter {name}: {path}", flush=True)
+
+
+def _load(path: str) -> dict:
+    """A trace as parsed; a scatter as its header and rows, float columns
+    parsed, with the selected row's id as its decision."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        if path.endswith(".json"):
+            return json.load(fh)
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    for row in rows:
+        for key in row:
+            if key.startswith(_SCATTER_FLOATS):
+                row[key] = float(row[key])
+    selected = [r["policy_id"] for r in rows if r["selected"] == "1"]
+    return {
+        "header": reader.fieldnames,
+        "rows": rows,
+        "decision": selected,
+        "is_baseline": selected == [rows[0]["policy_id"]],
+    }
 
 
 def _walk(a, b, path: str, found: dict) -> None:
@@ -83,26 +143,23 @@ def _walk(a, b, path: str, found: dict) -> None:
         found.setdefault("struct", f"{path}: {a!r} vs {b!r}")
 
 
-def _trace_files(root: str) -> set[str]:
+def _dump_files(root: str) -> set[str]:
     return {
         os.path.relpath(os.path.join(d, f), root)
         for d, _, files in os.walk(root)
         for f in files
-        if f.endswith(".json")
+        if f.endswith((".json", ".csv"))
     }
 
 
 def diff(left: str, right: str, tol: float) -> int:
-    files_l, files_r = _trace_files(left), _trace_files(right)
+    files_l, files_r = _dump_files(left), _dump_files(right)
     missing = sorted(files_l ^ files_r)
     decisions, structure = [], []
     identical = float_only = 0
     worst = (0.0, "")
     for rel in sorted(files_l & files_r):
-        with open(os.path.join(left, rel), encoding="utf-8") as fh:
-            a = json.load(fh)
-        with open(os.path.join(right, rel), encoding="utf-8") as fh:
-            b = json.load(fh)
+        a, b = _load(os.path.join(left, rel)), _load(os.path.join(right, rel))
         if (a["decision"], a["is_baseline"]) != (b["decision"], b["is_baseline"]):
             decisions.append(f"{rel}: {a['decision']} vs {b['decision']}")
         found = {"max": (0.0, "")}
@@ -116,7 +173,7 @@ def diff(left: str, right: str, tol: float) -> int:
         if found["max"][0] > worst[0]:
             worst = (found["max"][0], rel + found["max"][1])
 
-    print(f"traces compared: {len(files_l & files_r)}; only on one side: {len(missing)}")
+    print(f"files compared: {len(files_l & files_r)}; only on one side: {len(missing)}")
     for rel in missing:
         print(f"  missing: {rel}")
     print(f"decision mismatches: {len(decisions)}")
@@ -133,7 +190,7 @@ def diff(left: str, right: str, tol: float) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    d = sub.add_parser("dump", help="write every shape's traces from one source tree")
+    d = sub.add_parser("dump", help="write every shape's traces and scatters from one tree")
     d.add_argument("--src", required=True, help="directory holding the snpl package")
     d.add_argument("--out", required=True, help="output directory")
     c = sub.add_parser("diff", help="compare two dumps")

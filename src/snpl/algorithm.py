@@ -13,33 +13,31 @@ Cost: with the fixed-width bounds (finite, Bonferroni-normal), the margins of
 the whole class come from one ``class_stats`` call before the scan, which for
 threshold classes is O(n log |Pi| + |Pi|) per feature family and for other
 classes one O(n) pass per policy; each scan step is then O(1). The sup-t
-option skips that call and, per scanned candidate, builds the candidate's
-influence columns (O(n)) and draws loop_n_sim samples of a joint Gaussian
-over the pruned set plus the candidate.
+option skips that call; per scanned candidate it builds the
+``asymptotic_bounds`` table over the pruned set plus the candidate, with
+d = (|pruned| + 1) |S| columns: influence columns O(n d) (arm scores
+included), covariance O(n d^2), eigendecomposition O(d^3) and loop_n_sim
+draws O(loop_n_sim d^2). The draws dominate; at n = 1,000, loop_n_sim =
+20,000 and eta = 20, a scan of 79 candidates took about 0.9 s on a 2-vCPU
+host.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bounds import (
-    LowerBoundEntry,
     LowerBoundTable,
     asymptotic_bounds,
-    bonferroni_normal_bounds,
-    finite_bounds,
-    supt_quantile,
-)
-from .classstats import (
-    ClassStats,
     bernstein_widths,
-    class_stats,
-    margins_from_stats,
+    finite_bounds,
+    margins,
     normal_widths,
 )
+from .classstats import class_stats
 from .core import (
     Dataset,
     Hyperparams,
@@ -63,7 +61,6 @@ __all__ = [
     "ScanRecord",
     "SnplTrace",
     "snpl_run",
-    "in_loop_bound",
     "final_certify",
 ]
 
@@ -94,7 +91,9 @@ class ScanRecord:
 
 @dataclass(frozen=True)
 class SnplTrace:
-    """Complete record of one run; reconstructs the decision."""
+    """Complete record of one run; reconstructs the decision. ``scores`` is
+    the run's (n, K, d_Y) per-arm score array, kept for the bounds scatter
+    and not serialized."""
 
     method: str
     mode: str
@@ -127,6 +126,7 @@ class SnplTrace:
     decision: str
     is_baseline: bool
     seed: tuple
+    scores: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -174,54 +174,6 @@ class SnplTrace:
             "is_baseline": self.is_baseline,
             "seed": list(self.seed),
         }
-
-
-def _margins_fixed(
-    stats: ClassStats, config: SnplConfig, level: float, eta: int, n: int, c: float
-) -> np.ndarray:
-    """Vector of in-loop M'(pi) for the bounds that do not depend on the
-    current pruned set (finite, bonferroni-normal)."""
-    if config.mode == "finite":
-        widths = bernstein_widths(stats, config.spec, level, eta, n, c)
-    else:
-        widths = normal_widths(stats, config.spec, level, eta, n)
-    return margins_from_stats(stats, config.spec, widths)
-
-
-def in_loop_bound(
-    dataset: Dataset,
-    policy: Policy,
-    current_pruned: list[Policy],
-    config: SnplConfig,
-    level: float,
-    eta: int,
-    nuisance: NuisanceModel | None = None,
-    rng=None,
-    loop_n_sim: int | None = None,
-) -> list[LowerBoundEntry]:
-    """Per-guardrail in-loop bounds for one candidate.
-
-    finite: Bernstein widths with the class size fixed to eta; asymptotic
-    bonferroni-normal: Phi^{-1}(1 - level/(eta |S|)) per coordinate;
-    asymptotic supt: sup-t over current_pruned + [policy], returning the
-    candidate's entries.
-    """
-    estimator = "ipw" if config.mode == "finite" else "dr"
-    if config.mode == "finite":
-        table = influence_table(dataset, [policy], config.spec, config.baseline, estimator)
-        return list(finite_bounds(table, config.spec, level, assumed_class_size=eta).entries)
-    if config.in_loop == "bonferroni-normal":
-        table = influence_table(
-            dataset, [policy], config.spec, config.baseline, estimator, nuisance
-        )
-        return list(
-            bonferroni_normal_bounds(table, config.spec, level, assumed_class_size=eta).entries
-        )
-    joint = current_pruned + [policy]
-    table = influence_table(dataset, joint, config.spec, config.baseline, estimator, nuisance)
-    n_sim = loop_n_sim if loop_n_sim is not None else config.hyper.n_sim
-    full = asymptotic_bounds(table, config.spec, level, n_sim, rng)
-    return full.for_policy(policy.policy_id)
 
 
 def final_certify(
@@ -321,13 +273,16 @@ def snpl_run(dataset: Dataset, policies: list[Policy], config: SnplConfig, seed=
 
     loop_n_sim = config.loop_n_sim if config.loop_n_sim is not None else hyper.n_sim
     supt_loop = config.mode == "asymptotic" and config.in_loop == "supt"
-    if supt_loop:
-        jdx = np.asarray(spec.guardrails, dtype=np.int64) - 1
-        base = policy_scores(scores, config.baseline, dataset.covariates)[:, jdx]
-        pruned_cols: list[np.ndarray] = []
-    elif candidates:
+    if candidates and not supt_loop:
+        # Fixed-width in-loop bounds: |Pi~| = eta whatever the pruned set.
         stats = class_stats(dataset, candidates, spec, config.baseline, scores)
-        margins = _margins_fixed(stats, config, aprime, eta, n, dataset.propensity.c)
+        if config.mode == "finite":
+            widths = bernstein_widths(
+                stats.variances, spec, aprime, eta, n, dataset.propensity.c
+            )
+        else:
+            widths = normal_widths(stats.variances, spec, aprime, eta, n)
+        scan_margins = margins(stats.means, widths, spec).min(axis=1)
 
     # SVT scan: one threshold draw, then one independent noise per scanned
     # candidate, stopping once eta policies are admitted.
@@ -336,18 +291,19 @@ def snpl_run(dataset: Dataset, policies: list[Policy], config: SnplConfig, seed=
     records: list[ScanRecord] = []
     for i, pol in enumerate(candidates):
         if supt_loop:
-            psi = policy_scores(scores, pol, dataset.covariates)[:, jdx]
-            col = psi - (1.0 + np.asarray(spec.weights)) * base
-            margin = _supt_loop_margin(pruned_cols, col, spec, aprime, loop_n_sim, rng_loop)
+            # Sup-t over the pruned set so far plus the candidate.
+            table = influence_table(
+                dataset, pruned + [pol], spec, config.baseline, estimator, nuisance
+            )
+            bt = asymptotic_bounds(table, spec, aprime, loop_n_sim, rng_loop)
+            margin = bt.min_margin(pol.policy_id)
         else:
-            margin = float(margins[i])
+            margin = float(scan_margins[i])
         noise = laplace(query_scale, rng_svt)
         admitted = margin + noise > v
         records.append(ScanRecord(pol.policy_id, margin, noise, admitted))
         if admitted:
             pruned.append(pol)
-            if supt_loop:
-                pruned_cols.append(col)
             if len(pruned) == eta:
                 break
 
@@ -394,27 +350,5 @@ def snpl_run(dataset: Dataset, policies: list[Policy], config: SnplConfig, seed=
         decision=decision,
         is_baseline=decision == config.baseline.policy_id,
         seed=seed_tuple(seed_seq),
+        scores=scores,
     )
-
-
-def _supt_loop_margin(
-    pruned_cols: list[np.ndarray],
-    col: np.ndarray,
-    spec: SafetySpec,
-    level: float,
-    n_sim: int,
-    rng,
-) -> float:
-    """M'(pi) from sup-t over the current pruned set plus the candidate,
-    given the influence columns (n, |S|) of the admitted policies and of
-    the candidate."""
-    n = col.shape[0]
-    cols = np.concatenate(pruned_cols + [col], axis=1)
-    sgn = np.array([spec.sign(s) for s in range(spec.s_count)])
-    signs = np.tile(sgn, len(pruned_cols) + 1)
-    centered = cols - cols.mean(axis=0)
-    cov = (centered.T @ centered / n) * np.outer(signs, signs)
-    q = supt_quantile(cov, level, n_sim, rng)
-    mu = col.mean(axis=0)
-    se = np.sqrt(np.mean((col - mu) ** 2, axis=0) / n)
-    return float((sgn * mu + q.z_star * se).min())

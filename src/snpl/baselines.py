@@ -18,10 +18,13 @@ import numpy as np
 from .bounds import (
     LowerBoundTable,
     asymptotic_bounds,
+    bernstein_widths,
     bonferroni_normal_bounds,
     finite_bounds,
+    margins,
+    normal_widths,
 )
-from .classstats import bernstein_widths, class_stats, margins_from_stats, normal_widths
+from .classstats import class_stats
 from .core import (
     Dataset,
     Hyperparams,
@@ -166,12 +169,12 @@ def hcpi_run(
     stats = class_stats(data_l, candidates, spec, baseline, scores_l)
     if mode == "finite":
         widths = bernstein_widths(
-            stats, spec, spec.alpha, len(candidates), data_l.n, data_l.propensity.c
+            stats.variances, spec, spec.alpha, len(candidates), data_l.n, data_l.propensity.c
         )
     else:
-        widths = normal_widths(stats, spec, spec.alpha, 1, data_l.n)
-    margins = margins_from_stats(stats, spec, widths)
-    f = np.where(margins >= 0.0, stats.goal, margins)
+        widths = normal_widths(stats.variances, spec, spec.alpha, 1, data_l.n)
+    learn_margins = margins(stats.means, widths, spec).min(axis=1)
+    f = np.where(learn_margins >= 0.0, stats.goal, learn_margins)
     pick = int(np.argmax(f))
     selected = candidates[pick]
 
@@ -248,12 +251,14 @@ def bonferroni_run(
     stats = class_stats(dataset, candidates, spec, baseline, scores)
     m = len(candidates)
     if mode == "finite":
-        widths = bernstein_widths(stats, spec, spec.alpha, m, dataset.n, dataset.propensity.c)
+        widths = bernstein_widths(
+            stats.variances, spec, spec.alpha, m, dataset.n, dataset.propensity.c
+        )
     else:
-        widths = normal_widths(stats, spec, spec.alpha, m, dataset.n)
-    margins = margins_from_stats(stats, spec, widths)
+        widths = normal_widths(stats.variances, spec, spec.alpha, m, dataset.n)
+    min_margins = margins(stats.means, widths, spec).min(axis=1)
 
-    certified_idx = [i for i in range(m) if margins[i] > 0.0]
+    certified_idx = [i for i in range(m) if min_margins[i] > 0.0]
     decision = baseline.policy_id
     best = -math.inf
     pick = None

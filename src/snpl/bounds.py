@@ -1,10 +1,17 @@
-"""Joint confidence bounds for weighted policy-value differences.
+"""Joint confidence bounds for weighted policy-value differences, and the
+one home of every width and margin formula.
 
 Two constructions: finite-sample empirical-Bernstein bounds (population
 variance, union-corrected over |Pi~| x |S| tests) and asymptotic sup-t
 bounds whose critical value is a simulated quantile of the minimum of
 standardized correlated Gaussians. A Bonferroni-normal variant serves as
 the union-bound comparator and the cheap in-loop bound.
+
+The width functions (``bernstein_widths``, ``normal_widths``,
+``supt_widths``) and ``margins`` work on arrays of (1/n)-normalized
+variances and means shaped (..., |S|): the table functions below apply them
+to influence tables, and the scan, the baselines and the bounds scatter
+apply them to class statistics.
 
 Upper-sense guardrails are handled by negating into the lower-sense form:
 every entry carries both the sense-correct ``bound`` and the flipped
@@ -31,6 +38,10 @@ __all__ = [
     "asymptotic_bounds",
     "bonferroni_normal_bounds",
     "normal_quantile",
+    "bernstein_widths",
+    "normal_widths",
+    "supt_widths",
+    "margins",
 ]
 
 # Diagonal entries at or below this relative floor count as zero-variance:
@@ -38,11 +49,71 @@ __all__ = [
 _VAR_FLOOR = 1e-12
 
 
+def _active(variances: np.ndarray) -> np.ndarray:
+    """Entries above the relative zero-variance floor."""
+    return variances > _VAR_FLOOR * max(1.0, float(variances.max(initial=0.0)))
+
+
 def normal_quantile(p: float) -> float:
     """Inverse standard normal CDF (machine precision)."""
     if not 0.0 < p < 1.0:
         raise ValueError("quantile argument must lie in (0, 1)")
     return float(ndtri(p))
+
+
+def _log_term(spec: SafetySpec, level: float, class_size: int) -> float:
+    """L = log(3 |Pi~| |S| / (2 level)) of the Bernstein width."""
+    if not 0.0 < level < 1.0:
+        raise ValueError("level must lie in (0, 1)")
+    if class_size < 1:
+        raise ValueError("class size must be positive")
+    arg = 3.0 * class_size * spec.s_count / (2.0 * level)
+    if not math.isfinite(arg):
+        raise ValueError("level too small: log argument overflows")
+    return math.log(arg)
+
+
+def _bonferroni_z(spec: SafetySpec, level: float, class_size: int) -> float:
+    """z = Phi^{-1}(1 - level / (|Pi~| |S|)) of the Bonferroni-normal width."""
+    if class_size < 1:
+        raise ValueError("class size must be positive")
+    per_test = level / (class_size * spec.s_count)
+    if not 0.0 < per_test < 0.5:
+        raise ValueError("per-test level must lie in (0, 0.5)")
+    return normal_quantile(1.0 - per_test)
+
+
+def bernstein_widths(
+    variances: np.ndarray, spec: SafetySpec, level: float, class_size: int, n: int, c: float
+) -> np.ndarray:
+    """Empirical-Bernstein widths sigma_j sqrt(2L/n) + 3 R_j L / n with
+    L = log(3 |Pi~| |S| / (2 level)), R_j = (2 + w_j) / c and |Pi~| =
+    class_size, for variances shaped (..., |S|)."""
+    L = _log_term(spec, level, class_size)
+    R = (2.0 + np.asarray(spec.weights)) / c
+    return np.sqrt(variances) * math.sqrt(2.0 * L / n) + 3.0 * R * L / n
+
+
+def normal_widths(
+    variances: np.ndarray, spec: SafetySpec, level: float, class_size: int, n: int
+) -> np.ndarray:
+    """Bonferroni-normal widths z sqrt(var / n) with z = Phi^{-1}(1 - level /
+    (|Pi~| |S|)) and |Pi~| = class_size; the per-test level must lie in
+    (0, 0.5), so widths are never negative."""
+    return _bonferroni_z(spec, level, class_size) * np.sqrt(variances) / math.sqrt(n)
+
+
+def supt_widths(variances: np.ndarray, z_star: float, n: int) -> np.ndarray:
+    """Sup-t widths -z* sqrt(var / n); variances at or below the relative
+    zero-variance floor (relative to the largest one passed) get width 0."""
+    return np.where(_active(variances), -z_star * np.sqrt(np.maximum(variances, 0.0) / n), 0.0)
+
+
+def margins(means: np.ndarray, widths: np.ndarray, spec: SafetySpec) -> np.ndarray:
+    """Per-entry margins, the sense-flipped estimate minus the width, for
+    arrays shaped (..., |S|); the sense-correct bound is ``spec.signs *
+    margin``."""
+    return spec.signs * means - widths
 
 
 @dataclass(frozen=True)
@@ -112,29 +183,39 @@ def _entries(
     table: InfluenceTable, widths: np.ndarray, level: float, method: str
 ) -> tuple[LowerBoundEntry, ...]:
     spec = table.spec
-    S = spec.s_count
-    out = []
-    for p, pid in enumerate(table.policy_ids):
-        for s in range(S):
-            col = p * S + s
-            est = float(table.estimates[col])
-            width = float(widths[col])
-            sign = spec.sign(s)
-            margin = sign * est - width
-            out.append(
-                LowerBoundEntry(
-                    policy_id=pid,
-                    guardrail=spec.guardrails[s],
-                    sense=spec.senses[s],
-                    estimate=est,
-                    width=width,
-                    bound=sign * margin,
-                    margin=margin,
-                    level=level,
-                    method=method,
-                )
-            )
-    return tuple(out)
+    shape = (table.policy_count, spec.s_count)
+    est = table.estimates.reshape(shape)
+    width = widths.reshape(shape)
+    margin = margins(est, width, spec)
+    bound = spec.signs * margin
+    rows = zip(table.policy_ids, est.tolist(), width.tolist(), bound.tolist(), margin.tolist())
+    return tuple(
+        LowerBoundEntry(
+            policy_id=pid,
+            guardrail=spec.guardrails[s],
+            sense=spec.senses[s],
+            estimate=e[s],
+            width=w[s],
+            bound=b[s],
+            margin=m[s],
+            level=level,
+            method=method,
+        )
+        for pid, e, w, b, m in rows
+        for s in range(spec.s_count)
+    )
+
+
+def _class_size(table: InfluenceTable, assumed_class_size: int | None) -> int:
+    return assumed_class_size if assumed_class_size is not None else table.policy_count
+
+
+def _variances(table: InfluenceTable) -> np.ndarray:
+    """(1/n)-normalized column variances, shaped (|Pi|, |S|)."""
+    if table.n < 2:
+        raise ValueError("bounds require n >= 2")
+    centered = table.values - table.estimates
+    return np.mean(centered**2, axis=0).reshape(table.policy_count, table.spec.s_count)
 
 
 def finite_bounds(
@@ -150,36 +231,25 @@ def finite_bounds(
 
     with |Pi~| = assumed_class_size (defaults to the table's policy count).
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie in (0, 1)")
-    n = table.n
-    if n < 2:
-        raise ValueError("bounds require n >= 2")
-    S = spec.s_count
-    m = (assumed_class_size if assumed_class_size is not None else table.policy_count) * S
-    if m < 1:
-        raise ValueError("class size must be positive")
-    arg = 3.0 * m / (2.0 * level)
-    if not math.isfinite(arg):
-        raise ValueError("level too small: log argument overflows")
-    L = math.log(arg)
-
-    centered = table.values - table.estimates
-    sigma = np.sqrt(np.mean(centered**2, axis=0))
-    R = (2.0 + np.asarray(spec.weights)) / table.c
-    widths = sigma * math.sqrt(2.0 * L / n) + 3.0 * np.tile(R, table.policy_count) * L / n
+    m = _class_size(table, assumed_class_size)
+    widths = bernstein_widths(_variances(table), spec, level, m, table.n, table.c)
     return LowerBoundTable(
         entries=_entries(table, widths, level, "finite"),
         method="finite",
         level=level,
-        meta={"class_size": m // S, "s_count": S, "log_term": L, "n": n},
+        meta={
+            "class_size": m,
+            "s_count": spec.s_count,
+            "log_term": _log_term(spec, level, m),
+            "n": table.n,
+        },
     )
 
 
 def _as_rng(rng) -> tuple[np.random.Generator, int | None]:
     if isinstance(rng, np.random.Generator):
         return rng, None
-    return np.random.default_rng(rng), int(rng)
+    return np.random.default_rng(rng), None if rng is None else int(rng)
 
 
 def supt_quantile(cov: np.ndarray, level: float, n_sim: int, rng) -> SupTQuantile:
@@ -200,7 +270,7 @@ def supt_quantile(cov: np.ndarray, level: float, n_sim: int, rng) -> SupTQuantil
         raise ValueError("n_sim must be >= 100")
     gen, seed = _as_rng(rng)
     diag = np.diag(cov)
-    active = diag > _VAR_FLOOR * max(1.0, float(diag.max(initial=0.0)))
+    active = _active(diag)
     if not active.any():
         raise ValueError("degenerate covariance")
     sub = cov[np.ix_(active, active)]
@@ -228,12 +298,9 @@ def asymptotic_bounds(
     if n < 2:
         raise ValueError("bounds require n >= 2")
     cov = empirical_covariance(table)
-    signs = np.tile([spec.sign(s) for s in range(spec.s_count)], table.policy_count)
-    flipped = cov * np.outer(signs, signs)
-    q = supt_quantile(flipped, level, n_sim, rng)
-    diag = np.diag(cov)
-    active = diag > _VAR_FLOOR * max(1.0, float(diag.max(initial=0.0)))
-    widths = np.where(active, -q.z_star * np.sqrt(np.maximum(diag, 0.0) / n), 0.0)
+    signs = np.tile(spec.signs, table.policy_count)
+    q = supt_quantile(cov * np.outer(signs, signs), level, n_sim, rng)
+    widths = supt_widths(np.diag(cov), q.z_star, n)
     return LowerBoundTable(
         entries=_entries(table, widths, level, "supt"),
         method="supt",
@@ -260,21 +327,16 @@ def bonferroni_normal_bounds(
         C_j(pi) = D_j(pi) -/+ z sqrt(Sigma_jj / n),
         z = Phi^{-1}(1 - level / (|Pi~| |S|)).
     """
-    n = table.n
-    if n < 2:
-        raise ValueError("bounds require n >= 2")
-    S = spec.s_count
-    m = (assumed_class_size if assumed_class_size is not None else table.policy_count) * S
-    per_test = level / m
-    if not 0.0 < per_test < 0.5:
-        raise ValueError("per-test level must lie in (0, 0.5)")
-    z = normal_quantile(1.0 - per_test)
-    centered = table.values - table.estimates
-    sigma = np.sqrt(np.mean(centered**2, axis=0))
-    widths = z * sigma / math.sqrt(n)
+    m = _class_size(table, assumed_class_size)
+    widths = normal_widths(_variances(table), spec, level, m, table.n)
     return LowerBoundTable(
         entries=_entries(table, widths, level, "bonferroni-normal"),
         method="bonferroni-normal",
         level=level,
-        meta={"z": z, "class_size": m // S, "s_count": S, "n": n},
+        meta={
+            "z": _bonferroni_z(spec, level, m),
+            "class_size": m,
+            "s_count": spec.s_count,
+            "n": table.n,
+        },
     )

@@ -1,8 +1,8 @@
 """Class statistics: for every candidate of a policy class, the means and
 (1/n)-normalized variances of its influence columns
 d_j(O_i, pi) = psi_j(O_i, pi) - (1 + w_j) psi_j(O_i, pi0), and its estimated
-goal value; plus the width and margin helpers that turn them into the
-Bernstein and Bonferroni-normal scan, selection and union bounds.
+goal value. The width and margin functions of ``bounds`` turn them into the
+scan, selection and union bounds.
 
 ``class_stats`` serves a whole class at once. Threshold policies over two
 actions take a batched path: each feature is evaluated once per family, the
@@ -17,24 +17,15 @@ statistics either way.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import normal_quantile
 from .core import Dataset, Policy, SafetySpec
 from .estimators import policy_scores
 from .synthetic import ThresholdPolicy
 
-__all__ = [
-    "ClassStats",
-    "class_stats",
-    "policy_loop_stats",
-    "bernstein_widths",
-    "normal_widths",
-    "margins_from_stats",
-]
+__all__ = ["ClassStats", "class_stats", "policy_loop_stats"]
 
 
 @dataclass
@@ -162,28 +153,3 @@ def _coinciding(
         source[hit] = prev_members[pos[hit]]
         same |= hit
     return same, source
-
-
-def margins_from_stats(stats: ClassStats, spec: SafetySpec, widths: np.ndarray) -> np.ndarray:
-    """min over guardrails of (sense-flipped estimate - width)."""
-    signs = np.array([spec.sign(s) for s in range(spec.s_count)])
-    return (signs * stats.means - widths).min(axis=1)
-
-
-def bernstein_widths(
-    stats: ClassStats, spec: SafetySpec, level: float, class_size: int, n: int, c: float
-) -> np.ndarray:
-    """Vectorized Bernstein widths at the given assumed class size."""
-    L = math.log(3.0 * class_size * spec.s_count / (2.0 * level))
-    if not math.isfinite(L):
-        raise ValueError("level too small: log argument overflows")
-    R = (2.0 + np.asarray(spec.weights)) / c
-    return np.sqrt(stats.variances) * math.sqrt(2.0 * L / n) + 3.0 * R * L / n
-
-
-def normal_widths(
-    stats: ClassStats, spec: SafetySpec, level: float, class_size: int, n: int
-) -> np.ndarray:
-    """Vectorized Bonferroni-normal widths at the given assumed class size."""
-    z = normal_quantile(1.0 - level / (class_size * spec.s_count))
-    return z * np.sqrt(stats.variances) / math.sqrt(n)

@@ -1,5 +1,5 @@
-"""Domain types shared by every module: observations, datasets, propensity
-models, policies, safety specifications, and hyperparameters.
+"""Domain types shared by every module: datasets, propensity models,
+policies, safety specifications, and hyperparameters.
 
 Actions are 1-indexed integers in {1..K}; outcome and guardrail indices are
 1-indexed everywhere in the public API.
@@ -7,13 +7,12 @@ Actions are 1-indexed integers in {1..K}; outcome and guardrail indices are
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "Observation",
     "PropensityModel",
     "ConstantPropensity",
     "TabularPropensity",
@@ -24,17 +23,7 @@ __all__ = [
     "SafetySpec",
     "Hyperparams",
     "validate_dataset",
-    "action_distribution",
 ]
-
-
-@dataclass(frozen=True)
-class Observation:
-    """A single logged interaction O = (X, A, Y) with A in {1..K}."""
-
-    covariates: np.ndarray
-    action: int
-    outcomes: np.ndarray
 
 
 class PropensityModel:
@@ -116,23 +105,6 @@ class Dataset:
     @property
     def n_outcomes(self) -> int:
         return self.outcomes.shape[1]
-
-    def observation(self, i: int) -> Observation:
-        return Observation(self.covariates[i], int(self.actions[i]), self.outcomes[i])
-
-    @property
-    def observations(self) -> list[Observation]:
-        """Materializes the row records; O(n), intended for small data."""
-        return [self.observation(i) for i in range(self.n)]
-
-    @staticmethod
-    def from_observations(obs: Sequence[Observation], propensity: PropensityModel) -> "Dataset":
-        if len(obs) == 0:
-            raise ValueError("dataset must be nonempty")
-        X = np.stack([np.asarray(o.covariates, dtype=float).ravel() for o in obs])
-        A = np.asarray([o.action for o in obs], dtype=np.int64)
-        Y = np.stack([np.asarray(o.outcomes, dtype=float).ravel() for o in obs])
-        return Dataset(X, A, Y, propensity)
 
 
 class Policy:
@@ -226,6 +198,11 @@ class SafetySpec:
     def sign(self, s: int) -> float:
         """+1 for lower sense, -1 for upper; index s is 0-based into S."""
         return 1.0 if self.senses[s] == "lower" else -1.0
+
+    @property
+    def signs(self) -> np.ndarray:
+        """sign(s) for every guardrail, in S order."""
+        return np.array([self.sign(s) for s in range(self.s_count)])
 
     def to_json_dict(self) -> dict:
         return {
@@ -325,14 +302,3 @@ def validate_dataset(dataset: Dataset) -> None:
     if np.any(np.abs(rowsum - 1.0) > 1e-8):
         i = int(np.argmax(np.abs(rowsum - 1.0) > 1e-8))
         raise ValueError(f"propensities do not sum to 1 at row {i}")
-
-
-def action_distribution(policy: Policy, x: np.ndarray) -> np.ndarray:
-    """Evaluates pi(. | x) and checks it is a probability vector."""
-    x = np.asarray(x, dtype=float)
-    dist = np.asarray(policy.distribution(x), dtype=float)
-    if dist.ndim != 1 or dist.size != policy.n_actions:
-        raise ValueError("dimension mismatch in action distribution")
-    if np.any(dist < 0.0) or abs(dist.sum() - 1.0) > 1e-9:
-        raise ValueError("action distribution is not a probability vector")
-    return dist

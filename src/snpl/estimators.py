@@ -27,7 +27,6 @@ __all__ = [
     "ipw_value",
     "dr_value",
     "influence_table",
-    "empirical_variance",
     "empirical_covariance",
 ]
 
@@ -197,14 +196,6 @@ def influence_table(
         estimator=estimator,
         c=dataset.propensity.c,
     )
-
-
-def empirical_variance(column: np.ndarray) -> float:
-    """(1/n) sum (d_i - mean)^2; population normalization."""
-    column = np.asarray(column, dtype=float)
-    if column.size < 2:
-        raise ValueError("variance requires n >= 2")
-    return float(np.mean((column - column.mean()) ** 2))
 
 
 def empirical_covariance(table: InfluenceTable) -> np.ndarray:

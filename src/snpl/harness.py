@@ -21,7 +21,8 @@ import numpy as np
 
 from .algorithm import SnplConfig, snpl_run
 from .baselines import bonferroni_run, hcpi_run
-from .classstats import bernstein_widths, class_stats, normal_widths
+from .bounds import bernstein_widths, margins, normal_widths, supt_widths
+from .classstats import class_stats
 from .core import (
     ConstantPropensity,
     Dataset,
@@ -30,7 +31,7 @@ from .core import (
     TabularPropensity,
     validate_dataset,
 )
-from .estimators import arm_scores, fit_nuisance, policy_scores
+from .estimators import policy_scores
 from .stability import gamma_grid
 from .synthetic import ThresholdPolicy, build_class, generate, truth_table
 
@@ -306,6 +307,9 @@ def _execute_replication(state: dict, r: int) -> dict:
             os.makedirs(trace_dir, exist_ok=True)
             path = os.path.join(trace_dir, f"{method}_r{r:05d}.json")
             write_json(trace.to_json_dict(), path)
+        # Free the trace's arrays (arm scores, split rows) before the next
+        # method runs; the loop variable would hold them until then.
+        del trace
     return out
 
 
@@ -562,54 +566,34 @@ def emit_bounds_scatter(dataset: Dataset, policies, config: BenchmarkConfig, out
     thresholds w_j * V_j(pi0), and pruned/selected flags.
 
     A lower-sense coordinate certifies iff bound > threshold (upper sense:
-    bound < threshold). Widths reuse the run's final-certification critical
-    value and its nuisance stream, so pruned rows reproduce the trace's
-    final margins up to rounding. Per-policy statistics come from
-    ``class_stats``; the estimate of guardrail j is mean(d_j) + w_j V_j(pi0).
+    bound < threshold). Statistics come from ``class_stats`` on the run's
+    own arm scores; the estimate of guardrail j is mean(d_j) + w_j V_j(pi0).
+    Widths use the run's final-certification critical value (the in-loop
+    one when nothing was pruned), so pruned rows reproduce the trace's final
+    margins up to rounding.
     """
     spec = config.spec()
     baseline = config.baseline()
     seed_seq = _replication_seed(config.master_seed, 0, METHOD_STREAMS["snpl"])
-    run_cfg = SnplConfig(
-        spec=spec,
-        hyper=config.hyper(),
-        mode=config.mode,
-        baseline=baseline,
-        in_loop=config.in_loop,
-        loop_n_sim=config.loop_n_sim,
-    )
-    trace = snpl_run(dataset, policies, run_cfg, seed=seed_seq)
-
-    # Same substream the run used for cross-fitting, so estimates match.
-    # Rebuilt from scratch: spawning advances a SeedSequence's child counter,
-    # so reusing seed_seq here would yield different children.
-    fresh = _replication_seed(config.master_seed, 0, METHOD_STREAMS["snpl"])
-    rng_nuisance = np.random.default_rng(fresh.spawn(4)[0])
-    nuisance = None
-    estimator = "ipw" if config.mode == "finite" else "dr"
-    if config.mode == "asymptotic":
-        nuisance = fit_nuisance(dataset, config.folds, rng_nuisance)
-    scores = arm_scores(dataset, estimator, nuisance)
+    trace = _dispatch("snpl", dataset, policies, baseline, spec, config, seed_seq)
     jdx = np.asarray(spec.guardrails, dtype=np.int64) - 1
-    w = np.asarray(spec.weights)
     n = dataset.n
 
     rows = [baseline] + [p for p in policies if p.policy_id != baseline.policy_id]
-    stats = class_stats(dataset, rows, spec, baseline, scores)
-    v0 = policy_scores(scores, baseline, dataset.covariates)[:, jdx].mean(axis=0)
-    thresholds = w * v0
+    stats = class_stats(dataset, rows, spec, baseline, trace.scores)
+    v0 = policy_scores(trace.scores, baseline, dataset.covariates)[:, jdx].mean(axis=0)
+    thresholds = np.asarray(spec.weights) * v0
     estimates = stats.means + thresholds
     if config.mode == "finite":
         class_size = max(len(trace.pruned_ids), 1)
         widths = bernstein_widths(
-            stats, spec, trace.alpha_prime, class_size, n, dataset.propensity.c
+            stats.variances, spec, trace.alpha_prime, class_size, n, dataset.propensity.c
         )
     elif trace.pruned_ids:
-        widths = -trace.final.meta["z_star"] * np.sqrt(stats.variances / n)
+        widths = supt_widths(stats.variances, trace.final.meta["z_star"], n)
     else:
-        widths = normal_widths(stats, spec, trace.alpha_prime, trace.eta, n)
-    signs = np.array([spec.sign(s) for s in range(spec.s_count)])
-    bounds = estimates - signs * widths
+        widths = normal_widths(stats.variances, spec, trace.alpha_prime, trace.eta, n)
+    bounds = spec.signs * margins(estimates, widths, spec)  # estimate -/+ width
 
     pruned = set(trace.pruned_ids)
     with open(out_path, "w", encoding="utf-8", newline="") as fh:

@@ -11,15 +11,12 @@ n-invariant at fixed gamma.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import normal_quantile
 
 __all__ = [
-    "StabilityBudget",
-    "SensitivityConstants",
     "alpha_prime",
     "delta_star",
     "gamma_grid",
@@ -32,29 +29,6 @@ __all__ = [
 
 _GRID_POINTS = 2000
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-@dataclass(frozen=True)
-class StabilityBudget:
-    epsilon: float
-    gamma: float
-    delta_star: float
-    alpha_prime: float
-    n: int
-
-    def __post_init__(self):
-        if not self.delta_star > 0:
-            raise ValueError("delta_star must be positive")
-        if not self.alpha_prime > 0:
-            raise ValueError("alpha_prime must be positive")
-
-
-@dataclass(frozen=True)
-class SensitivityConstants:
-    xi: float
-    t_value: float
-    B: float
-    mode: str
 
 
 def alpha_prime(alpha: float, delta: float, n: int, epsilon: float) -> float:

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from snpl.algorithm import SnplConfig, final_certify, in_loop_bound, snpl_run
-from snpl.bounds import asymptotic_bounds, bonferroni_normal_bounds, normal_quantile
+from conftest import tabular_generate
+from snpl.algorithm import SnplConfig, final_certify, snpl_run
+from snpl.bounds import asymptotic_bounds, bonferroni_normal_bounds, finite_bounds
 from snpl.core import Hyperparams, SafetySpec
 from snpl.estimators import dr_value, fit_nuisance, influence_table
 from snpl.stability import delta_star, eta_heuristic, laplace
@@ -96,60 +97,14 @@ class TestFinalCertify:
         assert "g5@0.5" not in table.certified_ids()
         assert decision == "g1@0.5"
 
-
-class TestInLoopBound:
-    def test_finite_width_fixed_at_eta(self):
-        from snpl.bounds import finite_bounds
-        from snpl.estimators import influence_table
-
-        ds = generate(300, np.random.default_rng(5))
-        config = make_config()
-        pol = ThresholdPolicy("g2", 0.5)
-        lone = in_loop_bound(ds, pol, [], config, 0.08, eta=10)
-        crowded = in_loop_bound(ds, pol, small_class(), config, 0.08, eta=10)
-        # the pruned set so far never changes the width: |class| is frozen at eta
-        assert [e.width for e in lone] == [e.width for e in crowded]
-        table = influence_table(ds, [pol], config.spec, config.baseline, "ipw")
-        want = finite_bounds(table, config.spec, 0.08, assumed_class_size=10)
-        assert want.meta["log_term"] == pytest.approx(
-            math.log(3.0 * 10 * 2 / (2.0 * 0.08)), abs=1e-12
-        )
-        assert [e.width for e in lone] == pytest.approx(
-            [e.width for e in want.entries], abs=1e-12
-        )
-
-    def test_bonferroni_normal_quantile(self):
-        ds = generate(400, np.random.default_rng(6))
-        config = make_config(mode="asymptotic")
-        nui = fit_nuisance(ds, 5, np.random.default_rng(7))
-        entries = in_loop_bound(
-            ds, ThresholdPolicy("g2", 0.5), [], config, 0.08, eta=10, nuisance=nui
-        )
-        # per-test level 0.08 / 20 gives the 2.652 quantile; width = z sigma / sqrt(n)
-        z = normal_quantile(1.0 - 0.004)
-        assert z == pytest.approx(2.652, abs=0.005)
-        for e in entries:
-            assert e.width > 0.0
-            assert e.method == "bonferroni-normal"
-
-    def test_supt_empty_pruned_is_single_policy_supt(self):
-        from snpl.bounds import asymptotic_bounds
-        from snpl.core import SafetySpec
-        from snpl.estimators import influence_table
-
-        ds = generate(400, np.random.default_rng(8))
-        config = make_config(mode="asymptotic", in_loop="supt")
-        nui = fit_nuisance(ds, 5, np.random.default_rng(9))
-        pol = ThresholdPolicy("g2", 0.5)
-        got = in_loop_bound(
-            ds, pol, [], config, 0.08, eta=10, nuisance=nui,
-            rng=np.random.default_rng(77), loop_n_sim=20_000,
-        )
-        table = influence_table(ds, [pol], config.spec, config.baseline, "dr", nui)
-        want = asymptotic_bounds(
-            table, config.spec, 0.08, 20_000, np.random.default_rng(77)
-        ).for_policy(pol.policy_id)
-        assert [e.margin for e in got] == pytest.approx([e.margin for e in want], abs=1e-12)
+    def test_default_rng_draws_fresh_entropy(self):
+        # rng=None (the default) seeds the sup-t draws from fresh entropy,
+        # recorded as seed None, as a Generator is
+        ds = generate(400, np.random.default_rng(1))
+        config = make_config(mode="asymptotic", n_sim=2000)
+        nui = fit_nuisance(ds, 5, np.random.default_rng(0))
+        table, _, _ = final_certify(ds, [ThresholdPolicy("g1", 0.3)], config, 0.08, nui)
+        assert table.method == "supt" and table.meta["seed"] is None
 
 
 class TestSnplRun:
@@ -221,15 +176,19 @@ class TestSnplRun:
         assert trace.epsilon == 0.05
 
     def test_scan_margins_match_in_loop_bounds(self):
+        # finite in-loop bounds: the Bernstein table at alpha' with |Pi~|
+        # fixed to eta, whatever the pruned set holds at that point
         ds = generate(400, np.random.default_rng(100))
         config = make_config(eta=3)
         trace = snpl_run(ds, small_class(), config, seed=3)
-        by_id = {p.policy_id: p for p in small_class()}
+        table = influence_table(ds, small_class(), config.spec, config.baseline, "ipw")
+        loop = finite_bounds(table, config.spec, trace.alpha_prime, assumed_class_size=3)
+        assert loop.meta["log_term"] == pytest.approx(
+            math.log(3.0 * 3 * 2 / (2.0 * trace.alpha_prime)), abs=1e-12
+        )
+        assert any(r.admitted for r in trace.scan[:-1])
         for r in trace.scan:
-            entries = in_loop_bound(
-                ds, by_id[r.policy_id], [], config, trace.alpha_prime, eta=3
-            )
-            assert r.margin == pytest.approx(min(e.margin for e in entries), abs=1e-12)
+            assert r.margin == pytest.approx(loop.min_margin(r.policy_id), abs=1e-12)
 
     def test_determinism(self):
         a = self.run_once(seed=9, eta=3)
@@ -263,8 +222,9 @@ class TestSnplRun:
         assert len(trace.pruned_ids) <= 2
 
     def test_supt_scan_margins_match_in_loop_bounds(self):
-        # replays the scan: sup-t over the pruned set so far plus each
-        # candidate, drawing from the run's own loop stream
+        # replays the scan: the sup-t table over the pruned set so far plus
+        # each candidate (the candidate alone at first), drawing from the
+        # run's own loop stream
         ds = generate(400, np.random.default_rng(104))
         config = dataclasses.replace(
             make_config(mode="asymptotic", in_loop="supt", eta=3, n_sim=2000), loop_n_sim=1000
@@ -278,11 +238,10 @@ class TestSnplRun:
         by_id = {p.policy_id: p for p in policies}
         pruned = []
         for r in trace.scan:
-            entries = in_loop_bound(
-                ds, by_id[r.policy_id], pruned, config, trace.alpha_prime, trace.eta,
-                nuisance=nuis, rng=r_loop, loop_n_sim=1000,
-            )
-            assert r.margin == pytest.approx(min(e.margin for e in entries), abs=1e-12)
+            joint = pruned + [by_id[r.policy_id]]
+            table = influence_table(ds, joint, config.spec, config.baseline, "dr", nuis)
+            bt = asymptotic_bounds(table, config.spec, trace.alpha_prime, 1000, r_loop)
+            assert r.margin == pytest.approx(bt.min_margin(r.policy_id), abs=1e-12)
             if r.admitted:
                 pruned.append(by_id[r.policy_id])
         assert trace.pruned_ids == tuple(p.policy_id for p in pruned)
@@ -325,9 +284,17 @@ class TestAsymptoticCrossCheck:
     rebuild of its documented steps from the public estimator, bound and
     stability functions, drawing from the run's own spawned streams."""
 
-    @pytest.mark.parametrize("user_eta", (None, 3))
-    def test_run_matches_documented_steps(self, user_eta):
-        spec = SafetySpec(goal=1, guardrails=(1, 2), weights=(0.0, -0.1), alpha=0.1)
+    @pytest.mark.parametrize(
+        "user_eta,senses,weights,make_data",
+        (
+            pytest.param(None, None, (0.0, -0.1), generate, id="None"),
+            pytest.param(3, None, (0.0, -0.1), generate, id="3"),
+            pytest.param(None, ("lower", "upper"), (0.0, 0.0), generate, id="upper-sense"),
+            pytest.param(None, None, (0.0, -0.1), tabular_generate, id="tabular"),
+        ),
+    )
+    def test_run_matches_documented_steps(self, user_eta, senses, weights, make_data):
+        spec = SafetySpec(goal=1, guardrails=(1, 2), weights=weights, alpha=0.1, senses=senses)
         baseline = default_baseline()
         config = SnplConfig(
             spec=spec,
@@ -339,7 +306,7 @@ class TestAsymptoticCrossCheck:
         candidates = [p for p in policies if p.policy_id != baseline.policy_id]
         outcomes = set()
         for seed in range(12):
-            ds = generate(1000, np.random.default_rng(np.random.SeedSequence((41, seed))))
+            ds = make_data(1000, np.random.default_rng(np.random.SeedSequence((41, seed))))
             trace = snpl_run(ds, policies, config, seed=seed)
             r_nuis, r_svt, _, r_final = (
                 np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(4)

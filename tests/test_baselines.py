@@ -8,7 +8,8 @@ from snpl.bounds import (
     finite_bounds,
     normal_quantile,
 )
-from snpl.core import ConstantPropensity, Dataset, Hyperparams, SafetySpec
+from conftest import tabular_generate
+from snpl.core import Dataset, Hyperparams, SafetySpec, TabularPropensity
 from snpl.estimators import dr_value, fit_nuisance, influence_table
 from snpl.synthetic import ThresholdPolicy, build_class, default_baseline, generate
 
@@ -19,11 +20,11 @@ def two_guardrails(weights=(0.0, -0.1)) -> SafetySpec:
 
 def subset(dataset: Dataset, rows) -> Dataset:
     rows = np.asarray(rows, dtype=np.int64)
+    prop = dataset.propensity
+    if isinstance(prop, TabularPropensity):
+        prop = TabularPropensity(prop.values[rows])
     return Dataset(
-        dataset.covariates[rows],
-        dataset.actions[rows],
-        dataset.outcomes[rows],
-        ConstantPropensity([0.5, 0.5]),
+        dataset.covariates[rows], dataset.actions[rows], dataset.outcomes[rows], prop
     )
 
 
@@ -234,15 +235,43 @@ class TestBonferroni:
             bonferroni_run(ds, [default_baseline()], two_guardrails(), default_baseline(), "finite")
 
 
+@pytest.mark.parametrize("method", ("ds-50", "bonferroni"))
+@pytest.mark.parametrize("feature,cutoff", (("g1", 0.3), ("g5", 0.5)))
+def test_per_test_level_at_or_above_half_raises_before_deciding(method, feature, cutoff):
+    # alpha = 0.6 over one guardrail: per-test level 0.6 at hcpi's selection
+    # (|Pi~| = 1) and at bonferroni's union with one policy, where a normal
+    # width would be negative. g1@0.3 would then certify; the always-treat
+    # g5@0.5 breaks the guardrail and falls back.
+    ds = generate(400, np.random.default_rng(1))
+    spec = SafetySpec(goal=1, guardrails=(1,), weights=(0.0,), alpha=0.6)
+    cands = [ThresholdPolicy(feature, cutoff)]
+    hyper = Hyperparams(n_sim=2000)
+    with pytest.raises(ValueError, match="per-test level"):
+        if method == "bonferroni":
+            bonferroni_run(ds, cands, spec, default_baseline(), "asymptotic", hyper, seed=0)
+        else:
+            hcpi_run(ds, cands, spec, default_baseline(), 0.5, "asymptotic", hyper, seed=0)
+
+
 class TestAsymptoticCrossCheck:
     """Decision-level checks of the asymptotic baselines (the mode of the
     replicated benchmark) against a per-policy rebuild of their documented
     rules from the public estimator and bound tables, drawing every random
-    quantity from the run's own spawned streams."""
+    quantity from the run's own spawned streams. Beyond the benchmark's
+    data and spec: an upper-sense guardrail, and tabular propensities that
+    vary with the covariates."""
 
-    spec = two_guardrails()
     hyper = Hyperparams(n_sim=5000)
     seeds = range(6)
+    variants = {
+        "default": (two_guardrails(), generate),
+        "upper-sense": (
+            SafetySpec(goal=1, guardrails=(1, 2), weights=(0.0, 0.0), alpha=0.1,
+                       senses=("lower", "upper")),
+            generate,
+        ),
+        "tabular": (two_guardrails(), tabular_generate),
+    }
 
     def setup_method(self):
         # build_class(5) holds the baseline rule g1@0.5, which both runs drop
@@ -251,15 +280,20 @@ class TestAsymptoticCrossCheck:
         self.candidates = [p for p in self.policies if p.policy_id != base_id]
         assert len(self.candidates) == len(self.policies) - 1
 
-    def dataset(self, seed):
-        return generate(1000, np.random.default_rng(np.random.SeedSequence((31, seed))))
-
-    @pytest.mark.parametrize("rho", (0.25, 0.5, 0.75))
-    def test_hcpi_matches_documented_rule(self, rho):
-        spec, baseline, folds = self.spec, default_baseline(), self.hyper.folds
-        decisions = set()
+    def datasets(self, make_data):
         for seed in self.seeds:
-            ds = self.dataset(seed)
+            yield seed, make_data(1000, np.random.default_rng(np.random.SeedSequence((31, seed))))
+
+    @pytest.mark.parametrize(
+        "rho,variant",
+        [pytest.param(rho, "default", id=str(rho)) for rho in (0.25, 0.5, 0.75)]
+        + [pytest.param(0.5, v, id=f"0.5-{v}") for v in ("upper-sense", "tabular")],
+    )
+    def test_hcpi_matches_documented_rule(self, rho, variant):
+        spec, make_data = self.variants[variant]
+        baseline, folds = default_baseline(), self.hyper.folds
+        decisions = set()
+        for seed, ds in self.datasets(make_data):
             trace = hcpi_run(
                 ds, self.policies, spec, baseline, rho, "asymptotic", self.hyper, seed=seed
             )
@@ -301,11 +335,17 @@ class TestAsymptoticCrossCheck:
         assert decisions == {True, False}
 
     def test_bonferroni_matches_documented_rule(self):
-        spec, baseline = self.spec, default_baseline()
+        self.check_bonferroni("default")
+
+    @pytest.mark.parametrize("variant", ("upper-sense", "tabular"))
+    def test_bonferroni_variant_matches_documented_rule(self, variant):
+        self.check_bonferroni(variant)
+
+    def check_bonferroni(self, variant):
+        (spec, make_data), baseline = self.variants[variant], default_baseline()
         m = len(self.candidates)
         decisions = set()
-        for seed in self.seeds:
-            ds = self.dataset(seed)
+        for seed, ds in self.datasets(make_data):
             trace = bonferroni_run(
                 ds, self.policies, spec, baseline, "asymptotic", self.hyper, seed=seed
             )

@@ -7,10 +7,14 @@ from snpl.bounds import (
     LowerBoundEntry,
     LowerBoundTable,
     asymptotic_bounds,
+    bernstein_widths,
     bonferroni_normal_bounds,
     finite_bounds,
+    margins,
     normal_quantile,
+    normal_widths,
     supt_quantile,
+    supt_widths,
 )
 from snpl.core import SafetySpec
 from snpl.estimators import InfluenceTable
@@ -207,6 +211,12 @@ class TestAsymptoticBounds:
         out = asymptotic_bounds(table, spec, 0.1, 1000, np.random.default_rng(0))
         assert out.meta["seed"] is None
 
+    def test_rng_none_draws_fresh_entropy(self):
+        spec = one_guardrail_spec()
+        table = table_from_values(np.tile([-1.0, 1.0], 20)[:, None], spec)
+        out = asymptotic_bounds(table, spec, 0.1, 1000, None)
+        assert out.meta["seed"] is None and out.meta["z_star"] < 0.0
+
 
 class TestBonferroniNormalBounds:
     def test_critical_value(self):
@@ -243,6 +253,57 @@ class TestBonferroniNormalBounds:
         table = table_from_values(np.tile([-1.0, 1.0], 10)[:, None], spec)
         with pytest.raises(ValueError, match="per-test level"):
             bonferroni_normal_bounds(table, spec, 0.6)
+
+
+class TestWidthFunctions:
+    spec = SafetySpec(
+        goal=1, guardrails=(1, 2), weights=(0.0, -0.5), alpha=0.1, senses=("lower", "upper")
+    )
+
+    def test_tables_apply_the_width_functions(self):
+        # three policies x two guardrails; variances shaped (|Pi|, |S|)
+        values = np.random.default_rng(5).random((50, 6))
+        table = table_from_values(values, self.spec)
+        var = np.var(values, axis=0).reshape(3, 2)
+        pairs = (
+            (finite_bounds(table, self.spec, 0.1, 7),
+             bernstein_widths(var, self.spec, 0.1, 7, 50, 0.5)),
+            (bonferroni_normal_bounds(table, self.spec, 0.1, 7),
+             normal_widths(var, self.spec, 0.1, 7, 50)),
+        )
+        sup = asymptotic_bounds(table, self.spec, 0.1, 1000, 3)
+        pairs += ((sup, supt_widths(var, sup.meta["z_star"], 50)),)
+        for out, widths in pairs:
+            assert [e.width for e in out.entries] == pytest.approx(widths.ravel(), abs=1e-14)
+            est = table.estimates.reshape(3, 2)
+            assert [e.margin for e in out.entries] == pytest.approx(
+                margins(est, widths, self.spec).ravel(), abs=1e-14
+            )
+
+    def test_normal_widths_need_per_test_level_below_half(self):
+        # level 0.6 over one policy and one guardrail would give z < 0
+        spec = one_guardrail_spec(alpha=0.6)
+        with pytest.raises(ValueError, match="per-test level"):
+            normal_widths(np.ones((1, 1)), spec, 0.6, 1, 100)
+        assert normal_widths(np.ones((1, 1)), spec, 0.6, 2, 100)[0, 0] > 0.0
+
+    def test_widths_validate_level_and_class_size(self):
+        with pytest.raises(ValueError, match="level"):
+            bernstein_widths(np.ones((1, 2)), self.spec, 1.0, 1, 100, 0.5)
+        with pytest.raises(ValueError, match="class size"):
+            bernstein_widths(np.ones((1, 2)), self.spec, 0.1, 0, 100, 0.5)
+        # an empty table at its own policy count, as a union over nothing
+        empty = table_from_values(np.zeros((10, 0)), self.spec)
+        with pytest.raises(ValueError, match="class size"):
+            bonferroni_normal_bounds(empty, self.spec, 0.1)
+
+    def test_supt_widths_zero_below_floor(self):
+        widths = supt_widths(np.array([4.0, 1e-13, 0.0]), -2.0, 100)
+        assert widths.tolist() == [0.4, 0.0, 0.0]
+
+    def test_margins_flip_upper_sense(self):
+        got = margins(np.array([[0.3, 0.3]]), np.array([[0.1, 0.1]]), self.spec)
+        assert got.ravel().tolist() == pytest.approx([0.2, -0.4], abs=1e-15)
 
 
 class TestLowerBoundTable:

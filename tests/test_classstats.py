@@ -7,7 +7,9 @@ import pytest
 from snpl import algorithm, baselines, classstats
 from snpl.algorithm import SnplConfig, snpl_run
 from snpl.baselines import bonferroni_run, hcpi_run
-from snpl.classstats import class_stats, margins_from_stats, normal_widths, policy_loop_stats
+from conftest import tabular_generate
+from snpl.bounds import margins, normal_widths
+from snpl.classstats import class_stats, policy_loop_stats
 from snpl.core import (
     ConstantPropensity,
     Dataset,
@@ -50,19 +52,27 @@ class TestAgainstReference:
         ds = generate(600, np.random.default_rng(1))
         assert_matches_reference(ds, candidates(grid_size), SPEC, scores_for(ds, estimator))
 
-    @pytest.mark.parametrize("weights", ((0.0, -0.2), (-0.3, 0.0)))
-    def test_upper_sense_guardrail(self, weights):
+    @pytest.mark.parametrize(
+        "weights,make_data",
+        (
+            pytest.param((0.0, -0.2), generate, id="weights0"),
+            pytest.param((-0.3, 0.0), generate, id="weights1"),
+            pytest.param((0.0, -0.2), tabular_generate, id="tabular"),
+        ),
+    )
+    def test_upper_sense_guardrail(self, weights, make_data):
         spec = SafetySpec(
             goal=2, guardrails=(1, 2), weights=weights, alpha=0.1, senses=("lower", "upper")
         )
-        ds = generate(500, np.random.default_rng(2))
+        ds = make_data(500, np.random.default_rng(2))
         got, want = assert_matches_reference(ds, candidates(), spec, scores_for(ds, "dr"))
-        widths = normal_widths(want, spec, 0.1, 7, ds.n)
+        widths = normal_widths(want.variances, spec, 0.1, 7, ds.n)
         np.testing.assert_allclose(
-            margins_from_stats(got, spec, widths),
-            margins_from_stats(want, spec, widths),
-            rtol=0,
-            atol=1e-12,
+            margins(got.means, widths, spec), margins(want.means, widths, spec), rtol=0, atol=1e-12
+        )
+        # the upper-sense column flips its estimate
+        np.testing.assert_array_equal(
+            margins(want.means, widths, spec)[:, 1], -want.means[:, 1] - widths[:, 1]
         )
 
     @pytest.mark.parametrize("estimator", ("ipw", "dr"))

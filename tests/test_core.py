@@ -11,7 +11,6 @@ from snpl.core import (
     SafetySpec,
     TabularPropensity,
     UniformPolicy,
-    action_distribution,
     validate_dataset,
 )
 from snpl.synthetic import ThresholdPolicy
@@ -69,26 +68,26 @@ class TestValidateDataset:
 class TestActionDistribution:
     def test_threshold_treats_below_cutoff(self):
         pol = ThresholdPolicy("g1", 0.5)
-        assert np.array_equal(action_distribution(pol, [0.2, 0.0, 0.0]), [1.0, 0.0])
+        assert np.array_equal(pol.distribution([0.2, 0.0, 0.0]), [1.0, 0.0])
 
     def test_threshold_controls_above_cutoff(self):
         pol = ThresholdPolicy("g1", 0.5)
-        assert np.array_equal(action_distribution(pol, [0.9, 0.0, 0.0]), [0.0, 1.0])
+        assert np.array_equal(pol.distribution([0.9, 0.0, 0.0]), [0.0, 1.0])
 
     def test_tie_at_cutoff_is_not_selected(self):
         # strict inequality: g(x) = c means control
         pol = ThresholdPolicy("g1", 0.5)
-        assert np.array_equal(action_distribution(pol, [0.5, 0.0, 0.0]), [0.0, 1.0])
+        assert np.array_equal(pol.distribution([0.5, 0.0, 0.0]), [0.0, 1.0])
 
     def test_uniform_policy(self):
         assert np.array_equal(
-            action_distribution(UniformPolicy(2), [0.3]), [0.5, 0.5]
+            UniformPolicy(2).distribution([0.3]), [0.5, 0.5]
         )
 
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
            st.floats(0.0, 1.0), st.sampled_from(["g1", "g2", "g3", "g4", "g5"]))
     def test_distribution_is_probability_vector(self, x1, x2, x3, cutoff, feature):
-        dist = action_distribution(ThresholdPolicy(feature, cutoff), [x1, x2, x3])
+        dist = ThresholdPolicy(feature, cutoff).distribution([x1, x2, x3])
         assert np.all(dist >= 0.0)
         assert abs(dist.sum() - 1.0) <= 1e-9
 
@@ -179,14 +178,8 @@ class TestHyperparams:
 
 
 class TestDataset:
-    def test_observation_round_trip(self):
-        ds = make_dataset([[0.1, 0.2], [0.3, 0.4]], [1, 2], [[0.5, 0.6], [0.7, 0.8]])
-        obs = ds.observations
-        back = Dataset.from_observations(obs, ds.propensity)
-        assert np.array_equal(back.covariates, ds.covariates)
-        assert np.array_equal(back.actions, ds.actions)
-        assert np.array_equal(back.outcomes, ds.outcomes)
-
     def test_empty_rejected(self):
+        ds = Dataset(np.empty((0, 2)), np.empty(0, dtype=np.int64), np.empty((0, 1)),
+                     ConstantPropensity([0.5, 0.5]))
         with pytest.raises(ValueError, match="nonempty"):
-            Dataset.from_observations([], ConstantPropensity([0.5, 0.5]))
+            validate_dataset(ds)

@@ -10,7 +10,6 @@ from snpl.estimators import (
     arm_scores,
     dr_value,
     empirical_covariance,
-    empirical_variance,
     fit_nuisance,
     influence_table,
     ipw_value,
@@ -180,21 +179,36 @@ class TestInfluenceTable:
         assert table.baseline_id == UniformPolicy(2).policy_id
 
 
+def column_variance(column) -> float:
+    """empirical_covariance of a one-column table."""
+    values = np.asarray(column, dtype=float)[:, None]
+    table = InfluenceTable(
+        values=values,
+        estimates=values.mean(axis=0),
+        policy_ids=("p",),
+        spec=SafetySpec(goal=1, guardrails=(1,), weights=(0.0,), alpha=0.1),
+        baseline_id="b",
+        estimator="ipw",
+        c=0.5,
+    )
+    return float(empirical_covariance(table)[0, 0])
+
+
 class TestMoments:
     def test_variance_hand_example(self):
-        assert empirical_variance(np.array([0.0, 2.0])) == pytest.approx(1.0)
+        assert column_variance([0.0, 2.0]) == pytest.approx(1.0)
 
     @given(st.floats(0.0, 100.0))
     def test_symmetric_pair_variance(self, a):
-        assert empirical_variance(np.array([-a, a])) == pytest.approx(a * a, rel=1e-9)
+        assert column_variance([-a, a]) == pytest.approx(a * a, rel=1e-9)
 
     def test_variance_needs_two_points(self):
         with pytest.raises(ValueError, match="n >= 2"):
-            empirical_variance(np.array([1.0]))
+            column_variance([1.0])
 
     def test_population_normalization(self):
         x = np.array([1.0, 2.0, 3.0, 4.0])
-        assert empirical_variance(x) == pytest.approx(float(np.var(x)), abs=1e-12)
+        assert column_variance(x) == pytest.approx(float(np.var(x)), abs=1e-12)
 
     def test_covariance_of_independent_columns(self, spec_two_guardrails):
         rng = np.random.default_rng(17)
@@ -221,9 +235,7 @@ class TestMoments:
         )
         cov = empirical_covariance(table)
         for s in range(2):
-            assert cov[s, s] == pytest.approx(
-                empirical_variance(table.column(0, s)), abs=1e-12
-            )
+            assert cov[s, s] == pytest.approx(float(np.var(table.column(0, s))), abs=1e-12)
 
 
 class TestPolicyScores:

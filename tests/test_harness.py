@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -145,13 +146,20 @@ class TestRunBenchmark:
         assert len(blob["results"]) == 1
 
     def test_inline_matches_pool(self, tmp_path):
-        cfg = tiny_config(replications=3)
-        inline = run_benchmark(cfg, workers=1)
-        pooled = run_benchmark(cfg, workers=2)
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_report_csv(inline, str(p1))
-        write_report_csv(pooled, str(p2))
-        assert p1.read_bytes() == p2.read_bytes()
+        cfg = tiny_config(
+            methods=tuple(METHOD_STREAMS), mode="asymptotic", replications=3, n_sim=2000,
+            save_traces=True,
+        )
+        files = {}
+        for workers in (1, 2):
+            out = tmp_path / f"workers{workers}"
+            write_report_csv(run_benchmark(cfg, workers=workers, out_dir=str(out)),
+                             str(out / "report.csv"))
+            files[workers] = {
+                p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()
+            }
+        assert len(files[1]) == 1 + 3 * len(METHOD_STREAMS)
+        assert files[1] == files[2]
 
     def test_report_deterministic(self, tmp_path):
         cfg = tiny_config()
@@ -439,7 +447,8 @@ class TestBoundsScatter:
     @pytest.mark.parametrize(
         "mode,senses", (("asymptotic", None), ("asymptotic", ("lower", "upper")), ("finite", None))
     )
-    def test_pruned_rows_reproduce_final_margins(self, tmp_path, mode, senses):
+    def test_pruned_rows_reproduce_final_margins(self, tmp_path, mode, senses, monkeypatch):
+        from snpl import algorithm
         from snpl.algorithm import SnplConfig, snpl_run
         from snpl.harness import emit_bounds_scatter
         from snpl.synthetic import build_class
@@ -451,7 +460,16 @@ class TestBoundsScatter:
         ds = generate(400, np.random.default_rng(3))
         policies = build_class(cfg.grid_size)
         out = tmp_path / "scatter.csv"
+        # the scatter reuses the run's arm scores: the run's own nuisance
+        # fit is the only one, wherever a module binds fit_nuisance
+        fits = []
+        real_fit = algorithm.fit_nuisance
+        for mod in [m for name, m in sys.modules.items() if name.startswith("snpl.")]:
+            if getattr(mod, "fit_nuisance", None) is real_fit:
+                monkeypatch.setattr(mod, "fit_nuisance", lambda *a: fits.append(1) or real_fit(*a))
         emit_bounds_scatter(ds, policies, cfg, str(out))
+        monkeypatch.undo()
+        assert len(fits) == (mode == "asymptotic")
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
 

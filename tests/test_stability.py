@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snpl.stability import (
-    StabilityBudget,
     alpha_prime,
     b_asymp,
     b_finite,
@@ -196,15 +195,3 @@ class TestLaplace:
     def test_scale_must_be_positive(self):
         with pytest.raises(ValueError, match="scale"):
             laplace(0.0, np.random.default_rng(0))
-
-
-class TestStabilityBudget:
-    def test_valid_construction(self):
-        b = StabilityBudget(epsilon=0.01, gamma=0.1, delta_star=0.08, alpha_prime=0.08, n=100)
-        assert b.n == 100
-
-    def test_rejects_nonpositive_fields(self):
-        with pytest.raises(ValueError, match="delta_star"):
-            StabilityBudget(epsilon=0.01, gamma=0.1, delta_star=0.0, alpha_prime=0.08, n=100)
-        with pytest.raises(ValueError, match="alpha_prime"):
-            StabilityBudget(epsilon=0.01, gamma=0.1, delta_star=0.05, alpha_prime=0.0, n=100)
