@@ -49,7 +49,7 @@ class SplitPlan:
     testing: tuple[int, ...]
 
     def __post_init__(self):
-        if set(self.learning) & set(self.testing):
+        if not set(self.learning).isdisjoint(self.testing):
             raise ValueError("learning and testing rows must be disjoint")
 
 
@@ -156,7 +156,7 @@ def hcpi_run(
     perm = rng_split.permutation(n)
     learn_rows = np.sort(perm[:n_learn])
     test_rows = np.sort(perm[n_learn:])
-    plan = SplitPlan(rho=rho, learning=tuple(map(int, learn_rows)), testing=tuple(map(int, test_rows)))
+    plan = SplitPlan(rho=rho, learning=tuple(learn_rows.tolist()), testing=tuple(test_rows.tolist()))
     data_l = _subset(dataset, learn_rows)
     data_t = _subset(dataset, test_rows)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
-from .core import SafetySpec
+from .core import MIN_N_SIM, SafetySpec
 from .estimators import InfluenceTable, empirical_covariance
 
 __all__ = [
@@ -43,6 +43,10 @@ __all__ = [
     "supt_widths",
     "margins",
 ]
+
+# Floats per block of sup-t draws (256 KB): one block of normals and one of
+# draws stay in cache while they are reduced.
+_BLOCK = 1 << 15
 
 # Diagonal entries at or below this relative floor count as zero-variance:
 # excluded from the min statistic, given width 0.
@@ -247,9 +251,11 @@ def finite_bounds(
 
 
 def _as_rng(rng) -> tuple[np.random.Generator, int | None]:
-    if isinstance(rng, np.random.Generator):
-        return rng, None
-    return np.random.default_rng(rng), None if rng is None else int(rng)
+    """The generator ``np.random.default_rng(rng)`` (a Generator passes
+    through) and the seed to record: ``rng`` itself when it is an integer,
+    else None."""
+    seed = int(rng) if isinstance(rng, (int, np.integer)) else None
+    return np.random.default_rng(rng), seed
 
 
 def supt_quantile(cov: np.ndarray, level: float, n_sim: int, rng) -> SupTQuantile:
@@ -259,15 +265,22 @@ def supt_quantile(cov: np.ndarray, level: float, n_sim: int, rng) -> SupTQuantil
 
     Zero-variance coordinates are dropped from the min; an all-zero
     covariance is degenerate. Quantile convention: order statistic at index
-    ceil(level * n_sim).
+    ceil(level * n_sim). ``rng`` is anything ``np.random.default_rng``
+    accepts; the result records it as ``seed`` only when it is an integer.
+
+    The draws are taken and reduced in blocks of rows = max(1, _BLOCK // d)
+    rows for d active coordinates, so memory is O(rows d + n_sim). Each
+    block is the next slice of the one ``standard_normal((n_sim, d))``
+    stream with the same per-element arithmetic, so z* and the generator's
+    state afterwards do not depend on the block size.
     """
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise ValueError("covariance must be square")
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
-    if n_sim < 100:
-        raise ValueError("n_sim must be >= 100")
+    if n_sim < MIN_N_SIM:
+        raise ValueError(f"n_sim must be >= {MIN_N_SIM}")
     gen, seed = _as_rng(rng)
     diag = np.diag(cov)
     active = _active(diag)
@@ -275,9 +288,23 @@ def supt_quantile(cov: np.ndarray, level: float, n_sim: int, rng) -> SupTQuantil
         raise ValueError("degenerate covariance")
     sub = cov[np.ix_(active, active)]
     lam, vec = np.linalg.eigh(sub)
-    root = vec * np.sqrt(np.maximum(lam, 0.0))
-    draws = gen.standard_normal((n_sim, root.shape[0])) @ root.T
-    stats = (draws / np.sqrt(diag[active])).min(axis=1)
+    root_t = (vec * np.sqrt(np.maximum(lam, 0.0))).T
+    scale = np.sqrt(diag[active])
+    d = scale.size
+    rows = max(1, _BLOCK // d)
+    normals = np.empty((rows, d))
+    draws = np.empty((rows, d))
+    stats = np.empty(n_sim)
+    for start in range(0, n_sim, rows):
+        m = min(rows, n_sim - start)
+        z, block = normals[:m], draws[:m]
+        gen.standard_normal(out=z)
+        np.matmul(z, root_t, out=block)
+        block /= scale
+        out = stats[start : start + m]
+        np.copyto(out, block[:, 0])
+        for j in range(1, d):
+            np.minimum(out, block[:, j], out=out)
     k = math.ceil(level * n_sim)
     z_star = float(np.partition(stats, k - 1)[k - 1])
     return SupTQuantile(z_star=z_star, n_sim=n_sim, seed=seed)

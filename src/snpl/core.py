@@ -214,6 +214,11 @@ class SafetySpec:
         }
 
 
+# Fewest sup-t simulation draws ``bounds.supt_quantile`` accepts; every
+# config that carries an n_sim checks it when built.
+MIN_N_SIM = 100
+
+
 @dataclass(frozen=True)
 class Hyperparams:
     """Algorithm knobs; defaults mirror the benchmark settings.
@@ -236,8 +241,8 @@ class Hyperparams:
             raise ValueError("gamma must be positive")
         if self.eta is not None and self.eta < 1:
             raise ValueError("eta must be >= 1")
-        if self.n_sim < 1:
-            raise ValueError("n_sim must be >= 1")
+        if self.n_sim < MIN_N_SIM:
+            raise ValueError(f"n_sim must be >= {MIN_N_SIM}")
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
         if not self.p < 1:

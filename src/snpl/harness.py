@@ -24,6 +24,7 @@ from .baselines import bonferroni_run, hcpi_run
 from .bounds import bernstein_widths, margins, normal_widths, supt_widths
 from .classstats import class_stats
 from .core import (
+    MIN_N_SIM,
     ConstantPropensity,
     Dataset,
     Hyperparams,
@@ -109,6 +110,10 @@ class BenchmarkConfig:
             raise ConfigError("mode must be 'finite' or 'asymptotic'")
         if len(self.weights) != len(self.guardrails):
             raise ConfigError("w length must match |S|")
+        if self.n_sim < MIN_N_SIM:
+            raise ConfigError(f"n_sim must be >= {MIN_N_SIM}")
+        if self.loop_n_sim is not None and self.loop_n_sim < MIN_N_SIM:
+            raise ConfigError(f"loop_n_sim must be >= {MIN_N_SIM}")
 
     def spec(self) -> SafetySpec:
         try:

@@ -38,6 +38,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="in_loop"):
             make_config(in_loop="wald")
 
+    def test_loop_n_sim_at_least_the_supt_minimum(self):
+        config = make_config(mode="asymptotic", in_loop="supt")
+        assert dataclasses.replace(config, loop_n_sim=100).loop_n_sim == 100
+        with pytest.raises(ValueError, match="loop_n_sim must be >= 100"):
+            dataclasses.replace(config, loop_n_sim=99)
+
 
 class TestTrivialCases:
     def test_baseline_only_class(self):
@@ -96,6 +102,21 @@ class TestFinalCertify:
         assert goals["g5@0.5"] > goals["g1@0.4"]
         assert "g5@0.5" not in table.certified_ids()
         assert decision == "g1@0.5"
+
+    @pytest.mark.parametrize(
+        "make", [np.random.SeedSequence, np.random.PCG64], ids=["SeedSequence", "BitGenerator"]
+    )
+    def test_seed_sequence_and_bit_generator_accepted(self, make):
+        ds = generate(400, np.random.default_rng(1))
+        config = make_config(mode="asymptotic", n_sim=2000)
+        nui = fit_nuisance(ds, 5, np.random.default_rng(0))
+        pruned = [ThresholdPolicy("g1", 0.3)]
+        table, decision, _ = final_certify(ds, pruned, config, 0.08, nui, rng=make(6))
+        ref, ref_decision, _ = final_certify(
+            ds, pruned, config, 0.08, nui, rng=np.random.default_rng(6)
+        )
+        assert table.meta["seed"] is None
+        assert table == ref and decision == ref_decision
 
     def test_default_rng_draws_fresh_entropy(self):
         # rng=None (the default) seeds the sup-t draws from fresh entropy,

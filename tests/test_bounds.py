@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from snpl.bounds import (
+    _BLOCK,
+    _active,
     LowerBoundEntry,
     LowerBoundTable,
     asymptotic_bounds,
@@ -154,6 +156,22 @@ class TestSupTQuantile:
         padded = supt_quantile([[1.0, 0.0], [0.0, 0.0]], 0.05, 10_000, 5)
         assert padded.z_star == full.z_star
 
+    @pytest.mark.parametrize(
+        "make", [np.random.SeedSequence, np.random.PCG64, np.random.default_rng],
+        ids=["SeedSequence", "BitGenerator", "Generator"],
+    )
+    def test_any_default_rng_argument_accepted(self, make):
+        q = supt_quantile(np.eye(3), 0.1, 1_000, make(42))
+        ref = supt_quantile(np.eye(3), 0.1, 1_000, np.random.default_rng(make(42)))
+        assert q.z_star == ref.z_star
+        assert q.seed is None
+
+    def test_integer_seeds_recorded(self):
+        assert supt_quantile(np.eye(2), 0.1, 1_000, np.int64(42)).seed == 42
+        assert supt_quantile(np.eye(2), 0.1, 1_000, 42).z_star == (
+            supt_quantile(np.eye(2), 0.1, 1_000, np.int64(42)).z_star
+        )
+
     def test_all_zero_covariance_rejected(self):
         with pytest.raises(ValueError, match="degenerate covariance"):
             supt_quantile(np.zeros((2, 2)), 0.05, 1000, 0)
@@ -170,6 +188,84 @@ class TestSupTQuantile:
             supt_quantile(np.eye(2), 1.0, 1000, 0)
         with pytest.raises(ValueError, match="n_sim"):
             supt_quantile(np.eye(2), 0.05, 50, 0)
+
+
+def one_shot_supt(cov, level, n_sim, gen):
+    """The unblocked sup-t quantile: every draw in one (n_sim, d) array."""
+    cov = np.asarray(cov, dtype=float)
+    diag = np.diag(cov)
+    active = _active(diag)
+    sub = cov[np.ix_(active, active)]
+    lam, vec = np.linalg.eigh(sub)
+    root = vec * np.sqrt(np.maximum(lam, 0.0))
+    draws = gen.standard_normal((n_sim, root.shape[0])) @ root.T
+    stats = (draws / np.sqrt(diag[active])).min(axis=1)
+    k = math.ceil(level * n_sim)
+    return float(np.partition(stats, k - 1)[k - 1])
+
+
+def random_cov(d, seed):
+    a = np.random.default_rng(seed).standard_normal((d, d + 3))
+    return a @ a.T / d
+
+
+def duplicated_cov(d, seed):
+    # columns repeated: singular, with eigenvalues of about +-1e-16
+    half = random_cov((d + 1) // 2, seed)
+    idx = np.arange(d) % half.shape[0]
+    return half[np.ix_(idx, idx)]
+
+
+def zero_variance_cov(d, seed):
+    cov = random_cov(d, seed)
+    dead = np.arange(1, d, 3)
+    cov[dead, :] = 0.0
+    cov[:, dead] = 0.0
+    return cov
+
+
+def flipped_cov(d, seed):
+    # upper-sense columns enter sign-flipped, as in asymptotic_bounds
+    signs = np.where(np.arange(d) % 2 == 0, 1.0, -1.0)
+    return random_cov(d, seed) * np.outer(signs, signs)
+
+
+class TestSupTBlockedDraws:
+    """The blocked simulation against the one-shot formula it replaced: the
+    same z* bit for bit, and the generator left where one (n_sim, d) draw
+    leaves it."""
+
+    def check(self, cov, level, n_sim, seed=11):
+        gen, ref_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert supt_quantile(cov, level, n_sim, gen).z_star == one_shot_supt(
+            cov, level, n_sim, ref_gen
+        )
+        assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+    @pytest.mark.parametrize("d", [1, 2, 20, 41])
+    @pytest.mark.parametrize("n_sim", ["100", "rows-1", "rows", "rows+1", "100000"])
+    def test_matches_one_shot(self, d, n_sim):
+        rows = max(1, _BLOCK // d)
+        count = {"100": 100, "rows-1": rows - 1, "rows": rows, "rows+1": rows + 1}
+        self.check(random_cov(d, seed=d), 0.05, count.get(n_sim, 100_000))
+
+    @pytest.mark.parametrize("build", [duplicated_cov, zero_variance_cov, flipped_cov])
+    @pytest.mark.parametrize("d", [2, 20, 41])
+    def test_special_covariances_match_one_shot(self, build, d):
+        cov = build(d, seed=d + 1)
+        rows = max(1, _BLOCK // int(_active(np.diag(cov)).sum()))
+        for n_sim in (rows + 1, 100_000):
+            self.check(cov, 0.1, n_sim, seed=d)
+
+    def test_stream_continues_across_calls(self):
+        # a reused generator (the supt scan's loop stream) draws the same
+        # sequence of z* as the one-shot formula on a twin generator
+        gen, ref_gen = np.random.default_rng(4), np.random.default_rng(4)
+        for d in (3, 41, 1, 20):
+            cov = random_cov(d, seed=d)
+            assert supt_quantile(cov, 0.1, 2_000, gen).z_star == one_shot_supt(
+                cov, 0.1, 2_000, ref_gen
+            )
 
 
 class TestAsymptoticBounds:
@@ -210,6 +306,17 @@ class TestAsymptoticBounds:
         table = table_from_values(np.tile([-1.0, 1.0], 20)[:, None], spec)
         out = asymptotic_bounds(table, spec, 0.1, 1000, np.random.default_rng(0))
         assert out.meta["seed"] is None
+
+    @pytest.mark.parametrize(
+        "rng", [np.random.SeedSequence(3), np.random.PCG64(3)], ids=["SeedSequence", "BitGenerator"]
+    )
+    def test_seed_sequence_and_bit_generator_accepted(self, rng):
+        spec = one_guardrail_spec()
+        table = table_from_values(np.tile([-1.0, 1.0], 20)[:, None], spec)
+        out = asymptotic_bounds(table, spec, 0.1, 1000, rng)
+        ref = asymptotic_bounds(table, spec, 0.1, 1000, np.random.default_rng(3))
+        assert out.meta["seed"] is None
+        assert out.meta["z_star"] == ref.meta["z_star"]
 
     def test_rng_none_draws_fresh_entropy(self):
         spec = one_guardrail_spec()

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from snpl.core import (
+    MIN_N_SIM,
     ConstantPropensity,
     Dataset,
     Hyperparams,
@@ -167,6 +168,12 @@ class TestHyperparams:
     def test_eta_at_least_one(self):
         with pytest.raises(ValueError, match="eta"):
             Hyperparams(eta=0)
+
+    def test_n_sim_at_least_the_supt_minimum(self):
+        assert MIN_N_SIM == 100
+        assert Hyperparams(n_sim=MIN_N_SIM).n_sim == MIN_N_SIM
+        with pytest.raises(ValueError, match="n_sim must be >= 100"):
+            Hyperparams(n_sim=MIN_N_SIM - 1)
 
     def test_folds_at_least_two(self):
         with pytest.raises(ValueError, match="folds"):

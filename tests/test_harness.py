@@ -57,6 +57,15 @@ class TestBenchmarkConfig:
         with pytest.raises(ConfigError, match="w length"):
             BenchmarkConfig(guardrails=(1,), weights=(0.0, -0.1))
 
+    def test_n_sim_checked_when_built(self):
+        assert BenchmarkConfig(n_sim=100, loop_n_sim=100).loop_n_sim == 100
+        with pytest.raises(ConfigError, match="n_sim must be >= 100"):
+            BenchmarkConfig(n_sim=50)
+        with pytest.raises(ConfigError, match="loop_n_sim must be >= 100"):
+            BenchmarkConfig(loop_n_sim=99)
+        with pytest.raises(ConfigError, match="n_sim must be >= 100"):
+            BenchmarkConfig.from_json_dict({"n_sim": 50})
+
     def test_spec_errors_become_config_errors(self):
         with pytest.raises(ConfigError, match="nonpositive"):
             BenchmarkConfig(weights=(0.5, 0.0)).spec()
@@ -406,6 +415,16 @@ class TestCli:
         code = main(["simulate", "--config", str(cpath), "--out", str(tmp_path)])
         assert code == 2
         assert "cannot read config" in capsys.readouterr().err
+
+    def test_small_n_sim_exits_two(self, tmp_path, capsys):
+        from snpl.cli import main
+
+        cpath = tmp_path / "c.json"
+        cpath.write_text(json.dumps({"n_sim": 50, "replications": 1}))
+        out_dir = tmp_path / "out"
+        assert main(["simulate", "--config", str(cpath), "--out", str(out_dir)]) == 2
+        assert "n_sim must be >= 100" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_simulate_command(self, tmp_path):
         from snpl.cli import main
