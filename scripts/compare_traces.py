@@ -20,9 +20,10 @@ decision mismatch (a trace's ``decision`` or ``is_baseline``, or a
 scatter's selected row, differ), a structural difference (keys, list
 lengths, types or any non-float value differ; in a scatter, the header or
 any id or flag cell) or float-only differences, plus the largest absolute
-float difference and where it is. The exit code is 1 when a decision or the
-structure differs, a file is missing on one side, or the largest float
-difference exceeds ``--tol``; else 0.
+float difference and where it is. The exit code is 1 when the dumps share
+no file (a wrong or empty path), a decision or the structure differs, a
+file is missing on one side, or the largest float difference exceeds
+``--tol``; else 0.
 """
 
 from __future__ import annotations
@@ -154,11 +155,12 @@ def _dump_files(root: str) -> set[str]:
 
 def diff(left: str, right: str, tol: float) -> int:
     files_l, files_r = _dump_files(left), _dump_files(right)
+    shared = files_l & files_r
     missing = sorted(files_l ^ files_r)
     decisions, structure = [], []
     identical = float_only = 0
     worst = (0.0, "")
-    for rel in sorted(files_l & files_r):
+    for rel in sorted(shared):
         a, b = _load(os.path.join(left, rel)), _load(os.path.join(right, rel))
         if (a["decision"], a["is_baseline"]) != (b["decision"], b["is_baseline"]):
             decisions.append(f"{rel}: {a['decision']} vs {b['decision']}")
@@ -173,7 +175,7 @@ def diff(left: str, right: str, tol: float) -> int:
         if found["max"][0] > worst[0]:
             worst = (found["max"][0], rel + found["max"][1])
 
-    print(f"files compared: {len(files_l & files_r)}; only on one side: {len(missing)}")
+    print(f"files compared: {len(shared)}; only on one side: {len(missing)}")
     for rel in missing:
         print(f"  missing: {rel}")
     print(f"decision mismatches: {len(decisions)}")
@@ -184,7 +186,7 @@ def diff(left: str, right: str, tol: float) -> int:
         print(f"  {line}")
     print(f"identical: {identical}; float-only differences: {float_only}")
     print(f"max float difference: {worst[0]:.3g}" + (f" at {worst[1]}" if worst[1] else ""))
-    return int(bool(missing or decisions or structure) or worst[0] > tol)
+    return int(not shared or bool(missing or decisions or structure) or worst[0] > tol)
 
 
 def main(argv=None) -> int:

@@ -15,8 +15,8 @@ threshold classes is O(n log |Pi| + |Pi|) per feature family and for other
 classes one O(n) pass per policy; each scan step is then O(1). The sup-t
 option skips that call; per scanned candidate it builds the
 ``asymptotic_bounds`` table over the pruned set plus the candidate, with
-d = (|pruned| + 1) |S| columns: influence columns O(n d) (arm scores
-included), covariance O(n d^2), eigendecomposition O(d^3) and loop_n_sim
+d = (|pruned| + 1) |S| columns: influence columns O(n d) from the run's
+arm scores, covariance O(n d^2), eigendecomposition O(d^3) and loop_n_sim
 draws O(loop_n_sim d^2), taken in cache-sized blocks. The draws dominate:
 at n = 1,000, 500 policies, loop_n_sim = 20,000 and eta = 20, a scan of 33
 candidates (20 admitted) took about 0.45-0.49 s on a 2-vCPU host with one
@@ -49,13 +49,7 @@ from .core import (
     seed_tuple,
     validate_dataset,
 )
-from .estimators import (
-    NuisanceModel,
-    arm_scores,
-    fit_nuisance,
-    influence_table,
-    policy_scores,
-)
+from .estimators import influence_table, mode_scores, policy_scores
 from .stability import b_asymp, b_finite, delta_star, eta_heuristic, laplace
 
 __all__ = [
@@ -182,13 +176,14 @@ class SnplTrace:
 
 def final_certify(
     dataset: Dataset,
+    scores: np.ndarray,
     pruned: list[Policy],
     config: SnplConfig,
     level: float,
-    nuisance: NuisanceModel | None = None,
     rng=None,
 ) -> tuple[LowerBoundTable, str, dict]:
-    """Joint bounds over exactly pruned x S at the given level, then the
+    """Joint bounds over exactly pruned x S at the given level, from the
+    dataset's per-arm scores (those of ``config.mode``), then the
     select-then-gate decision: the pruned policy with the largest estimated
     goal value (scan-order ties) is the sole candidate, and it is returned
     only when every one of its margins is strictly positive; otherwise the
@@ -198,16 +193,14 @@ def final_certify(
     records which policies would individually certify, but policies other
     than the goal argmax are never returned even when they certify.
     """
-    estimator = "ipw" if config.mode == "finite" else "dr"
     if not pruned:
         empty = LowerBoundTable(entries=(), method=config.mode, level=level, meta={})
         return empty, config.baseline.policy_id, {}
-    table = influence_table(dataset, pruned, config.spec, config.baseline, estimator, nuisance)
+    table = influence_table(dataset, scores, pruned, config.spec, config.baseline)
     if config.mode == "finite":
         bt = finite_bounds(table, config.spec, level)
     else:
         bt = asymptotic_bounds(table, config.spec, level, config.hyper.n_sim, rng)
-    scores = arm_scores(dataset, estimator, nuisance)
     goal_values = {
         pol.policy_id: float(
             policy_scores(scores, pol, dataset.covariates)[:, config.spec.goal - 1].mean()
@@ -269,11 +262,7 @@ def snpl_run(dataset: Dataset, policies: list[Policy], config: SnplConfig, seed=
     threshold_scale = 2.0 * B * eta / epsilon
     query_scale = 4.0 * B * eta / epsilon
 
-    nuisance = None
-    if config.mode == "asymptotic":
-        nuisance = fit_nuisance(dataset, hyper.folds, rng_nuisance)
-    estimator = "ipw" if config.mode == "finite" else "dr"
-    scores = arm_scores(dataset, estimator, nuisance)
+    scores = mode_scores(dataset, config.mode, hyper.folds, rng_nuisance)
 
     loop_n_sim = config.loop_n_sim if config.loop_n_sim is not None else hyper.n_sim
     supt_loop = config.mode == "asymptotic" and config.in_loop == "supt"
@@ -296,9 +285,7 @@ def snpl_run(dataset: Dataset, policies: list[Policy], config: SnplConfig, seed=
     for i, pol in enumerate(candidates):
         if supt_loop:
             # Sup-t over the pruned set so far plus the candidate.
-            table = influence_table(
-                dataset, pruned + [pol], spec, config.baseline, estimator, nuisance
-            )
+            table = influence_table(dataset, scores, pruned + [pol], spec, config.baseline)
             bt = asymptotic_bounds(table, spec, aprime, loop_n_sim, rng_loop)
             margin = bt.min_margin(pol.policy_id)
         else:
@@ -312,7 +299,7 @@ def snpl_run(dataset: Dataset, policies: list[Policy], config: SnplConfig, seed=
                 break
 
     final_table, decision, goal_values = final_certify(
-        dataset, pruned, config, aprime, nuisance, rng_final
+        dataset, scores, pruned, config, aprime, rng_final
     )
     certified = tuple(
         pol.policy_id for pol in pruned if final_table.min_margin(pol.policy_id) > 0.0

@@ -35,7 +35,7 @@ from .core import (
     seed_tuple,
     validate_dataset,
 )
-from .estimators import arm_scores, fit_nuisance, influence_table, policy_scores
+from .estimators import influence_table, mode_scores, policy_scores
 
 __all__ = ["SplitPlan", "BaselineTrace", "hcpi_run", "bonferroni_run"]
 
@@ -160,12 +160,10 @@ def hcpi_run(
     data_l = _subset(dataset, learn_rows)
     data_t = _subset(dataset, test_rows)
 
-    estimator = "ipw" if mode == "finite" else "dr"
     if mode == "asymptotic" and (n_learn < hyper.folds or n - n_learn < hyper.folds):
         raise ValueError("split too small for cross-fitting folds")
 
-    nuis_l = fit_nuisance(data_l, hyper.folds, rng_nuis_l) if mode == "asymptotic" else None
-    scores_l = arm_scores(data_l, estimator, nuis_l)
+    scores_l = mode_scores(data_l, mode, hyper.folds, rng_nuis_l)
     stats = class_stats(data_l, candidates, spec, baseline, scores_l)
     if mode == "finite":
         widths = bernstein_widths(
@@ -178,8 +176,8 @@ def hcpi_run(
     pick = int(np.argmax(f))
     selected = candidates[pick]
 
-    nuis_t = fit_nuisance(data_t, hyper.folds, rng_nuis_t) if mode == "asymptotic" else None
-    table = influence_table(data_t, [selected], spec, baseline, estimator, nuis_t)
+    scores_t = mode_scores(data_t, mode, hyper.folds, rng_nuis_t)
+    table = influence_table(data_t, scores_t, [selected], spec, baseline)
     if mode == "finite":
         final = finite_bounds(table, spec, spec.alpha, assumed_class_size=1)
     else:
@@ -187,7 +185,6 @@ def hcpi_run(
     passed = final.min_margin(selected.policy_id) > 0.0
     decision = selected.policy_id if passed else baseline.policy_id
 
-    scores_t = arm_scores(data_t, estimator, nuis_t)
     goal_values = {
         selected.policy_id: float(
             policy_scores(scores_t, selected, data_t.covariates)[:, spec.goal - 1].mean()
@@ -241,13 +238,7 @@ def bonferroni_run(
         raise ValueError("empty policy class")
     seed_seq = normalize_seed(seed if seed is not None else hyper.seed)
     (nuis_seed,) = seed_seq.spawn(1)
-    estimator = "ipw" if mode == "finite" else "dr"
-    nuisance = (
-        fit_nuisance(dataset, hyper.folds, np.random.default_rng(nuis_seed))
-        if mode == "asymptotic"
-        else None
-    )
-    scores = arm_scores(dataset, estimator, nuisance)
+    scores = mode_scores(dataset, mode, hyper.folds, np.random.default_rng(nuis_seed))
     stats = class_stats(dataset, candidates, spec, baseline, scores)
     m = len(candidates)
     if mode == "finite":
@@ -273,7 +264,7 @@ def bonferroni_run(
     # class would dominate the trace size.
     report = [candidates[i] for i in certified_idx]
     if report:
-        table = influence_table(dataset, report, spec, baseline, estimator, nuisance)
+        table = influence_table(dataset, scores, report, spec, baseline)
         if mode == "finite":
             final = finite_bounds(table, spec, spec.alpha, assumed_class_size=m)
         else:

@@ -94,23 +94,27 @@ def fit_nuisance(dataset: Dataset, folds: int, rng: np.random.Generator) -> Nuis
     return NuisanceModel(coef=coef, fold_of=fold_of, mu=mu)
 
 
-def arm_scores(
-    dataset: Dataset, estimator: str, nuisance: NuisanceModel | None = None
-) -> np.ndarray:
-    """(n, K, d_Y) per-arm scores for the requested estimator."""
-    n, K, d_Y = dataset.n, dataset.n_actions, dataset.n_outcomes
+def arm_scores(dataset: Dataset, nuisance: NuisanceModel | None = None) -> np.ndarray:
+    """(n, K, d_Y) per-arm scores: IPW without a nuisance model, DR with one."""
+    n, K = dataset.n, dataset.n_actions
     E = dataset.propensity.matrix(dataset.covariates)
     hit = np.zeros((n, K))
     hit[np.arange(n), dataset.actions - 1] = 1.0
     weight = hit / E
-    if estimator == "ipw":
+    if nuisance is None:
         return weight[:, :, None] * dataset.outcomes[:, None, :]
-    if estimator == "dr":
-        if nuisance is None:
-            raise ValueError("dr estimator requires a fitted nuisance model")
-        resid = dataset.outcomes[:, None, :] - nuisance.mu
-        return weight[:, :, None] * resid + nuisance.mu
-    raise ValueError(f"unknown estimator '{estimator}'")
+    resid = dataset.outcomes[:, None, :] - nuisance.mu
+    return weight[:, :, None] * resid + nuisance.mu
+
+
+def mode_scores(
+    dataset: Dataset, mode: str, folds: int, rng: np.random.Generator
+) -> np.ndarray:
+    """The per-arm scores a run mode certifies with: IPW in ``finite`` mode;
+    in ``asymptotic`` mode DR against a nuisance cross-fitted on ``folds``
+    folds, drawn from rng."""
+    nuisance = fit_nuisance(dataset, folds, rng) if mode == "asymptotic" else None
+    return arm_scores(dataset, nuisance)
 
 
 def policy_scores(scores: np.ndarray, policy: Policy, covariates: np.ndarray) -> np.ndarray:
@@ -121,13 +125,13 @@ def policy_scores(scores: np.ndarray, policy: Policy, covariates: np.ndarray) ->
 
 def ipw_value(dataset: Dataset, policy: Policy, outcome: int) -> float:
     """Inverse-propensity-weighted estimate of V_j(pi); outcome is 1-based."""
-    scores = arm_scores(dataset, "ipw")
+    scores = arm_scores(dataset)
     return float(policy_scores(scores, policy, dataset.covariates)[:, outcome - 1].mean())
 
 
 def dr_value(dataset: Dataset, policy: Policy, outcome: int, nuisance: NuisanceModel) -> float:
     """Cross-fitted doubly-robust estimate of V_j(pi); outcome is 1-based."""
-    scores = arm_scores(dataset, "dr", nuisance)
+    scores = arm_scores(dataset, nuisance)
     return float(policy_scores(scores, policy, dataset.covariates)[:, outcome - 1].mean())
 
 
@@ -146,7 +150,6 @@ class InfluenceTable:
     policy_ids: tuple[str, ...]
     spec: SafetySpec
     baseline_id: str
-    estimator: str
     c: float
 
     @property
@@ -164,19 +167,18 @@ class InfluenceTable:
 
 def influence_table(
     dataset: Dataset,
+    scores: np.ndarray,
     policies: list[Policy],
     spec: SafetySpec,
     baseline: Policy,
-    estimator: str = "ipw",
-    nuisance: NuisanceModel | None = None,
 ) -> InfluenceTable:
     """Builds d_j(O_i, pi) = psi_j(O_i, pi) - (1 + w_j) psi_j(O_i, pi0)
-    for every (policy, guardrail) pair, plus the column-mean estimates
+    from the dataset's (n, K, d_Y) per-arm scores for every (policy,
+    guardrail) pair, plus the column-mean estimates
     D_j(pi) = V_j(pi) - (1 + w_j) V_j(pi0).
     """
     if len(spec.weights) != spec.s_count:
         raise ValueError("w length must match |S|")
-    scores = arm_scores(dataset, estimator, nuisance)
     X = dataset.covariates
     S = spec.s_count
     jdx = np.asarray(spec.guardrails, dtype=np.int64) - 1
@@ -193,7 +195,6 @@ def influence_table(
         policy_ids=tuple(pol.policy_id for pol in policies),
         spec=spec,
         baseline_id=baseline.policy_id,
-        estimator=estimator,
         c=dataset.propensity.c,
     )
 

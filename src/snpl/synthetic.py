@@ -8,7 +8,8 @@ Data-generating process (action 1 = treated):
 
 Treating therefore lowers outcome 1 through X2 and raises outcome 2 through
 X1 X3. Policies are deterministic thresholds pi(x) = 1[g_i(x) < c] with
-g1 = x1, g2 = x2, g3 = x1 x2, g4 = x1 x2 x3, g5 = -x1 x2 x3.
+g1 = x1, g2 = x2, g3 = x1 x2, g4 = x1 x2 x3, g5 = -x1 x2 x3. Since g5 <= 0,
+the rule -x1 x2 x3 < c treats every row for any cutoff c in (0, 1].
 """
 
 from __future__ import annotations

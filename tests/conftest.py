@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from snpl.core import ConstantPropensity, Dataset, SafetySpec, TabularPropensity
+from snpl.core import (
+    ConstantPropensity,
+    Dataset,
+    Policy,
+    SafetySpec,
+    TabularPropensity,
+    UniformPolicy,
+)
 
 
 def make_dataset(X, A, Y, probs=(0.5, 0.5)) -> Dataset:
@@ -34,6 +41,52 @@ def tabular_generate(n: int, rng: np.random.Generator) -> Dataset:
     y2 = rng.random(n) < 0.5 * (1.0 + treated * X[:, 0] * X[:, 2])
     Y = np.column_stack([y1, y2]).astype(float)
     return Dataset(X, A, Y, TabularPropensity(np.column_stack([e1, 1.0 - e1])))
+
+
+def three_arm_generate(n: int, rng: np.random.Generator) -> Dataset:
+    """K = 3 logged data with covariate-dependent TabularPropensity logging,
+    e(x) = (0.2 + 0.2 x1, 0.3, 0.5 - 0.2 x1), and arm-dependent Bernoulli
+    outcomes: arm 1 raises Y1 with x2 and lowers Y2 with x1, arm 3 lowers
+    Y1 with x3."""
+    X = rng.random((n, 3))
+    e = np.column_stack([0.2 + 0.2 * X[:, 0], np.full(n, 0.3), 0.5 - 0.2 * X[:, 0]])
+    A = 1 + (rng.random(n)[:, None] > np.cumsum(e, axis=1)).sum(axis=1)
+    p1 = np.column_stack([0.4 + 0.4 * X[:, 1], np.full(n, 0.5), 0.5 - 0.2 * X[:, 2]])
+    p2 = np.column_stack([0.6 - 0.3 * X[:, 0], 0.45 + 0.1 * X[:, 1], np.full(n, 0.5)])
+    rows = np.arange(n)
+    y1 = rng.random(n) < p1[rows, A - 1]
+    y2 = rng.random(n) < p2[rows, A - 1]
+    Y = np.column_stack([y1, y2]).astype(float)
+    return Dataset(X, A.astype(np.int64), Y, TabularPropensity(e))
+
+
+class BucketPolicy(Policy):
+    """Three-arm rule: plays the distribution ``low`` where x_f < cutoff and
+    ``high`` elsewhere. Not a ThresholdPolicy, so class statistics take the
+    per-policy path."""
+
+    n_actions = 3
+
+    def __init__(self, feature: int, cutoff: float, low, high):
+        self.feature, self.cutoff = feature, cutoff
+        self.low, self.high = np.asarray(low, dtype=float), np.asarray(high, dtype=float)
+        self.policy_id = f"x{feature + 1}<{cutoff:g}:{tuple(low)}/{tuple(high)}"
+
+    def distribution(self, x: np.ndarray) -> np.ndarray:
+        return self.low if x[self.feature] < self.cutoff else self.high
+
+    def prob_matrix(self, covariates: np.ndarray) -> np.ndarray:
+        below = np.asarray(covariates)[:, self.feature] < self.cutoff
+        return np.where(below[:, None], self.low, self.high)
+
+
+def three_arm_class() -> tuple[Policy, list[Policy]]:
+    """The uniform baseline and six non-threshold rules, one stochastic."""
+    one, two, three = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    policies = [BucketPolicy(1, c, two, one) for c in (0.25, 0.5, 0.75)]
+    policies += [BucketPolicy(0, c, one, three) for c in (0.3, 0.6)]
+    policies.append(BucketPolicy(2, 0.5, (0.5, 0.5, 0.0), (0.0, 0.5, 0.5)))
+    return UniformPolicy(3), policies
 
 
 @pytest.fixture

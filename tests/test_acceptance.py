@@ -16,7 +16,14 @@ import pytest
 from snpl.algorithm import SnplConfig, snpl_run
 from snpl.bounds import asymptotic_bounds, bonferroni_normal_bounds, finite_bounds
 from snpl.core import Hyperparams, SafetySpec
-from snpl.estimators import NuisanceModel, dr_value, fit_nuisance, influence_table, ipw_value
+from snpl.estimators import (
+    NuisanceModel,
+    arm_scores,
+    dr_value,
+    fit_nuisance,
+    influence_table,
+    ipw_value,
+)
 from snpl.harness import BenchmarkConfig, run_benchmark
 from snpl.stability import (
     alpha_prime,
@@ -200,7 +207,8 @@ def test_c5_bound_coverage():
     miss_finite = 0
     for rep in range(reps):
         rng = np.random.default_rng(np.random.SeedSequence((505, rep)))
-        table = influence_table(generate(1000, rng), pols, spec, baseline)
+        dataset = generate(1000, rng)
+        table = influence_table(dataset, arm_scores(dataset), pols, spec, baseline)
         bt = finite_bounds(table, spec, ALPHA)
         bounds = np.array([e.bound for e in bt.entries])
         if (bounds > d_true).any():
@@ -216,9 +224,7 @@ def test_c5_bound_coverage():
         r_data, r_nuis, r_sup = (np.random.default_rng(s) for s in seq.spawn(3))
         dataset = generate(4000, r_data)
         nuisance = fit_nuisance(dataset, 5, r_nuis)
-        table = influence_table(
-            dataset, pols, spec, baseline, estimator="dr", nuisance=nuisance
-        )
+        table = influence_table(dataset, arm_scores(dataset, nuisance), pols, spec, baseline)
         bt = asymptotic_bounds(table, spec, ALPHA, 100_000, r_sup)
         bounds = np.array([e.bound for e in bt.entries])
         if (bounds > d_true).any():

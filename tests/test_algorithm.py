@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import tabular_generate
+from conftest import tabular_generate, three_arm_class, three_arm_generate
 from snpl.algorithm import SnplConfig, final_certify, snpl_run
 from snpl.bounds import asymptotic_bounds, bonferroni_normal_bounds, finite_bounds
 from snpl.core import Hyperparams, SafetySpec
-from snpl.estimators import dr_value, fit_nuisance, influence_table
+from snpl.estimators import arm_scores, dr_value, fit_nuisance, influence_table, ipw_value
 from snpl.stability import delta_star, eta_heuristic, laplace
 from snpl.synthetic import ThresholdPolicy, build_class, default_baseline, generate, true_values
 
@@ -62,7 +62,7 @@ class TestTrivialCases:
 
     def test_empty_pruned_certifies_nothing(self):
         ds = generate(200, np.random.default_rng(1))
-        table, decision, goals = final_certify(ds, [], make_config(), 0.08)
+        table, decision, goals = final_certify(ds, arm_scores(ds), [], make_config(), 0.08)
         assert decision == "g1@0.5"
         assert table.entries == () and goals == {}
 
@@ -72,7 +72,8 @@ class TestFinalCertify:
         # always-treat tanks outcome 1 far below the w=0 floor
         ds = generate(2000, np.random.default_rng(2))
         config = make_config()
-        table, decision, _ = final_certify(ds, [ThresholdPolicy("g5", 0.5)], config, 0.08)
+        pruned = [ThresholdPolicy("g5", 0.5)]
+        table, decision, _ = final_certify(ds, arm_scores(ds), pruned, config, 0.08)
         assert decision == "g1@0.5"
         assert table.min_margin("g5@0.5") < 0.0
 
@@ -82,7 +83,7 @@ class TestFinalCertify:
         ds = generate(3000, np.random.default_rng(3))
         config = make_config(weights=(-0.9, -0.9))
         pruned = [ThresholdPolicy("g1", 0.8), ThresholdPolicy("g1", 0.2)]
-        table, decision, goals = final_certify(ds, pruned, config, 0.08)
+        table, decision, goals = final_certify(ds, arm_scores(ds), pruned, config, 0.08)
         assert set(table.certified_ids()) == {"g1@0.8", "g1@0.2"}
         assert decision == max(goals, key=goals.__getitem__)
         # true V1 is higher at the smaller cutoff
@@ -98,7 +99,7 @@ class TestFinalCertify:
         )
         ds = generate(4000, np.random.default_rng(4))
         pruned = [ThresholdPolicy("g5", 0.5), ThresholdPolicy("g1", 0.4)]
-        table, decision, goals = final_certify(ds, pruned, config, 0.08)
+        table, decision, goals = final_certify(ds, arm_scores(ds), pruned, config, 0.08)
         assert goals["g5@0.5"] > goals["g1@0.4"]
         assert "g5@0.5" not in table.certified_ids()
         assert decision == "g1@0.5"
@@ -109,11 +110,11 @@ class TestFinalCertify:
     def test_seed_sequence_and_bit_generator_accepted(self, make):
         ds = generate(400, np.random.default_rng(1))
         config = make_config(mode="asymptotic", n_sim=2000)
-        nui = fit_nuisance(ds, 5, np.random.default_rng(0))
+        scores = arm_scores(ds, fit_nuisance(ds, 5, np.random.default_rng(0)))
         pruned = [ThresholdPolicy("g1", 0.3)]
-        table, decision, _ = final_certify(ds, pruned, config, 0.08, nui, rng=make(6))
+        table, decision, _ = final_certify(ds, scores, pruned, config, 0.08, rng=make(6))
         ref, ref_decision, _ = final_certify(
-            ds, pruned, config, 0.08, nui, rng=np.random.default_rng(6)
+            ds, scores, pruned, config, 0.08, rng=np.random.default_rng(6)
         )
         assert table.meta["seed"] is None
         assert table == ref and decision == ref_decision
@@ -123,8 +124,8 @@ class TestFinalCertify:
         # recorded as seed None, as a Generator is
         ds = generate(400, np.random.default_rng(1))
         config = make_config(mode="asymptotic", n_sim=2000)
-        nui = fit_nuisance(ds, 5, np.random.default_rng(0))
-        table, _, _ = final_certify(ds, [ThresholdPolicy("g1", 0.3)], config, 0.08, nui)
+        scores = arm_scores(ds, fit_nuisance(ds, 5, np.random.default_rng(0)))
+        table, _, _ = final_certify(ds, scores, [ThresholdPolicy("g1", 0.3)], config, 0.08)
         assert table.method == "supt" and table.meta["seed"] is None
 
 
@@ -202,7 +203,7 @@ class TestSnplRun:
         ds = generate(400, np.random.default_rng(100))
         config = make_config(eta=3)
         trace = snpl_run(ds, small_class(), config, seed=3)
-        table = influence_table(ds, small_class(), config.spec, config.baseline, "ipw")
+        table = influence_table(ds, arm_scores(ds), small_class(), config.spec, config.baseline)
         loop = finite_bounds(table, config.spec, trace.alpha_prime, assumed_class_size=3)
         assert loop.meta["log_term"] == pytest.approx(
             math.log(3.0 * 3 * 2 / (2.0 * trace.alpha_prime)), abs=1e-12
@@ -255,12 +256,12 @@ class TestSnplRun:
         r_nuis, _, r_loop, _ = (
             np.random.default_rng(s) for s in np.random.SeedSequence(6).spawn(4)
         )
-        nuis = fit_nuisance(ds, config.hyper.folds, r_nuis)
+        scores = arm_scores(ds, fit_nuisance(ds, config.hyper.folds, r_nuis))
         by_id = {p.policy_id: p for p in policies}
         pruned = []
         for r in trace.scan:
             joint = pruned + [by_id[r.policy_id]]
-            table = influence_table(ds, joint, config.spec, config.baseline, "dr", nuis)
+            table = influence_table(ds, scores, joint, config.spec, config.baseline)
             bt = asymptotic_bounds(table, config.spec, trace.alpha_prime, 1000, r_loop)
             assert r.margin == pytest.approx(bt.min_margin(r.policy_id), abs=1e-12)
             if r.admitted:
@@ -340,7 +341,8 @@ class TestAsymptoticCrossCheck:
 
             # scan margins: Bonferroni-normal at alpha' with |Pi~| = eta
             nuis = fit_nuisance(ds, config.hyper.folds, r_nuis)
-            table = influence_table(ds, candidates, spec, baseline, "dr", nuis)
+            scores = arm_scores(ds, nuis)
+            table = influence_table(ds, scores, candidates, spec, baseline)
             loop = bonferroni_normal_bounds(table, spec, aprime, assumed_class_size=eta)
 
             # SVT: one threshold draw, one noise per scanned candidate in
@@ -367,7 +369,7 @@ class TestAsymptoticCrossCheck:
                 assert trace.final.entries == () and trace.is_baseline
                 outcomes.add("empty")
                 continue
-            final_table = influence_table(ds, pruned, spec, baseline, "dr", nuis)
+            final_table = influence_table(ds, scores, pruned, spec, baseline)
             final = asymptotic_bounds(final_table, spec, aprime, config.hyper.n_sim, r_final)
             assert [e.margin for e in trace.final.entries] == pytest.approx(
                 [e.margin for e in final.entries], abs=1e-12
@@ -381,3 +383,65 @@ class TestAsymptoticCrossCheck:
                 assert trace.decision == baseline.policy_id
                 outcomes.add("fallback")
         assert {"certified", "fallback"} <= outcomes
+
+
+class TestThreeArmCrossCheck:
+    """snpl_run on K = 3 tabular-propensity data with a non-threshold class,
+    in both modes, against the same rebuild of its documented steps: in-loop
+    bounds at alpha' with |Pi~| = eta (Bernstein or Bonferroni-normal), the
+    SVT replay, then the mode's joint bounds over exactly the pruned set."""
+
+    @pytest.mark.parametrize("mode,n", (("finite", 4000), ("asymptotic", 1000)))
+    def test_run_matches_documented_steps(self, mode, n):
+        spec = SafetySpec(goal=1, guardrails=(1, 2), weights=(-0.2, -0.2), alpha=0.1)
+        baseline, policies = three_arm_class()
+        config = SnplConfig(
+            spec=spec, hyper=Hyperparams(n_sim=2000, eta=2), mode=mode, baseline=baseline
+        )
+        loop_bounds = finite_bounds if mode == "finite" else bonferroni_normal_bounds
+        outcomes = set()
+        for seed in range(6):
+            ds = three_arm_generate(n, np.random.default_rng(np.random.SeedSequence((53, seed))))
+            trace = snpl_run(ds, policies, config, seed=seed)
+            r_nuis, r_svt, _, r_final = (
+                np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(4)
+            )
+            aprime = delta_star(spec.alpha, n, 0.1 / math.sqrt(n))[1]
+            assert trace.alpha_prime == aprime and trace.class_size == len(policies)
+
+            nuis = fit_nuisance(ds, config.hyper.folds, r_nuis) if mode == "asymptotic" else None
+            scores = arm_scores(ds, nuis)
+            table = influence_table(ds, scores, policies, spec, baseline)
+            loop = loop_bounds(table, spec, aprime, assumed_class_size=2)
+
+            v = laplace(trace.threshold_scale, r_svt)
+            assert trace.threshold_noise == v
+            pruned = []
+            for rec, pol in zip(trace.scan, policies):
+                assert rec.policy_id == pol.policy_id
+                assert rec.margin == pytest.approx(loop.min_margin(pol.policy_id), abs=1e-12)
+                assert rec.noise == laplace(trace.query_scale, r_svt)
+                assert rec.admitted == (rec.margin + rec.noise > v)
+                if rec.admitted:
+                    pruned.append(pol)
+            assert trace.pruned_ids == tuple(p.policy_id for p in pruned)
+
+            if not pruned:
+                assert trace.final.entries == () and trace.is_baseline
+                outcomes.add("empty")
+                continue
+            final_table = influence_table(ds, scores, pruned, spec, baseline)
+            if mode == "finite":
+                final = finite_bounds(final_table, spec, aprime)
+                goals = [ipw_value(ds, pol, spec.goal) for pol in pruned]
+            else:
+                final = asymptotic_bounds(final_table, spec, aprime, config.hyper.n_sim, r_final)
+                goals = [dr_value(ds, pol, spec.goal, nuis) for pol in pruned]
+            assert [e.margin for e in trace.final.entries] == pytest.approx(
+                [e.margin for e in final.entries], abs=1e-12
+            )
+            pick = pruned[int(np.argmax(goals))].policy_id
+            certified = final.min_margin(pick) > 0.0
+            assert trace.decision == (pick if certified else baseline.policy_id)
+            outcomes.add("certified" if certified else "fallback")
+        assert "certified" in outcomes

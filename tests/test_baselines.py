@@ -8,9 +8,9 @@ from snpl.bounds import (
     finite_bounds,
     normal_quantile,
 )
-from conftest import tabular_generate
+from conftest import tabular_generate, three_arm_class, three_arm_generate
 from snpl.core import Dataset, Hyperparams, SafetySpec, TabularPropensity
-from snpl.estimators import dr_value, fit_nuisance, influence_table
+from snpl.estimators import arm_scores, dr_value, fit_nuisance, influence_table
 from snpl.synthetic import ThresholdPolicy, build_class, default_baseline, generate
 
 
@@ -107,7 +107,9 @@ class TestHcpi:
         )
         assert trace.selected_score >= 0.0
         data_l = subset(ds, trace.split.learning)
-        table = influence_table(data_l, self.candidates(), spec, default_baseline(), "ipw")
+        table = influence_table(
+            data_l, arm_scores(data_l), self.candidates(), spec, default_baseline()
+        )
         bt = finite_bounds(table, spec, spec.alpha, assumed_class_size=4)
         margins = {pid: bt.min_margin(pid) for pid in table.policy_ids}
         assert all(m > 0.0 for m in margins.values())
@@ -127,7 +129,7 @@ class TestHcpi:
         cands = [ThresholdPolicy("g5", c) for c in (0.2, 0.5, 0.8)]
         trace = hcpi_run(ds, cands, spec, default_baseline(), rho=0.5, mode="finite", seed=8)
         data_l = subset(ds, trace.split.learning)
-        table = influence_table(data_l, cands, spec, default_baseline(), "ipw")
+        table = influence_table(data_l, arm_scores(data_l), cands, spec, default_baseline())
         bt = finite_bounds(table, spec, spec.alpha, assumed_class_size=3)
         margins = {pid: bt.min_margin(pid) for pid in table.policy_ids}
         assert all(m < 0.0 for m in margins.values())
@@ -171,7 +173,7 @@ class TestBonferroni:
         ds = generate(500, np.random.default_rng(11))
         cand = ThresholdPolicy("g1", 0.0)  # never treat: V1 = 0.5, clearly safe
         trace = bonferroni_run(ds, [cand], spec, default_baseline(), "finite", seed=13)
-        table = influence_table(ds, [cand], spec, default_baseline(), "ipw")
+        table = influence_table(ds, arm_scores(ds), [cand], spec, default_baseline())
         bt = finite_bounds(table, spec, spec.alpha, assumed_class_size=1)
         assert trace.decision == cand.policy_id
         assert trace.certified_ids == (cand.policy_id,)
@@ -310,7 +312,8 @@ class TestAsymptoticCrossCheck:
             # f(pi) = V_g if M'(pi) >= 0 else M'(pi), first argmax
             data_l = subset(ds, learn)
             nuis_l = fit_nuisance(data_l, folds, r_learn)
-            table = influence_table(data_l, self.candidates, spec, baseline, "dr", nuis_l)
+            scores_l = arm_scores(data_l, nuis_l)
+            table = influence_table(data_l, scores_l, self.candidates, spec, baseline)
             bt = bonferroni_normal_bounds(table, spec, spec.alpha, assumed_class_size=1)
             f = []
             for pol in self.candidates:
@@ -323,7 +326,7 @@ class TestAsymptoticCrossCheck:
             # testing split: sup-t over the selected policy alone at alpha
             data_t = subset(ds, test)
             nuis_t = fit_nuisance(data_t, folds, r_test)
-            table_t = influence_table(data_t, [pick], spec, baseline, "dr", nuis_t)
+            table_t = influence_table(data_t, arm_scores(data_t, nuis_t), [pick], spec, baseline)
             final = asymptotic_bounds(table_t, spec, spec.alpha, self.hyper.n_sim, r_supt)
             assert [e.margin for e in trace.final.entries] == pytest.approx(
                 [e.margin for e in final.entries], abs=1e-12
@@ -352,7 +355,7 @@ class TestAsymptoticCrossCheck:
             assert trace.class_size == m
             (nuis_seed,) = np.random.SeedSequence(seed).spawn(1)
             nuis = fit_nuisance(ds, self.hyper.folds, np.random.default_rng(nuis_seed))
-            table = influence_table(ds, self.candidates, spec, baseline, "dr", nuis)
+            table = influence_table(ds, arm_scores(ds, nuis), self.candidates, spec, baseline)
             bt = bonferroni_normal_bounds(table, spec, spec.alpha, assumed_class_size=m)
             certified = bt.certified_ids()
             assert trace.certified_ids == tuple(certified)
@@ -368,3 +371,98 @@ class TestAsymptoticCrossCheck:
             )
             decisions.add(trace.is_baseline)
         assert decisions == {True, False}
+
+
+class TestThreeArmCrossCheck:
+    """Both baselines on K = 3 tabular-propensity data with a non-threshold
+    class, in both modes, against a rebuild of their documented rules: the
+    mode's scores (IPW, or DR cross-fitted from the run's own stream), then
+    Bernstein bounds (finite) or Bonferroni-normal / sup-t bounds
+    (asymptotic)."""
+
+    spec = two_guardrails(weights=(-0.2, -0.2))
+    hyper = Hyperparams(n_sim=2000)
+    sizes = {"finite": 4000, "asymptotic": 1000}
+
+    def datasets(self, mode):
+        for seed in range(6):
+            rng = np.random.default_rng(np.random.SeedSequence((53, seed)))
+            yield seed, three_arm_generate(self.sizes[mode], rng)
+
+    def scores(self, ds, mode, rng):
+        nuis = fit_nuisance(ds, self.hyper.folds, rng) if mode == "asymptotic" else None
+        return arm_scores(ds, nuis)
+
+    @pytest.mark.parametrize("mode", ("finite", "asymptotic"))
+    def test_hcpi_matches_documented_rule(self, mode):
+        spec, (baseline, policies) = self.spec, three_arm_class()
+        decisions = set()
+        for seed, ds in self.datasets(mode):
+            trace = hcpi_run(ds, policies, spec, baseline, 0.5, mode, self.hyper, seed=seed)
+            r_split, r_learn, r_test, r_supt = (
+                np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(4)
+            )
+            perm = r_split.permutation(ds.n)
+            data_l = subset(ds, np.sort(perm[: ds.n // 2]))
+            data_t = subset(ds, np.sort(perm[ds.n // 2 :]))
+
+            scores_l = self.scores(data_l, mode, r_learn)
+            table = influence_table(data_l, scores_l, policies, spec, baseline)
+            if mode == "finite":
+                bt = finite_bounds(table, spec, spec.alpha, assumed_class_size=len(policies))
+            else:
+                bt = bonferroni_normal_bounds(table, spec, spec.alpha, assumed_class_size=1)
+            f = []
+            for pol in policies:
+                margin = bt.min_margin(pol.policy_id)
+                goal = policy_mean(scores_l, pol, data_l, spec.goal)
+                f.append(goal if margin >= 0.0 else margin)
+            pick = policies[int(np.argmax(f))]
+            assert trace.selected_id == pick.policy_id
+            assert trace.selected_score == pytest.approx(max(f), abs=1e-12)
+
+            scores_t = self.scores(data_t, mode, r_test)
+            table_t = influence_table(data_t, scores_t, [pick], spec, baseline)
+            if mode == "finite":
+                final = finite_bounds(table_t, spec, spec.alpha, assumed_class_size=1)
+            else:
+                final = asymptotic_bounds(table_t, spec, spec.alpha, self.hyper.n_sim, r_supt)
+            assert [e.margin for e in trace.final.entries] == pytest.approx(
+                [e.margin for e in final.entries], abs=1e-12
+            )
+            passed = final.min_margin(pick.policy_id) > 0.0
+            assert trace.decision == (pick.policy_id if passed else baseline.policy_id)
+            assert trace.baseline_goal_value == pytest.approx(
+                policy_mean(scores_t, baseline, data_t, spec.goal), abs=1e-12
+            )
+            decisions.add(trace.is_baseline)
+        assert decisions == {True, False}
+
+    @pytest.mark.parametrize("mode", ("finite", "asymptotic"))
+    def test_bonferroni_matches_documented_rule(self, mode):
+        spec, (baseline, policies) = self.spec, three_arm_class()
+        m = len(policies)
+        for seed, ds in self.datasets(mode):
+            trace = bonferroni_run(ds, policies, spec, baseline, mode, self.hyper, seed=seed)
+            (nuis_seed,) = np.random.SeedSequence(seed).spawn(1)
+            scores = self.scores(ds, mode, np.random.default_rng(nuis_seed))
+            table = influence_table(ds, scores, policies, spec, baseline)
+            if mode == "finite":
+                bt = finite_bounds(table, spec, spec.alpha, assumed_class_size=m)
+            else:
+                bt = bonferroni_normal_bounds(table, spec, spec.alpha, assumed_class_size=m)
+            certified = bt.certified_ids()
+            assert trace.certified_ids == tuple(certified)
+            assert certified
+            goals = {pid: policy_mean(scores, pol, ds, spec.goal)
+                     for pid, pol in zip(table.policy_ids, policies) if pid in certified}
+            assert trace.decision == max(certified, key=goals.__getitem__)
+            assert [e.margin for e in trace.final.entries] == pytest.approx(
+                [e.margin for e in bt.entries if e.policy_id in goals], abs=1e-12
+            )
+
+
+def policy_mean(scores, policy, dataset, outcome) -> float:
+    """V_j(pi) from per-arm scores, contracted row by row."""
+    P = policy.prob_matrix(dataset.covariates)
+    return float((P * scores[:, :, outcome - 1]).sum(axis=1).mean())

@@ -35,7 +35,6 @@ def table_from_values(values, spec, c=0.5) -> InfluenceTable:
         policy_ids=tuple(f"p{i}" for i in range(n_pol)),
         spec=spec,
         baseline_id="base",
-        estimator="ipw",
         c=c,
     )
 

@@ -31,7 +31,7 @@ def candidates(grid_size=40):
 
 def scores_for(ds, estimator, seed=0):
     nuis = fit_nuisance(ds, 5, np.random.default_rng(seed)) if estimator == "dr" else None
-    return arm_scores(ds, estimator, nuis)
+    return arm_scores(ds, nuis)
 
 
 def assert_matches_reference(ds, pols, spec, scores, baseline=BASE):

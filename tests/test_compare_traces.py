@@ -1,0 +1,50 @@
+import importlib.util
+import json
+import pathlib
+
+import pytest
+
+_SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "compare_traces.py"
+_spec = importlib.util.spec_from_file_location("compare_traces", _SCRIPT)
+compare_traces = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_traces)
+
+TRACE = {"decision": "g1@0.2", "is_baseline": False, "final_bounds": {"margin": 0.125}}
+
+
+def write_dump(root, trace=None):
+    """A dump holding one trace file, or none when trace is None."""
+    root.mkdir()
+    if trace is not None:
+        (root / "paper" / "traces").mkdir(parents=True)
+        (root / "paper" / "traces" / "snpl_0000.json").write_text(json.dumps(trace))
+    return str(root)
+
+
+def run_diff(tmp_path, left, right, tol="0"):
+    return compare_traces.main(
+        ["diff", write_dump(tmp_path / "a", left), write_dump(tmp_path / "b", right), "--tol", tol]
+    )
+
+
+def test_identical_dumps_pass(tmp_path):
+    assert run_diff(tmp_path, TRACE, dict(TRACE)) == 0
+
+
+@pytest.mark.parametrize("tol,code", (("1e-3", 1), ("1e-2", 0)))
+def test_float_gap_checked_against_tol(tmp_path, tol, code):
+    moved = dict(TRACE, final_bounds={"margin": 0.125 + 5e-3})
+    assert run_diff(tmp_path, TRACE, moved, tol=tol) == code
+
+
+def test_changed_decision_fails(tmp_path):
+    other = dict(TRACE, decision="g2@0.4")
+    assert run_diff(tmp_path, TRACE, other, tol="1") == 1
+
+
+def test_empty_dumps_fail(tmp_path):
+    assert run_diff(tmp_path, None, None) == 1
+
+
+def test_missing_dumps_fail(tmp_path):
+    assert compare_traces.main(["diff", str(tmp_path / "a"), str(tmp_path / "b")]) == 1

@@ -51,16 +51,6 @@ class TestIpw:
                 float(ds.outcomes[:, j - 1].mean()), abs=1e-12
             )
 
-    def test_unknown_estimator_rejected(self):
-        ds = make_dataset([[0.1]], [1], [[0.5]])
-        with pytest.raises(ValueError, match="unknown estimator"):
-            arm_scores(ds, "magic")
-
-    def test_dr_requires_nuisance(self):
-        ds = make_dataset([[0.1]], [1], [[0.5]])
-        with pytest.raises(ValueError, match="requires a fitted nuisance"):
-            arm_scores(ds, "dr")
-
 
 class TestNuisance:
     def test_constant_outcome_predicted_exactly(self):
@@ -139,7 +129,7 @@ class TestDr:
         rng = np.random.default_rng(12)
         ds = random_dataset(rng, 50)
         nui = fit_nuisance(ds, 5, np.random.default_rng(13))
-        scores = arm_scores(ds, "dr", nui)
+        scores = arm_scores(ds, nui)
         # unobserved arms keep the plain regression prediction
         hit = np.zeros((50, 2))
         hit[np.arange(50), ds.actions - 1] = 1.0
@@ -152,7 +142,7 @@ class TestInfluenceTable:
         rng = np.random.default_rng(14)
         ds = random_dataset(rng, 20, d_x=3)
         pols = [ThresholdPolicy("g1", 0.3), ThresholdPolicy("g1", 0.6)]
-        table = influence_table(ds, pols, spec_two_guardrails, UniformPolicy(2))
+        table = influence_table(ds, arm_scores(ds), pols, spec_two_guardrails, UniformPolicy(2))
         assert table.values.shape == (20, 4)
         # 1-based (p-1)|S| + s puts (policy 2, guardrail 2) in column 4
         assert np.array_equal(table.column(1, 1), table.values[:, 3])
@@ -162,7 +152,7 @@ class TestInfluenceTable:
         ds = random_dataset(rng, 40, d_x=3)
         pol = ThresholdPolicy("g2", 0.5)
         base = UniformPolicy(2)
-        table = influence_table(ds, [pol], spec_two_guardrails, base)
+        table = influence_table(ds, arm_scores(ds), [pol], spec_two_guardrails, base)
         for s, (j, w) in enumerate(zip((1, 2), (0.0, -0.1))):
             expect = ipw_value(ds, pol, j) - (1.0 + w) * ipw_value(ds, base, j)
             assert table.estimates[s] == pytest.approx(expect, abs=1e-12)
@@ -171,7 +161,7 @@ class TestInfluenceTable:
         rng = np.random.default_rng(16)
         ds = random_dataset(rng, 15, d_x=3, probs=(0.4, 0.6))
         table = influence_table(
-            ds, [ThresholdPolicy("g1", 0.5)], spec_two_guardrails, UniformPolicy(2)
+            ds, arm_scores(ds), [ThresholdPolicy("g1", 0.5)], spec_two_guardrails, UniformPolicy(2)
         )
         assert table.n == 15
         assert table.policy_count == 1
@@ -188,7 +178,6 @@ def column_variance(column) -> float:
         policy_ids=("p",),
         spec=SafetySpec(goal=1, guardrails=(1,), weights=(0.0,), alpha=0.1),
         baseline_id="b",
-        estimator="ipw",
         c=0.5,
     )
     return float(empirical_covariance(table)[0, 0])
@@ -219,7 +208,6 @@ class TestMoments:
             policy_ids=("p",),
             spec=spec_two_guardrails,
             baseline_id="b",
-            estimator="ipw",
             c=0.5,
         )
         cov = empirical_covariance(table)
@@ -231,7 +219,7 @@ class TestMoments:
         rng = np.random.default_rng(18)
         ds = random_dataset(rng, 30, d_x=3)
         table = influence_table(
-            ds, [ThresholdPolicy("g1", 0.5)], spec_two_guardrails, UniformPolicy(2)
+            ds, arm_scores(ds), [ThresholdPolicy("g1", 0.5)], spec_two_guardrails, UniformPolicy(2)
         )
         cov = empirical_covariance(table)
         for s in range(2):
@@ -242,7 +230,7 @@ class TestPolicyScores:
     def test_deterministic_policy_selects_arm_column(self):
         rng = np.random.default_rng(19)
         ds = random_dataset(rng, 25, d_x=3)
-        scores = arm_scores(ds, "ipw")
+        scores = arm_scores(ds)
         pol = ThresholdPolicy("g1", 0.5)
         out = policy_scores(scores, pol, ds.covariates)
         treat = ds.covariates[:, 0] < 0.5

@@ -467,7 +467,7 @@ class TestBoundsScatter:
         "mode,senses", (("asymptotic", None), ("asymptotic", ("lower", "upper")), ("finite", None))
     )
     def test_pruned_rows_reproduce_final_margins(self, tmp_path, mode, senses, monkeypatch):
-        from snpl import algorithm
+        from snpl import estimators
         from snpl.algorithm import SnplConfig, snpl_run
         from snpl.harness import emit_bounds_scatter
         from snpl.synthetic import build_class
@@ -482,7 +482,7 @@ class TestBoundsScatter:
         # the scatter reuses the run's arm scores: the run's own nuisance
         # fit is the only one, wherever a module binds fit_nuisance
         fits = []
-        real_fit = algorithm.fit_nuisance
+        real_fit = estimators.fit_nuisance
         for mod in [m for name, m in sys.modules.items() if name.startswith("snpl.")]:
             if getattr(mod, "fit_nuisance", None) is real_fit:
                 monkeypatch.setattr(mod, "fit_nuisance", lambda *a: fits.append(1) or real_fit(*a))

@@ -95,6 +95,19 @@ class TestBuildClass:
         with pytest.raises(ValueError, match="grid_size"):
             build_class(1)
 
+    def test_paper_class_treat_masks(self):
+        # pins the documented class as it stands: g5 <= 0 sits below every
+        # cutoff, so all 500 g5 rules treat every row, and always-treat is
+        # the mask of 611 of the 2,500 rules
+        X = generate(1000, np.random.default_rng(0)).covariates
+        pols = build_class(500)
+        masks = [p.treat_mask(X).tobytes() for p in pols]
+        always = np.ones(len(X), dtype=bool).tobytes()
+        assert len(pols) == 2500
+        assert len(set(masks)) == 1377
+        assert masks.count(always) == 611
+        assert all(m == always for p, m in zip(pols, masks) if p.feature == "g5")
+
 
 class TestTrueValues:
     def test_baseline_values(self):
