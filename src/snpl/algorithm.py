@@ -26,7 +26,7 @@ BLAS thread, about 85% of it in ``supt_quantile``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,17 +45,18 @@ from .core import (
     Hyperparams,
     Policy,
     SafetySpec,
+    ScanRecord,
+    Svt,
+    Trace,
     normalize_seed,
     seed_tuple,
     validate_dataset,
 )
-from .estimators import influence_table, mode_scores, policy_scores
+from .estimators import InfluenceTable, influence_table, mode_scores
 from .stability import b_asymp, b_finite, delta_star, eta_heuristic, laplace
 
 __all__ = [
     "SnplConfig",
-    "ScanRecord",
-    "SnplTrace",
     "snpl_run",
     "final_certify",
 ]
@@ -79,145 +80,34 @@ class SnplConfig:
             raise ValueError(f"loop_n_sim must be >= {MIN_N_SIM}")
 
 
-@dataclass(frozen=True)
-class ScanRecord:
-    policy_id: str
-    margin: float
-    noise: float
-    admitted: bool
-
-
-@dataclass(frozen=True)
-class SnplTrace:
-    """Complete record of one run; reconstructs the decision. ``scores`` is
-    the run's (n, K, d_Y) per-arm score array, kept for the bounds scatter
-    and not serialized."""
-
-    method: str
-    mode: str
-    n: int
-    class_size: int
-    baseline_id: str
-    spec: SafetySpec
-    gamma: float
-    epsilon: float
-    delta_star: float
-    alpha_prime: float
-    eta: int
-    eta_source: str
-    B: float
-    B_floor: float
-    p: float
-    folds: int
-    n_sim: int
-    in_loop: str
-    loop_n_sim: int
-    threshold_scale: float
-    query_scale: float
-    threshold_noise: float
-    scan: tuple[ScanRecord, ...]
-    pruned_ids: tuple[str, ...]
-    final: LowerBoundTable
-    goal_values: dict
-    baseline_goal_value: float
-    certified_ids: tuple[str, ...]
-    decision: str
-    is_baseline: bool
-    seed: tuple
-    scores: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "method": self.method,
-            "mode": self.mode,
-            "n": self.n,
-            "class_size": self.class_size,
-            "baseline": self.baseline_id,
-            "spec": self.spec.to_json_dict(),
-            "hyper": {
-                "gamma": self.gamma,
-                "epsilon": self.epsilon,
-                "eta": self.eta,
-                "eta_source": self.eta_source,
-                "B": self.B,
-                "B_floor": self.B_floor,
-                "p": self.p,
-                "folds": self.folds,
-                "n_sim": self.n_sim,
-                "in_loop": self.in_loop,
-                "loop_n_sim": self.loop_n_sim,
-            },
-            "stability": {"delta_star": self.delta_star, "alpha_prime": self.alpha_prime},
-            "svt": {
-                "threshold_scale": self.threshold_scale,
-                "query_scale": self.query_scale,
-                "threshold_noise": self.threshold_noise,
-                "scan": [
-                    {
-                        "policy": r.policy_id,
-                        "margin": r.margin,
-                        "noise": r.noise,
-                        "admitted": r.admitted,
-                    }
-                    for r in self.scan
-                ],
-            },
-            "pruned": list(self.pruned_ids),
-            "final_bounds": self.final.to_json_dict(),
-            "goal_values": dict(self.goal_values),
-            "baseline_goal_value": self.baseline_goal_value,
-            "certified": list(self.certified_ids),
-            "decision": self.decision,
-            "is_baseline": self.is_baseline,
-            "seed": list(self.seed),
-        }
-
-
 def final_certify(
-    dataset: Dataset,
-    scores: np.ndarray,
-    pruned: list[Policy],
-    config: SnplConfig,
-    level: float,
-    rng=None,
+    table: InfluenceTable, config: SnplConfig, level: float, rng=None
 ) -> tuple[LowerBoundTable, str, dict]:
-    """Joint bounds over exactly pruned x S at the given level, from the
-    dataset's per-arm scores (those of ``config.mode``), then the
-    select-then-gate decision: the pruned policy with the largest estimated
-    goal value (scan-order ties) is the sole candidate, and it is returned
-    only when every one of its margins is strictly positive; otherwise the
-    baseline. Returns (table, decision_id, goal_values).
+    """Joint bounds over exactly the table's pruned x S columns at the given
+    level, then the select-then-gate decision: the pruned policy with the
+    largest estimated goal value (scan-order ties) is the sole candidate,
+    and it is returned only when every one of its margins is strictly
+    positive; otherwise the baseline. Returns (table, decision_id,
+    goal_values).
 
     Certification is computed for the whole pruned set, so the trace still
     records which policies would individually certify, but policies other
     than the goal argmax are never returned even when they certify.
     """
-    if not pruned:
+    if not table.policy_ids:
         empty = LowerBoundTable(entries=(), method=config.mode, level=level, meta={})
         return empty, config.baseline.policy_id, {}
-    table = influence_table(dataset, scores, pruned, config.spec, config.baseline)
     if config.mode == "finite":
         bt = finite_bounds(table, config.spec, level)
     else:
         bt = asymptotic_bounds(table, config.spec, level, config.hyper.n_sim, rng)
-    goal_values = {
-        pol.policy_id: float(
-            policy_scores(scores, pol, dataset.covariates)[:, config.spec.goal - 1].mean()
-        )
-        for pol in pruned
-    }
-    pick = pruned[0].policy_id
-    best = goal_values[pick]
-    for pol in pruned[1:]:
-        if goal_values[pol.policy_id] > best:
-            best = goal_values[pol.policy_id]
-            pick = pol.policy_id
+    goal_values = dict(zip(table.policy_ids, table.goal.tolist()))
+    pick = table.policy_ids[int(np.argmax(table.goal))]
     decision = pick if bt.min_margin(pick) > 0.0 else config.baseline.policy_id
     return bt, decision, goal_values
 
 
-def snpl_run(dataset: Dataset, policies: list[Policy], config: SnplConfig, seed=None) -> SnplTrace:
+def snpl_run(dataset: Dataset, policies: list[Policy], config: SnplConfig, seed=None) -> Trace:
     """Runs the full procedure and returns its trace.
 
     Steps: resolve delta* and alpha'(delta*); draw one noisy threshold
@@ -298,48 +188,44 @@ def snpl_run(dataset: Dataset, policies: list[Policy], config: SnplConfig, seed=
             if len(pruned) == eta:
                 break
 
-    final_table, decision, goal_values = final_certify(
-        dataset, scores, pruned, config, aprime, rng_final
-    )
+    table = influence_table(dataset, scores, pruned, spec, config.baseline)
+    final_table, decision, goal_values = final_certify(table, config, aprime, rng_final)
     certified = tuple(
         pol.policy_id for pol in pruned if final_table.min_margin(pol.policy_id) > 0.0
     )
 
-    base_goal = float(
-        policy_scores(scores, config.baseline, dataset.covariates)[:, spec.goal - 1].mean()
-    )
-
-    return SnplTrace(
+    return Trace(
         method="snpl",
         mode=config.mode,
         n=n,
         class_size=len(candidates),
         baseline_id=config.baseline.policy_id,
         spec=spec,
-        gamma=hyper.gamma,
-        epsilon=epsilon,
-        delta_star=dstar,
-        alpha_prime=aprime,
-        eta=eta,
-        eta_source=eta_source,
-        B=B,
-        B_floor=floor,
-        p=hyper.p,
         folds=hyper.folds,
         n_sim=hyper.n_sim,
-        in_loop=config.in_loop,
-        loop_n_sim=loop_n_sim,
-        threshold_scale=threshold_scale,
-        query_scale=query_scale,
-        threshold_noise=v,
-        scan=tuple(records),
         pruned_ids=tuple(p.policy_id for p in pruned),
         final=final_table,
         goal_values=goal_values,
-        baseline_goal_value=base_goal,
+        baseline_goal_value=table.baseline_goal,
         certified_ids=certified,
         decision=decision,
-        is_baseline=decision == config.baseline.policy_id,
         seed=seed_tuple(seed_seq),
+        svt=Svt(
+            gamma=hyper.gamma,
+            epsilon=epsilon,
+            delta_star=dstar,
+            alpha_prime=aprime,
+            eta=eta,
+            eta_source=eta_source,
+            B=B,
+            B_floor=floor,
+            p=hyper.p,
+            in_loop=config.in_loop,
+            loop_n_sim=loop_n_sim,
+            threshold_scale=threshold_scale,
+            query_scale=query_scale,
+            threshold_noise=v,
+            records=tuple(records),
+        ),
         scores=scores,
     )

@@ -260,8 +260,10 @@ def _as_rng(rng) -> tuple[np.random.Generator, int | None]:
 
 def supt_quantile(cov: np.ndarray, level: float, n_sim: int, rng) -> SupTQuantile:
     """Empirical lower ``level``-quantile of min_j cov_jj^{-1/2} rho_j over
-    n_sim draws rho ~ N(0, cov), via symmetric eigendecomposition with
-    eigenvalue floor max(lambda, 0).
+    n_sim draws rho ~ N(0, cov), via symmetric eigendecomposition with a
+    relative eigenvalue floor: lambda <= d eps lambda_max counts as 0 (eps
+    the float64 machine epsilon, d the active dimension), so the rounding
+    noise of a singular covariance (duplicate columns) cannot move z*.
 
     Zero-variance coordinates are dropped from the min; an all-zero
     covariance is degenerate. Quantile convention: order statistic at index
@@ -288,9 +290,10 @@ def supt_quantile(cov: np.ndarray, level: float, n_sim: int, rng) -> SupTQuantil
         raise ValueError("degenerate covariance")
     sub = cov[np.ix_(active, active)]
     lam, vec = np.linalg.eigh(sub)
-    root_t = (vec * np.sqrt(np.maximum(lam, 0.0))).T
     scale = np.sqrt(diag[active])
     d = scale.size
+    lam = np.where(lam > d * np.finfo(float).eps * lam.max(), lam, 0.0)
+    root_t = (vec * np.sqrt(lam)).T
     rows = max(1, _BLOCK // d)
     normals = np.empty((rows, d))
     draws = np.empty((rows, d))

@@ -7,10 +7,14 @@ Actions are 1-indexed integers in {1..K}; outcome and guardrail indices are
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+import hashlib
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .bounds import LowerBoundTable
 
 __all__ = [
     "PropensityModel",
@@ -22,6 +26,10 @@ __all__ = [
     "LoggingPolicy",
     "SafetySpec",
     "Hyperparams",
+    "ScanRecord",
+    "Svt",
+    "Split",
+    "Trace",
     "validate_dataset",
 ]
 
@@ -212,6 +220,141 @@ class SafetySpec:
             "alpha": self.alpha,
             "senses": list(self.senses),
         }
+
+
+@dataclass(frozen=True)
+class ScanRecord:
+    policy_id: str
+    margin: float
+    noise: float
+    admitted: bool
+
+
+@dataclass(frozen=True)
+class Svt:
+    """snpl's scan block: the constants that set the noise (gamma, epsilon,
+    delta*, alpha', eta, B and its floor, p), the in-loop bound, the SVT
+    scales, the threshold draw, and one record per scanned candidate."""
+
+    gamma: float
+    epsilon: float
+    delta_star: float
+    alpha_prime: float
+    eta: int
+    eta_source: str
+    B: float
+    B_floor: float
+    p: float
+    in_loop: str
+    loop_n_sim: int
+    threshold_scale: float
+    query_scale: float
+    threshold_noise: float
+    records: tuple[ScanRecord, ...]
+
+
+@dataclass(frozen=True, eq=False)
+class Split:
+    """A ``ds-*`` row partition: the sorted first floor(rho n) entries of one
+    seeded permutation learn, the sorted rest test. Traces record the counts
+    and a hash of the learning rows, not the rows."""
+
+    rho: float
+    learning: np.ndarray
+    testing: np.ndarray
+
+
+# JSON homes of the scan block's fields in a trace.
+_SVT_JSON = {
+    "hyper": (
+        "gamma", "epsilon", "eta", "eta_source", "B", "B_floor", "p", "in_loop", "loop_n_sim"
+    ),
+    "stability": ("delta_star", "alpha_prime"),
+    "svt": ("threshold_scale", "query_scale", "threshold_noise"),
+}
+
+
+@dataclass(frozen=True)
+class Trace:
+    """Complete record of one run of any method; reconstructs the decision.
+
+    Optional blocks: ``svt`` (snpl's scan), ``split`` (a ``ds-*`` row
+    partition) and ``selected_id``/``selected_score`` (a ``ds-*`` learning
+    selection). ``scores`` is snpl's (n, K, d_Y) per-arm score array, kept
+    for the bounds scatter and not serialized.
+    """
+
+    method: str
+    mode: str
+    n: int
+    class_size: int
+    baseline_id: str
+    spec: SafetySpec
+    folds: int
+    n_sim: int
+    pruned_ids: tuple[str, ...]
+    final: LowerBoundTable
+    goal_values: dict
+    baseline_goal_value: float
+    certified_ids: tuple[str, ...]
+    decision: str
+    seed: tuple
+    svt: Svt | None = None
+    split: Split | None = None
+    selected_id: str | None = None
+    selected_score: float | None = None
+    scores: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def is_baseline(self) -> bool:
+        return self.decision == self.baseline_id
+
+    @property
+    def scan(self) -> tuple[ScanRecord, ...]:
+        """The scanned candidates' records; empty without a scan block."""
+        return self.svt.records if self.svt is not None else ()
+
+    def to_json_dict(self) -> dict:
+        """Schema version 2. A split is written as its sizes and the SHA-256
+        of the learning rows as little-endian int64; the rows themselves
+        follow from the recorded seed."""
+        out = {
+            "schema_version": 2,
+            "method": self.method,
+            "mode": self.mode,
+            "n": self.n,
+            "class_size": self.class_size,
+            "baseline": self.baseline_id,
+            "spec": self.spec.to_json_dict(),
+            "hyper": {"folds": self.folds, "n_sim": self.n_sim},
+            "pruned": list(self.pruned_ids),
+            "final_bounds": self.final.to_json_dict(),
+            "goal_values": dict(self.goal_values),
+            "baseline_goal_value": self.baseline_goal_value,
+            "certified": list(self.certified_ids),
+            "decision": self.decision,
+            "is_baseline": self.is_baseline,
+            "seed": list(self.seed),
+        }
+        if self.svt is not None:
+            for block, names in _SVT_JSON.items():
+                out.setdefault(block, {}).update({k: getattr(self.svt, k) for k in names})
+            out["svt"]["scan"] = [
+                {"policy": r.policy_id, "margin": r.margin, "noise": r.noise,
+                 "admitted": r.admitted}
+                for r in self.svt.records
+            ]
+        if self.split is not None:
+            rows = np.asarray(self.split.learning, dtype="<i8")
+            out["split"] = {
+                "rho": self.split.rho,
+                "learning_count": len(self.split.learning),
+                "testing_count": len(self.split.testing),
+                "rows_sha256": hashlib.sha256(rows.tobytes()).hexdigest(),
+            }
+        if self.selected_id is not None:
+            out["learning"] = {"selected": self.selected_id, "score": self.selected_score}
+        return out
 
 
 # Fewest sup-t simulation draws ``bounds.supt_quantile`` accepts; every

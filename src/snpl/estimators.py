@@ -142,7 +142,9 @@ class InfluenceTable:
     here; the 1-based index map is (p-1)|S| + s).
 
     values: (n, |Pi| * |S|); estimates are the column means; c and n carry
-    the dataset context the bound constructions need.
+    the dataset context the bound constructions need. goal and
+    baseline_goal are the estimated goal values V_g of the policies and of
+    the baseline, from the same contractions (set by ``influence_table``).
     """
 
     values: np.ndarray
@@ -151,6 +153,8 @@ class InfluenceTable:
     spec: SafetySpec
     baseline_id: str
     c: float
+    goal: np.ndarray | None = None
+    baseline_goal: float | None = None
 
     @property
     def n(self) -> int:
@@ -175,7 +179,8 @@ def influence_table(
     """Builds d_j(O_i, pi) = psi_j(O_i, pi) - (1 + w_j) psi_j(O_i, pi0)
     from the dataset's (n, K, d_Y) per-arm scores for every (policy,
     guardrail) pair, plus the column-mean estimates
-    D_j(pi) = V_j(pi) - (1 + w_j) V_j(pi0).
+    D_j(pi) = V_j(pi) - (1 + w_j) V_j(pi0), and the goal values of every
+    policy and of the baseline; each policy is contracted once.
     """
     if len(spec.weights) != spec.s_count:
         raise ValueError("w length must match |S|")
@@ -184,11 +189,14 @@ def influence_table(
     jdx = np.asarray(spec.guardrails, dtype=np.int64) - 1
     w = np.asarray(spec.weights)
 
-    base = policy_scores(scores, baseline, X)[:, jdx]
+    psi0 = policy_scores(scores, baseline, X)
+    base = psi0[:, jdx]
     values = np.empty((dataset.n, len(policies) * S))
+    goal = np.empty(len(policies))
     for p, policy in enumerate(policies):
-        psi = policy_scores(scores, policy, X)[:, jdx]
-        values[:, p * S : (p + 1) * S] = psi - (1.0 + w) * base
+        psi = policy_scores(scores, policy, X)
+        values[:, p * S : (p + 1) * S] = psi[:, jdx] - (1.0 + w) * base
+        goal[p] = psi[:, spec.goal - 1].mean()
     return InfluenceTable(
         values=values,
         estimates=values.mean(axis=0),
@@ -196,6 +204,8 @@ def influence_table(
         spec=spec,
         baseline_id=baseline.policy_id,
         c=dataset.propensity.c,
+        goal=goal,
+        baseline_goal=float(psi0[:, spec.goal - 1].mean()),
     )
 
 

@@ -312,8 +312,9 @@ def _execute_replication(state: dict, r: int) -> dict:
             os.makedirs(trace_dir, exist_ok=True)
             path = os.path.join(trace_dir, f"{method}_r{r:05d}.json")
             write_json(trace.to_json_dict(), path)
-        # Free the trace's arrays (arm scores, split rows) before the next
-        # method runs; the loop variable would hold them until then.
+        # Free the trace's arrays (snpl's arm scores, a split's row indices)
+        # before the next method runs; the loop variable would hold them
+        # until then.
         del trace
     return out
 
@@ -592,12 +593,12 @@ def emit_bounds_scatter(dataset: Dataset, policies, config: BenchmarkConfig, out
     if config.mode == "finite":
         class_size = max(len(trace.pruned_ids), 1)
         widths = bernstein_widths(
-            stats.variances, spec, trace.alpha_prime, class_size, n, dataset.propensity.c
+            stats.variances, spec, trace.svt.alpha_prime, class_size, n, dataset.propensity.c
         )
     elif trace.pruned_ids:
         widths = supt_widths(stats.variances, trace.final.meta["z_star"], n)
     else:
-        widths = normal_widths(stats.variances, spec, trace.alpha_prime, trace.eta, n)
+        widths = normal_widths(stats.variances, spec, trace.svt.alpha_prime, trace.svt.eta, n)
     bounds = spec.signs * margins(estimates, widths, spec)  # estimate -/+ width
 
     pruned = set(trace.pruned_ids)

@@ -25,6 +25,12 @@ def make_config(mode="finite", in_loop="bonferroni-normal", weights=(0.0, -0.1),
     )
 
 
+def certify(ds, scores, pruned, config, level, rng=None):
+    """final_certify on the influence table of exactly the pruned set."""
+    table = influence_table(ds, scores, pruned, config.spec, config.baseline)
+    return final_certify(table, config, level, rng)
+
+
 def small_class():
     return [ThresholdPolicy("g1", c) for c in (0.0, 0.2, 0.4, 0.6, 0.8)]
 
@@ -62,7 +68,7 @@ class TestTrivialCases:
 
     def test_empty_pruned_certifies_nothing(self):
         ds = generate(200, np.random.default_rng(1))
-        table, decision, goals = final_certify(ds, arm_scores(ds), [], make_config(), 0.08)
+        table, decision, goals = certify(ds, arm_scores(ds), [], make_config(), 0.08)
         assert decision == "g1@0.5"
         assert table.entries == () and goals == {}
 
@@ -73,7 +79,7 @@ class TestFinalCertify:
         ds = generate(2000, np.random.default_rng(2))
         config = make_config()
         pruned = [ThresholdPolicy("g5", 0.5)]
-        table, decision, _ = final_certify(ds, arm_scores(ds), pruned, config, 0.08)
+        table, decision, _ = certify(ds, arm_scores(ds), pruned, config, 0.08)
         assert decision == "g1@0.5"
         assert table.min_margin("g5@0.5") < 0.0
 
@@ -83,7 +89,7 @@ class TestFinalCertify:
         ds = generate(3000, np.random.default_rng(3))
         config = make_config(weights=(-0.9, -0.9))
         pruned = [ThresholdPolicy("g1", 0.8), ThresholdPolicy("g1", 0.2)]
-        table, decision, goals = final_certify(ds, arm_scores(ds), pruned, config, 0.08)
+        table, decision, goals = certify(ds, arm_scores(ds), pruned, config, 0.08)
         assert set(table.certified_ids()) == {"g1@0.8", "g1@0.2"}
         assert decision == max(goals, key=goals.__getitem__)
         # true V1 is higher at the smaller cutoff
@@ -99,7 +105,7 @@ class TestFinalCertify:
         )
         ds = generate(4000, np.random.default_rng(4))
         pruned = [ThresholdPolicy("g5", 0.5), ThresholdPolicy("g1", 0.4)]
-        table, decision, goals = final_certify(ds, arm_scores(ds), pruned, config, 0.08)
+        table, decision, goals = certify(ds, arm_scores(ds), pruned, config, 0.08)
         assert goals["g5@0.5"] > goals["g1@0.4"]
         assert "g5@0.5" not in table.certified_ids()
         assert decision == "g1@0.5"
@@ -112,8 +118,8 @@ class TestFinalCertify:
         config = make_config(mode="asymptotic", n_sim=2000)
         scores = arm_scores(ds, fit_nuisance(ds, 5, np.random.default_rng(0)))
         pruned = [ThresholdPolicy("g1", 0.3)]
-        table, decision, _ = final_certify(ds, scores, pruned, config, 0.08, rng=make(6))
-        ref, ref_decision, _ = final_certify(
+        table, decision, _ = certify(ds, scores, pruned, config, 0.08, rng=make(6))
+        ref, ref_decision, _ = certify(
             ds, scores, pruned, config, 0.08, rng=np.random.default_rng(6)
         )
         assert table.meta["seed"] is None
@@ -125,7 +131,7 @@ class TestFinalCertify:
         ds = generate(400, np.random.default_rng(1))
         config = make_config(mode="asymptotic", n_sim=2000)
         scores = arm_scores(ds, fit_nuisance(ds, 5, np.random.default_rng(0)))
-        table, _, _ = final_certify(ds, scores, [ThresholdPolicy("g1", 0.3)], config, 0.08)
+        table, _, _ = certify(ds, scores, [ThresholdPolicy("g1", 0.3)], config, 0.08)
         assert table.method == "supt" and table.meta["seed"] is None
 
 
@@ -138,7 +144,7 @@ class TestSnplRun:
     def test_trace_reconstructs_decision(self):
         trace = self.run_once(eta=3)
         for r in trace.scan:
-            assert r.admitted == (r.margin + r.noise > trace.threshold_noise)
+            assert r.admitted == (r.margin + r.noise > trace.svt.threshold_noise)
         assert trace.pruned_ids == tuple(r.policy_id for r in trace.scan if r.admitted)
         assert set(trace.certified_ids) <= set(trace.pruned_ids)
         if trace.pruned_ids:
@@ -164,9 +170,9 @@ class TestSnplRun:
     def test_noise_scales(self):
         trace = self.run_once(eta=3)
         eps = 0.1 / math.sqrt(400.0)
-        assert trace.epsilon == pytest.approx(eps)
-        assert trace.threshold_scale == pytest.approx(2.0 * trace.B * 3 / eps)
-        assert trace.query_scale == pytest.approx(2.0 * trace.threshold_scale)
+        assert trace.svt.epsilon == pytest.approx(eps)
+        assert trace.svt.threshold_scale == pytest.approx(2.0 * trace.svt.B * 3 / eps)
+        assert trace.svt.query_scale == pytest.approx(2.0 * trace.svt.threshold_scale)
 
     def test_baseline_excluded_from_scan(self):
         ds = generate(300, np.random.default_rng(101))
@@ -177,25 +183,25 @@ class TestSnplRun:
 
     def test_eta_sources(self):
         explicit = self.run_once(eta=4)
-        assert explicit.eta == 4 and explicit.eta_source == "user"
+        assert explicit.svt.eta == 4 and explicit.svt.eta_source == "user"
         derived = self.run_once()
-        assert derived.eta_source == "heuristic"
-        assert derived.eta == eta_heuristic(0.1, derived.alpha_prime, 5, 2, 0.5)
+        assert derived.svt.eta_source == "heuristic"
+        assert derived.svt.eta == eta_heuristic(0.1, derived.svt.alpha_prime, 5, 2, 0.5)
 
     def test_b_floor_enforced(self):
         ref = self.run_once(eta=3)
         with pytest.raises(ValueError, match="below the sensitivity floor"):
-            self.run_once(eta=3, B=ref.B_floor / 2.0)
+            self.run_once(eta=3, B=ref.svt.B_floor / 2.0)
 
     def test_b_override_above_floor(self):
         ref = self.run_once(eta=3)
-        trace = self.run_once(eta=3, B=ref.B_floor * 2.0)
-        assert trace.B == pytest.approx(ref.B_floor * 2.0)
-        assert trace.threshold_scale == pytest.approx(2.0 * ref.threshold_scale)
+        trace = self.run_once(eta=3, B=ref.svt.B_floor * 2.0)
+        assert trace.svt.B == pytest.approx(ref.svt.B_floor * 2.0)
+        assert trace.svt.threshold_scale == pytest.approx(2.0 * ref.svt.threshold_scale)
 
     def test_epsilon_override(self):
         trace = self.run_once(eta=3, epsilon=0.05)
-        assert trace.epsilon == 0.05
+        assert trace.svt.epsilon == 0.05
 
     def test_scan_margins_match_in_loop_bounds(self):
         # finite in-loop bounds: the Bernstein table at alpha' with |Pi~|
@@ -204,9 +210,9 @@ class TestSnplRun:
         config = make_config(eta=3)
         trace = snpl_run(ds, small_class(), config, seed=3)
         table = influence_table(ds, arm_scores(ds), small_class(), config.spec, config.baseline)
-        loop = finite_bounds(table, config.spec, trace.alpha_prime, assumed_class_size=3)
+        loop = finite_bounds(table, config.spec, trace.svt.alpha_prime, assumed_class_size=3)
         assert loop.meta["log_term"] == pytest.approx(
-            math.log(3.0 * 3 * 2 / (2.0 * trace.alpha_prime)), abs=1e-12
+            math.log(3.0 * 3 * 2 / (2.0 * trace.svt.alpha_prime)), abs=1e-12
         )
         assert any(r.admitted for r in trace.scan[:-1])
         for r in trace.scan:
@@ -217,7 +223,7 @@ class TestSnplRun:
         b = self.run_once(seed=9, eta=3)
         assert a.to_json_dict() == b.to_json_dict()
         c = self.run_once(seed=10, eta=3)
-        assert c.threshold_noise != a.threshold_noise
+        assert c.svt.threshold_noise != a.svt.threshold_noise
 
     def test_seed_tuple_recorded(self):
         ds = generate(200, np.random.default_rng(102))
@@ -229,7 +235,7 @@ class TestSnplRun:
     def test_trace_json_serializable(self):
         trace = self.run_once(eta=3)
         blob = json.dumps(trace.to_json_dict(), sort_keys=True)
-        assert '"schema_version": 1' in blob
+        assert '"schema_version": 2' in blob
 
     def test_asymptotic_mode_runs(self):
         trace = self.run_once(eta=2, mode="asymptotic", n_sim=5000)
@@ -240,7 +246,7 @@ class TestSnplRun:
         ds = generate(300, np.random.default_rng(103))
         config = make_config(mode="asymptotic", in_loop="supt", eta=2, n_sim=2000)
         trace = snpl_run(ds, small_class(), config, seed=4)
-        assert trace.in_loop == "supt"
+        assert trace.svt.in_loop == "supt"
         assert len(trace.pruned_ids) <= 2
 
     def test_supt_scan_margins_match_in_loop_bounds(self):
@@ -262,7 +268,7 @@ class TestSnplRun:
         for r in trace.scan:
             joint = pruned + [by_id[r.policy_id]]
             table = influence_table(ds, scores, joint, config.spec, config.baseline)
-            bt = asymptotic_bounds(table, config.spec, trace.alpha_prime, 1000, r_loop)
+            bt = asymptotic_bounds(table, config.spec, trace.svt.alpha_prime, 1000, r_loop)
             assert r.margin == pytest.approx(bt.min_margin(r.policy_id), abs=1e-12)
             if r.admitted:
                 pruned.append(by_id[r.policy_id])
@@ -337,7 +343,7 @@ class TestAsymptoticCrossCheck:
             eta = user_eta or eta_heuristic(
                 spec.alpha, aprime, len(candidates), spec.s_count, 0.5
             )
-            assert trace.alpha_prime == aprime and trace.eta == eta
+            assert trace.svt.alpha_prime == aprime and trace.svt.eta == eta
 
             # scan margins: Bonferroni-normal at alpha' with |Pi~| = eta
             nuis = fit_nuisance(ds, config.hyper.folds, r_nuis)
@@ -347,13 +353,13 @@ class TestAsymptoticCrossCheck:
 
             # SVT: one threshold draw, one noise per scanned candidate in
             # declared order, stopping at the eta-th admission
-            v = laplace(trace.threshold_scale, r_svt)
-            assert trace.threshold_noise == v
+            v = laplace(trace.svt.threshold_scale, r_svt)
+            assert trace.svt.threshold_noise == v
             pruned = []
             for rec, pol in zip(trace.scan, candidates):
                 assert rec.policy_id == pol.policy_id
                 assert rec.margin == pytest.approx(loop.min_margin(pol.policy_id), abs=1e-12)
-                assert rec.noise == laplace(trace.query_scale, r_svt)
+                assert rec.noise == laplace(trace.svt.query_scale, r_svt)
                 assert rec.admitted == (rec.margin + rec.noise > v)
                 if rec.admitted:
                     pruned.append(pol)
@@ -407,20 +413,20 @@ class TestThreeArmCrossCheck:
                 np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(4)
             )
             aprime = delta_star(spec.alpha, n, 0.1 / math.sqrt(n))[1]
-            assert trace.alpha_prime == aprime and trace.class_size == len(policies)
+            assert trace.svt.alpha_prime == aprime and trace.class_size == len(policies)
 
             nuis = fit_nuisance(ds, config.hyper.folds, r_nuis) if mode == "asymptotic" else None
             scores = arm_scores(ds, nuis)
             table = influence_table(ds, scores, policies, spec, baseline)
             loop = loop_bounds(table, spec, aprime, assumed_class_size=2)
 
-            v = laplace(trace.threshold_scale, r_svt)
-            assert trace.threshold_noise == v
+            v = laplace(trace.svt.threshold_scale, r_svt)
+            assert trace.svt.threshold_noise == v
             pruned = []
             for rec, pol in zip(trace.scan, policies):
                 assert rec.policy_id == pol.policy_id
                 assert rec.margin == pytest.approx(loop.min_margin(pol.policy_id), abs=1e-12)
-                assert rec.noise == laplace(trace.query_scale, r_svt)
+                assert rec.noise == laplace(trace.svt.query_scale, r_svt)
                 assert rec.admitted == (rec.margin + rec.noise > v)
                 if rec.admitted:
                     pruned.append(pol)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from snpl.baselines import BaselineTrace, SplitPlan, bonferroni_run, hcpi_run
+from snpl.baselines import bonferroni_run, hcpi_run
 from snpl.bounds import (
     asymptotic_bounds,
     bonferroni_normal_bounds,
@@ -9,7 +9,7 @@ from snpl.bounds import (
     normal_quantile,
 )
 from conftest import tabular_generate, three_arm_class, three_arm_generate
-from snpl.core import Dataset, Hyperparams, SafetySpec, TabularPropensity
+from snpl.core import Dataset, Hyperparams, SafetySpec, TabularPropensity, Trace
 from snpl.estimators import arm_scores, dr_value, fit_nuisance, influence_table
 from snpl.synthetic import ThresholdPolicy, build_class, default_baseline, generate
 
@@ -28,11 +28,7 @@ def subset(dataset: Dataset, rows) -> Dataset:
     )
 
 
-class TestSplitPlan:
-    def test_disjointness_enforced(self):
-        with pytest.raises(ValueError, match="disjoint"):
-            SplitPlan(rho=0.5, learning=(0, 1), testing=(1, 2))
-
+class TestSplit:
     def test_even_split_arithmetic(self):
         ds = generate(1000, np.random.default_rng(0))
         trace = hcpi_run(
@@ -49,7 +45,8 @@ class TestSplitPlan:
             rho=0.25, mode="finite", seed=2,
         )
         assert len(trace.split.learning) == 2  # floor(0.25 * 11)
-        assert sorted(trace.split.learning + trace.split.testing) == list(range(11))
+        rows = np.concatenate([trace.split.learning, trace.split.testing])
+        assert sorted(rows.tolist()) == list(range(11))
 
 
 class TestHcpi:
@@ -163,7 +160,7 @@ class TestHcpi:
         b = hcpi_run(*args, rho=0.5, mode="finite", seed=11)
         assert a.to_json_dict() == b.to_json_dict()
         c = hcpi_run(*args, rho=0.5, mode="finite", seed=12)
-        assert c.split.learning != a.split.learning
+        assert not np.array_equal(c.split.learning, a.split.learning)
 
 
 class TestBonferroni:
@@ -225,7 +222,7 @@ class TestBonferroni:
             ds, [ThresholdPolicy("g1", 0.2)], two_guardrails(), default_baseline(),
             "finite", seed=18,
         )
-        assert isinstance(trace, BaselineTrace)
+        assert isinstance(trace, Trace)
         assert trace.method == "bonferroni"
         assert trace.split is None and trace.selected_id is None
         blob = trace.to_json_dict()
@@ -305,8 +302,8 @@ class TestAsymptoticCrossCheck:
             perm = r_split.permutation(ds.n)
             n_learn = int(rho * ds.n)
             learn, test = np.sort(perm[:n_learn]), np.sort(perm[n_learn:])
-            assert trace.split.learning == tuple(learn)
-            assert trace.split.testing == tuple(test)
+            np.testing.assert_array_equal(trace.split.learning, learn)
+            np.testing.assert_array_equal(trace.split.testing, test)
 
             # learning split: per-policy Bonferroni-normal over S only, then
             # f(pi) = V_g if M'(pi) >= 0 else M'(pi), first argmax

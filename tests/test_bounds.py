@@ -190,13 +190,16 @@ class TestSupTQuantile:
 
 
 def one_shot_supt(cov, level, n_sim, gen):
-    """The unblocked sup-t quantile: every draw in one (n_sim, d) array."""
+    """The unblocked sup-t quantile: every draw in one (n_sim, d) array,
+    with the documented relative eigenvalue floor (lambda <= d eps
+    lambda_max counts as 0)."""
     cov = np.asarray(cov, dtype=float)
     diag = np.diag(cov)
     active = _active(diag)
     sub = cov[np.ix_(active, active)]
     lam, vec = np.linalg.eigh(sub)
-    root = vec * np.sqrt(np.maximum(lam, 0.0))
+    floor = sub.shape[0] * np.finfo(float).eps * lam.max()
+    root = vec * np.sqrt(np.where(lam > floor, lam, 0.0))
     draws = gen.standard_normal((n_sim, root.shape[0])) @ root.T
     stats = (draws / np.sqrt(diag[active])).min(axis=1)
     k = math.ceil(level * n_sim)
@@ -255,6 +258,18 @@ class TestSupTBlockedDraws:
         rows = max(1, _BLOCK // int(_active(np.diag(cov)).sum()))
         for n_sim in (rows + 1, 100_000):
             self.check(cov, 0.1, n_sim, seed=d)
+
+    @pytest.mark.parametrize("d", [20, 41])
+    def test_one_ulp_on_duplicate_columns_keeps_z_star(self, d):
+        # duplicate columns leave eigenvalues of about +-1e-16 that a one-ulp
+        # change of one covariance entry reshuffles; under the relative
+        # floor they count as zero, so z* moves by rounding only (by about
+        # 1e-9 with max(lambda, 0))
+        cov = duplicated_cov(d, seed=d + 1)
+        bumped = cov.copy()
+        bumped[0, -1] = bumped[-1, 0] = np.nextafter(cov[0, -1], np.inf)
+        z = supt_quantile(cov, 0.1, 20_000, 3).z_star
+        assert supt_quantile(bumped, 0.1, 20_000, 3).z_star == pytest.approx(z, abs=1e-12)
 
     def test_stream_continues_across_calls(self):
         # a reused generator (the supt scan's loop stream) draws the same

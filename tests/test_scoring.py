@@ -37,18 +37,47 @@ def run(method, dataset, mode, in_loop="bonferroni-normal"):
     ),
 )
 def test_arm_scores_once_per_dataset(monkeypatch, mode, method, in_loop, calls):
-    real, seen = estimators.arm_scores, []
+    seen = count_calls(monkeypatch, "arm_scores")
+    run(method, generate(600, np.random.default_rng(7)), mode, in_loop)
+    assert len(seen) == calls
+
+
+def count_calls(monkeypatch, name):
+    """Counts calls of an ``estimators`` function at every module that binds
+    it, as the perfbench tracer patches."""
+    real, seen = getattr(estimators, name), []
 
     def counting(*args, **kwargs):
         seen.append(1)
         return real(*args, **kwargs)
 
-    # every module that binds the function, as the perfbench tracer patches
-    for mod in [m for name, m in sys.modules.items() if name.startswith("snpl")]:
-        if getattr(mod, "arm_scores", None) is real:
-            monkeypatch.setattr(mod, "arm_scores", counting)
-    run(method, generate(600, np.random.default_rng(7)), mode, in_loop)
-    assert len(seen) == calls
+    for mod in [m for key, m in sys.modules.items() if key.startswith("snpl")]:
+        if getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, counting)
+    return seen
+
+
+@pytest.mark.parametrize("mode", ("finite", "asymptotic"))
+@pytest.mark.parametrize("method", ("snpl", "bonferroni", "ds"))
+def test_each_policy_contracted_once(monkeypatch, mode, method):
+    # one baseline contraction inside class_stats, then the influence
+    # table's baseline and one per policy it holds (pruned, certified or
+    # selected); goal values come from those same contractions
+    seen = count_calls(monkeypatch, "policy_scores")
+    spec = SafetySpec(goal=1, guardrails=(1, 2), weights=(-0.9, -0.9), alpha=0.1)
+    policies, baseline = build_class(4), default_baseline()
+    ds = generate(3000, np.random.default_rng(7))
+    if method == "snpl":
+        trace = snpl_run(ds, policies, SnplConfig(spec, HYPER, mode, baseline), seed=1)
+        table = trace.pruned_ids
+    elif method == "bonferroni":
+        trace = bonferroni_run(ds, policies, spec, baseline, mode, HYPER, seed=1)
+        table = trace.certified_ids
+    else:
+        trace = hcpi_run(ds, policies, spec, baseline, 0.5, mode, HYPER, seed=1)
+        table = (trace.selected_id,)
+    assert len(table) >= 1
+    assert len(seen) == 2 + len(table)
 
 
 @pytest.mark.parametrize(
