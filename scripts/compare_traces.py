@@ -48,6 +48,7 @@ SHAPES = {
     "mid": ("asymptotic", 100, 500, 40, 1, "bonferroni-normal"),
     "finite": ("finite", 100, 2000, 20, 2, "bonferroni-normal"),
     "supt": ("asymptotic", 20, 400, 10, 3, "supt"),
+    "large-n": ("asymptotic", 2, 50_000, 5, 4, "bonferroni-normal"),
 }
 
 # name: (mode, grid_size, n, seed, senses, weights)

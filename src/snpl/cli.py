@@ -11,7 +11,7 @@ import os
 import sys
 
 from .harness import (
-    ConfigError,
+    check_threshold_class_fits,
     emit_bounds_scatter,
     load_config,
     read_dataset_csv,
@@ -70,8 +70,7 @@ def main(argv=None) -> int:
         if args.command == "bounds-scatter":
             config = load_config(args.config)
             dataset = read_dataset_csv(args.data, config)
-            if dataset.covariates.shape[1] < 3:
-                raise ConfigError("the built-in threshold policy class needs columns x1..x3")
+            check_threshold_class_fits(dataset)
             emit_bounds_scatter(dataset, build_class(config.grid_size), config, args.out)
             return 0
     except ValueError as err:  # ConfigError included; library validation too

@@ -55,8 +55,20 @@ def fit_nuisance(dataset: Dataset, folds: int, rng: np.random.Generator) -> Nuis
     """OLS of each outcome on [1, X], per arm, per fold-complement.
 
     Fold assignment is a uniform random permutation split into near-equal
-    blocks. A singular design matrix falls back to ridge with penalty 1e-8
-    (warned); an empty (arm, fold-complement) training cell is an error.
+    blocks. The rows are read once: each (fold, arm) block of [1, X, Y] is
+    reduced to the R factor of its QR decomposition, and the model of a
+    fold-complement is the least-squares solution on the complement's
+    stacked R factors, a system of at most (F-1)(d+1+d_Y) rows. Since
+    [Z Y] and the stacked factors have the same Gram matrix, this is the
+    training-row OLS problem with the same singular values, solved without
+    forming Z'Z (which would square the condition number). The cost is
+    O(n (d+1+d_Y)^2) for the factors, once, plus a solve per cell that does
+    not grow with n.
+
+    A cell's rank is counted as in ``lstsq`` on its m training rows: singular
+    values above eps * max(m, d+1) times the largest. A singular design
+    matrix falls back to ridge with penalty 1e-8 (warned); an empty (arm,
+    fold-complement) training cell and an action outside 1..K are errors.
     """
     if folds < 2:
         raise ValueError("folds must be >= 2")
@@ -64,33 +76,50 @@ def fit_nuisance(dataset: Dataset, folds: int, rng: np.random.Generator) -> Nuis
     if folds > n:
         raise ValueError("more folds than observations")
     X, A, Y = dataset.covariates, dataset.actions, dataset.outcomes
-    d = X.shape[1]
-    Z = np.column_stack([np.ones(n), X])
+    bad = (A < 1) | (A > K)  # an out-of-range action would land in another cell
+    if bad.any():
+        raise ValueError(f"action out of range at row {int(np.argmax(bad))}")
+    p = X.shape[1] + 1
 
     fold_of = np.empty(n, dtype=np.int64)
     for f, block in enumerate(np.array_split(rng.permutation(n), folds)):
         fold_of[block] = f
+    # Rows grouped by cell g = (fold, arm) = f*K + k, in index order within
+    # a cell; a key of at most 16 bits makes the stable sort a radix sort.
+    cell = (fold_of * K + A - 1).astype(np.min_scalar_type(folds * K - 1))
+    order = np.argsort(cell, kind="stable")
+    counts = np.bincount(cell, minlength=folds * K)
+    edge = np.concatenate([[0], np.cumsum(counts)])
+    M = np.empty((n, p + d_Y))  # [1, X, Y], rows in cell order
+    M[:, 0] = 1.0
+    M[:, 1:p] = X.take(order, axis=0)
+    M[:, p:] = Y.take(order, axis=0)
+    R = [np.linalg.qr(M[edge[g] : edge[g + 1]], mode="r") for g in range(folds * K)]
 
-    coef = np.empty((folds, K, d_Y, d + 1))
-    mu = np.empty((n, K, d_Y))
+    coef = np.empty((folds, K, d_Y, p))
+    pred = np.empty((n, K, d_Y))  # rows in cell order
+    eps = np.finfo(float).eps
     for f in range(folds):
-        train = fold_of != f
-        hold = ~train
         for k in range(K):
-            rows = train & (A == k + 1)
-            if not rows.any():
+            rows = counts[k::K].sum() - counts[f * K + k]
+            if rows == 0:
                 raise ValueError(f"empty training cell: fold {f}, arm {k + 1}")
-            Zr, Yr = Z[rows], Y[rows]
-            beta, _, rank, _ = np.linalg.lstsq(Zr, Yr, rcond=None)
-            if rank < d + 1:
+            S = np.vstack([R[g * K + k] for g in range(folds) if g != f])
+            Sz, Sy = S[:, :p], S[:, p:]
+            beta, _, rank, _ = np.linalg.lstsq(Sz, Sy, rcond=eps * max(rows, p))
+            if rank < p:
                 warnings.warn(
                     f"singular design matrix (fold {f}, arm {k + 1}); "
                     f"using ridge penalty {RIDGE_PENALTY}"
                 )
-                G = Zr.T @ Zr + RIDGE_PENALTY * np.eye(d + 1)
-                beta = np.linalg.solve(G, Zr.T @ Yr)
+                G = Sz.T @ Sz + RIDGE_PENALTY * np.eye(p)
+                beta = np.linalg.solve(G, Sz.T @ Sy)
             coef[f, k] = beta.T
-            mu[hold, k, :] = np.clip(Z[hold] @ beta, 0.0, 1.0)
+        hold = slice(edge[f * K], edge[(f + 1) * K])
+        pred[hold] = (M[hold, :p] @ coef[f].reshape(K * d_Y, p).T).reshape(-1, K, d_Y)
+    place = np.empty(n, dtype=np.int64)  # row i sits at place[i] in cell order
+    place[order] = np.arange(n)
+    mu = np.clip(pred, 0.0, 1.0, out=pred).take(place, axis=0)
     return NuisanceModel(coef=coef, fold_of=fold_of, mu=mu)
 
 

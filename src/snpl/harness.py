@@ -43,6 +43,7 @@ __all__ = [
     "BenchmarkReport",
     "run_benchmark",
     "run_single",
+    "check_threshold_class_fits",
     "emit_bounds_scatter",
     "write_dataset_csv",
     "read_dataset_csv",
@@ -454,18 +455,24 @@ def write_truth_csv(truth, path: str) -> None:
 
 
 def write_dataset_csv(dataset: Dataset, path: str) -> None:
-    """Header x1..xd,a,y1..yd_Y; actions as integers, floats to 6 decimals."""
+    """Header x1..xd,a,y1..yd_Y, plus e1..eK when the propensities are
+    tabular; actions as integers, covariates and outcomes to 6 decimals,
+    propensities at full precision (they enter the scores as 1/e)."""
     d_x = dataset.covariates.shape[1]
     d_y = dataset.outcomes.shape[1]
+    tabular = isinstance(dataset.propensity, TabularPropensity)
+    e_cols = [f"e{k+1}" for k in range(dataset.n_actions)] if tabular else []
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
-            [f"x{i+1}" for i in range(d_x)] + ["a"] + [f"y{j+1}" for j in range(d_y)]
+            [f"x{i+1}" for i in range(d_x)] + ["a"] + [f"y{j+1}" for j in range(d_y)] + e_cols
         )
         for i in range(dataset.n):
             row = [f"{v:.6f}" for v in dataset.covariates[i]]
             row.append(str(int(dataset.actions[i])))
             row.extend(f"{v:.6f}" for v in dataset.outcomes[i])
+            if tabular:
+                row.extend(repr(float(v)) for v in dataset.propensity.values[i])
             writer.writerow(row)
 
 
@@ -544,6 +551,18 @@ def write_gamma_grid_csv(path: str, alpha_steps: int = 50, gamma_steps: int = 80
                 writer.writerow([f"{a:.6g}", f"{g:.6g}", f"{ratios[i, j]:.6g}"])
 
 
+def check_threshold_class_fits(dataset: Dataset) -> None:
+    """Raises ConfigError unless the built-in threshold class can act on the
+    dataset: it reads columns x1..x3 and chooses between two actions."""
+    if dataset.covariates.shape[1] < 3:
+        raise ConfigError("the built-in threshold policy class needs columns x1..x3")
+    if dataset.n_actions != 2:
+        raise ConfigError(
+            f"the built-in threshold policy class is two-action; the data has "
+            f"{dataset.n_actions} actions"
+        )
+
+
 def run_single(data_path: str, config_path: str, out_path: str) -> int:
     """Applies the configured method (the first entry of `methods`) to a
     CSV dataset and writes the trace JSON. Returns 0 when the decision is
@@ -551,8 +570,7 @@ def run_single(data_path: str, config_path: str, out_path: str) -> int:
     CLI to map to exit code 2."""
     config = load_config(config_path)
     dataset = read_dataset_csv(data_path, config)
-    if dataset.covariates.shape[1] < 3:
-        raise ConfigError("the built-in threshold policy class needs columns x1..x3")
+    check_threshold_class_fits(dataset)
     spec = config.spec()
     if max(max(spec.guardrails), spec.goal) > dataset.n_outcomes:
         raise ConfigError("guardrail or goal index exceeds outcome count")

@@ -1,10 +1,14 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snpl.core import ConstantPropensity, LoggingPolicy, SafetySpec, UniformPolicy
+from snpl.core import ConstantPropensity, Dataset, LoggingPolicy, SafetySpec, UniformPolicy
 from snpl.estimators import (
+    RIDGE_PENALTY,
     InfluenceTable,
     NuisanceModel,
     arm_scores,
@@ -15,9 +19,9 @@ from snpl.estimators import (
     ipw_value,
     policy_scores,
 )
-from snpl.synthetic import ThresholdPolicy
+from snpl.synthetic import ThresholdPolicy, generate
 
-from conftest import make_dataset, random_dataset
+from conftest import make_dataset, random_dataset, three_arm_generate
 
 
 def zero_nuisance(dataset) -> NuisanceModel:
@@ -106,10 +110,166 @@ class TestNuisance:
         with pytest.raises(ValueError, match="empty training cell"):
             fit_nuisance(ds, 2, np.random.default_rng(10))
 
+    @pytest.mark.parametrize("action", [0, 3])
+    def test_out_of_range_action_rejected(self, action):
+        rng = np.random.default_rng(11)
+        A = rng.integers(1, 3, size=40)
+        A[5] = action
+        ds = make_dataset(rng.random((40, 2)), A, rng.random((40, 1)))
+        for seed in range(4):  # row 5 in each fold, the last one included
+            with pytest.raises(ValueError, match="action out of range at row 5"):
+                fit_nuisance(ds, 4, np.random.default_rng(seed))
+
     def test_more_folds_than_rows_rejected(self):
         ds = make_dataset([[0.1], [0.2]], [1, 2], [[0.5], [0.5]])
         with pytest.raises(ValueError, match="more folds than observations"):
             fit_nuisance(ds, 5, np.random.default_rng(0))
+
+
+def reference_fit(dataset, folds: int, rng: np.random.Generator) -> NuisanceModel:
+    """The per-cell fit ``fit_nuisance`` replaced: for each fold and arm,
+    boolean masks over all rows, ``lstsq`` on the copied training rows
+    (ridge when rank-deficient) and a masked write of the held-out
+    predictions."""
+    n, K, d_Y = dataset.n, dataset.n_actions, dataset.n_outcomes
+    X, A, Y = dataset.covariates, dataset.actions, dataset.outcomes
+    d = X.shape[1]
+    Z = np.column_stack([np.ones(n), X])
+    fold_of = np.empty(n, dtype=np.int64)
+    for f, block in enumerate(np.array_split(rng.permutation(n), folds)):
+        fold_of[block] = f
+    coef = np.empty((folds, K, d_Y, d + 1))
+    mu = np.empty((n, K, d_Y))
+    for f in range(folds):
+        train = fold_of != f
+        hold = ~train
+        for k in range(K):
+            rows = train & (A == k + 1)
+            if not rows.any():
+                raise ValueError(f"empty training cell: fold {f}, arm {k + 1}")
+            Zr, Yr = Z[rows], Y[rows]
+            beta, _, rank, _ = np.linalg.lstsq(Zr, Yr, rcond=None)
+            if rank < d + 1:
+                warnings.warn(
+                    f"singular design matrix (fold {f}, arm {k + 1}); "
+                    f"using ridge penalty {RIDGE_PENALTY}"
+                )
+                G = Zr.T @ Zr + RIDGE_PENALTY * np.eye(d + 1)
+                beta = np.linalg.solve(G, Zr.T @ Yr)
+            coef[f, k] = beta.T
+            mu[hold, k, :] = np.clip(Z[hold] @ beta, 0.0, 1.0)
+    return NuisanceModel(coef=coef, fold_of=fold_of, mu=mu)
+
+
+def error_scales(Z, Y, beta, ridge: bool):
+    """Float64 error scales of coefficients beta that a backward-stable
+    solver finds on training design Z and outcomes Y, one per right singular
+    vector v_j of Z (the rows of the returned Vt): with singular values s_j
+    (0 past the rank), residual r and a perturbation of Z of relative size
+    eps, beta moves along v_j by about eps s_1 (|r| / s_j^2 + |beta| / s_j)
+    for least squares and eps s_1 (|r| + s_1 |beta|) / (s_j^2 + penalty) for
+    the ridge fallback. Two such solvers differ by about this much."""
+    eps = np.finfo(float).eps
+    _, s, Vt = np.linalg.svd(Z, full_matrices=len(Z) < Z.shape[1])
+    s = np.concatenate([s, np.zeros(len(Vt) - len(s))])
+    r, b = np.linalg.norm(Y - Z @ beta), np.linalg.norm(beta)
+    if ridge:
+        return Vt, eps * s[0] * (r + s[0] * b) / (s**2 + RIDGE_PENALTY)
+    return Vt, eps * s[0] * (r / s**2 + b / s)
+
+
+def fit_recording_warnings(fit, dataset, folds: int, seed: int):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        model = fit(dataset, folds, np.random.default_rng(seed))
+    return model, [str(w.message) for w in caught]
+
+
+def offset_covariates(offset: float) -> Dataset:
+    ds = generate(2000, np.random.default_rng(6))
+    return Dataset(ds.covariates + offset, ds.actions, ds.outcomes, ds.propensity)
+
+
+def intercept_duplicate() -> Dataset:
+    rng = np.random.default_rng(5)
+    X = np.column_stack([np.ones(300), rng.random(300)])
+    return make_dataset(X, rng.integers(1, 3, size=300), rng.random((300, 2)))
+
+
+def near_collinear() -> Dataset:
+    """x2 = x1 + 2e-13 u: the smallest singular value of [1, X] is ~3e-14 of
+    the largest, under lstsq's cut-off eps * max(rows, cols) on ~800
+    training rows (1.8e-13) and over it on the 20 stacked R-factor rows
+    (4.4e-15), so only the training-row rule finds these cells singular."""
+    rng = np.random.default_rng(7)
+    x1 = rng.random(2000)
+    X = np.column_stack([x1, x1 + 2e-13 * rng.random(2000)])
+    return make_dataset(X, rng.integers(1, 3, size=2000), rng.random((2000, 2)))
+
+
+# name: (dataset builder, folds)
+REFERENCE_CASES = {
+    "generate-50k": (lambda: generate(50_000, np.random.default_rng(0)), 5),
+    "three-arm-tabular": (lambda: three_arm_generate(3000, np.random.default_rng(1)), 5),
+    "one-outcome": (lambda: random_dataset(np.random.default_rng(2), 400, d_y=1), 5),
+    # (fold, arm) blocks of 0-2 rows, fewer than the 5 columns of [1, X, Y]
+    "n10": (lambda: random_dataset(np.random.default_rng(3), 10), 5),
+    # training cells of ~4 rows against 5 coefficients: the ridge fallback
+    "n10-wide": (lambda: random_dataset(np.random.default_rng(4), 10, d_x=4), 5),
+    "intercept-duplicate": (intercept_duplicate, 5),
+    "near-collinear": (near_collinear, 5),
+    "offset-1e2": (lambda: offset_covariates(1e2), 5),
+    "offset-1e3": (lambda: offset_covariates(1e3), 5),
+    "offset-1e4": (lambda: offset_covariates(1e4), 5),
+}
+
+
+@pytest.mark.parametrize("case", list(REFERENCE_CASES))
+def test_fit_matches_reference(case):
+    """fit_nuisance against the masked-lstsq loop it replaced: the same
+    folds, the same warned cells (or the same error), and coef and mu within
+    1e-10 plus a hundred times the cell's error scales (``error_scales``),
+    which are below 1e-13 on a well-conditioned cell."""
+    build, folds = REFERENCE_CASES[case]
+    ds = build()
+    Z = np.column_stack([np.ones(ds.n), ds.covariates])
+    for seed in range(3):
+        try:
+            ref, ref_warned = fit_recording_warnings(reference_fit, ds, folds, seed)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=re.escape(str(err))):
+                fit_recording_warnings(fit_nuisance, ds, folds, seed)
+            continue
+        new, new_warned = fit_recording_warnings(fit_nuisance, ds, folds, seed)
+        assert np.array_equal(new.fold_of, ref.fold_of)
+        assert new_warned == ref_warned
+        ridge = {
+            tuple(int(v) for v in re.search(r"fold (\d+), arm (\d+)", w).groups())
+            for w in ref_warned
+        }
+        for f in range(folds):
+            hold = ref.fold_of == f
+            for k in range(ds.n_actions):
+                rows = ~hold & (ds.actions == k + 1)
+                Vt, scale = error_scales(
+                    Z[rows], ds.outcomes[rows], ref.coef[f, k].T, (f, k + 1) in ridge
+                )
+                coef_gap = np.abs(new.coef[f, k] - ref.coef[f, k]).max(axis=0)
+                assert np.all(coef_gap <= 1e-10 + 100 * np.abs(Vt.T) @ scale)
+                mu_gap = np.abs(new.mu[hold, k] - ref.mu[hold, k]).max(axis=1)
+                assert np.all(mu_gap <= 1e-10 + 100 * np.abs(Z[hold] @ Vt.T) @ scale)
+
+
+@pytest.mark.parametrize("offset", [1e2, 1e3, 1e4])
+def test_offset_covariates_keep_predictions(offset):
+    """A covariate offset makes [1, X] ill-conditioned; solving on the
+    stacked R factors keeps mu within 1e-10 of the reference, where a
+    Gram-matrix solve (condition number squared) drifts by ~1e-7 at 1e4."""
+    ds = offset_covariates(offset)
+    for seed in range(3):
+        new = fit_nuisance(ds, 5, np.random.default_rng(seed))
+        ref = reference_fit(ds, 5, np.random.default_rng(seed))
+        assert np.abs(new.mu - ref.mu).max() <= 1e-10
 
 
 class TestDr:

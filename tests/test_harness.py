@@ -25,6 +25,8 @@ from snpl.harness import (
 )
 from snpl.synthetic import generate, truth_table
 
+from conftest import three_arm_generate
+
 
 def tiny_config(**kwargs) -> BenchmarkConfig:
     base = dict(
@@ -257,6 +259,18 @@ class TestDatasetCsv:
         assert isinstance(ds.propensity, TabularPropensity)
         assert np.allclose(ds.propensity.values, [[0.4, 0.6], [0.3, 0.7]])
 
+    def test_tabular_propensity_round_trip(self, tmp_path):
+        ds = three_arm_generate(40, np.random.default_rng(3))
+        path = tmp_path / "d.csv"
+        write_dataset_csv(ds, str(path))
+        header = path.read_text().splitlines()[0]
+        assert header == "x1,x2,x3,a,y1,y2,e1,e2,e3"
+        # the config's constant vector must not replace the written columns
+        back = read_dataset_csv(str(path), tiny_config())
+        assert isinstance(back.propensity, TabularPropensity)
+        assert np.array_equal(back.propensity.values, ds.propensity.values)
+        assert np.array_equal(back.actions, ds.actions)
+
     def test_header_mismatch(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("x1,a,x2,y1\n0.1,1,0.2,0\n")
@@ -438,6 +452,28 @@ class TestCli:
         assert (out_dir / "report.json").exists()
         blob = json.loads((out_dir / "report.json").read_text())
         assert blob["results"][0]["method"] == "bonferroni"
+
+    @pytest.mark.parametrize("command", ["run", "bounds-scatter"])
+    @pytest.mark.parametrize(
+        "case, message",
+        [("three-arm", "two-action; the data has 3 actions"), ("two-covariate", "needs columns x1..x3")],
+    )
+    def test_data_the_threshold_class_cannot_use(self, tmp_path, capsys, command, case, message):
+        from snpl.cli import main
+
+        if case == "three-arm":
+            ds = three_arm_generate(60, np.random.default_rng(4))
+        else:
+            ds = generate(60, np.random.default_rng(5))
+            ds = Dataset(ds.covariates[:, :2], ds.actions, ds.outcomes, ds.propensity)
+        data = tmp_path / "d.csv"
+        write_dataset_csv(ds, str(data))
+        cpath = tmp_path / "c.json"
+        write_json(tiny_config(methods=("snpl",)).to_json_dict(), str(cpath))
+        out = tmp_path / "out"
+        code = main([command, "--data", str(data), "--config", str(cpath), "--out", str(out)])
+        assert code == 2 and not out.exists()
+        assert message in capsys.readouterr().err
 
     def test_bounds_scatter_command(self, tmp_path):
         from snpl.cli import main
