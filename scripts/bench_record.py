@@ -17,7 +17,8 @@ benchmark's ``run_seconds``. The file holds, per workload:
 - ``decisions_sha``, ops attempted and failed, for both runs;
 
 and, once, the git sha of ``--root``, whether its tracked files differed
-from that commit, a SHA-256 of its ``src/snpl/*.py``, the seed, the run
+from that commit, a SHA-256 of its ``src/snpl/*.py`` and their total line
+count (``src_lines``, as ``wc -l`` counts), the seed, the run
 length, the core count and the Python and numpy versions. Two records made
 on one host in one session compare a change with its parent.
 """
@@ -45,13 +46,24 @@ def _git(root: str, *args: str) -> str:
     ).stdout.strip()
 
 
+def _src_files(root: str) -> dict[str, bytes]:
+    out = {}
+    for path in sorted(glob.glob(os.path.join(root, "src", "snpl", "*.py"))):
+        with open(path, "rb") as fh:
+            out[os.path.basename(path)] = fh.read()
+    return out
+
+
 def _src_sha256(root: str) -> str:
     digest = hashlib.sha256()
-    for path in sorted(glob.glob(os.path.join(root, "src", "snpl", "*.py"))):
-        digest.update(os.path.basename(path).encode())
-        with open(path, "rb") as fh:
-            digest.update(fh.read())
+    for name, text in _src_files(root).items():
+        digest.update(name.encode())
+        digest.update(text)
     return digest.hexdigest()
+
+
+def _src_lines(root: str) -> int:
+    return sum(text.count(b"\n") for text in _src_files(root).values())
 
 
 def _perfbench(root: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -95,6 +107,7 @@ def record(root: str, seed: int, seconds: float | None) -> dict:
         "git_sha": _git(root, "rev-parse", "HEAD"),
         "git_dirty": bool(_git(root, "status", "--porcelain", "--untracked-files=no")),
         "src_sha256": _src_sha256(root),
+        "src_lines": _src_lines(root),
         "seed": seed,
         "seconds": seconds,
         "cores": os.cpu_count(),

@@ -4,10 +4,11 @@ select-then-gate decision (the pruned goal argmax is returned only when its
 own bounds certify).
 
 Mode ``finite`` pairs the IPW estimator with the empirical-Bernstein bounds;
-mode ``asymptotic`` pairs the cross-fitted DR estimator with sup-t bounds.
-Inside the loop, finite mode evaluates widths as if |pruned| = eta;
-asymptotic mode uses either a Bonferroni-normal quantile per candidate
-(default) or sup-t over pruned + candidate.
+mode ``asymptotic`` pairs the cross-fitted DR estimator with sup-t bounds
+(the pairing lives in ``bounds``). Inside the loop, finite mode evaluates
+widths as if |pruned| = eta; asymptotic mode uses either a Bonferroni-normal
+quantile per candidate (the default ``in_loop``) or sup-t over pruned +
+candidate.
 
 Cost: with the fixed-width bounds (finite, Bonferroni-normal), the margins of
 the whole class come from one ``class_stats`` call before the scan, which for
@@ -26,21 +27,19 @@ BLAS thread, about 85% of it in ``supt_quantile``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import (
     LowerBoundTable,
     asymptotic_bounds,
-    bernstein_widths,
-    finite_bounds,
+    check_mode,
+    joint_bounds,
     margins,
-    normal_widths,
+    union_widths,
 )
 from .classstats import class_stats
 from .core import (
-    MIN_N_SIM,
     Dataset,
     Hyperparams,
     Policy,
@@ -55,59 +54,43 @@ from .core import (
 from .estimators import InfluenceTable, influence_table, mode_scores
 from .stability import b_asymp, b_finite, delta_star, eta_heuristic, laplace
 
-__all__ = [
-    "SnplConfig",
-    "snpl_run",
-    "final_certify",
-]
-
-
-@dataclass(frozen=True)
-class SnplConfig:
-    spec: SafetySpec
-    hyper: Hyperparams
-    mode: str
-    baseline: Policy
-    in_loop: str = "bonferroni-normal"
-    loop_n_sim: int | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("finite", "asymptotic"):
-            raise ValueError("mode must be 'finite' or 'asymptotic'")
-        if self.in_loop not in ("bonferroni-normal", "supt"):
-            raise ValueError("in_loop must be 'bonferroni-normal' or 'supt'")
-        if self.loop_n_sim is not None and self.loop_n_sim < MIN_N_SIM:
-            raise ValueError(f"loop_n_sim must be >= {MIN_N_SIM}")
+__all__ = ["snpl_run", "final_certify"]
 
 
 def final_certify(
-    table: InfluenceTable, config: SnplConfig, level: float, rng=None
-) -> tuple[LowerBoundTable, str, dict]:
-    """Joint bounds over exactly the table's pruned x S columns at the given
-    level, then the select-then-gate decision: the pruned policy with the
-    largest estimated goal value (scan-order ties) is the sole candidate,
-    and it is returned only when every one of its margins is strictly
-    positive; otherwise the baseline. Returns (table, decision_id,
-    goal_values).
+    table: InfluenceTable, mode: str, level: float, n_sim: int, rng=None
+) -> tuple[LowerBoundTable, str, dict, tuple[str, ...]]:
+    """The select-then-gate step of snpl and of data splitting: the mode's
+    joint bounds over exactly the table's policies x S columns at the given
+    level (sup-t from n_sim draws of rng in asymptotic mode), then the
+    policy with the largest estimated goal value (first-listed on ties) is
+    the sole candidate, and it is returned only when every one of its
+    margins is strictly positive; otherwise the table's baseline. Returns
+    (bounds, decision_id, goal_values, certified_ids).
 
-    Certification is computed for the whole pruned set, so the trace still
-    records which policies would individually certify, but policies other
-    than the goal argmax are never returned even when they certify.
+    Bounds cover every listed policy, so certified_ids (``bounds.
+    certified_ids()``) names each policy that would certify on its own, but
+    no policy other than the goal argmax is ever returned.
     """
     if not table.policy_ids:
-        empty = LowerBoundTable(entries=(), method=config.mode, level=level, meta={})
-        return empty, config.baseline.policy_id, {}
-    if config.mode == "finite":
-        bt = finite_bounds(table, config.spec, level)
-    else:
-        bt = asymptotic_bounds(table, config.spec, level, config.hyper.n_sim, rng)
+        empty = LowerBoundTable(entries=(), method=mode, level=level, meta={})
+        return empty, table.baseline_id, {}, ()
+    bt = joint_bounds(table, mode, level, n_sim, rng)
     goal_values = dict(zip(table.policy_ids, table.goal.tolist()))
     pick = table.policy_ids[int(np.argmax(table.goal))]
-    decision = pick if bt.min_margin(pick) > 0.0 else config.baseline.policy_id
-    return bt, decision, goal_values
+    decision = pick if bt.min_margin(pick) > 0.0 else table.baseline_id
+    return bt, decision, goal_values, tuple(bt.certified_ids())
 
 
-def snpl_run(dataset: Dataset, policies: list[Policy], config: SnplConfig, seed=None) -> Trace:
+def snpl_run(
+    dataset: Dataset,
+    policies: list[Policy],
+    spec: SafetySpec,
+    baseline: Policy,
+    mode: str,
+    hyper: Hyperparams = Hyperparams(),
+    seed=0,
+) -> Trace:
     """Runs the full procedure and returns its trace.
 
     Steps: resolve delta* and alpha'(delta*); draw one noisy threshold
@@ -117,16 +100,16 @@ def snpl_run(dataset: Dataset, policies: list[Policy], config: SnplConfig, seed=
     return the admitted policy with the best estimated goal value if its own
     bounds certify, else the baseline.
     """
+    check_mode(mode)
     validate_dataset(dataset)
     if len(policies) == 0:
         raise ValueError("empty policy class")
-    seed_seq = normalize_seed(seed if seed is not None else config.hyper.seed)
+    seed_seq = normalize_seed(seed)
     rng_nuisance, rng_svt, rng_loop, rng_final = [
         np.random.default_rng(s) for s in seed_seq.spawn(4)
     ]
-    spec, hyper = config.spec, config.hyper
     n = dataset.n
-    candidates = [p for p in policies if p.policy_id != config.baseline.policy_id]
+    candidates = [p for p in policies if p.policy_id != baseline.policy_id]
 
     epsilon = hyper.epsilon if hyper.epsilon is not None else hyper.gamma / math.sqrt(n)
     dstar, aprime = delta_star(spec.alpha, n, epsilon)
@@ -138,7 +121,7 @@ def snpl_run(dataset: Dataset, policies: list[Policy], config: SnplConfig, seed=
         eta_source = "heuristic"
 
     xi = (2.0 + max(spec.weights)) / dataset.propensity.c
-    if config.mode == "finite":
+    if mode == "finite":
         floor = b_finite(n, xi, aprime)
     else:
         floor = b_asymp(n, xi, aprime, eta, spec.s_count)
@@ -152,19 +135,14 @@ def snpl_run(dataset: Dataset, policies: list[Policy], config: SnplConfig, seed=
     threshold_scale = 2.0 * B * eta / epsilon
     query_scale = 4.0 * B * eta / epsilon
 
-    scores = mode_scores(dataset, config.mode, hyper.folds, rng_nuisance)
+    scores = mode_scores(dataset, mode, hyper.folds, rng_nuisance)
 
-    loop_n_sim = config.loop_n_sim if config.loop_n_sim is not None else hyper.n_sim
-    supt_loop = config.mode == "asymptotic" and config.in_loop == "supt"
+    loop_n_sim = hyper.loop_n_sim if hyper.loop_n_sim is not None else hyper.n_sim
+    supt_loop = mode == "asymptotic" and hyper.in_loop == "supt"
     if candidates and not supt_loop:
         # Fixed-width in-loop bounds: |Pi~| = eta whatever the pruned set.
-        stats = class_stats(dataset, candidates, spec, config.baseline, scores)
-        if config.mode == "finite":
-            widths = bernstein_widths(
-                stats.variances, spec, aprime, eta, n, dataset.propensity.c
-            )
-        else:
-            widths = normal_widths(stats.variances, spec, aprime, eta, n)
+        stats = class_stats(dataset, candidates, spec, baseline, scores)
+        widths = union_widths(stats.variances, spec, mode, aprime, eta, n, dataset.propensity.c)
         scan_margins = margins(stats.means, widths, spec).min(axis=1)
 
     # SVT scan: one threshold draw, then one independent noise per scanned
@@ -175,7 +153,7 @@ def snpl_run(dataset: Dataset, policies: list[Policy], config: SnplConfig, seed=
     for i, pol in enumerate(candidates):
         if supt_loop:
             # Sup-t over the pruned set so far plus the candidate.
-            table = influence_table(dataset, scores, pruned + [pol], spec, config.baseline)
+            table = influence_table(dataset, scores, pruned + [pol], spec, baseline)
             bt = asymptotic_bounds(table, spec, aprime, loop_n_sim, rng_loop)
             margin = bt.min_margin(pol.policy_id)
         else:
@@ -188,23 +166,22 @@ def snpl_run(dataset: Dataset, policies: list[Policy], config: SnplConfig, seed=
             if len(pruned) == eta:
                 break
 
-    table = influence_table(dataset, scores, pruned, spec, config.baseline)
-    final_table, decision, goal_values = final_certify(table, config, aprime, rng_final)
-    certified = tuple(
-        pol.policy_id for pol in pruned if final_table.min_margin(pol.policy_id) > 0.0
+    table = influence_table(dataset, scores, pruned, spec, baseline)
+    final, decision, goal_values, certified = final_certify(
+        table, mode, aprime, hyper.n_sim, rng_final
     )
 
     return Trace(
         method="snpl",
-        mode=config.mode,
+        mode=mode,
         n=n,
         class_size=len(candidates),
-        baseline_id=config.baseline.policy_id,
+        baseline_id=baseline.policy_id,
         spec=spec,
         folds=hyper.folds,
         n_sim=hyper.n_sim,
         pruned_ids=tuple(p.policy_id for p in pruned),
-        final=final_table,
+        final=final,
         goal_values=goal_values,
         baseline_goal_value=table.baseline_goal,
         certified_ids=certified,
@@ -220,7 +197,7 @@ def snpl_run(dataset: Dataset, policies: list[Policy], config: SnplConfig, seed=
             B=B,
             B_floor=floor,
             p=hyper.p,
-            in_loop=config.in_loop,
+            in_loop=hyper.in_loop,
             loop_n_sim=loop_n_sim,
             threshold_scale=threshold_scale,
             query_scale=query_scale,

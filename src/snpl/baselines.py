@@ -14,15 +14,8 @@ import math
 
 import numpy as np
 
-from .bounds import (
-    LowerBoundTable,
-    asymptotic_bounds,
-    bernstein_widths,
-    bonferroni_normal_bounds,
-    finite_bounds,
-    margins,
-    normal_widths,
-)
+from .algorithm import final_certify
+from .bounds import LowerBoundTable, check_mode, margins, union_bounds, union_widths
 from .classstats import class_stats
 from .core import (
     Dataset,
@@ -55,17 +48,18 @@ def hcpi_run(
     policies: list[Policy],
     spec: SafetySpec,
     baseline: Policy,
-    rho: float,
     mode: str,
     hyper: Hyperparams = Hyperparams(),
-    seed=None,
+    seed=0,
+    *,
+    rho: float,
 ) -> Trace:
     """Algorithm: split rows into learning (floor(rho n)) and testing
     complements; on the learning split score every candidate by
     f(pi) = 1[M'(pi) >= 0] Vg_L(pi) + 1[M'(pi) < 0] M'(pi) and take the
     argmax; on the testing split re-certify the single selected policy
-    jointly over S at level alpha; return it iff the minimum bound is
-    strictly positive, else the baseline.
+    jointly over S at level alpha (``final_certify``); return it iff the
+    minimum bound is strictly positive, else the baseline.
 
     Learning-split bounds use level alpha with the full-class Bernstein
     correction (finite mode) or a per-policy Bonferroni-normal correction
@@ -73,9 +67,8 @@ def hcpi_run(
     the held-out test split supplies the guarantee, so no stability
     correction applies on either side of the split.
     """
+    check_mode(mode)
     validate_dataset(dataset)
-    if mode not in ("finite", "asymptotic"):
-        raise ValueError("mode must be 'finite' or 'asymptotic'")
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
     candidates = [p for p in policies if p.policy_id != baseline.policy_id]
@@ -85,7 +78,7 @@ def hcpi_run(
     n_learn = int(math.floor(rho * n))
     if n_learn < 1 or n - n_learn < 1:
         raise ValueError("both splits must be nonempty")
-    seed_seq = normalize_seed(seed if seed is not None else hyper.seed)
+    seed_seq = normalize_seed(seed)
     rng_split, rng_nuis_l, rng_nuis_t, rng_supt = [
         np.random.default_rng(s) for s in seed_seq.spawn(4)
     ]
@@ -101,12 +94,10 @@ def hcpi_run(
 
     scores_l = mode_scores(data_l, mode, hyper.folds, rng_nuis_l)
     stats = class_stats(data_l, candidates, spec, baseline, scores_l)
-    if mode == "finite":
-        widths = bernstein_widths(
-            stats.variances, spec, spec.alpha, len(candidates), data_l.n, data_l.propensity.c
-        )
-    else:
-        widths = normal_widths(stats.variances, spec, spec.alpha, 1, data_l.n)
+    class_size = len(candidates) if mode == "finite" else 1
+    widths = union_widths(
+        stats.variances, spec, mode, spec.alpha, class_size, data_l.n, data_l.propensity.c
+    )
     learn_margins = margins(stats.means, widths, spec).min(axis=1)
     f = np.where(learn_margins >= 0.0, stats.goal, learn_margins)
     pick = int(np.argmax(f))
@@ -114,12 +105,9 @@ def hcpi_run(
 
     scores_t = mode_scores(data_t, mode, hyper.folds, rng_nuis_t)
     table = influence_table(data_t, scores_t, [selected], spec, baseline)
-    if mode == "finite":
-        final = finite_bounds(table, spec, spec.alpha, assumed_class_size=1)
-    else:
-        final = asymptotic_bounds(table, spec, spec.alpha, hyper.n_sim, rng_supt)
-    passed = final.min_margin(selected.policy_id) > 0.0
-    decision = selected.policy_id if passed else baseline.policy_id
+    final, decision, goal_values, certified = final_certify(
+        table, mode, spec.alpha, hyper.n_sim, rng_supt
+    )
 
     return Trace(
         method=f"ds-{int(round(rho * 100))}",
@@ -132,9 +120,9 @@ def hcpi_run(
         n_sim=hyper.n_sim,
         pruned_ids=(),
         final=final,
-        goal_values={selected.policy_id: float(table.goal[0])},
+        goal_values=goal_values,
         baseline_goal_value=table.baseline_goal,
-        certified_ids=(selected.policy_id,) if passed else (),
+        certified_ids=certified,
         decision=decision,
         seed=seed_tuple(seed_seq),
         split=Split(rho=rho, learning=learn_rows, testing=test_rows),
@@ -150,30 +138,25 @@ def bonferroni_run(
     baseline: Policy,
     mode: str,
     hyper: Hyperparams = Hyperparams(),
-    seed=None,
+    seed=0,
 ) -> Trace:
     """Full-data union correction: every (policy, guardrail) bound at
     per-test level alpha / (|Pi| |S|); the decision is the goal-value
     argmax among policies whose every margin is strictly positive, or the
     baseline when none certify.
     """
+    check_mode(mode)
     validate_dataset(dataset)
-    if mode not in ("finite", "asymptotic"):
-        raise ValueError("mode must be 'finite' or 'asymptotic'")
     candidates = [p for p in policies if p.policy_id != baseline.policy_id]
     if not candidates:
         raise ValueError("empty policy class")
-    seed_seq = normalize_seed(seed if seed is not None else hyper.seed)
+    seed_seq = normalize_seed(seed)
     (nuis_seed,) = seed_seq.spawn(1)
     scores = mode_scores(dataset, mode, hyper.folds, np.random.default_rng(nuis_seed))
     stats = class_stats(dataset, candidates, spec, baseline, scores)
     m = len(candidates)
-    if mode == "finite":
-        widths = bernstein_widths(
-            stats.variances, spec, spec.alpha, m, dataset.n, dataset.propensity.c
-        )
-    else:
-        widths = normal_widths(stats.variances, spec, spec.alpha, m, dataset.n)
+    c = dataset.propensity.c
+    widths = union_widths(stats.variances, spec, mode, spec.alpha, m, dataset.n, c)
     min_margins = margins(stats.means, widths, spec).min(axis=1)
 
     certified_idx = [i for i in range(m) if min_margins[i] > 0.0]
@@ -187,10 +170,8 @@ def bonferroni_run(
     table = influence_table(dataset, scores, report, spec, baseline)
     if not report:
         final = LowerBoundTable(entries=(), method="bonferroni", level=spec.alpha, meta={})
-    elif mode == "finite":
-        final = finite_bounds(table, spec, spec.alpha, assumed_class_size=m)
     else:
-        final = bonferroni_normal_bounds(table, spec, spec.alpha, assumed_class_size=m)
+        final = union_bounds(table, mode, spec.alpha, m)
 
     return Trace(
         method="bonferroni",

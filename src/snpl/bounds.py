@@ -13,6 +13,12 @@ variances and means shaped (..., |S|): the table functions below apply them
 to influence tables, and the scan, the baselines and the bounds scatter
 apply them to class statistics.
 
+This module also owns the pairing of a guarantee mode with its bounds:
+``finite`` takes the empirical-Bernstein widths and tables, ``asymptotic``
+the Bonferroni-normal union widths and the sup-t joint tables.
+``check_mode`` is the one check of a mode name; ``union_widths``,
+``union_bounds`` and ``joint_bounds`` make the choice for the methods.
+
 Upper-sense guardrails are handled by negating into the lower-sense form:
 every entry carries both the sense-correct ``bound`` and the flipped
 ``margin`` (lower bound on the certified quantity; certify iff margin > 0).
@@ -42,6 +48,10 @@ __all__ = [
     "normal_widths",
     "supt_widths",
     "margins",
+    "check_mode",
+    "union_widths",
+    "union_bounds",
+    "joint_bounds",
 ]
 
 # Floats per block of sup-t draws (256 KB): one block of normals and one of
@@ -370,3 +380,46 @@ def bonferroni_normal_bounds(
             "n": table.n,
         },
     )
+
+
+def check_mode(mode: str) -> None:
+    """Raises ValueError unless ``mode`` is ``finite`` or ``asymptotic``."""
+    if mode not in ("finite", "asymptotic"):
+        raise ValueError("mode must be 'finite' or 'asymptotic'")
+
+
+def union_widths(
+    variances: np.ndarray,
+    spec: SafetySpec,
+    mode: str,
+    level: float,
+    class_size: int,
+    n: int,
+    c: float,
+) -> np.ndarray:
+    """The mode's union-corrected widths over |Pi~| = class_size:
+    ``bernstein_widths`` in finite mode (``c`` sets its range term),
+    ``normal_widths`` in asymptotic mode."""
+    if mode == "finite":
+        return bernstein_widths(variances, spec, level, class_size, n, c)
+    return normal_widths(variances, spec, level, class_size, n)
+
+
+def union_bounds(
+    table: InfluenceTable, mode: str, level: float, class_size: int
+) -> LowerBoundTable:
+    """The bound table of ``union_widths``: ``finite_bounds`` or
+    ``bonferroni_normal_bounds`` with |Pi~| = class_size."""
+    build = finite_bounds if mode == "finite" else bonferroni_normal_bounds
+    return build(table, table.spec, level, class_size)
+
+
+def joint_bounds(
+    table: InfluenceTable, mode: str, level: float, n_sim: int, rng
+) -> LowerBoundTable:
+    """The mode's joint bounds over exactly the table's columns:
+    ``finite_bounds`` in finite mode, ``asymptotic_bounds`` (n_sim sup-t
+    draws from rng) in asymptotic mode."""
+    if mode == "finite":
+        return finite_bounds(table, table.spec, level)
+    return asymptotic_bounds(table, table.spec, level, n_sim, rng)

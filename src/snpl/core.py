@@ -38,7 +38,7 @@ class PropensityModel:
     """Known logging propensities e(k, x) with positivity floor c.
 
     Subclasses implement ``matrix`` returning the (n, K) array of
-    probabilities for a covariate matrix; ``e`` evaluates a single pair.
+    probabilities for a covariate matrix.
     """
 
     n_actions: int
@@ -46,10 +46,6 @@ class PropensityModel:
 
     def matrix(self, covariates: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def e(self, action: int, x: np.ndarray) -> float:
-        row = self.matrix(np.asarray(x, dtype=float).reshape(1, -1))[0]
-        return float(row[action - 1])
 
 
 class ConstantPropensity(PropensityModel):
@@ -71,8 +67,8 @@ class ConstantPropensity(PropensityModel):
 class TabularPropensity(PropensityModel):
     """Per-row propensities supplied alongside the data (CSV columns e1..eK).
 
-    Only defined at the rows it was built from; general e(k, x) queries are
-    unsupported, which suffices for estimation on the same dataset.
+    Only defined at the rows it was built from, which suffices for
+    estimation on the same dataset.
     """
 
     def __init__(self, values: np.ndarray):
@@ -88,9 +84,6 @@ class TabularPropensity(PropensityModel):
         if n != self.values.shape[0]:
             raise ValueError("tabular propensities are tied to their dataset rows")
         return self.values
-
-    def e(self, action: int, x: np.ndarray) -> float:
-        raise ValueError("tabular propensities support only row-aligned queries")
 
 
 @dataclass(frozen=True)
@@ -368,6 +361,9 @@ class Hyperparams:
 
     epsilon defaults to gamma / sqrt(n); set it explicitly to override.
     eta=None selects the size heuristic; B=None the Theorem 1 sensitivity.
+    in_loop is snpl's asymptotic-mode scan bound, a Bonferroni-normal
+    quantile per candidate or sup-t over pruned + candidate with loop_n_sim
+    draws (None: n_sim).
     """
 
     gamma: float = 0.1
@@ -376,8 +372,9 @@ class Hyperparams:
     p: float = 0.5
     n_sim: int = 100_000
     folds: int = 5
-    seed: int = 0
     epsilon: float | None = None
+    in_loop: str = "bonferroni-normal"
+    loop_n_sim: int | None = None
 
     def __post_init__(self):
         if self.gamma <= 0:
@@ -392,6 +389,10 @@ class Hyperparams:
             raise ValueError("p must be < 1")
         if self.epsilon is not None and self.epsilon <= 0:
             raise ValueError("epsilon override must be positive")
+        if self.in_loop not in ("bonferroni-normal", "supt"):
+            raise ValueError("in_loop must be 'bonferroni-normal' or 'supt'")
+        if self.loop_n_sim is not None and self.loop_n_sim < MIN_N_SIM:
+            raise ValueError(f"loop_n_sim must be >= {MIN_N_SIM}")
 
 
 def normalize_seed(seed) -> np.random.SeedSequence:

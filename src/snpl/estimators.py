@@ -193,10 +193,6 @@ class InfluenceTable:
     def policy_count(self) -> int:
         return len(self.policy_ids)
 
-    def column(self, p: int, s: int) -> np.ndarray:
-        """Column for 0-based policy index p and guardrail position s."""
-        return self.values[:, p * self.spec.s_count + s]
-
 
 def influence_table(
     dataset: Dataset,

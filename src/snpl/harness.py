@@ -11,20 +11,20 @@ execution order and to the configured method order.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .algorithm import SnplConfig, snpl_run
+from .algorithm import snpl_run
 from .baselines import bonferroni_run, hcpi_run
-from .bounds import bernstein_widths, margins, normal_widths, supt_widths
+from .bounds import check_mode, margins, supt_widths, union_widths
 from .classstats import class_stats
 from .core import (
-    MIN_N_SIM,
     ConstantPropensity,
     Dataset,
     Hyperparams,
@@ -73,6 +73,9 @@ class BenchmarkConfig:
     p = 0.5, folds = 5, final n_sim = 1e5, w = [0, -0.1], goal outcome 1.
     eta = null (the default) re-derives eta per class size from the
     width-ratio heuristic.
+
+    The safety spec and hyperparameters are built, and so checked, once
+    when the config is; ``spec()`` and ``hyper()`` return them.
     """
 
     methods: tuple[str, ...] = ("snpl",)
@@ -107,71 +110,41 @@ class BenchmarkConfig:
         for m in self.methods:
             if m not in METHOD_STREAMS:
                 raise ConfigError(f"unrecognized method tag '{m}'")
-        if self.mode not in ("finite", "asymptotic"):
-            raise ConfigError("mode must be 'finite' or 'asymptotic'")
-        if len(self.weights) != len(self.guardrails):
-            raise ConfigError("w length must match |S|")
-        if self.n_sim < MIN_N_SIM:
-            raise ConfigError(f"n_sim must be >= {MIN_N_SIM}")
-        if self.loop_n_sim is not None and self.loop_n_sim < MIN_N_SIM:
-            raise ConfigError(f"loop_n_sim must be >= {MIN_N_SIM}")
-
-    def spec(self) -> SafetySpec:
         try:
-            return SafetySpec(
-                goal=self.goal,
-                guardrails=self.guardrails,
-                weights=self.weights,
-                alpha=self.alpha,
-                senses=self.senses,
+            check_mode(self.mode)
+            spec = SafetySpec(self.goal, self.guardrails, self.weights, self.alpha, self.senses)
+            hyper = Hyperparams(
+                gamma=self.gamma,
+                eta=self.eta,
+                B=self.B,
+                p=self.p,
+                n_sim=self.n_sim,
+                folds=self.folds,
+                epsilon=self.epsilon,
+                in_loop=self.in_loop,
+                loop_n_sim=self.loop_n_sim,
             )
         except ValueError as err:
             raise ConfigError(str(err)) from err
+        object.__setattr__(self, "_spec", spec)
+        object.__setattr__(self, "_hyper", hyper)
+
+    def spec(self) -> SafetySpec:
+        return self._spec
 
     def hyper(self) -> Hyperparams:
-        return Hyperparams(
-            gamma=self.gamma,
-            eta=self.eta,
-            B=self.B,
-            p=self.p,
-            n_sim=self.n_sim,
-            folds=self.folds,
-            seed=self.master_seed,
-            epsilon=self.epsilon,
-        )
+        return self._hyper
 
     def baseline(self) -> ThresholdPolicy:
         return ThresholdPolicy(self.baseline_feature, self.baseline_cutoff)
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "methods": list(self.methods),
-            "mode": self.mode,
-            "n": self.n,
-            "replications": self.replications,
-            "grid_size": self.grid_size,
-            "goal": self.goal,
-            "guardrails": list(self.guardrails),
-            "weights": list(self.weights),
-            "senses": None if self.senses is None else list(self.senses),
-            "alpha": self.alpha,
-            "gamma": self.gamma,
-            "p": self.p,
-            "eta": self.eta,
-            "B": self.B,
-            "epsilon": self.epsilon,
-            "n_sim": self.n_sim,
-            "loop_n_sim": self.loop_n_sim,
-            "in_loop": self.in_loop,
-            "folds": self.folds,
-            "master_seed": self.master_seed,
-            "save_traces": self.save_traces,
-            "baseline_feature": self.baseline_feature,
-            "baseline_cutoff": self.baseline_cutoff,
-            "n_actions": self.n_actions,
-            "propensity": list(self.propensity),
-        }
+        """Every field by name, tuples as lists."""
+        out = {"schema_version": SCHEMA_VERSION}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = list(value) if isinstance(value, tuple) else value
+        return out
 
     @staticmethod
     def from_json_dict(obj: dict) -> "BenchmarkConfig":
@@ -232,20 +205,7 @@ class BenchmarkReport:
         return {
             "schema_version": SCHEMA_VERSION,
             "config": self.config.to_json_dict(),
-            "results": [
-                {
-                    "method": r.method,
-                    "detection": r.detection,
-                    "detection_se": r.detection_se,
-                    "type1": r.type1,
-                    "type1_se": r.type1_se,
-                    "ei": r.ei,
-                    "ei_se": r.ei_se,
-                    "reps": r.reps,
-                    "wall_time": r.wall_time,
-                }
-                for r in self.results
-            ],
+            "results": [asdict(r) for r in self.results],
         }
 
 
@@ -264,24 +224,18 @@ def worker_count(replications: int, workers: int | None = None) -> int:
     return max(1, min(workers, replications))
 
 
-def _dispatch(method: str, dataset, policies, baseline, spec, config: BenchmarkConfig, seed_seq):
-    hyper = config.hyper()
-    if method == "snpl":
-        run_cfg = SnplConfig(
-            spec=spec,
-            hyper=hyper,
-            mode=config.mode,
-            baseline=baseline,
-            in_loop=config.in_loop,
-            loop_n_sim=config.loop_n_sim,
-        )
-        return snpl_run(dataset, policies, run_cfg, seed=seed_seq)
-    if method.startswith("ds-"):
-        rho = int(method.split("-")[1]) / 100.0
-        return hcpi_run(dataset, policies, spec, baseline, rho, config.mode, hyper, seed=seed_seq)
-    if method == "bonferroni":
-        return bonferroni_run(dataset, policies, spec, baseline, config.mode, hyper, seed=seed_seq)
-    raise ConfigError(f"unrecognized method tag '{method}'")
+def _dispatch(method: str, dataset, policies, config: BenchmarkConfig, seed_seq):
+    # Built per call, so it holds the run functions this module binds at
+    # call time (perfbench's tracer rebinds them).
+    runs = {
+        "snpl": snpl_run,
+        "bonferroni": bonferroni_run,
+        "ds-25": functools.partial(hcpi_run, rho=0.25),
+        "ds-50": functools.partial(hcpi_run, rho=0.50),
+        "ds-75": functools.partial(hcpi_run, rho=0.75),
+    }
+    spec, baseline, hyper = config.spec(), config.baseline(), config.hyper()
+    return runs[method](dataset, policies, spec, baseline, config.mode, hyper, seed_seq)
 
 
 def _replication_seed(master: int, r: int, slot: int) -> np.random.SeedSequence:
@@ -297,9 +251,7 @@ def _execute_replication(state: dict, r: int) -> dict:
         seed_seq = _replication_seed(config.master_seed, r, METHOD_STREAMS[method])
         start = time.perf_counter()
         try:
-            trace = _dispatch(
-                method, dataset, state["policies"], state["baseline"], state["spec"], config, seed_seq
-            )
+            trace = _dispatch(method, dataset, state["policies"], config, seed_seq)
         except Exception as err:
             raise RuntimeError(
                 f"method '{method}' failed in replication {r} "
@@ -337,8 +289,6 @@ def _build_state(config: BenchmarkConfig, out_dir: str | None) -> dict:
     return {
         "config": config,
         "policies": build_class(config.grid_size),
-        "baseline": config.baseline(),
-        "spec": config.spec(),
         "out_dir": out_dir,
     }
 
@@ -372,8 +322,9 @@ def run_benchmark(
             for r, result in pool.imap_unordered(_pool_job, range(M)):
                 per_rep[r] = result
 
-    truth = truth_table(state["policies"], state["baseline"], state["spec"])
-    base_id = state["baseline"].policy_id
+    baseline = config.baseline()
+    truth = truth_table(state["policies"], baseline, config.spec())
+    base_id = baseline.policy_id
     goal = config.goal
     results = []
     for method in config.methods:
@@ -574,11 +525,9 @@ def run_single(data_path: str, config_path: str, out_path: str) -> int:
     spec = config.spec()
     if max(max(spec.guardrails), spec.goal) > dataset.n_outcomes:
         raise ConfigError("guardrail or goal index exceeds outcome count")
-    policies = build_class(config.grid_size)
-    baseline = config.baseline()
     method = config.methods[0]
     seed_seq = _replication_seed(config.master_seed, 0, METHOD_STREAMS[method])
-    trace = _dispatch(method, dataset, policies, baseline, spec, config, seed_seq)
+    trace = _dispatch(method, dataset, build_class(config.grid_size), config, seed_seq)
     write_json(trace.to_json_dict(), out_path)
     return 0 if not trace.is_baseline else 3
 
@@ -599,7 +548,7 @@ def emit_bounds_scatter(dataset: Dataset, policies, config: BenchmarkConfig, out
     spec = config.spec()
     baseline = config.baseline()
     seed_seq = _replication_seed(config.master_seed, 0, METHOD_STREAMS["snpl"])
-    trace = _dispatch("snpl", dataset, policies, baseline, spec, config, seed_seq)
+    trace = _dispatch("snpl", dataset, policies, config, seed_seq)
     jdx = np.asarray(spec.guardrails, dtype=np.int64) - 1
     n = dataset.n
 
@@ -608,15 +557,12 @@ def emit_bounds_scatter(dataset: Dataset, policies, config: BenchmarkConfig, out
     v0 = policy_scores(trace.scores, baseline, dataset.covariates)[:, jdx].mean(axis=0)
     thresholds = np.asarray(spec.weights) * v0
     estimates = stats.means + thresholds
-    if config.mode == "finite":
-        class_size = max(len(trace.pruned_ids), 1)
-        widths = bernstein_widths(
-            stats.variances, spec, trace.svt.alpha_prime, class_size, n, dataset.propensity.c
-        )
-    elif trace.pruned_ids:
+    if config.mode == "asymptotic" and trace.pruned_ids:
         widths = supt_widths(stats.variances, trace.final.meta["z_star"], n)
-    else:
-        widths = normal_widths(stats.variances, spec, trace.svt.alpha_prime, trace.svt.eta, n)
+    else:  # |Pi~|: finite, the pruned count (at least 1); asymptotic, eta
+        size = max(len(trace.pruned_ids), 1) if config.mode == "finite" else trace.svt.eta
+        aprime, c = trace.svt.alpha_prime, dataset.propensity.c
+        widths = union_widths(stats.variances, spec, config.mode, aprime, size, n, c)
     bounds = spec.signs * margins(estimates, widths, spec)  # estimate -/+ width
 
     pruned = set(trace.pruned_ids)

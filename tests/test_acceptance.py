@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from snpl.algorithm import SnplConfig, snpl_run
+from snpl.algorithm import snpl_run
 from snpl.bounds import asymptotic_bounds, bonferroni_normal_bounds, finite_bounds
 from snpl.core import Hyperparams, SafetySpec
 from snpl.estimators import (
@@ -298,41 +298,30 @@ def test_c7_svt_mechanics():
     spec = SafetySpec(goal=1, guardrails=(1, 2), weights=(0.0, -0.1), alpha=ALPHA)
     pols = [ThresholdPolicy(f, c) for f in ("g1", "g3") for c in np.linspace(0.0, 1.0, 12)]
 
-    def config(eta):
-        return SnplConfig(
-            spec=spec,
-            hyper=Hyperparams(eta=eta),
-            mode="finite",
-            baseline=default_baseline(),
+    def run(dataset, eta, seed, **hyper):
+        return snpl_run(
+            dataset, pols, spec, default_baseline(), "finite", Hyperparams(eta=eta, **hyper), seed
         )
 
     # The admitted set never exceeds the scan budget, on any trace.
     for rep in range(60):
         eta = 1 + rep % 4
         data_rng = np.random.default_rng(np.random.SeedSequence((808, 1, rep)))
-        trace = snpl_run(generate(120, data_rng), pols, config(eta), seed=(808, 2, rep))
+        trace = run(generate(120, data_rng), eta, (808, 2, rep))
         assert len(trace.pruned_ids) <= eta, (rep, eta, len(trace.pruned_ids))
 
     # Identical seeds give byte-identical traces.
     data_rng = np.random.default_rng(np.random.SeedSequence((808, 3)))
     dataset = generate(150, data_rng)
     blobs = [
-        json.dumps(
-            snpl_run(dataset, pols, config(3), seed=99).to_json_dict(), sort_keys=True
-        ).encode()
+        json.dumps(run(dataset, 3, 99).to_json_dict(), sort_keys=True).encode()
         for _ in range(2)
     ]
     assert blobs[0] == blobs[1]
 
     # A sensitivity override below the admissible floor is rejected.
-    bad = SnplConfig(
-        spec=spec,
-        hyper=Hyperparams(eta=3, B=1e-9),
-        mode="finite",
-        baseline=default_baseline(),
-    )
     with pytest.raises(ValueError, match="sensitivity floor"):
-        snpl_run(dataset, pols, bad, seed=1)
+        run(dataset, 3, 1, B=1e-9)
 
 
 def test_c8_eta_heuristic():

@@ -1,4 +1,4 @@
-import dataclasses
+import functools
 import json
 import math
 
@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import tabular_generate, three_arm_class, three_arm_generate
-from snpl.algorithm import SnplConfig, final_certify, snpl_run
+from snpl.algorithm import final_certify, snpl_run
+from snpl.baselines import bonferroni_run, hcpi_run
 from snpl.bounds import asymptotic_bounds, bonferroni_normal_bounds, finite_bounds
 from snpl.core import Hyperparams, SafetySpec
 from snpl.estimators import arm_scores, dr_value, fit_nuisance, influence_table, ipw_value
@@ -14,21 +15,23 @@ from snpl.stability import delta_star, eta_heuristic, laplace
 from snpl.synthetic import ThresholdPolicy, build_class, default_baseline, generate, true_values
 
 
-def make_config(mode="finite", in_loop="bonferroni-normal", weights=(0.0, -0.1), **hyper):
-    spec = SafetySpec(goal=1, guardrails=(1, 2), weights=weights, alpha=0.1)
-    return SnplConfig(
-        spec=spec,
-        hyper=Hyperparams(**hyper),
-        mode=mode,
-        baseline=default_baseline(),
-        in_loop=in_loop,
-    )
+def two_guardrails(weights=(0.0, -0.1), goal=1):
+    return SafetySpec(goal=goal, guardrails=(1, 2), weights=weights, alpha=0.1)
 
 
-def certify(ds, scores, pruned, config, level, rng=None):
+SPEC = two_guardrails()
+
+
+def run(ds, policies, mode="finite", seed=0, weights=(0.0, -0.1), **hyper):
+    """snpl_run against the default baseline under a two-guardrail spec."""
+    spec, baseline = two_guardrails(weights), default_baseline()
+    return snpl_run(ds, policies, spec, baseline, mode, Hyperparams(**hyper), seed)
+
+
+def certify(ds, scores, pruned, level, mode="finite", spec=SPEC, n_sim=100_000, rng=None):
     """final_certify on the influence table of exactly the pruned set."""
-    table = influence_table(ds, scores, pruned, config.spec, config.baseline)
-    return final_certify(table, config, level, rng)
+    table = influence_table(ds, scores, pruned, spec, default_baseline())
+    return final_certify(table, mode, level, n_sim, rng)
 
 
 def small_class():
@@ -36,25 +39,33 @@ def small_class():
 
 
 class TestConfig:
-    def test_mode_validated(self):
-        with pytest.raises(ValueError, match="mode"):
-            make_config(mode="exact")
+    @pytest.mark.parametrize(
+        "method",
+        (snpl_run, bonferroni_run, functools.partial(hcpi_run, rho=0.5)),
+        ids=("snpl_run", "bonferroni_run", "hcpi_run"),
+    )
+    def test_mode_validated(self, method):
+        # the same message from the one mode check, before any work
+        ds = generate(50, np.random.default_rng(0))
+        with pytest.raises(ValueError) as err:
+            method(ds, small_class(), SPEC, default_baseline(), "exact")
+        assert str(err.value) == "mode must be 'finite' or 'asymptotic'"
+        assert err.traceback[-1].name == "check_mode"
 
     def test_in_loop_validated(self):
         with pytest.raises(ValueError, match="in_loop"):
-            make_config(in_loop="wald")
+            Hyperparams(in_loop="wald")
 
     def test_loop_n_sim_at_least_the_supt_minimum(self):
-        config = make_config(mode="asymptotic", in_loop="supt")
-        assert dataclasses.replace(config, loop_n_sim=100).loop_n_sim == 100
+        assert Hyperparams(in_loop="supt", loop_n_sim=100).loop_n_sim == 100
         with pytest.raises(ValueError, match="loop_n_sim must be >= 100"):
-            dataclasses.replace(config, loop_n_sim=99)
+            Hyperparams(in_loop="supt", loop_n_sim=99)
 
 
 class TestTrivialCases:
     def test_baseline_only_class(self):
         ds = generate(200, np.random.default_rng(0))
-        trace = snpl_run(ds, [default_baseline()], make_config(eta=3), seed=1)
+        trace = run(ds, [default_baseline()], seed=1, eta=3)
         assert trace.pruned_ids == ()
         assert trace.scan == ()
         assert trace.decision == "g1@0.5"
@@ -64,33 +75,32 @@ class TestTrivialCases:
     def test_empty_class_rejected(self):
         ds = generate(50, np.random.default_rng(0))
         with pytest.raises(ValueError, match="empty policy class"):
-            snpl_run(ds, [], make_config(), seed=0)
+            run(ds, [], seed=0)
 
     def test_empty_pruned_certifies_nothing(self):
         ds = generate(200, np.random.default_rng(1))
-        table, decision, goals = certify(ds, arm_scores(ds), [], make_config(), 0.08)
+        table, decision, goals, certified = certify(ds, arm_scores(ds), [], 0.08)
         assert decision == "g1@0.5"
-        assert table.entries == () and goals == {}
+        assert table.entries == () and goals == {} and certified == ()
 
 
 class TestFinalCertify:
     def test_unsafe_candidates_fall_back_to_baseline(self):
         # always-treat tanks outcome 1 far below the w=0 floor
         ds = generate(2000, np.random.default_rng(2))
-        config = make_config()
         pruned = [ThresholdPolicy("g5", 0.5)]
-        table, decision, _ = certify(ds, arm_scores(ds), pruned, config, 0.08)
+        table, decision, _, certified = certify(ds, arm_scores(ds), pruned, 0.08)
         assert decision == "g1@0.5"
-        assert table.min_margin("g5@0.5") < 0.0
+        assert table.min_margin("g5@0.5") < 0.0 and certified == ()
 
     def test_goal_argmax_returned_when_it_certifies(self):
         # both policies certify easily under w=-0.9; the goal argmax over the
         # pruned set is the sole candidate and it passes its gate
         ds = generate(3000, np.random.default_rng(3))
-        config = make_config(weights=(-0.9, -0.9))
+        spec = two_guardrails(weights=(-0.9, -0.9))
         pruned = [ThresholdPolicy("g1", 0.8), ThresholdPolicy("g1", 0.2)]
-        table, decision, goals = certify(ds, arm_scores(ds), pruned, config, 0.08)
-        assert set(table.certified_ids()) == {"g1@0.8", "g1@0.2"}
+        table, decision, goals, certified = certify(ds, arm_scores(ds), pruned, 0.08, spec=spec)
+        assert certified == ("g1@0.8", "g1@0.2")
         assert decision == max(goals, key=goals.__getitem__)
         # true V1 is higher at the smaller cutoff
         assert decision == "g1@0.2"
@@ -99,15 +109,12 @@ class TestFinalCertify:
         # g5 has the best V2 but breaks the outcome-1 guardrail; it is still
         # the only candidate considered, so the run falls back to the
         # baseline even though another pruned policy may certify
-        spec = SafetySpec(goal=2, guardrails=(1, 2), weights=(0.0, -0.1), alpha=0.1)
-        config = SnplConfig(
-            spec=spec, hyper=Hyperparams(), mode="finite", baseline=default_baseline()
-        )
         ds = generate(4000, np.random.default_rng(4))
         pruned = [ThresholdPolicy("g5", 0.5), ThresholdPolicy("g1", 0.4)]
-        table, decision, goals = certify(ds, arm_scores(ds), pruned, config, 0.08)
+        spec = two_guardrails(goal=2)
+        table, decision, goals, certified = certify(ds, arm_scores(ds), pruned, 0.08, spec=spec)
         assert goals["g5@0.5"] > goals["g1@0.4"]
-        assert "g5@0.5" not in table.certified_ids()
+        assert "g5@0.5" not in certified
         assert decision == "g1@0.5"
 
     @pytest.mark.parametrize(
@@ -115,13 +122,11 @@ class TestFinalCertify:
     )
     def test_seed_sequence_and_bit_generator_accepted(self, make):
         ds = generate(400, np.random.default_rng(1))
-        config = make_config(mode="asymptotic", n_sim=2000)
         scores = arm_scores(ds, fit_nuisance(ds, 5, np.random.default_rng(0)))
         pruned = [ThresholdPolicy("g1", 0.3)]
-        table, decision, _ = certify(ds, scores, pruned, config, 0.08, rng=make(6))
-        ref, ref_decision, _ = certify(
-            ds, scores, pruned, config, 0.08, rng=np.random.default_rng(6)
-        )
+        args = (ds, scores, pruned, 0.08, "asymptotic")
+        table, decision, _, _ = certify(*args, n_sim=2000, rng=make(6))
+        ref, ref_decision, _, _ = certify(*args, n_sim=2000, rng=np.random.default_rng(6))
         assert table.meta["seed"] is None
         assert table == ref and decision == ref_decision
 
@@ -129,17 +134,16 @@ class TestFinalCertify:
         # rng=None (the default) seeds the sup-t draws from fresh entropy,
         # recorded as seed None, as a Generator is
         ds = generate(400, np.random.default_rng(1))
-        config = make_config(mode="asymptotic", n_sim=2000)
         scores = arm_scores(ds, fit_nuisance(ds, 5, np.random.default_rng(0)))
-        table, _, _ = certify(ds, scores, [ThresholdPolicy("g1", 0.3)], config, 0.08)
+        pruned = [ThresholdPolicy("g1", 0.3)]
+        table, _, _, _ = certify(ds, scores, pruned, 0.08, "asymptotic", n_sim=2000)
         assert table.method == "supt" and table.meta["seed"] is None
 
 
 class TestSnplRun:
     def run_once(self, seed=3, n=400, **kwargs):
         ds = generate(n, np.random.default_rng(100))
-        config = make_config(**kwargs)
-        return snpl_run(ds, small_class(), config, seed=seed)
+        return run(ds, small_class(), seed=seed, **kwargs)
 
     def test_trace_reconstructs_decision(self):
         trace = self.run_once(eta=3)
@@ -177,7 +181,7 @@ class TestSnplRun:
     def test_baseline_excluded_from_scan(self):
         ds = generate(300, np.random.default_rng(101))
         pols = [default_baseline()] + small_class()
-        trace = snpl_run(ds, pols, make_config(eta=3), seed=5)
+        trace = run(ds, pols, seed=5, eta=3)
         assert trace.class_size == 5
         assert all(r.policy_id != "g1@0.5" for r in trace.scan)
 
@@ -207,10 +211,9 @@ class TestSnplRun:
         # finite in-loop bounds: the Bernstein table at alpha' with |Pi~|
         # fixed to eta, whatever the pruned set holds at that point
         ds = generate(400, np.random.default_rng(100))
-        config = make_config(eta=3)
-        trace = snpl_run(ds, small_class(), config, seed=3)
-        table = influence_table(ds, arm_scores(ds), small_class(), config.spec, config.baseline)
-        loop = finite_bounds(table, config.spec, trace.svt.alpha_prime, assumed_class_size=3)
+        trace = run(ds, small_class(), seed=3, eta=3)
+        table = influence_table(ds, arm_scores(ds), small_class(), SPEC, default_baseline())
+        loop = finite_bounds(table, SPEC, trace.svt.alpha_prime, assumed_class_size=3)
         assert loop.meta["log_term"] == pytest.approx(
             math.log(3.0 * 3 * 2 / (2.0 * trace.svt.alpha_prime)), abs=1e-12
         )
@@ -227,9 +230,7 @@ class TestSnplRun:
 
     def test_seed_tuple_recorded(self):
         ds = generate(200, np.random.default_rng(102))
-        trace = snpl_run(
-            ds, small_class(), make_config(eta=2), seed=np.random.SeedSequence((5, 0, 1))
-        )
+        trace = run(ds, small_class(), seed=np.random.SeedSequence((5, 0, 1)), eta=2)
         assert trace.seed == (5, 0, 1)
 
     def test_trace_json_serializable(self):
@@ -244,8 +245,7 @@ class TestSnplRun:
 
     def test_supt_in_loop_runs(self):
         ds = generate(300, np.random.default_rng(103))
-        config = make_config(mode="asymptotic", in_loop="supt", eta=2, n_sim=2000)
-        trace = snpl_run(ds, small_class(), config, seed=4)
+        trace = run(ds, small_class(), "asymptotic", 4, in_loop="supt", eta=2, n_sim=2000)
         assert trace.svt.in_loop == "supt"
         assert len(trace.pruned_ids) <= 2
 
@@ -254,21 +254,20 @@ class TestSnplRun:
         # each candidate (the candidate alone at first), drawing from the
         # run's own loop stream
         ds = generate(400, np.random.default_rng(104))
-        config = dataclasses.replace(
-            make_config(mode="asymptotic", in_loop="supt", eta=3, n_sim=2000), loop_n_sim=1000
-        )
         policies = build_class(4)
-        trace = snpl_run(ds, policies, config, seed=6)
+        trace = run(
+            ds, policies, "asymptotic", 6, in_loop="supt", eta=3, n_sim=2000, loop_n_sim=1000
+        )
         r_nuis, _, r_loop, _ = (
             np.random.default_rng(s) for s in np.random.SeedSequence(6).spawn(4)
         )
-        scores = arm_scores(ds, fit_nuisance(ds, config.hyper.folds, r_nuis))
+        scores = arm_scores(ds, fit_nuisance(ds, 5, r_nuis))
         by_id = {p.policy_id: p for p in policies}
         pruned = []
         for r in trace.scan:
             joint = pruned + [by_id[r.policy_id]]
-            table = influence_table(ds, scores, joint, config.spec, config.baseline)
-            bt = asymptotic_bounds(table, config.spec, trace.svt.alpha_prime, 1000, r_loop)
+            table = influence_table(ds, scores, joint, SPEC, default_baseline())
+            bt = asymptotic_bounds(table, SPEC, trace.svt.alpha_prime, 1000, r_loop)
             assert r.margin == pytest.approx(bt.min_margin(r.policy_id), abs=1e-12)
             if r.admitted:
                 pruned.append(by_id[r.policy_id])
@@ -282,13 +281,6 @@ class TestHighSignalSelection:
         # n = 4000, eta = 1: the run should nearly always return a candidate
         # and, whenever it does, the returned policy must be the true best
         # goal value within the pruned set
-        spec = SafetySpec(goal=1, guardrails=(1, 2), weights=(-0.5, -0.5), alpha=0.1)
-        config = SnplConfig(
-            spec=spec,
-            hyper=Hyperparams(eta=1),
-            mode="finite",
-            baseline=default_baseline(),
-        )
         candidates = [ThresholdPolicy("g1", c) for c in np.linspace(0.0, 0.6, 20)]
         truth = {p.policy_id: true_values(p)[0] for p in candidates}
 
@@ -296,7 +288,7 @@ class TestHighSignalSelection:
         for rep in range(100):
             rng = np.random.default_rng(200 + rep)
             ds = generate(4000, rng)
-            trace = snpl_run(ds, candidates, config, seed=500 + rep)
+            trace = run(ds, candidates, seed=500 + rep, weights=(-0.5, -0.5), eta=1)
             assert len(trace.pruned_ids) <= 1
             if trace.is_baseline:
                 continue
@@ -324,18 +316,13 @@ class TestAsymptoticCrossCheck:
     def test_run_matches_documented_steps(self, user_eta, senses, weights, make_data):
         spec = SafetySpec(goal=1, guardrails=(1, 2), weights=weights, alpha=0.1, senses=senses)
         baseline = default_baseline()
-        config = SnplConfig(
-            spec=spec,
-            hyper=Hyperparams(n_sim=5000, eta=user_eta),
-            mode="asymptotic",
-            baseline=baseline,
-        )
+        hyper = Hyperparams(n_sim=5000, eta=user_eta)
         policies = build_class(5)  # holds the baseline rule g1@0.5
         candidates = [p for p in policies if p.policy_id != baseline.policy_id]
         outcomes = set()
         for seed in range(12):
             ds = make_data(1000, np.random.default_rng(np.random.SeedSequence((41, seed))))
-            trace = snpl_run(ds, policies, config, seed=seed)
+            trace = snpl_run(ds, policies, spec, baseline, "asymptotic", hyper, seed)
             r_nuis, r_svt, _, r_final = (
                 np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(4)
             )
@@ -346,7 +333,7 @@ class TestAsymptoticCrossCheck:
             assert trace.svt.alpha_prime == aprime and trace.svt.eta == eta
 
             # scan margins: Bonferroni-normal at alpha' with |Pi~| = eta
-            nuis = fit_nuisance(ds, config.hyper.folds, r_nuis)
+            nuis = fit_nuisance(ds, hyper.folds, r_nuis)
             scores = arm_scores(ds, nuis)
             table = influence_table(ds, scores, candidates, spec, baseline)
             loop = bonferroni_normal_bounds(table, spec, aprime, assumed_class_size=eta)
@@ -376,7 +363,7 @@ class TestAsymptoticCrossCheck:
                 outcomes.add("empty")
                 continue
             final_table = influence_table(ds, scores, pruned, spec, baseline)
-            final = asymptotic_bounds(final_table, spec, aprime, config.hyper.n_sim, r_final)
+            final = asymptotic_bounds(final_table, spec, aprime, hyper.n_sim, r_final)
             assert [e.margin for e in trace.final.entries] == pytest.approx(
                 [e.margin for e in final.entries], abs=1e-12
             )
@@ -401,21 +388,19 @@ class TestThreeArmCrossCheck:
     def test_run_matches_documented_steps(self, mode, n):
         spec = SafetySpec(goal=1, guardrails=(1, 2), weights=(-0.2, -0.2), alpha=0.1)
         baseline, policies = three_arm_class()
-        config = SnplConfig(
-            spec=spec, hyper=Hyperparams(n_sim=2000, eta=2), mode=mode, baseline=baseline
-        )
+        hyper = Hyperparams(n_sim=2000, eta=2)
         loop_bounds = finite_bounds if mode == "finite" else bonferroni_normal_bounds
         outcomes = set()
         for seed in range(6):
             ds = three_arm_generate(n, np.random.default_rng(np.random.SeedSequence((53, seed))))
-            trace = snpl_run(ds, policies, config, seed=seed)
+            trace = snpl_run(ds, policies, spec, baseline, mode, hyper, seed)
             r_nuis, r_svt, _, r_final = (
                 np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(4)
             )
             aprime = delta_star(spec.alpha, n, 0.1 / math.sqrt(n))[1]
             assert trace.svt.alpha_prime == aprime and trace.class_size == len(policies)
 
-            nuis = fit_nuisance(ds, config.hyper.folds, r_nuis) if mode == "asymptotic" else None
+            nuis = fit_nuisance(ds, hyper.folds, r_nuis) if mode == "asymptotic" else None
             scores = arm_scores(ds, nuis)
             table = influence_table(ds, scores, policies, spec, baseline)
             loop = loop_bounds(table, spec, aprime, assumed_class_size=2)
@@ -441,7 +426,7 @@ class TestThreeArmCrossCheck:
                 final = finite_bounds(final_table, spec, aprime)
                 goals = [ipw_value(ds, pol, spec.goal) for pol in pruned]
             else:
-                final = asymptotic_bounds(final_table, spec, aprime, config.hyper.n_sim, r_final)
+                final = asymptotic_bounds(final_table, spec, aprime, hyper.n_sim, r_final)
                 goals = [dr_value(ds, pol, spec.goal, nuis) for pol in pruned]
             assert [e.margin for e in trace.final.entries] == pytest.approx(
                 [e.margin for e in final.entries], abs=1e-12

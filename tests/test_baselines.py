@@ -249,7 +249,7 @@ def test_per_test_level_at_or_above_half_raises_before_deciding(method, feature,
         if method == "bonferroni":
             bonferroni_run(ds, cands, spec, default_baseline(), "asymptotic", hyper, seed=0)
         else:
-            hcpi_run(ds, cands, spec, default_baseline(), 0.5, "asymptotic", hyper, seed=0)
+            hcpi_run(ds, cands, spec, default_baseline(), "asymptotic", hyper, seed=0, rho=0.5)
 
 
 class TestAsymptoticCrossCheck:
@@ -294,7 +294,7 @@ class TestAsymptoticCrossCheck:
         decisions = set()
         for seed, ds in self.datasets(make_data):
             trace = hcpi_run(
-                ds, self.policies, spec, baseline, rho, "asymptotic", self.hyper, seed=seed
+                ds, self.policies, spec, baseline, "asymptotic", self.hyper, seed=seed, rho=rho
             )
             r_split, r_learn, r_test, r_supt = (
                 np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(4)
@@ -395,7 +395,7 @@ class TestThreeArmCrossCheck:
         spec, (baseline, policies) = self.spec, three_arm_class()
         decisions = set()
         for seed, ds in self.datasets(mode):
-            trace = hcpi_run(ds, policies, spec, baseline, 0.5, mode, self.hyper, seed=seed)
+            trace = hcpi_run(ds, policies, spec, baseline, mode, self.hyper, seed=seed, rho=0.5)
             r_split, r_learn, r_test, r_supt = (
                 np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(4)
             )

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from snpl import algorithm, baselines, classstats
-from snpl.algorithm import SnplConfig, snpl_run
+from snpl.algorithm import snpl_run
 from snpl.baselines import bonferroni_run, hcpi_run
 from conftest import tabular_generate
 from snpl.bounds import margins, normal_widths
@@ -172,11 +172,10 @@ class TestAgainstReference:
 
 def _decisions(ds, policies, spec, mode, seed):
     hyper = Hyperparams(n_sim=2000)
-    config = SnplConfig(spec=spec, hyper=hyper, mode=mode, baseline=BASE)
-    snpl = snpl_run(ds, policies, config, seed=seed)
+    snpl = snpl_run(ds, policies, spec, BASE, mode, hyper, seed=seed)
     out = {"snpl": (snpl.decision, snpl.pruned_ids, tuple(r.admitted for r in snpl.scan))}
     for rho in (0.25, 0.5, 0.75):
-        t = hcpi_run(ds, policies, spec, BASE, rho, mode, hyper, seed=seed)
+        t = hcpi_run(ds, policies, spec, BASE, mode, hyper, seed=seed, rho=rho)
         out[f"ds-{rho}"] = (t.decision, t.selected_id)
     t = bonferroni_run(ds, policies, spec, BASE, mode, hyper, seed=seed)
     out["bonferroni"] = (t.decision, t.certified_ids)

@@ -106,13 +106,10 @@ class TestPropensityModels:
         prop = ConstantPropensity([0.3, 0.7])
         assert prop.c == pytest.approx(0.3)
         assert np.allclose(prop.matrix(np.zeros((4, 2))), [[0.3, 0.7]] * 4)
-        assert prop.e(2, [0.0, 0.0]) == pytest.approx(0.7)
 
     def test_tabular_is_row_aligned_only(self):
         prop = TabularPropensity(np.array([[0.4, 0.6], [0.5, 0.5]]))
         assert prop.matrix(np.zeros((2, 1))).shape == (2, 2)
-        with pytest.raises(ValueError, match="row-aligned"):
-            prop.e(1, [0.0])
         with pytest.raises(ValueError, match="tied to their dataset rows"):
             prop.matrix(np.zeros((3, 1)))
 

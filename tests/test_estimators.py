@@ -302,10 +302,16 @@ class TestInfluenceTable:
         rng = np.random.default_rng(14)
         ds = random_dataset(rng, 20, d_x=3)
         pols = [ThresholdPolicy("g1", 0.3), ThresholdPolicy("g1", 0.6)]
-        table = influence_table(ds, arm_scores(ds), pols, spec_two_guardrails, UniformPolicy(2))
+        spec, scores = spec_two_guardrails, arm_scores(ds)
+        table = influence_table(ds, scores, pols, spec, UniformPolicy(2))
         assert table.values.shape == (20, 4)
-        # 1-based (p-1)|S| + s puts (policy 2, guardrail 2) in column 4
-        assert np.array_equal(table.column(1, 1), table.values[:, 3])
+        base = policy_scores(scores, UniformPolicy(2), ds.covariates)
+        for p, pol in enumerate(pols, start=1):
+            psi = policy_scores(scores, pol, ds.covariates)
+            for s, (j, w) in enumerate(zip(spec.guardrails, spec.weights), start=1):
+                # 1-based (p-1)|S| + s, so (policy 2, guardrail 2) is column 4
+                column = table.values[:, (p - 1) * spec.s_count + s - 1]
+                assert np.array_equal(column, psi[:, j - 1] - (1.0 + w) * base[:, j - 1])
 
     def test_estimates_match_value_differences(self, spec_two_guardrails):
         rng = np.random.default_rng(15)
@@ -383,7 +389,7 @@ class TestMoments:
         )
         cov = empirical_covariance(table)
         for s in range(2):
-            assert cov[s, s] == pytest.approx(float(np.var(table.column(0, s))), abs=1e-12)
+            assert cov[s, s] == pytest.approx(float(np.var(table.values[:, s])), abs=1e-12)
 
 
 class TestPolicyScores:

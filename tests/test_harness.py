@@ -70,7 +70,23 @@ class TestBenchmarkConfig:
 
     def test_spec_errors_become_config_errors(self):
         with pytest.raises(ConfigError, match="nonpositive"):
-            BenchmarkConfig(weights=(0.5, 0.0)).spec()
+            BenchmarkConfig(weights=(0.5, 0.0))
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"gamma": -1}, "gamma must be positive"),
+            ({"folds": 1}, "folds must be >= 2"),
+            ({"eta": 0}, "eta must be >= 1"),
+            ({"epsilon": 0}, "epsilon override must be positive"),
+            ({"in_loop": "bogus"}, "in_loop must be"),
+            ({"in_loop": "bogus", "methods": ("bonferroni",)}, "in_loop must be"),
+        ],
+        ids=("gamma", "folds", "eta", "epsilon", "in_loop", "in_loop-bonferroni"),
+    )
+    def test_hyperparameter_errors_raised_when_built(self, setting, message):
+        with pytest.raises(ConfigError, match=message):
+            BenchmarkConfig(**setting)
 
     def test_json_round_trip(self):
         cfg = tiny_config(eta=7, senses=("lower", "upper"), weights=(0.0, 0.0))
@@ -367,7 +383,7 @@ class TestRunSingle:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_matches_library_call(self, tmp_path):
-        from snpl.algorithm import SnplConfig, snpl_run
+        from snpl.algorithm import snpl_run
         from snpl.synthetic import build_class
 
         data, cpath, cfg = self.prepare(tmp_path)
@@ -376,13 +392,9 @@ class TestRunSingle:
         blob = json.loads(out.read_text())
 
         ds = read_dataset_csv(data, cfg)
-        run_cfg = SnplConfig(
-            spec=cfg.spec(), hyper=cfg.hyper(), mode=cfg.mode,
-            baseline=cfg.baseline(), in_loop=cfg.in_loop, loop_n_sim=cfg.loop_n_sim,
-        )
         trace = snpl_run(
-            ds, build_class(cfg.grid_size), run_cfg,
-            seed=_replication_seed(cfg.master_seed, 0, METHOD_STREAMS["snpl"]),
+            ds, build_class(cfg.grid_size), cfg.spec(), cfg.baseline(), cfg.mode, cfg.hyper(),
+            _replication_seed(cfg.master_seed, 0, METHOD_STREAMS["snpl"]),
         )
         assert blob == trace.to_json_dict()
 
@@ -439,6 +451,29 @@ class TestCli:
         assert main(["simulate", "--config", str(cpath), "--out", str(out_dir)]) == 2
         assert "n_sim must be >= 100" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "setting",
+        [{"gamma": -1}, {"folds": 1}, {"eta": 0}, {"in_loop": "bogus", "methods": ["bonferroni"]}],
+        ids=("gamma", "folds", "eta", "in_loop-bonferroni"),
+    )
+    def test_malformed_config_exits_two_before_any_data(
+        self, tmp_path, capsys, monkeypatch, setting
+    ):
+        from snpl import harness
+        from snpl.cli import main
+
+        def no_data(*args):
+            raise AssertionError("data generated for a malformed config")
+
+        monkeypatch.setattr(harness, "generate", no_data)
+        cpath = tmp_path / "c.json"
+        cpath.write_text(json.dumps({"replications": 1, "n": 100, "grid_size": 2, **setting}))
+        out_dir = tmp_path / "out"
+        assert main(["simulate", "--config", str(cpath), "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (out_dir / "report.csv").exists()
 
     def test_simulate_command(self, tmp_path):
         from snpl.cli import main
@@ -504,7 +539,7 @@ class TestBoundsScatter:
     )
     def test_pruned_rows_reproduce_final_margins(self, tmp_path, mode, senses, monkeypatch):
         from snpl import estimators
-        from snpl.algorithm import SnplConfig, snpl_run
+        from snpl.algorithm import snpl_run
         from snpl.harness import emit_bounds_scatter
         from snpl.synthetic import build_class
 
@@ -533,11 +568,9 @@ class TestBoundsScatter:
         ids = [r["policy_id"] for r in rows]
         assert ids == [base_id] + [p.policy_id for p in policies if p.policy_id != base_id]
 
-        run_cfg = SnplConfig(
-            spec=cfg.spec(), hyper=cfg.hyper(), mode=mode, baseline=cfg.baseline()
-        )
         trace = snpl_run(
-            ds, policies, run_cfg, seed=_replication_seed(cfg.master_seed, 0, METHOD_STREAMS["snpl"])
+            ds, policies, cfg.spec(), cfg.baseline(), mode, cfg.hyper(),
+            _replication_seed(cfg.master_seed, 0, METHOD_STREAMS["snpl"]),
         )
         assert trace.pruned_ids
         spec = cfg.spec()

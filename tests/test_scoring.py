@@ -1,13 +1,14 @@
 """Each run scores each dataset once: the per-arm score array of a dataset
 (or of each split) is computed one time and passed to every later step."""
 
+import dataclasses
 import sys
 
 import numpy as np
 import pytest
 
 from snpl import estimators
-from snpl.algorithm import SnplConfig, snpl_run
+from snpl.algorithm import snpl_run
 from snpl.baselines import bonferroni_run, hcpi_run
 from snpl.core import Hyperparams, SafetySpec
 from snpl.synthetic import build_class, default_baseline, generate
@@ -19,11 +20,11 @@ HYPER = Hyperparams(n_sim=2000, eta=3)
 def run(method, dataset, mode, in_loop="bonferroni-normal"):
     policies, baseline = build_class(4), default_baseline()
     if method == "snpl":
-        config = SnplConfig(SPEC, HYPER, mode, baseline, in_loop=in_loop, loop_n_sim=500)
-        return snpl_run(dataset, policies, config, seed=1)
+        hyper = dataclasses.replace(HYPER, in_loop=in_loop, loop_n_sim=500)
+        return snpl_run(dataset, policies, SPEC, baseline, mode, hyper, seed=1)
     if method == "bonferroni":
         return bonferroni_run(dataset, policies, SPEC, baseline, mode, HYPER, seed=1)
-    return hcpi_run(dataset, policies, SPEC, baseline, 0.5, mode, HYPER, seed=1)
+    return hcpi_run(dataset, policies, SPEC, baseline, mode, HYPER, seed=1, rho=0.5)
 
 
 @pytest.mark.parametrize("mode", ("finite", "asymptotic"))
@@ -68,13 +69,13 @@ def test_each_policy_contracted_once(monkeypatch, mode, method):
     policies, baseline = build_class(4), default_baseline()
     ds = generate(3000, np.random.default_rng(7))
     if method == "snpl":
-        trace = snpl_run(ds, policies, SnplConfig(spec, HYPER, mode, baseline), seed=1)
+        trace = snpl_run(ds, policies, spec, baseline, mode, HYPER, seed=1)
         table = trace.pruned_ids
     elif method == "bonferroni":
         trace = bonferroni_run(ds, policies, spec, baseline, mode, HYPER, seed=1)
         table = trace.certified_ids
     else:
-        trace = hcpi_run(ds, policies, spec, baseline, 0.5, mode, HYPER, seed=1)
+        trace = hcpi_run(ds, policies, spec, baseline, mode, HYPER, seed=1, rho=0.5)
         table = (trace.selected_id,)
     assert len(table) >= 1
     assert len(seen) == 2 + len(table)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from snpl import cli
-from snpl.algorithm import SnplConfig, snpl_run
+from snpl.algorithm import snpl_run
 from snpl.baselines import bonferroni_run, hcpi_run
 from snpl.core import Dataset, Hyperparams, SafetySpec, Trace
 from snpl.harness import BenchmarkConfig, write_dataset_csv, write_json
@@ -28,12 +28,12 @@ SNPL_HYPER = {"gamma", "epsilon", "eta", "eta_source", "B", "B_floor", "p", "in_
 def run(method, dataset, mode, seed=(7, 0, 1)):
     policies, baseline = build_class(6), default_baseline()
     seed = np.random.SeedSequence(seed)
+    args = (dataset, policies, SPEC, baseline, mode, HYPER, seed)
     if method == "snpl":
-        return snpl_run(dataset, policies, SnplConfig(SPEC, HYPER, mode, baseline), seed=seed)
+        return snpl_run(*args)
     if method == "bonferroni":
-        return bonferroni_run(dataset, policies, SPEC, baseline, mode, HYPER, seed=seed)
-    rho = int(method[3:]) / 100.0
-    return hcpi_run(dataset, policies, SPEC, baseline, rho, mode, HYPER, seed=seed)
+        return bonferroni_run(*args)
+    return hcpi_run(*args, rho=int(method[3:]) / 100.0)
 
 
 def learning_rows(seed: tuple, n: int, rho: float) -> np.ndarray:
