@@ -13,7 +13,7 @@ saved traces, one worker, all five methods, for each shape in ``SHAPES``
 traces land in ``OUT/<shape>/traces/`` and each shape's wall time is
 printed. It then writes ``emit_bounds_scatter`` for each case in
 ``SCATTERS`` (name: mode, grid size, n, seed of the data and the run,
-senses, weights) to ``OUT/scatter/<case>.csv``.
+senses, weights, eta) to ``OUT/scatter/<case>.csv``.
 
 ``diff`` reads schema-1 traces in the schema-2 layout (``_upgrade``), so a
 dump made before the change of schema compares with one made after it. It
@@ -51,11 +51,13 @@ SHAPES = {
     "large-n": ("asymptotic", 2, 50_000, 5, 4, "bonferroni-normal"),
 }
 
-# name: (mode, grid_size, n, seed, senses, weights)
+# name: (mode, grid_size, n, seed, senses, weights, eta); "finite-empty"
+# prunes nothing, so its widths are the in-loop ones at |Pi~| = eta.
 SCATTERS = {
-    "finite": ("finite", 100, 2000, 2, None, (0.0, -0.1)),
-    "asymptotic": ("asymptotic", 500, 1000, 0, None, (0.0, -0.1)),
-    "upper": ("asymptotic", 100, 1000, 1, ("lower", "upper"), (0.0, 0.0)),
+    "finite": ("finite", 100, 2000, 2, None, (0.0, -0.1), None),
+    "asymptotic": ("asymptotic", 500, 1000, 0, None, (0.0, -0.1), None),
+    "upper": ("asymptotic", 100, 1000, 1, ("lower", "upper"), (0.0, 0.0), None),
+    "finite-empty": ("finite", 20, 300, 28, None, (0.0, -0.1), 3),
 }
 
 # Scatter columns holding floats; every other column must match exactly.
@@ -86,7 +88,7 @@ def dump(src: str, out: str) -> None:
         print(f"{name}: {reps * len(METHODS)} traces in {elapsed:.2f} s", flush=True)
 
     os.makedirs(os.path.join(out, "scatter"), exist_ok=True)
-    for name, (mode, grid, n, seed, senses, weights) in SCATTERS.items():
+    for name, (mode, grid, n, seed, senses, weights, eta) in SCATTERS.items():
         config = BenchmarkConfig(
             methods=("snpl",),
             mode=mode,
@@ -95,6 +97,7 @@ def dump(src: str, out: str) -> None:
             master_seed=seed,
             senses=senses,
             weights=weights,
+            eta=eta,
             n_sim=20_000,
         )
         dataset = generate(n, np.random.default_rng(seed))

@@ -30,14 +30,7 @@ import math
 
 import numpy as np
 
-from .bounds import (
-    LowerBoundTable,
-    asymptotic_bounds,
-    check_mode,
-    joint_bounds,
-    margins,
-    union_widths,
-)
+from .bounds import LowerBoundTable, asymptotic_bounds, check_mode, joint_bounds, union_table
 from .classstats import class_stats
 from .core import (
     Dataset,
@@ -59,27 +52,26 @@ __all__ = ["snpl_run", "final_certify"]
 
 def final_certify(
     table: InfluenceTable, mode: str, level: float, n_sim: int, rng=None
-) -> tuple[LowerBoundTable, str, dict, tuple[str, ...]]:
+) -> tuple[LowerBoundTable, str, dict]:
     """The select-then-gate step of snpl and of data splitting: the mode's
     joint bounds over exactly the table's policies x S columns at the given
     level (sup-t from n_sim draws of rng in asymptotic mode), then the
     policy with the largest estimated goal value (first-listed on ties) is
     the sole candidate, and it is returned only when every one of its
     margins is strictly positive; otherwise the table's baseline. Returns
-    (bounds, decision_id, goal_values, certified_ids).
+    (bounds, decision_id, goal_values).
 
-    Bounds cover every listed policy, so certified_ids (``bounds.
-    certified_ids()``) names each policy that would certify on its own, but
-    no policy other than the goal argmax is ever returned.
+    Bounds cover every listed policy, so ``bounds.certified_ids()`` names
+    each policy that would certify on its own, but no policy other than the
+    goal argmax is ever returned.
     """
     if not table.policy_ids:
-        empty = LowerBoundTable(entries=(), method=mode, level=level, meta={})
-        return empty, table.baseline_id, {}, ()
+        return LowerBoundTable.empty(table.spec, mode, level), table.baseline_id, {}
     bt = joint_bounds(table, mode, level, n_sim, rng)
     goal_values = dict(zip(table.policy_ids, table.goal.tolist()))
     pick = table.policy_ids[int(np.argmax(table.goal))]
     decision = pick if bt.min_margin(pick) > 0.0 else table.baseline_id
-    return bt, decision, goal_values, tuple(bt.certified_ids())
+    return bt, decision, goal_values
 
 
 def snpl_run(
@@ -142,8 +134,10 @@ def snpl_run(
     if candidates and not supt_loop:
         # Fixed-width in-loop bounds: |Pi~| = eta whatever the pruned set.
         stats = class_stats(dataset, candidates, spec, baseline, scores)
-        widths = union_widths(stats.variances, spec, mode, aprime, eta, n, dataset.propensity.c)
-        scan_margins = margins(stats.means, widths, spec).min(axis=1)
+        scan_margins = union_table(
+            [p.policy_id for p in candidates], stats.means, stats.variances, spec, mode,
+            aprime, eta, n, dataset.propensity.c,
+        ).margins.min(axis=1)
 
     # SVT scan: one threshold draw, then one independent noise per scanned
     # candidate, stopping once eta policies are admitted.
@@ -167,9 +161,7 @@ def snpl_run(
                 break
 
     table = influence_table(dataset, scores, pruned, spec, baseline)
-    final, decision, goal_values, certified = final_certify(
-        table, mode, aprime, hyper.n_sim, rng_final
-    )
+    final, decision, goal_values = final_certify(table, mode, aprime, hyper.n_sim, rng_final)
 
     return Trace(
         method="snpl",
@@ -184,7 +176,6 @@ def snpl_run(
         final=final,
         goal_values=goal_values,
         baseline_goal_value=table.baseline_goal,
-        certified_ids=certified,
         decision=decision,
         seed=seed_tuple(seed_seq),
         svt=Svt(

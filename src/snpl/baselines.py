@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .algorithm import final_certify
-from .bounds import LowerBoundTable, check_mode, margins, union_bounds, union_widths
+from .bounds import LowerBoundTable, check_mode, union_table
 from .classstats import class_stats
 from .core import (
     Dataset,
@@ -95,19 +95,17 @@ def hcpi_run(
     scores_l = mode_scores(data_l, mode, hyper.folds, rng_nuis_l)
     stats = class_stats(data_l, candidates, spec, baseline, scores_l)
     class_size = len(candidates) if mode == "finite" else 1
-    widths = union_widths(
-        stats.variances, spec, mode, spec.alpha, class_size, data_l.n, data_l.propensity.c
-    )
-    learn_margins = margins(stats.means, widths, spec).min(axis=1)
+    learn_margins = union_table(
+        [p.policy_id for p in candidates], stats.means, stats.variances, spec, mode,
+        spec.alpha, class_size, data_l.n, data_l.propensity.c,
+    ).margins.min(axis=1)
     f = np.where(learn_margins >= 0.0, stats.goal, learn_margins)
     pick = int(np.argmax(f))
     selected = candidates[pick]
 
     scores_t = mode_scores(data_t, mode, hyper.folds, rng_nuis_t)
     table = influence_table(data_t, scores_t, [selected], spec, baseline)
-    final, decision, goal_values, certified = final_certify(
-        table, mode, spec.alpha, hyper.n_sim, rng_supt
-    )
+    final, decision, goal_values = final_certify(table, mode, spec.alpha, hyper.n_sim, rng_supt)
 
     return Trace(
         method=f"ds-{int(round(rho * 100))}",
@@ -122,7 +120,6 @@ def hcpi_run(
         final=final,
         goal_values=goal_values,
         baseline_goal_value=table.baseline_goal,
-        certified_ids=certified,
         decision=decision,
         seed=seed_tuple(seed_seq),
         split=Split(rho=rho, learning=learn_rows, testing=test_rows),
@@ -155,23 +152,21 @@ def bonferroni_run(
     scores = mode_scores(dataset, mode, hyper.folds, np.random.default_rng(nuis_seed))
     stats = class_stats(dataset, candidates, spec, baseline, scores)
     m = len(candidates)
-    c = dataset.propensity.c
-    widths = union_widths(stats.variances, spec, mode, spec.alpha, m, dataset.n, c)
-    min_margins = margins(stats.means, widths, spec).min(axis=1)
-
-    certified_idx = [i for i in range(m) if min_margins[i] > 0.0]
+    table = union_table(
+        [p.policy_id for p in candidates], stats.means, stats.variances, spec, mode,
+        spec.alpha, m, dataset.n, dataset.propensity.c,
+    )
+    certified_idx = np.flatnonzero(table.margins.min(axis=1) > 0.0).tolist()
     decision = baseline.policy_id
     if certified_idx:  # the first goal argmax among the certified
         decision = candidates[max(certified_idx, key=stats.goal.__getitem__)].policy_id
 
-    # Trace bounds cover the certified set (plus the pick) only; the full
+    # Trace bounds are the certified rows of the table decided on; the full
     # class would dominate the trace size.
-    report = [candidates[i] for i in certified_idx]
-    table = influence_table(dataset, scores, report, spec, baseline)
-    if not report:
-        final = LowerBoundTable(entries=(), method="bonferroni", level=spec.alpha, meta={})
+    if certified_idx:
+        final = table.take(certified_idx)
     else:
-        final = union_bounds(table, mode, spec.alpha, m)
+        final = LowerBoundTable.empty(spec, "bonferroni", spec.alpha)
 
     return Trace(
         method="bonferroni",
@@ -185,8 +180,7 @@ def bonferroni_run(
         pruned_ids=(),
         final=final,
         goal_values={candidates[i].policy_id: float(stats.goal[i]) for i in certified_idx},
-        baseline_goal_value=table.baseline_goal,
-        certified_ids=tuple(candidates[i].policy_id for i in certified_idx),
+        baseline_goal_value=stats.baseline_goal,
         decision=decision,
         seed=seed_tuple(seed_seq),
     )

@@ -9,15 +9,16 @@ the union-bound comparator and the cheap in-loop bound.
 
 The width functions (``bernstein_widths``, ``normal_widths``,
 ``supt_widths``) and ``margins`` work on arrays of (1/n)-normalized
-variances and means shaped (..., |S|): the table functions below apply them
-to influence tables, and the scan, the baselines and the bounds scatter
-apply them to class statistics.
+variances and means shaped (..., |S|). ``union_table`` builds every
+union-corrected ``LowerBoundTable`` from such arrays, whether they come from
+an influence table (``finite_bounds``, ``bonferroni_normal_bounds``) or from
+class statistics (the scan, the baselines, the bounds scatter).
 
 This module also owns the pairing of a guarantee mode with its bounds:
 ``finite`` takes the empirical-Bernstein widths and tables, ``asymptotic``
 the Bonferroni-normal union widths and the sup-t joint tables.
-``check_mode`` is the one check of a mode name; ``union_widths``,
-``union_bounds`` and ``joint_bounds`` make the choice for the methods.
+``check_mode`` is the one check of a mode name; ``union_table`` and
+``joint_bounds`` make the choice for the methods.
 
 Upper-sense guardrails are handled by negating into the lower-sense form:
 every entry carries both the sense-correct ``bound`` and the flipped
@@ -27,7 +28,7 @@ every entry carries both the sense-correct ``bound`` and the flipped
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import ndtri
@@ -36,7 +37,6 @@ from .core import MIN_N_SIM, SafetySpec
 from .estimators import InfluenceTable, empirical_covariance
 
 __all__ = [
-    "LowerBoundEntry",
     "LowerBoundTable",
     "SupTQuantile",
     "finite_bounds",
@@ -49,8 +49,7 @@ __all__ = [
     "supt_widths",
     "margins",
     "check_mode",
-    "union_widths",
-    "union_bounds",
+    "union_table",
     "joint_bounds",
 ]
 
@@ -130,60 +129,78 @@ def margins(means: np.ndarray, widths: np.ndarray, spec: SafetySpec) -> np.ndarr
     return spec.signs * means - widths
 
 
-@dataclass(frozen=True)
-class LowerBoundEntry:
-    policy_id: str
-    guardrail: int
-    sense: str
-    estimate: float
-    width: float
-    bound: float
-    margin: float
-    level: float
-    method: str
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LowerBoundTable:
-    """Per-(policy, guardrail) bounds plus correction metadata."""
+    """Per-(policy, guardrail) estimates and widths, shaped (|Pi|, |S|) with
+    one row per policy id (ids unique), at one level, plus correction
+    metadata. Margins (certify iff > 0) and sense-correct bounds follow from
+    ``margins``."""
 
-    entries: tuple[LowerBoundEntry, ...]
+    policy_ids: tuple[str, ...]
+    spec: SafetySpec
+    estimates: np.ndarray
+    widths: np.ndarray
     method: str
     level: float
     meta: dict = field(default_factory=dict)
 
-    def for_policy(self, policy_id: str) -> list[LowerBoundEntry]:
-        return [e for e in self.entries if e.policy_id == policy_id]
+    @classmethod
+    def empty(cls, spec: SafetySpec, method: str, level: float) -> LowerBoundTable:
+        blank = np.empty((0, spec.s_count))
+        return cls((), spec, blank, blank, method, level)
+
+    @property
+    def margins(self) -> np.ndarray:
+        return margins(self.estimates, self.widths, self.spec)
+
+    @property
+    def bounds(self) -> np.ndarray:
+        return self.spec.signs * self.margins
 
     def min_margin(self, policy_id: str) -> float:
-        return min(e.margin for e in self.for_policy(policy_id))
+        return float(self.margins[self.policy_ids.index(policy_id)].min())
+
+    def certified_ids(self) -> list[str]:
+        """Policies whose every guardrail margin is strictly positive, in
+        table order."""
+        ok = (self.margins > 0.0).all(axis=1)
+        return [pid for pid, keep in zip(self.policy_ids, ok) if keep]
+
+    def take(self, rows) -> LowerBoundTable:
+        """The table restricted to the given row indices, same metadata."""
+        ids = tuple(self.policy_ids[i] for i in rows)
+        return replace(
+            self, policy_ids=ids, estimates=self.estimates[rows], widths=self.widths[rows]
+        )
 
     def to_json_dict(self) -> dict:
+        """One entry per (policy, guardrail), policy-major."""
+        spec = self.spec
+        rows = zip(
+            self.policy_ids,
+            self.estimates.tolist(),
+            self.widths.tolist(),
+            self.bounds.tolist(),
+            self.margins.tolist(),
+        )
         return {
             "method": self.method,
             "level": self.level,
             "meta": dict(self.meta),
             "entries": [
                 {
-                    "policy": e.policy_id,
-                    "guardrail": e.guardrail,
-                    "sense": e.sense,
-                    "estimate": e.estimate,
-                    "width": e.width,
-                    "bound": e.bound,
-                    "margin": e.margin,
+                    "policy": pid,
+                    "guardrail": spec.guardrails[s],
+                    "sense": spec.senses[s],
+                    "estimate": e[s],
+                    "width": w[s],
+                    "bound": b[s],
+                    "margin": m[s],
                 }
-                for e in self.entries
+                for pid, e, w, b, m in rows
+                for s in range(spec.s_count)
             ],
         }
-
-    def certified_ids(self) -> list[str]:
-        """Policies whose every guardrail margin is strictly positive,
-        in first-appearance order."""
-        seen: dict[str, bool] = {}
-        for e in self.entries:
-            seen[e.policy_id] = seen.get(e.policy_id, True) and e.margin > 0.0
-        return [pid for pid, ok in seen.items() if ok]
 
 
 @dataclass(frozen=True)
@@ -191,37 +208,6 @@ class SupTQuantile:
     z_star: float
     n_sim: int
     seed: int | None = None
-
-
-def _entries(
-    table: InfluenceTable, widths: np.ndarray, level: float, method: str
-) -> tuple[LowerBoundEntry, ...]:
-    spec = table.spec
-    shape = (table.policy_count, spec.s_count)
-    est = table.estimates.reshape(shape)
-    width = widths.reshape(shape)
-    margin = margins(est, width, spec)
-    bound = spec.signs * margin
-    rows = zip(table.policy_ids, est.tolist(), width.tolist(), bound.tolist(), margin.tolist())
-    return tuple(
-        LowerBoundEntry(
-            policy_id=pid,
-            guardrail=spec.guardrails[s],
-            sense=spec.senses[s],
-            estimate=e[s],
-            width=w[s],
-            bound=b[s],
-            margin=m[s],
-            level=level,
-            method=method,
-        )
-        for pid, e, w, b, m in rows
-        for s in range(spec.s_count)
-    )
-
-
-def _class_size(table: InfluenceTable, assumed_class_size: int | None) -> int:
-    return assumed_class_size if assumed_class_size is not None else table.policy_count
 
 
 def _variances(table: InfluenceTable) -> np.ndarray:
@@ -245,18 +231,10 @@ def finite_bounds(
 
     with |Pi~| = assumed_class_size (defaults to the table's policy count).
     """
-    m = _class_size(table, assumed_class_size)
-    widths = bernstein_widths(_variances(table), spec, level, m, table.n, table.c)
-    return LowerBoundTable(
-        entries=_entries(table, widths, level, "finite"),
-        method="finite",
-        level=level,
-        meta={
-            "class_size": m,
-            "s_count": spec.s_count,
-            "log_term": _log_term(spec, level, m),
-            "n": table.n,
-        },
+    m = table.policy_count if assumed_class_size is None else assumed_class_size
+    means = table.estimates.reshape(-1, spec.s_count)
+    return union_table(
+        table.policy_ids, means, _variances(table), spec, "finite", level, m, table.n, table.c
     )
 
 
@@ -342,7 +320,10 @@ def asymptotic_bounds(
     q = supt_quantile(cov * np.outer(signs, signs), level, n_sim, rng)
     widths = supt_widths(np.diag(cov), q.z_star, n)
     return LowerBoundTable(
-        entries=_entries(table, widths, level, "supt"),
+        policy_ids=table.policy_ids,
+        spec=spec,
+        estimates=table.estimates.reshape(-1, spec.s_count),
+        widths=widths.reshape(-1, spec.s_count),
         method="supt",
         level=level,
         meta={
@@ -367,18 +348,10 @@ def bonferroni_normal_bounds(
         C_j(pi) = D_j(pi) -/+ z sqrt(Sigma_jj / n),
         z = Phi^{-1}(1 - level / (|Pi~| |S|)).
     """
-    m = _class_size(table, assumed_class_size)
-    widths = normal_widths(_variances(table), spec, level, m, table.n)
-    return LowerBoundTable(
-        entries=_entries(table, widths, level, "bonferroni-normal"),
-        method="bonferroni-normal",
-        level=level,
-        meta={
-            "z": _bonferroni_z(spec, level, m),
-            "class_size": m,
-            "s_count": spec.s_count,
-            "n": table.n,
-        },
+    m = table.policy_count if assumed_class_size is None else assumed_class_size
+    means = table.estimates.reshape(-1, spec.s_count)
+    return union_table(
+        table.policy_ids, means, _variances(table), spec, "asymptotic", level, m, table.n, table.c
     )
 
 
@@ -388,7 +361,9 @@ def check_mode(mode: str) -> None:
         raise ValueError("mode must be 'finite' or 'asymptotic'")
 
 
-def union_widths(
+def union_table(
+    policy_ids,
+    means: np.ndarray,
     variances: np.ndarray,
     spec: SafetySpec,
     mode: str,
@@ -396,22 +371,20 @@ def union_widths(
     class_size: int,
     n: int,
     c: float,
-) -> np.ndarray:
-    """The mode's union-corrected widths over |Pi~| = class_size:
-    ``bernstein_widths`` in finite mode (``c`` sets its range term),
-    ``normal_widths`` in asymptotic mode."""
-    if mode == "finite":
-        return bernstein_widths(variances, spec, level, class_size, n, c)
-    return normal_widths(variances, spec, level, class_size, n)
-
-
-def union_bounds(
-    table: InfluenceTable, mode: str, level: float, class_size: int
 ) -> LowerBoundTable:
-    """The bound table of ``union_widths``: ``finite_bounds`` or
-    ``bonferroni_normal_bounds`` with |Pi~| = class_size."""
-    build = finite_bounds if mode == "finite" else bonferroni_normal_bounds
-    return build(table, table.spec, level, class_size)
+    """The mode's union-corrected bound table over |Pi~| = class_size, from
+    the (1/n)-normalized means and variances of the policies' influence
+    columns, shaped (|Pi|, |S|): ``bernstein_widths`` in finite mode (method
+    ``finite``; ``c`` sets the range term), ``normal_widths`` in asymptotic
+    mode (method ``bonferroni-normal``)."""
+    if mode == "finite":
+        widths = bernstein_widths(variances, spec, level, class_size, n, c)
+        method, meta = "finite", {"log_term": _log_term(spec, level, class_size)}
+    else:
+        widths = normal_widths(variances, spec, level, class_size, n)
+        method, meta = "bonferroni-normal", {"z": _bonferroni_z(spec, level, class_size)}
+    meta.update(class_size=class_size, s_count=spec.s_count, n=n)
+    return LowerBoundTable(tuple(policy_ids), spec, means, widths, method, level, meta)
 
 
 def joint_bounds(

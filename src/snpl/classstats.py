@@ -31,11 +31,13 @@ __all__ = ["ClassStats", "class_stats", "policy_loop_stats"]
 @dataclass
 class ClassStats:
     """Per-candidate means and variances of the influence columns, shape
-    (|Pi|, |S|), and goal-value means, shape (|Pi|,)."""
+    (|Pi|, |S|), goal-value means, shape (|Pi|,), and the baseline's goal
+    value."""
 
     means: np.ndarray
     variances: np.ndarray
     goal: np.ndarray
+    baseline_goal: float
 
 
 def policy_loop_stats(
@@ -46,10 +48,22 @@ def policy_loop_stats(
     scores: np.ndarray,
 ) -> ClassStats:
     """Reference path: one policy_scores evaluation per candidate."""
+    psi0 = policy_scores(scores, baseline, dataset.covariates)
+    return _loop_stats(dataset, candidates, spec, scores, psi0)
+
+
+def _loop_stats(
+    dataset: Dataset,
+    candidates: list[Policy],
+    spec: SafetySpec,
+    scores: np.ndarray,
+    psi0: np.ndarray,
+) -> ClassStats:
+    """The per-policy loop against the baseline's scores psi0."""
     X = dataset.covariates
     jdx = np.asarray(spec.guardrails, dtype=np.int64) - 1
     w = np.asarray(spec.weights)
-    base = policy_scores(scores, baseline, X)[:, jdx]
+    base = psi0[:, jdx]
     means = np.empty((len(candidates), spec.s_count))
     variances = np.empty((len(candidates), spec.s_count))
     goal = np.empty(len(candidates))
@@ -60,7 +74,7 @@ def policy_loop_stats(
         means[i] = mu
         variances[i] = np.mean((d - mu) ** 2, axis=0)
         goal[i] = psi[:, spec.goal - 1].mean()
-    return ClassStats(means=means, variances=variances, goal=goal)
+    return ClassStats(means, variances, goal, float(psi0[:, spec.goal - 1].mean()))
 
 
 def class_stats(
@@ -82,13 +96,14 @@ def class_stats(
         else:
             rest.append(i)
 
+    X = dataset.covariates
+    psi0 = policy_scores(scores, baseline, X)
     # Per-candidate sums of (d_1..d_S, d_1^2..d_S^2, goal score).
     sums = np.zeros((len(candidates), 2 * S + 1))
     if families:
-        X = dataset.covariates
         jdx = np.asarray(spec.guardrails, dtype=np.int64) - 1
         w = np.asarray(spec.weights)
-        base = policy_scores(scores, baseline, X)[:, jdx]
+        base = psi0[:, jdx]
         # Per arm, the summed quantities as contiguous rows (bincount reads
         # a contiguous weight vector without copying it).
         arm = []
@@ -126,9 +141,9 @@ def class_stats(
     variances = np.maximum(sums[:, S : 2 * S] / n - means**2, 0.0)
     goal = sums[:, 2 * S] / n
     if rest:
-        ref = policy_loop_stats(dataset, [candidates[i] for i in rest], spec, baseline, scores)
+        ref = _loop_stats(dataset, [candidates[i] for i in rest], spec, scores, psi0)
         means[rest], variances[rest], goal[rest] = ref.means, ref.variances, ref.goal
-    return ClassStats(means=means, variances=variances, goal=goal)
+    return ClassStats(means, variances, goal, float(psi0[:, spec.goal - 1].mean()))
 
 
 def _coinciding(

@@ -289,7 +289,6 @@ class Trace:
     final: LowerBoundTable
     goal_values: dict
     baseline_goal_value: float
-    certified_ids: tuple[str, ...]
     decision: str
     seed: tuple
     svt: Svt | None = None
@@ -301,6 +300,11 @@ class Trace:
     @property
     def is_baseline(self) -> bool:
         return self.decision == self.baseline_id
+
+    @property
+    def certified_ids(self) -> tuple[str, ...]:
+        """The policies the final bounds certify, in table order."""
+        return tuple(self.final.certified_ids())
 
     @property
     def scan(self) -> tuple[ScanRecord, ...]:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .algorithm import snpl_run
 from .baselines import bonferroni_run, hcpi_run
-from .bounds import check_mode, margins, supt_widths, union_widths
+from .bounds import check_mode, margins, supt_widths, union_table
 from .classstats import class_stats
 from .core import (
     ConstantPropensity,
@@ -57,6 +57,9 @@ __all__ = [
 # so results do not depend on the order methods are listed or executed.
 METHOD_STREAMS = {"snpl": 1, "ds-25": 2, "ds-50": 3, "ds-75": 4, "bonferroni": 5}
 _DATA_STREAM = 0
+
+# The learning fraction rho of each data-splitting method.
+_SPLIT_RHO = {"ds-25": 0.25, "ds-50": 0.50, "ds-75": 0.75}
 
 SCHEMA_VERSION = 1
 
@@ -126,6 +129,19 @@ class BenchmarkConfig:
             )
         except ValueError as err:
             raise ConfigError(str(err)) from err
+        # Cross-fitting needs at least one row per fold in every sample it
+        # fits on; a finite-mode split needs one row on each side.
+        if self.mode == "asymptotic" and self.n < self.folds:
+            raise ConfigError(f"more folds than observations: n = {self.n}, folds = {self.folds}")
+        least = self.folds if self.mode == "asymptotic" else 1
+        for m in self.methods:
+            if m in _SPLIT_RHO:
+                n_learn = int(math.floor(_SPLIT_RHO[m] * self.n))
+                if min(n_learn, self.n - n_learn) < least:
+                    raise ConfigError(
+                        f"method '{m}' splits n = {self.n} rows into {n_learn} and "
+                        f"{self.n - n_learn}; each side needs at least {least}"
+                    )
         object.__setattr__(self, "_spec", spec)
         object.__setattr__(self, "_hyper", hyper)
 
@@ -227,13 +243,8 @@ def worker_count(replications: int, workers: int | None = None) -> int:
 def _dispatch(method: str, dataset, policies, config: BenchmarkConfig, seed_seq):
     # Built per call, so it holds the run functions this module binds at
     # call time (perfbench's tracer rebinds them).
-    runs = {
-        "snpl": snpl_run,
-        "bonferroni": bonferroni_run,
-        "ds-25": functools.partial(hcpi_run, rho=0.25),
-        "ds-50": functools.partial(hcpi_run, rho=0.50),
-        "ds-75": functools.partial(hcpi_run, rho=0.75),
-    }
+    runs = {"snpl": snpl_run, "bonferroni": bonferroni_run}
+    runs.update({m: functools.partial(hcpi_run, rho=rho) for m, rho in _SPLIT_RHO.items()})
     spec, baseline, hyper = config.spec(), config.baseline(), config.hyper()
     return runs[method](dataset, policies, spec, baseline, config.mode, hyper, seed_seq)
 
@@ -541,9 +552,9 @@ def emit_bounds_scatter(dataset: Dataset, policies, config: BenchmarkConfig, out
     A lower-sense coordinate certifies iff bound > threshold (upper sense:
     bound < threshold). Statistics come from ``class_stats`` on the run's
     own arm scores; the estimate of guardrail j is mean(d_j) + w_j V_j(pi0).
-    Widths use the run's final-certification critical value (the in-loop
-    one when nothing was pruned), so pruned rows reproduce the trace's final
-    margins up to rounding.
+    Widths use the run's final-certification critical value, so pruned rows
+    reproduce the trace's final margins up to rounding; when nothing was
+    pruned they use the in-loop one, at |Pi~| = eta.
     """
     spec = config.spec()
     baseline = config.baseline()
@@ -559,10 +570,12 @@ def emit_bounds_scatter(dataset: Dataset, policies, config: BenchmarkConfig, out
     estimates = stats.means + thresholds
     if config.mode == "asymptotic" and trace.pruned_ids:
         widths = supt_widths(stats.variances, trace.final.meta["z_star"], n)
-    else:  # |Pi~|: finite, the pruned count (at least 1); asymptotic, eta
-        size = max(len(trace.pruned_ids), 1) if config.mode == "finite" else trace.svt.eta
-        aprime, c = trace.svt.alpha_prime, dataset.propensity.c
-        widths = union_widths(stats.variances, spec, config.mode, aprime, size, n, c)
+    else:  # |Pi~|: the pruned count (finite mode), or eta when nothing was pruned
+        size = len(trace.pruned_ids) or trace.svt.eta
+        widths = union_table(
+            [p.policy_id for p in rows], estimates, stats.variances, spec, config.mode,
+            trace.svt.alpha_prime, size, n, dataset.propensity.c,
+        ).widths
     bounds = spec.signs * margins(estimates, widths, spec)  # estimate -/+ width
 
     pruned = set(trace.pruned_ids)

@@ -210,7 +210,7 @@ def test_c5_bound_coverage():
         dataset = generate(1000, rng)
         table = influence_table(dataset, arm_scores(dataset), pols, spec, baseline)
         bt = finite_bounds(table, spec, ALPHA)
-        bounds = np.array([e.bound for e in bt.entries])
+        bounds = bt.bounds.ravel()
         if (bounds > d_true).any():
             miss_finite += 1
     assert miss_finite / reps <= ALPHA, f"finite miscoverage {miss_finite}/{reps}"
@@ -226,12 +226,11 @@ def test_c5_bound_coverage():
         nuisance = fit_nuisance(dataset, 5, r_nuis)
         table = influence_table(dataset, arm_scores(dataset, nuisance), pols, spec, baseline)
         bt = asymptotic_bounds(table, spec, ALPHA, 100_000, r_sup)
-        bounds = np.array([e.bound for e in bt.entries])
+        bounds = bt.bounds.ravel()
         if (bounds > d_true).any():
             miss_asym += 1
         bn = bonferroni_normal_bounds(table, spec, ALPHA)
-        w_sup = np.array([e.width for e in bt.entries])
-        w_bon = np.array([e.width for e in bn.entries])
+        w_sup, w_bon = bt.widths.ravel(), bn.widths.ravel()
         assert (w_sup <= w_bon + 0.01).all(), f"sup-t wider than union bound, rep {rep}"
     assert miss_asym / reps <= ALPHA + 0.03, f"asymptotic miscoverage {miss_asym}/{reps}"
 

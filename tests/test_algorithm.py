@@ -79,9 +79,10 @@ class TestTrivialCases:
 
     def test_empty_pruned_certifies_nothing(self):
         ds = generate(200, np.random.default_rng(1))
-        table, decision, goals, certified = certify(ds, arm_scores(ds), [], 0.08)
+        table, decision, goals = certify(ds, arm_scores(ds), [], 0.08)
         assert decision == "g1@0.5"
-        assert table.entries == () and goals == {} and certified == ()
+        assert table.policy_ids == () and table.estimates.shape == (0, 2)
+        assert goals == {} and table.certified_ids() == []
 
 
 class TestFinalCertify:
@@ -89,9 +90,9 @@ class TestFinalCertify:
         # always-treat tanks outcome 1 far below the w=0 floor
         ds = generate(2000, np.random.default_rng(2))
         pruned = [ThresholdPolicy("g5", 0.5)]
-        table, decision, _, certified = certify(ds, arm_scores(ds), pruned, 0.08)
+        table, decision, _ = certify(ds, arm_scores(ds), pruned, 0.08)
         assert decision == "g1@0.5"
-        assert table.min_margin("g5@0.5") < 0.0 and certified == ()
+        assert table.min_margin("g5@0.5") < 0.0 and table.certified_ids() == []
 
     def test_goal_argmax_returned_when_it_certifies(self):
         # both policies certify easily under w=-0.9; the goal argmax over the
@@ -99,8 +100,8 @@ class TestFinalCertify:
         ds = generate(3000, np.random.default_rng(3))
         spec = two_guardrails(weights=(-0.9, -0.9))
         pruned = [ThresholdPolicy("g1", 0.8), ThresholdPolicy("g1", 0.2)]
-        table, decision, goals, certified = certify(ds, arm_scores(ds), pruned, 0.08, spec=spec)
-        assert certified == ("g1@0.8", "g1@0.2")
+        table, decision, goals = certify(ds, arm_scores(ds), pruned, 0.08, spec=spec)
+        assert table.certified_ids() == ["g1@0.8", "g1@0.2"]
         assert decision == max(goals, key=goals.__getitem__)
         # true V1 is higher at the smaller cutoff
         assert decision == "g1@0.2"
@@ -112,9 +113,9 @@ class TestFinalCertify:
         ds = generate(4000, np.random.default_rng(4))
         pruned = [ThresholdPolicy("g5", 0.5), ThresholdPolicy("g1", 0.4)]
         spec = two_guardrails(goal=2)
-        table, decision, goals, certified = certify(ds, arm_scores(ds), pruned, 0.08, spec=spec)
+        table, decision, goals = certify(ds, arm_scores(ds), pruned, 0.08, spec=spec)
         assert goals["g5@0.5"] > goals["g1@0.4"]
-        assert "g5@0.5" not in certified
+        assert "g5@0.5" not in table.certified_ids()
         assert decision == "g1@0.5"
 
     @pytest.mark.parametrize(
@@ -125,10 +126,10 @@ class TestFinalCertify:
         scores = arm_scores(ds, fit_nuisance(ds, 5, np.random.default_rng(0)))
         pruned = [ThresholdPolicy("g1", 0.3)]
         args = (ds, scores, pruned, 0.08, "asymptotic")
-        table, decision, _, _ = certify(*args, n_sim=2000, rng=make(6))
-        ref, ref_decision, _, _ = certify(*args, n_sim=2000, rng=np.random.default_rng(6))
+        table, decision, _ = certify(*args, n_sim=2000, rng=make(6))
+        ref, ref_decision, _ = certify(*args, n_sim=2000, rng=np.random.default_rng(6))
         assert table.meta["seed"] is None
-        assert table == ref and decision == ref_decision
+        assert table.to_json_dict() == ref.to_json_dict() and decision == ref_decision
 
     def test_default_rng_draws_fresh_entropy(self):
         # rng=None (the default) seeds the sup-t draws from fresh entropy,
@@ -136,7 +137,7 @@ class TestFinalCertify:
         ds = generate(400, np.random.default_rng(1))
         scores = arm_scores(ds, fit_nuisance(ds, 5, np.random.default_rng(0)))
         pruned = [ThresholdPolicy("g1", 0.3)]
-        table, _, _, _ = certify(ds, scores, pruned, 0.08, "asymptotic", n_sim=2000)
+        table, _, _ = certify(ds, scores, pruned, 0.08, "asymptotic", n_sim=2000)
         assert table.method == "supt" and table.meta["seed"] is None
 
 
@@ -359,14 +360,12 @@ class TestAsymptoticCrossCheck:
             # final: sup-t over exactly the pruned set at alpha', then the
             # pruned goal argmax (scan-order ties) if its margins are positive
             if not pruned:
-                assert trace.final.entries == () and trace.is_baseline
+                assert trace.final.policy_ids == () and trace.is_baseline
                 outcomes.add("empty")
                 continue
             final_table = influence_table(ds, scores, pruned, spec, baseline)
             final = asymptotic_bounds(final_table, spec, aprime, hyper.n_sim, r_final)
-            assert [e.margin for e in trace.final.entries] == pytest.approx(
-                [e.margin for e in final.entries], abs=1e-12
-            )
+            np.testing.assert_allclose(trace.final.margins, final.margins, rtol=0, atol=1e-12)
             goals = [dr_value(ds, pol, spec.goal, nuis) for pol in pruned]
             pick = pruned[int(np.argmax(goals))].policy_id
             if final.min_margin(pick) > 0.0:
@@ -418,7 +417,7 @@ class TestThreeArmCrossCheck:
             assert trace.pruned_ids == tuple(p.policy_id for p in pruned)
 
             if not pruned:
-                assert trace.final.entries == () and trace.is_baseline
+                assert trace.final.policy_ids == () and trace.is_baseline
                 outcomes.add("empty")
                 continue
             final_table = influence_table(ds, scores, pruned, spec, baseline)
@@ -428,9 +427,7 @@ class TestThreeArmCrossCheck:
             else:
                 final = asymptotic_bounds(final_table, spec, aprime, hyper.n_sim, r_final)
                 goals = [dr_value(ds, pol, spec.goal, nuis) for pol in pruned]
-            assert [e.margin for e in trace.final.entries] == pytest.approx(
-                [e.margin for e in final.entries], abs=1e-12
-            )
+            np.testing.assert_allclose(trace.final.margins, final.margins, rtol=0, atol=1e-12)
             pick = pruned[int(np.argmax(goals))].policy_id
             certified = final.min_margin(pick) > 0.0
             assert trace.decision == (pick if certified else baseline.policy_id)

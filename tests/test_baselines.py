@@ -4,10 +4,14 @@ import pytest
 from snpl.baselines import bonferroni_run, hcpi_run
 from snpl.bounds import (
     asymptotic_bounds,
+    bernstein_widths,
     bonferroni_normal_bounds,
     finite_bounds,
+    margins,
     normal_quantile,
+    normal_widths,
 )
+from snpl.classstats import class_stats
 from conftest import tabular_generate, three_arm_class, three_arm_generate
 from snpl.core import Dataset, Hyperparams, SafetySpec, TabularPropensity, Trace
 from snpl.estimators import arm_scores, dr_value, fit_nuisance, influence_table
@@ -174,9 +178,7 @@ class TestBonferroni:
         bt = finite_bounds(table, spec, spec.alpha, assumed_class_size=1)
         assert trace.decision == cand.policy_id
         assert trace.certified_ids == (cand.policy_id,)
-        assert trace.final.entries[0].margin == pytest.approx(
-            bt.entries[0].margin, abs=1e-12
-        )
+        assert trace.final.margins[0, 0] == pytest.approx(bt.margins[0, 0], abs=1e-12)
 
     def test_unsafe_class_returns_baseline(self):
         spec = two_guardrails(weights=(0.0, 0.0))
@@ -185,7 +187,7 @@ class TestBonferroni:
         trace = bonferroni_run(ds, cands, spec, default_baseline(), "finite", seed=14)
         assert trace.is_baseline
         assert trace.certified_ids == ()
-        assert trace.final.entries == ()
+        assert trace.final.policy_ids == ()
 
     def test_order_invariance(self):
         ds = generate(1500, np.random.default_rng(13))
@@ -250,6 +252,51 @@ def test_per_test_level_at_or_above_half_raises_before_deciding(method, feature,
             bonferroni_run(ds, cands, spec, default_baseline(), "asymptotic", hyper, seed=0)
         else:
             hcpi_run(ds, cands, spec, default_baseline(), "asymptotic", hyper, seed=0, rho=0.5)
+
+
+class TestBonferroniTraceMatchesDecision:
+    """The trace's final bounds are the certified rows of the statistics the
+    decision was made on: class-statistics means, union widths over the
+    whole class at alpha, and their margins, equal to the last bit."""
+
+    @pytest.mark.parametrize("mode", ("finite", "asymptotic"))
+    @pytest.mark.parametrize(
+        "weights,n,certifies", (((0.0, 0.0), 300, False), ((-0.9, -0.9), 1000, True))
+    )
+    def test_final_rows_are_the_decision_statistics(self, mode, weights, n, certifies):
+        spec, baseline = two_guardrails(weights), default_baseline()
+        policies = build_class(40)
+        candidates = [p for p in policies if p.policy_id != baseline.policy_id]
+        m = len(candidates)
+        for seed in range(3):
+            ds = generate(n, np.random.default_rng(np.random.SeedSequence((71, seed))))
+            trace = bonferroni_run(
+                ds, policies, spec, baseline, mode, Hyperparams(n_sim=2000), seed=seed
+            )
+            (nuis_seed,) = np.random.SeedSequence(seed).spawn(1)
+            nuis = (
+                fit_nuisance(ds, 5, np.random.default_rng(nuis_seed))
+                if mode == "asymptotic" else None
+            )
+            stats = class_stats(ds, candidates, spec, baseline, arm_scores(ds, nuis))
+            if mode == "finite":
+                widths = bernstein_widths(stats.variances, spec, spec.alpha, m, n, ds.propensity.c)
+            else:
+                widths = normal_widths(stats.variances, spec, spec.alpha, m, n)
+            margin = margins(stats.means, widths, spec)
+            rows = np.flatnonzero(margin.min(axis=1) > 0.0)
+            assert bool(rows.size) == certifies
+
+            entries = trace.to_json_dict()["final_bounds"]["entries"]
+            assert [e["policy"] for e in entries[:: spec.s_count]] == [
+                candidates[i].policy_id for i in rows
+            ]
+            assert [e["estimate"] for e in entries] == stats.means[rows].ravel().tolist()
+            assert [e["width"] for e in entries] == widths[rows].ravel().tolist()
+            assert [e["margin"] for e in entries] == margin[rows].ravel().tolist()
+            assert trace.certified_ids == tuple(trace.final.certified_ids())
+            assert all(trace.final.min_margin(pid) > 0.0 for pid in trace.certified_ids)
+            assert trace.baseline_goal_value == stats.baseline_goal
 
 
 class TestAsymptoticCrossCheck:
@@ -325,9 +372,7 @@ class TestAsymptoticCrossCheck:
             nuis_t = fit_nuisance(data_t, folds, r_test)
             table_t = influence_table(data_t, arm_scores(data_t, nuis_t), [pick], spec, baseline)
             final = asymptotic_bounds(table_t, spec, spec.alpha, self.hyper.n_sim, r_supt)
-            assert [e.margin for e in trace.final.entries] == pytest.approx(
-                [e.margin for e in final.entries], abs=1e-12
-            )
+            np.testing.assert_allclose(trace.final.margins, final.margins, rtol=0, atol=1e-12)
             passed = final.min_margin(pick.policy_id) > 0.0
             assert trace.decision == (pick.policy_id if passed else baseline.policy_id)
             decisions.add(trace.is_baseline)
@@ -363,9 +408,8 @@ class TestAsymptoticCrossCheck:
             }
             want = max(certified, key=goals.__getitem__) if certified else baseline.policy_id
             assert trace.decision == want
-            assert [e.margin for e in trace.final.entries] == pytest.approx(
-                [e.margin for e in bt.entries if e.policy_id in goals], abs=1e-12
-            )
+            rows = [bt.policy_ids.index(pid) for pid in certified]
+            np.testing.assert_allclose(trace.final.margins, bt.margins[rows], rtol=0, atol=1e-12)
             decisions.add(trace.is_baseline)
         assert decisions == {True, False}
 
@@ -424,9 +468,7 @@ class TestThreeArmCrossCheck:
                 final = finite_bounds(table_t, spec, spec.alpha, assumed_class_size=1)
             else:
                 final = asymptotic_bounds(table_t, spec, spec.alpha, self.hyper.n_sim, r_supt)
-            assert [e.margin for e in trace.final.entries] == pytest.approx(
-                [e.margin for e in final.entries], abs=1e-12
-            )
+            np.testing.assert_allclose(trace.final.margins, final.margins, rtol=0, atol=1e-12)
             passed = final.min_margin(pick.policy_id) > 0.0
             assert trace.decision == (pick.policy_id if passed else baseline.policy_id)
             assert trace.baseline_goal_value == pytest.approx(
@@ -454,9 +496,8 @@ class TestThreeArmCrossCheck:
             goals = {pid: policy_mean(scores, pol, ds, spec.goal)
                      for pid, pol in zip(table.policy_ids, policies) if pid in certified}
             assert trace.decision == max(certified, key=goals.__getitem__)
-            assert [e.margin for e in trace.final.entries] == pytest.approx(
-                [e.margin for e in bt.entries if e.policy_id in goals], abs=1e-12
-            )
+            rows = [bt.policy_ids.index(pid) for pid in certified]
+            np.testing.assert_allclose(trace.final.margins, bt.margins[rows], rtol=0, atol=1e-12)
 
 
 def policy_mean(scores, policy, dataset, outcome) -> float:

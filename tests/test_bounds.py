@@ -6,7 +6,6 @@ import pytest
 from snpl.bounds import (
     _BLOCK,
     _active,
-    LowerBoundEntry,
     LowerBoundTable,
     asymptotic_bounds,
     bernstein_widths,
@@ -65,11 +64,10 @@ class TestFiniteBounds:
         spec = one_guardrail_spec()
         table = self.unit_variance_table(spec)
         out = finite_bounds(table, spec, level=0.1)
-        entry = out.entries[0]
-        assert entry.width == pytest.approx(0.55770, abs=1e-4)
-        assert entry.estimate == pytest.approx(1.0)
-        assert entry.margin == pytest.approx(1.0 - 0.55770, abs=1e-4)
-        assert entry.bound == entry.margin  # lower sense
+        assert out.widths[0, 0] == pytest.approx(0.55770, abs=1e-4)
+        assert out.estimates[0, 0] == pytest.approx(1.0)
+        assert out.margins[0, 0] == pytest.approx(1.0 - 0.55770, abs=1e-4)
+        assert out.bounds[0, 0] == out.margins[0, 0]  # lower sense
         assert out.meta["log_term"] == pytest.approx(math.log(15.0), abs=1e-12)
         assert out.meta["class_size"] == 1 and out.meta["n"] == 100
 
@@ -79,7 +77,7 @@ class TestFiniteBounds:
         out = finite_bounds(table, spec, level=0.1, assumed_class_size=10)
         L = math.log(3.0 * 10 / 0.2)
         assert out.meta["log_term"] == pytest.approx(L, abs=1e-12)
-        assert out.entries[0].width == pytest.approx(
+        assert out.widths[0, 0] == pytest.approx(
             math.sqrt(2.0 * L / 100.0) + 12.0 * L / 100.0, abs=1e-12
         )
 
@@ -87,7 +85,7 @@ class TestFiniteBounds:
         spec = one_guardrail_spec()
         small = finite_bounds(self.unit_variance_table(spec, 100), spec, 0.1)
         large = finite_bounds(self.unit_variance_table(spec, 10_000), spec, 0.1)
-        assert large.entries[0].width < small.entries[0].width
+        assert large.widths[0, 0] < small.widths[0, 0]
 
     def test_weight_tightens_range_term(self):
         # w = -0.5 gives R = 3 instead of 4
@@ -95,7 +93,7 @@ class TestFiniteBounds:
         table = self.unit_variance_table(spec)
         out = finite_bounds(table, spec, 0.1)
         L = math.log(15.0)
-        assert out.entries[0].width == pytest.approx(
+        assert out.widths[0, 0] == pytest.approx(
             math.sqrt(2.0 * L / 100.0) + 9.0 * L / 100.0, abs=1e-12
         )
 
@@ -103,9 +101,9 @@ class TestFiniteBounds:
         spec = one_guardrail_spec(sense="upper")
         table = self.unit_variance_table(spec)
         out = finite_bounds(table, spec, 0.1)
-        entry = out.entries[0]
-        assert entry.margin == pytest.approx(-entry.estimate - entry.width, abs=1e-12)
-        assert entry.bound == pytest.approx(entry.estimate + entry.width, abs=1e-12)
+        estimate, width = out.estimates[0, 0], out.widths[0, 0]
+        assert out.margins[0, 0] == pytest.approx(-estimate - width, abs=1e-12)
+        assert out.bounds[0, 0] == pytest.approx(estimate + width, abs=1e-12)
 
     def test_level_validation(self):
         spec = one_guardrail_spec()
@@ -289,7 +287,7 @@ class TestAsymptoticBounds:
         col = np.tile([-1.0, 1.0], 50)[:, None]
         table = table_from_values(col, spec)
         out = asymptotic_bounds(table, spec, 0.05, 100_000, 7)
-        assert out.entries[0].width == pytest.approx(0.1645, abs=0.005)
+        assert out.widths[0, 0] == pytest.approx(0.1645, abs=0.005)
         assert out.meta["z_star"] < 0.0
         assert out.meta["seed"] == 7 and out.meta["n_sim"] == 100_000
 
@@ -299,9 +297,9 @@ class TestAsymptoticBounds:
         values = np.column_stack([rng.standard_normal(200), np.full(200, 0.3)])
         table = table_from_values(values, spec)
         out = asymptotic_bounds(table, spec, 0.05, 10_000, 1)
-        assert out.entries[1].width == 0.0
-        assert out.entries[1].margin == pytest.approx(0.3)
-        assert out.entries[0].width > 0.0
+        assert out.widths[0, 1] == 0.0
+        assert out.margins[0, 1] == pytest.approx(0.3)
+        assert out.widths[0, 0] > 0.0
 
     def test_margin_definition(self):
         spec = SafetySpec(
@@ -311,9 +309,9 @@ class TestAsymptoticBounds:
         rng = np.random.default_rng(2)
         table = table_from_values(rng.standard_normal((300, 2)), spec)
         out = asymptotic_bounds(table, spec, 0.1, 20_000, 9)
-        lower, upper = out.entries
-        assert lower.margin == pytest.approx(lower.estimate - lower.width, abs=1e-12)
-        assert upper.margin == pytest.approx(-upper.estimate - upper.width, abs=1e-12)
+        (est_l, est_u), (width_l, width_u) = out.estimates[0], out.widths[0]
+        assert out.margins[0, 0] == pytest.approx(est_l - width_l, abs=1e-12)
+        assert out.margins[0, 1] == pytest.approx(-est_u - width_u, abs=1e-12)
 
     def test_rng_object_accepted(self):
         spec = one_guardrail_spec()
@@ -354,9 +352,7 @@ class TestBonferroniNormalBounds:
         col = np.tile([-1.0, 1.0], 128)[:, None]
         table = table_from_values(col, spec)
         out = bonferroni_normal_bounds(table, spec, 0.05)
-        assert out.entries[0].width == pytest.approx(
-            normal_quantile(0.95) / 16.0, abs=1e-12
-        )
+        assert out.widths[0, 0] == pytest.approx(normal_quantile(0.95) / 16.0, abs=1e-12)
 
     def test_never_tighter_than_supt(self):
         spec = SafetySpec(goal=1, guardrails=(1, 2), weights=(0.0, -0.1), alpha=0.1)
@@ -366,8 +362,8 @@ class TestBonferroniNormalBounds:
         table = table_from_values(values, spec)
         bonf = bonferroni_normal_bounds(table, spec, 0.1)
         supt = asymptotic_bounds(table, spec, 0.1, 100_000, 11)
-        for eb, es in zip(bonf.entries, supt.entries):
-            assert es.width <= eb.width + 1e-3
+        assert bonf.widths.shape == supt.widths.shape == (3, 2)
+        assert np.all(supt.widths <= bonf.widths + 1e-3)
 
     def test_per_test_level_cap(self):
         spec = one_guardrail_spec()
@@ -395,10 +391,11 @@ class TestWidthFunctions:
         sup = asymptotic_bounds(table, self.spec, 0.1, 1000, 3)
         pairs += ((sup, supt_widths(var, sup.meta["z_star"], 50)),)
         for out, widths in pairs:
-            assert [e.width for e in out.entries] == pytest.approx(widths.ravel(), abs=1e-14)
+            assert out.widths.shape == (3, 2)
+            np.testing.assert_allclose(out.widths, widths, rtol=0, atol=1e-14)
             est = table.estimates.reshape(3, 2)
-            assert [e.margin for e in out.entries] == pytest.approx(
-                margins(est, widths, self.spec).ravel(), abs=1e-14
+            np.testing.assert_allclose(
+                out.margins, margins(est, widths, self.spec), rtol=0, atol=1e-14
             )
 
     def test_normal_widths_need_per_test_level_below_half(self):
@@ -428,31 +425,68 @@ class TestWidthFunctions:
 
 
 class TestLowerBoundTable:
-    def entry(self, pid, margin):
-        return LowerBoundEntry(
-            policy_id=pid, guardrail=1, sense="lower", estimate=margin,
-            width=0.0, bound=margin, margin=margin, level=0.1, method="finite",
-        )
+    def table(self, ids, margin, spec=None):
+        # zero widths: each margin is its lower-sense estimate
+        spec = spec or one_guardrail_spec()
+        margin = np.asarray(margin, dtype=float)
+        return LowerBoundTable(ids, spec, margin, np.zeros_like(margin), "finite", 0.1)
 
     def test_certification_is_strict(self):
-        table = LowerBoundTable(
-            entries=(self.entry("a", 0.0), self.entry("b", 1e-9)),
-            method="finite", level=0.1,
-        )
+        table = self.table(("a", "b"), [[0.0], [1e-9]])
         assert table.certified_ids() == ["b"]
 
     def test_all_guardrails_must_pass(self):
-        table = LowerBoundTable(
-            entries=(self.entry("a", 0.5), self.entry("a", -0.1), self.entry("b", 0.2)),
-            method="finite", level=0.1,
-        )
+        spec = SafetySpec(goal=1, guardrails=(1, 2), weights=(0.0, 0.0), alpha=0.1)
+        table = self.table(("a", "b"), [[0.5, -0.1], [0.2, 0.3]], spec)
         assert table.certified_ids() == ["b"]
         assert table.min_margin("a") == pytest.approx(-0.1)
-        assert len(table.for_policy("a")) == 2
+        assert table.margins[0].tolist() == [0.5, -0.1]
 
     def test_first_appearance_order(self):
-        table = LowerBoundTable(
-            entries=(self.entry("z", 1.0), self.entry("a", 1.0)),
-            method="finite", level=0.1,
-        )
+        table = self.table(("z", "a"), [[1.0], [1.0]])
         assert table.certified_ids() == ["z", "a"]
+
+    def test_take_keeps_rows_and_metadata(self):
+        table = self.table(("a", "b", "c"), [[1.0], [-1.0], [2.0]])
+        sub = table.take([0, 2])
+        assert sub.policy_ids == ("a", "c")
+        assert sub.estimates.tolist() == [[1.0], [2.0]]
+        assert (sub.method, sub.level, sub.spec) == (table.method, table.level, table.spec)
+
+    def test_json_entries_policy_major(self):
+        spec = SafetySpec(
+            goal=1, guardrails=(2, 3), weights=(0.0, -0.5), alpha=0.1, senses=("lower", "upper")
+        )
+        table = LowerBoundTable(
+            ("a", "b"), spec, np.array([[0.5, 0.25], [1.0, -2.0]]),
+            np.array([[0.125, 0.5], [0.0, 0.25]]), "finite", 0.1, {"n": 4},
+        )
+        blob = table.to_json_dict()
+        assert blob == {
+            "method": "finite",
+            "level": 0.1,
+            "meta": {"n": 4},
+            "entries": [
+                {"policy": "a", "guardrail": 2, "sense": "lower", "estimate": 0.5,
+                 "width": 0.125, "bound": 0.375, "margin": 0.375},
+                {"policy": "a", "guardrail": 3, "sense": "upper", "estimate": 0.25,
+                 "width": 0.5, "bound": 0.75, "margin": -0.75},
+                {"policy": "b", "guardrail": 2, "sense": "lower", "estimate": 1.0,
+                 "width": 0.0, "bound": 1.0, "margin": 1.0},
+                {"policy": "b", "guardrail": 3, "sense": "upper", "estimate": -2.0,
+                 "width": 0.25, "bound": -1.75, "margin": 1.75},
+            ],
+        }
+        assert [list(e) for e in blob["entries"]] == [
+            ["policy", "guardrail", "sense", "estimate", "width", "bound", "margin"]
+        ] * 4
+        assert all(type(e["estimate"]) is float for e in blob["entries"])
+
+    def test_empty_table(self):
+        spec = SafetySpec(goal=1, guardrails=(1, 2), weights=(0.0, 0.0), alpha=0.1)
+        table = LowerBoundTable.empty(spec, "bonferroni", 0.1)
+        assert table.estimates.shape == table.widths.shape == (0, 2)
+        assert table.certified_ids() == []
+        assert table.to_json_dict() == {
+            "method": "bonferroni", "level": 0.1, "meta": {}, "entries": []
+        }

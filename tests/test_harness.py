@@ -88,6 +88,35 @@ class TestBenchmarkConfig:
         with pytest.raises(ConfigError, match=message):
             BenchmarkConfig(**setting)
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"n": 3}, "more folds than observations"),
+            ({"n": 8, "methods": ("ds-50",)}, "'ds-50' splits n = 8 rows into 4 and 4"),
+            ({"n": 19, "methods": ("ds-25",)}, "'ds-25' splits n = 19 rows into 4 and 15"),
+            ({"n": 3, "methods": ("ds-25",), "mode": "finite"}, "each side needs at least 1"),
+            ({"n": 1, "methods": ("ds-75",), "mode": "finite"}, "into 0 and 1"),
+        ],
+        ids=("snpl-n-below-folds", "ds-50", "ds-25", "ds-25-finite", "ds-75-finite"),
+    )
+    def test_sample_size_errors_raised_when_built(self, setting, message):
+        with pytest.raises(ConfigError, match=message):
+            BenchmarkConfig(**setting)
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"n": 5},
+            {"n": 10, "methods": ("ds-50",)},
+            {"n": 20, "methods": ("ds-25", "ds-50", "ds-75")},
+            {"n": 4, "methods": ("ds-25", "ds-75"), "mode": "finite"},
+            {"n": 2, "methods": ("snpl", "bonferroni", "ds-50"), "mode": "finite"},
+        ],
+        ids=("asymptotic-n-equals-folds", "ds-50", "ds-all", "finite-ds", "finite-tiny"),
+    )
+    def test_smallest_sample_sizes_accepted(self, setting):
+        assert BenchmarkConfig(**setting).n == setting["n"]
+
     def test_json_round_trip(self):
         cfg = tiny_config(eta=7, senses=("lower", "upper"), weights=(0.0, 0.0))
         back = BenchmarkConfig.from_json_dict(cfg.to_json_dict())
@@ -475,6 +504,32 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not (out_dir / "report.csv").exists()
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"n": 3, "methods": ["snpl"]}, "more folds than observations"),
+            ({"n": 8, "methods": ["ds-50"], "replications": 1}, "method 'ds-50' splits"),
+        ],
+        ids=("n-below-folds", "ds-50-split"),
+    )
+    def test_sample_size_errors_exit_two_before_any_data(
+        self, tmp_path, capsys, monkeypatch, setting, message
+    ):
+        from snpl import harness
+        from snpl.cli import main
+
+        def no_data(*args):
+            raise AssertionError("data generated for a config that cannot run")
+
+        monkeypatch.setattr(harness, "generate", no_data)
+        cpath = tmp_path / "c.json"
+        cpath.write_text(json.dumps(setting))
+        out_dir = tmp_path / "out"
+        assert main(["simulate", "--config", str(cpath), "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+        assert not (out_dir / "report.csv").exists()
+
     def test_simulate_command(self, tmp_path):
         from snpl.cli import main
 
@@ -577,9 +632,41 @@ class TestBoundsScatter:
         pruned = [r for r in rows if r["pruned"] == "1"]
         assert [r["policy_id"] for r in pruned] == sorted(trace.pruned_ids, key=ids.index)
         for r in pruned:
-            for e in trace.final.for_policy(r["policy_id"]):
-                s = spec.guardrails.index(e.guardrail)
+            margin = trace.final.margins[trace.final.policy_ids.index(r["policy_id"])]
+            for s in range(spec.s_count):
                 gap = float(r[f"bound_{s+1}"]) - float(r[f"threshold_{s+1}"])
-                assert spec.sign(s) * gap == pytest.approx(e.margin, abs=1e-12)
+                assert spec.sign(s) * gap == pytest.approx(margin[s], abs=1e-12)
         selected = [r["policy_id"] for r in rows if r["selected"] == "1"]
         assert selected == [trace.decision]  # the baseline row on fallback
+
+    def test_finite_empty_pruned_set_uses_eta(self, tmp_path):
+        # nothing is pruned here, so the widths are the in-loop ones: the
+        # Bernstein width at alpha' with |Pi~| = eta = 3, not |Pi~| = 1
+        from snpl.algorithm import snpl_run
+        from snpl.bounds import finite_bounds
+        from snpl.estimators import arm_scores, influence_table
+        from snpl.harness import emit_bounds_scatter
+        from snpl.synthetic import ThresholdPolicy, build_class
+
+        ds = generate(300, np.random.default_rng(28))
+        cfg = BenchmarkConfig(mode="finite", grid_size=20, master_seed=28, eta=3)
+        policies = build_class(cfg.grid_size)
+        out = tmp_path / "scatter.csv"
+        emit_bounds_scatter(ds, policies, cfg, str(out))
+        with open(out) as fh:
+            rows = {r["policy_id"]: r for r in csv.DictReader(fh)}
+
+        trace = snpl_run(
+            ds, policies, cfg.spec(), cfg.baseline(), "finite", cfg.hyper(),
+            _replication_seed(cfg.master_seed, 0, METHOD_STREAMS["snpl"]),
+        )
+        assert trace.pruned_ids == () and trace.svt.eta == 3
+        table = influence_table(
+            ds, arm_scores(ds), [ThresholdPolicy("g1", 0.0)], cfg.spec(), cfg.baseline()
+        )
+        want = finite_bounds(table, cfg.spec(), trace.svt.alpha_prime, assumed_class_size=3)
+        row = rows["g1@0"]
+        width = float(row["estimate_1"]) - float(row["bound_1"])
+        assert width == pytest.approx(want.widths[0, 0], abs=1e-12)
+        assert width == pytest.approx(0.330, abs=5e-4)
+        assert all(r["pruned"] == "0" and r["pruned_size"] == "0" for r in rows.values())
