@@ -13,7 +13,10 @@ saved traces, one worker, all five methods, for each shape in ``SHAPES``
 traces land in ``OUT/<shape>/traces/`` and each shape's wall time is
 printed. It then writes ``emit_bounds_scatter`` for each case in
 ``SCATTERS`` (name: mode, grid size, n, seed of the data and the run,
-senses, weights, eta) to ``OUT/scatter/<case>.csv``.
+senses, weights, eta) to ``OUT/scatter/<case>.csv``. Last, it writes
+``generate(CSV_N, default_rng(0))`` with ``write_dataset_csv`` and saves
+the ``run_single`` trace of each method on that file to
+``OUT/csv/<method>.json``, so the CSV path of ``snpl run`` is covered too.
 
 ``diff`` reads schema-1 traces in the schema-2 layout (``_upgrade``), so a
 dump made before the change of schema compares with one made after it. It
@@ -38,6 +41,7 @@ import math
 import os
 import struct
 import sys
+import tempfile
 import time
 
 METHODS = ("snpl", "bonferroni", "ds-25", "ds-50", "ds-75")
@@ -60,6 +64,9 @@ SCATTERS = {
     "finite-empty": ("finite", 20, 300, 28, None, (0.0, -0.1), 3),
 }
 
+# Rows of the CSV case's dataset and the grid size of its configs.
+CSV_N, CSV_GRID = 1000, 100
+
 # Scatter columns holding floats; every other column must match exactly.
 _SCATTER_FLOATS = ("estimate_", "bound_", "threshold_")
 
@@ -67,7 +74,14 @@ _SCATTER_FLOATS = ("estimate_", "bound_", "threshold_")
 def dump(src: str, out: str) -> None:
     sys.path.insert(0, os.path.abspath(src))
     import numpy as np
-    from snpl.harness import BenchmarkConfig, emit_bounds_scatter, run_benchmark
+    from snpl.harness import (
+        BenchmarkConfig,
+        emit_bounds_scatter,
+        run_benchmark,
+        run_single,
+        write_dataset_csv,
+        write_json,
+    )
     from snpl.synthetic import build_class, generate
 
     for name, (mode, grid, n, reps, seed, in_loop) in SHAPES.items():
@@ -104,6 +118,22 @@ def dump(src: str, out: str) -> None:
         path = os.path.join(out, "scatter", f"{name}.csv")
         emit_bounds_scatter(dataset, build_class(grid), config, path)
         print(f"scatter {name}: {path}", flush=True)
+
+    # The data file and configs sit outside OUT: ``diff`` reads every CSV
+    # there as a scatter and every JSON as a trace.
+    os.makedirs(os.path.join(out, "csv"), exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        data = os.path.join(tmp, "data.csv")
+        write_dataset_csv(generate(CSV_N, np.random.default_rng(0)), data)
+        for method in METHODS:
+            config = os.path.join(tmp, f"{method}.json")
+            write_json(
+                BenchmarkConfig(methods=(method,), grid_size=CSV_GRID, n_sim=20_000).to_json_dict(),
+                config,
+            )
+            path = os.path.join(out, "csv", f"{method}.json")
+            code = run_single(data, config, path)
+            print(f"csv {method}: {path} (exit {code})", flush=True)
 
 
 def _upgrade(trace: dict) -> dict:

@@ -42,7 +42,6 @@ from .core import (
     Trace,
     normalize_seed,
     seed_tuple,
-    validate_dataset,
 )
 from .estimators import InfluenceTable, influence_table, mode_scores
 from .stability import b_asymp, b_finite, delta_star, eta_heuristic, laplace
@@ -93,7 +92,6 @@ def snpl_run(
     bounds certify, else the baseline.
     """
     check_mode(mode)
-    validate_dataset(dataset)
     if len(policies) == 0:
         raise ValueError("empty policy class")
     seed_seq = normalize_seed(seed)

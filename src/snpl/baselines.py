@@ -27,7 +27,6 @@ from .core import (
     Trace,
     normalize_seed,
     seed_tuple,
-    validate_dataset,
 )
 from .estimators import influence_table, mode_scores
 
@@ -68,7 +67,6 @@ def hcpi_run(
     correction applies on either side of the split.
     """
     check_mode(mode)
-    validate_dataset(dataset)
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
     candidates = [p for p in policies if p.policy_id != baseline.policy_id]
@@ -143,7 +141,6 @@ def bonferroni_run(
     baseline when none certify.
     """
     check_mode(mode)
-    validate_dataset(dataset)
     candidates = [p for p in policies if p.policy_id != baseline.policy_id]
     if not candidates:
         raise ValueError("empty policy class")

@@ -11,10 +11,9 @@ import os
 import sys
 
 from .harness import (
-    check_threshold_class_fits,
     emit_bounds_scatter,
     load_config,
-    read_dataset_csv,
+    load_csv_inputs,
     run_benchmark,
     run_single,
     write_json,
@@ -68,9 +67,7 @@ def main(argv=None) -> int:
             write_gamma_grid_csv(args.out, args.alpha_steps, args.gamma_steps)
             return 0
         if args.command == "bounds-scatter":
-            config = load_config(args.config)
-            dataset = read_dataset_csv(args.data, config)
-            check_threshold_class_fits(dataset)
+            config, dataset = load_csv_inputs(args.data, args.config)
             emit_bounds_scatter(dataset, build_class(config.grid_size), config, args.out)
             return 0
     except ValueError as err:  # ConfigError included; library validation too

@@ -22,8 +22,6 @@ __all__ = [
     "TabularPropensity",
     "Dataset",
     "Policy",
-    "UniformPolicy",
-    "LoggingPolicy",
     "SafetySpec",
     "Hyperparams",
     "ScanRecord",
@@ -88,12 +86,19 @@ class TabularPropensity(PropensityModel):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Logged data stored columnwise: X (n, d_X), A (n,) in {1..K}, Y (n, d_Y)."""
+    """Logged data stored columnwise: X (n, d_X), A (n,) in {1..K}, Y (n, d_Y).
+
+    Valid by construction: building one checks the logged-data assumptions
+    the bounds rest on and raises ValueError naming the first offending row.
+    """
 
     covariates: np.ndarray
     actions: np.ndarray
     outcomes: np.ndarray
     propensity: PropensityModel
+
+    def __post_init__(self):
+        validate_dataset(self)
 
     @property
     def n(self) -> int:
@@ -121,36 +126,6 @@ class Policy:
         """(n, K) action probabilities; subclasses override for speed."""
         X = np.asarray(covariates, dtype=float)
         return np.stack([self.distribution(X[i]) for i in range(X.shape[0])])
-
-
-class UniformPolicy(Policy):
-    """Plays every action with probability 1/K."""
-
-    def __init__(self, n_actions: int, policy_id: str = "uniform"):
-        self.n_actions = n_actions
-        self.policy_id = policy_id
-
-    def distribution(self, x: np.ndarray) -> np.ndarray:
-        return np.full(self.n_actions, 1.0 / self.n_actions)
-
-    def prob_matrix(self, covariates: np.ndarray) -> np.ndarray:
-        n = np.asarray(covariates).shape[0]
-        return np.full((n, self.n_actions), 1.0 / self.n_actions)
-
-
-class LoggingPolicy(Policy):
-    """The logging policy itself: pi(k, x) = e(k, x)."""
-
-    def __init__(self, propensity: PropensityModel, policy_id: str = "logging"):
-        self.propensity = propensity
-        self.n_actions = propensity.n_actions
-        self.policy_id = policy_id
-
-    def distribution(self, x: np.ndarray) -> np.ndarray:
-        return self.propensity.matrix(np.asarray(x, dtype=float).reshape(1, -1))[0]
-
-    def prob_matrix(self, covariates: np.ndarray) -> np.ndarray:
-        return self.propensity.matrix(covariates)
 
 
 @dataclass(frozen=True)
@@ -417,7 +392,8 @@ def seed_tuple(seed_seq: np.random.SeedSequence) -> tuple:
 def validate_dataset(dataset: Dataset) -> None:
     """Checks the logged-data assumptions; raises ValueError with the
     offending row index on the first violation. Idempotent and side-effect
-    free.
+    free. ``Dataset`` calls it when built, through this module's global
+    name, so a wrapper bound to that name sees every call.
     """
     X, A, Y = dataset.covariates, dataset.actions, dataset.outcomes
     if X.ndim != 2 or Y.ndim != 2 or A.ndim != 1:

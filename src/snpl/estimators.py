@@ -24,8 +24,6 @@ __all__ = [
     "fit_nuisance",
     "arm_scores",
     "policy_scores",
-    "ipw_value",
-    "dr_value",
     "influence_table",
     "empirical_covariance",
 ]
@@ -68,7 +66,7 @@ def fit_nuisance(dataset: Dataset, folds: int, rng: np.random.Generator) -> Nuis
     A cell's rank is counted as in ``lstsq`` on its m training rows: singular
     values above eps * max(m, d+1) times the largest. A singular design
     matrix falls back to ridge with penalty 1e-8 (warned); an empty (arm,
-    fold-complement) training cell and an action outside 1..K are errors.
+    fold-complement) training cell is an error.
     """
     if folds < 2:
         raise ValueError("folds must be >= 2")
@@ -76,9 +74,6 @@ def fit_nuisance(dataset: Dataset, folds: int, rng: np.random.Generator) -> Nuis
     if folds > n:
         raise ValueError("more folds than observations")
     X, A, Y = dataset.covariates, dataset.actions, dataset.outcomes
-    bad = (A < 1) | (A > K)  # an out-of-range action would land in another cell
-    if bad.any():
-        raise ValueError(f"action out of range at row {int(np.argmax(bad))}")
     p = X.shape[1] + 1
 
     fold_of = np.empty(n, dtype=np.int64)
@@ -152,18 +147,6 @@ def policy_scores(scores: np.ndarray, policy: Policy, covariates: np.ndarray) ->
     return np.einsum("nk,nkj->nj", P, scores)
 
 
-def ipw_value(dataset: Dataset, policy: Policy, outcome: int) -> float:
-    """Inverse-propensity-weighted estimate of V_j(pi); outcome is 1-based."""
-    scores = arm_scores(dataset)
-    return float(policy_scores(scores, policy, dataset.covariates)[:, outcome - 1].mean())
-
-
-def dr_value(dataset: Dataset, policy: Policy, outcome: int, nuisance: NuisanceModel) -> float:
-    """Cross-fitted doubly-robust estimate of V_j(pi); outcome is 1-based."""
-    scores = arm_scores(dataset, nuisance)
-    return float(policy_scores(scores, policy, dataset.covariates)[:, outcome - 1].mean())
-
-
 @dataclass(frozen=True)
 class InfluenceTable:
     """Per-observation weighted differences d_j(O_i, pi) for a policy list
@@ -207,8 +190,6 @@ def influence_table(
     D_j(pi) = V_j(pi) - (1 + w_j) V_j(pi0), and the goal values of every
     policy and of the baseline; each policy is contracted once.
     """
-    if len(spec.weights) != spec.s_count:
-        raise ValueError("w length must match |S|")
     X = dataset.covariates
     S = spec.s_count
     jdx = np.asarray(spec.guardrails, dtype=np.int64) - 1

@@ -30,7 +30,6 @@ from .core import (
     Hyperparams,
     SafetySpec,
     TabularPropensity,
-    validate_dataset,
 )
 from .estimators import policy_scores
 from .stability import gamma_grid
@@ -43,7 +42,7 @@ __all__ = [
     "BenchmarkReport",
     "run_benchmark",
     "run_single",
-    "check_threshold_class_fits",
+    "load_csv_inputs",
     "emit_bounds_scatter",
     "write_dataset_csv",
     "read_dataset_csv",
@@ -78,7 +77,8 @@ class BenchmarkConfig:
     width-ratio heuristic.
 
     The safety spec and hyperparameters are built, and so checked, once
-    when the config is; ``spec()`` and ``hyper()`` return them.
+    when the config is; ``spec()`` and ``hyper()`` return them. Only
+    ``run_benchmark`` reads ``n``; a CSV run takes its rows from the file.
     """
 
     methods: tuple[str, ...] = ("snpl",)
@@ -129,19 +129,6 @@ class BenchmarkConfig:
             )
         except ValueError as err:
             raise ConfigError(str(err)) from err
-        # Cross-fitting needs at least one row per fold in every sample it
-        # fits on; a finite-mode split needs one row on each side.
-        if self.mode == "asymptotic" and self.n < self.folds:
-            raise ConfigError(f"more folds than observations: n = {self.n}, folds = {self.folds}")
-        least = self.folds if self.mode == "asymptotic" else 1
-        for m in self.methods:
-            if m in _SPLIT_RHO:
-                n_learn = int(math.floor(_SPLIT_RHO[m] * self.n))
-                if min(n_learn, self.n - n_learn) < least:
-                    raise ConfigError(
-                        f"method '{m}' splits n = {self.n} rows into {n_learn} and "
-                        f"{self.n - n_learn}; each side needs at least {least}"
-                    )
         object.__setattr__(self, "_spec", spec)
         object.__setattr__(self, "_hyper", hyper)
 
@@ -308,7 +295,8 @@ def run_benchmark(
     config: BenchmarkConfig, workers: int | None = None, out_dir: str | None = None
 ) -> BenchmarkReport:
     """Runs every configured method on `replications` fresh synthetic
-    datasets and scores decisions against the exact truth oracle.
+    datasets and scores decisions against the exact truth oracle. An n too
+    small for a method raises ConfigError before any data is generated.
 
     Detection is the fraction of non-baseline returns; Type I the fraction
     of truly unsafe policies among those (null on a zero denominator); EI
@@ -316,6 +304,20 @@ def run_benchmark(
     back. Aggregation iterates replications in index order, so reports do
     not depend on completion order.
     """
+    # Cross-fitting needs at least one row per fold in every sample it
+    # fits on; a finite-mode split needs one row on each side.
+    n, folds = config.n, config.folds
+    if config.mode == "asymptotic" and n < folds:
+        raise ConfigError(f"more folds than observations: n = {n}, folds = {folds}")
+    least = folds if config.mode == "asymptotic" else 1
+    for m in config.methods:
+        if m in _SPLIT_RHO:
+            n_learn = int(math.floor(_SPLIT_RHO[m] * n))
+            if min(n_learn, n - n_learn) < least:
+                raise ConfigError(
+                    f"method '{m}' splits n = {n} rows into {n_learn} and "
+                    f"{n - n_learn}; each side needs at least {least}"
+                )
     state = _build_state(config, out_dir)
     M = config.replications
     nworkers = worker_count(M, workers)
@@ -492,12 +494,10 @@ def read_dataset_csv(path: str, config: BenchmarkConfig) -> Dataset:
         if len(probs) != config.n_actions:
             raise ConfigError("propensity vector length must equal n_actions")
         propensity = ConstantPropensity(probs)
-    dataset = Dataset(X, A, Y, propensity)
     try:
-        validate_dataset(dataset)
+        return Dataset(X, A, Y, propensity)
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    return dataset
 
 
 def write_gamma_grid_csv(path: str, alpha_steps: int = 50, gamma_steps: int = 80) -> None:
@@ -525,17 +525,24 @@ def check_threshold_class_fits(dataset: Dataset) -> None:
         )
 
 
-def run_single(data_path: str, config_path: str, out_path: str) -> int:
-    """Applies the configured method (the first entry of `methods`) to a
-    CSV dataset and writes the trace JSON. Returns 0 when the decision is
-    non-baseline, 3 on baseline fallback; ConfigError propagates for the
-    CLI to map to exit code 2."""
+def load_csv_inputs(data_path: str, config_path: str) -> tuple[BenchmarkConfig, Dataset]:
+    """The config and CSV dataset of ``run`` and ``bounds-scatter``; raises
+    ConfigError unless the threshold class and the spec fit the data."""
     config = load_config(config_path)
     dataset = read_dataset_csv(data_path, config)
     check_threshold_class_fits(dataset)
     spec = config.spec()
     if max(max(spec.guardrails), spec.goal) > dataset.n_outcomes:
         raise ConfigError("guardrail or goal index exceeds outcome count")
+    return config, dataset
+
+
+def run_single(data_path: str, config_path: str, out_path: str) -> int:
+    """Applies the configured method (the first entry of `methods`) to a
+    CSV dataset and writes the trace JSON. Returns 0 when the decision is
+    non-baseline, 3 on baseline fallback; ConfigError propagates for the
+    CLI to map to exit code 2."""
+    config, dataset = load_csv_inputs(data_path, config_path)
     method = config.methods[0]
     seed_seq = _replication_seed(config.master_seed, 0, METHOD_STREAMS[method])
     trace = _dispatch(method, dataset, build_class(config.grid_size), config, seed_seq)

@@ -28,7 +28,6 @@ __all__ = [
     "generate",
     "build_class",
     "true_values",
-    "mc_true_values",
     "oracle_safe",
     "truth_table",
     "default_baseline",
@@ -153,39 +152,6 @@ def true_values(policy: ThresholdPolicy) -> tuple[float, float]:
     else:
         raise ValueError(f"unknown feature function '{f}'")
     return 0.5 * (1.0 - t1), 0.5 * (1.0 + t2)
-
-
-def mc_true_values(
-    policies: list[ThresholdPolicy], n_draws: int, rng: np.random.Generator
-) -> dict[str, tuple[float, float, float, float]]:
-    """Monte Carlo cross-check of the closed forms on one shared covariate
-    draw: policy_id -> (V1, V2, se_V1, se_V2). Policies of a family share a
-    sorted feature pass, so cost is O(n log n) per family plus O(1) per
-    cutoff.
-    """
-    X = rng.random((n_draws, 3))
-    x2 = X[:, 1]
-    x13 = X[:, 0] * X[:, 2]
-    out: dict[str, tuple[float, float, float, float]] = {}
-    by_family: dict[str, list[ThresholdPolicy]] = {}
-    for pol in policies:
-        by_family.setdefault(pol.feature, []).append(pol)
-    for family, members in by_family.items():
-        vals = _feature(family, X)
-        order = np.argsort(vals, kind="stable")
-        svals = vals[order]
-        cum2 = np.concatenate([[0.0], np.cumsum(x2[order])])
-        cum2sq = np.concatenate([[0.0], np.cumsum(x2[order] ** 2)])
-        cum13 = np.concatenate([[0.0], np.cumsum(x13[order])])
-        cum13sq = np.concatenate([[0.0], np.cumsum(x13[order] ** 2)])
-        for pol in members:
-            k = int(np.searchsorted(svals, pol.cutoff, side="left"))
-            t1, t1sq = cum2[k] / n_draws, cum2sq[k] / n_draws
-            t2, t2sq = cum13[k] / n_draws, cum13sq[k] / n_draws
-            se1 = 0.5 * math.sqrt(max(t1sq - t1 * t1, 0.0) / n_draws)
-            se2 = 0.5 * math.sqrt(max(t2sq - t2 * t2, 0.0) / n_draws)
-            out[pol.policy_id] = (0.5 * (1.0 - t1), 0.5 * (1.0 + t2), se1, se2)
-    return out
 
 
 def oracle_safe(policy: ThresholdPolicy, baseline: ThresholdPolicy, spec: SafetySpec) -> bool:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,86 @@ from snpl.core import (
     ConstantPropensity,
     Dataset,
     Policy,
+    PropensityModel,
     SafetySpec,
     TabularPropensity,
-    UniformPolicy,
 )
+from snpl.estimators import NuisanceModel, arm_scores, policy_scores
+from snpl.synthetic import ThresholdPolicy
+
+
+class UniformPolicy(Policy):
+    """Plays every action with probability 1/K."""
+
+    def __init__(self, n_actions: int, policy_id: str = "uniform"):
+        self.n_actions = n_actions
+        self.policy_id = policy_id
+
+    def distribution(self, x: np.ndarray) -> np.ndarray:
+        return np.full(self.n_actions, 1.0 / self.n_actions)
+
+    def prob_matrix(self, covariates: np.ndarray) -> np.ndarray:
+        n = np.asarray(covariates).shape[0]
+        return np.full((n, self.n_actions), 1.0 / self.n_actions)
+
+
+class LoggingPolicy(Policy):
+    """The logging policy itself: pi(k, x) = e(k, x)."""
+
+    def __init__(self, propensity: PropensityModel, policy_id: str = "logging"):
+        self.propensity = propensity
+        self.n_actions = propensity.n_actions
+        self.policy_id = policy_id
+
+    def distribution(self, x: np.ndarray) -> np.ndarray:
+        return self.propensity.matrix(np.asarray(x, dtype=float).reshape(1, -1))[0]
+
+    def prob_matrix(self, covariates: np.ndarray) -> np.ndarray:
+        return self.propensity.matrix(covariates)
+
+
+def ipw_value(dataset: Dataset, policy: Policy, outcome: int) -> float:
+    """Inverse-propensity-weighted estimate of V_j(pi); outcome is 1-based."""
+    scores = arm_scores(dataset)
+    return float(policy_scores(scores, policy, dataset.covariates)[:, outcome - 1].mean())
+
+
+def dr_value(dataset: Dataset, policy: Policy, outcome: int, nuisance: NuisanceModel) -> float:
+    """Cross-fitted doubly-robust estimate of V_j(pi); outcome is 1-based."""
+    scores = arm_scores(dataset, nuisance)
+    return float(policy_scores(scores, policy, dataset.covariates)[:, outcome - 1].mean())
+
+
+def mc_true_values(
+    policies: list[ThresholdPolicy], n_draws: int, rng: np.random.Generator
+) -> dict[str, tuple[float, float, float, float]]:
+    """Monte Carlo cross-check of the closed forms of
+    ``snpl.synthetic.true_values`` on one shared covariate draw:
+    policy_id -> (V1, V2, se_V1, se_V2). Policies of a family share a
+    sorted feature pass."""
+    X = rng.random((n_draws, 3))
+    x2 = X[:, 1]
+    x13 = X[:, 0] * X[:, 2]
+    out: dict[str, tuple[float, float, float, float]] = {}
+    by_family: dict[str, list[ThresholdPolicy]] = {}
+    for pol in policies:
+        by_family.setdefault(pol.feature, []).append(pol)
+    for members in by_family.values():
+        vals = members[0].feature_values(X)
+        order = np.argsort(vals, kind="stable")
+        svals = vals[order]
+        cum2 = np.concatenate([[0.0], np.cumsum(x2[order])])
+        cum2sq = np.concatenate([[0.0], np.cumsum(x2[order] ** 2)])
+        cum13 = np.concatenate([[0.0], np.cumsum(x13[order])])
+        cum13sq = np.concatenate([[0.0], np.cumsum(x13[order] ** 2)])
+        for pol in members:
+            k = int(np.searchsorted(svals, pol.cutoff, side="left"))
+            t1, t1sq = cum2[k] / n_draws, cum2sq[k] / n_draws
+            t2, t2sq = cum13[k] / n_draws, cum13sq[k] / n_draws
+            se1 = 0.5 * math.sqrt(max(t1sq - t1 * t1, 0.0) / n_draws)
+            se2 = 0.5 * math.sqrt(max(t2sq - t2 * t2, 0.0) / n_draws)
+            out[pol.policy_id] = (0.5 * (1.0 - t1), 0.5 * (1.0 + t2), se1, se2)
+    return out
 
 
 def make_dataset(X, A, Y, probs=(0.5, 0.5)) -> Dataset:

@@ -19,10 +19,8 @@ from snpl.core import Hyperparams, SafetySpec
 from snpl.estimators import (
     NuisanceModel,
     arm_scores,
-    dr_value,
     fit_nuisance,
     influence_table,
-    ipw_value,
 )
 from snpl.harness import BenchmarkConfig, run_benchmark
 from snpl.stability import (
@@ -35,6 +33,8 @@ from snpl.stability import (
     t_fn,
 )
 from snpl.synthetic import ThresholdPolicy, default_baseline, generate, true_values
+
+from conftest import LoggingPolicy, dr_value, ipw_value
 
 ALPHA = 0.1
 DET_TOL = 0.10
@@ -261,8 +261,6 @@ def test_c6_estimator_identities():
             assert abs(
                 dr_value(dataset, pol, j, zero) - ipw_value(dataset, pol, j)
             ) <= 1e-12
-
-    from snpl.core import LoggingPolicy
 
     logging = LoggingPolicy(dataset.propensity)
     for j in (1, 2):

@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import tabular_generate, three_arm_class, three_arm_generate
+from conftest import dr_value, ipw_value, tabular_generate, three_arm_class, three_arm_generate
 from snpl.algorithm import final_certify, snpl_run
 from snpl.baselines import bonferroni_run, hcpi_run
 from snpl.bounds import asymptotic_bounds, bonferroni_normal_bounds, finite_bounds
 from snpl.core import Hyperparams, SafetySpec
-from snpl.estimators import arm_scores, dr_value, fit_nuisance, influence_table, ipw_value
+from snpl.estimators import arm_scores, fit_nuisance, influence_table
 from snpl.stability import delta_star, eta_heuristic, laplace
 from snpl.synthetic import ThresholdPolicy, build_class, default_baseline, generate, true_values
 

@@ -12,9 +12,9 @@ from snpl.bounds import (
     normal_widths,
 )
 from snpl.classstats import class_stats
-from conftest import tabular_generate, three_arm_class, three_arm_generate
+from conftest import dr_value, ipw_value, tabular_generate, three_arm_class, three_arm_generate
 from snpl.core import Dataset, Hyperparams, SafetySpec, TabularPropensity, Trace
-from snpl.estimators import arm_scores, dr_value, fit_nuisance, influence_table
+from snpl.estimators import arm_scores, fit_nuisance, influence_table
 from snpl.synthetic import ThresholdPolicy, build_class, default_baseline, generate
 
 
@@ -115,8 +115,6 @@ class TestHcpi:
         margins = {pid: bt.min_margin(pid) for pid in table.policy_ids}
         assert all(m > 0.0 for m in margins.values())
         # score of the selected policy must be its learning-split V_g
-        from snpl.estimators import ipw_value
-
         by_id = dict(zip(table.policy_ids, self.candidates()))
         assert trace.selected_score == pytest.approx(
             ipw_value(data_l, by_id[trace.selected_id], 1), abs=1e-12

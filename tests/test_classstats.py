@@ -7,16 +7,14 @@ import pytest
 from snpl import algorithm, baselines, classstats
 from snpl.algorithm import snpl_run
 from snpl.baselines import bonferroni_run, hcpi_run
-from conftest import tabular_generate
+from conftest import LoggingPolicy, UniformPolicy, tabular_generate
 from snpl.bounds import margins, normal_widths
 from snpl.classstats import class_stats, policy_loop_stats
 from snpl.core import (
     ConstantPropensity,
     Dataset,
     Hyperparams,
-    LoggingPolicy,
     SafetySpec,
-    UniformPolicy,
 )
 from snpl.estimators import arm_scores, fit_nuisance
 from snpl.synthetic import ThresholdPolicy, build_class, default_baseline, generate

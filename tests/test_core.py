@@ -8,53 +8,48 @@ from snpl.core import (
     ConstantPropensity,
     Dataset,
     Hyperparams,
-    LoggingPolicy,
     SafetySpec,
     TabularPropensity,
-    UniformPolicy,
     validate_dataset,
 )
 from snpl.synthetic import ThresholdPolicy
 
-from conftest import make_dataset
+from conftest import LoggingPolicy, UniformPolicy, make_dataset
 
 
 class TestValidateDataset:
+    """A Dataset is checked when built, so invalid data raises at
+    construction and can reach no later call."""
+
     def test_single_row_passes(self):
         ds = make_dataset([[0.1]], [1], [[0.3]])
         validate_dataset(ds)
 
     def test_outcome_above_one_reports_row(self):
-        ds = make_dataset([[0.1], [0.2]], [1, 2], [[0.3], [1.2]])
         with pytest.raises(ValueError, match="outcome out of range at row 1"):
-            validate_dataset(ds)
+            make_dataset([[0.1], [0.2]], [1, 2], [[0.3], [1.2]])
 
     def test_negative_outcome_rejected(self):
-        ds = make_dataset([[0.1]], [1], [[-0.01]])
         with pytest.raises(ValueError, match="outcome out of range"):
-            validate_dataset(ds)
+            make_dataset([[0.1]], [1], [[-0.01]])
 
     def test_zero_propensity_is_positivity_violation(self):
-        ds = make_dataset([[0.1]], [1], [[0.3]], probs=(1.0, 0.0))
         with pytest.raises(ValueError, match="positivity violated"):
-            validate_dataset(ds)
+            make_dataset([[0.1]], [1], [[0.3]], probs=(1.0, 0.0))
 
     def test_action_out_of_range_reports_row(self):
-        ds = make_dataset([[0.1], [0.2]], [1, 3], [[0.3], [0.4]])
         with pytest.raises(ValueError, match="action out of range at row 1"):
-            validate_dataset(ds)
+            make_dataset([[0.1], [0.2]], [1, 3], [[0.3], [0.4]])
 
     def test_propensities_must_sum_to_one(self):
-        ds = make_dataset([[0.1]], [1], [[0.3]], probs=(0.5, 0.4))
         with pytest.raises(ValueError, match="sum to 1 at row 0"):
-            validate_dataset(ds)
+            make_dataset([[0.1]], [1], [[0.3]], probs=(0.5, 0.4))
 
     def test_row_count_mismatch(self):
-        ds = Dataset(
-            np.zeros((2, 1)), np.array([1]), np.zeros((2, 1)), ConstantPropensity([0.5, 0.5])
-        )
         with pytest.raises(ValueError, match="dimension mismatch"):
-            validate_dataset(ds)
+            Dataset(
+                np.zeros((2, 1)), np.array([1]), np.zeros((2, 1)), ConstantPropensity([0.5, 0.5])
+            )
 
     def test_idempotent_and_side_effect_free(self):
         ds = make_dataset([[0.1], [0.9]], [1, 2], [[0.3], [0.7]])
@@ -183,7 +178,6 @@ class TestHyperparams:
 
 class TestDataset:
     def test_empty_rejected(self):
-        ds = Dataset(np.empty((0, 2)), np.empty(0, dtype=np.int64), np.empty((0, 1)),
-                     ConstantPropensity([0.5, 0.5]))
         with pytest.raises(ValueError, match="nonempty"):
-            validate_dataset(ds)
+            Dataset(np.empty((0, 2)), np.empty(0, dtype=np.int64), np.empty((0, 1)),
+                    ConstantPropensity([0.5, 0.5]))

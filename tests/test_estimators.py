@@ -6,22 +6,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snpl.core import ConstantPropensity, Dataset, LoggingPolicy, SafetySpec, UniformPolicy
+from snpl.core import ConstantPropensity, Dataset, SafetySpec
 from snpl.estimators import (
     RIDGE_PENALTY,
     InfluenceTable,
     NuisanceModel,
     arm_scores,
-    dr_value,
     empirical_covariance,
     fit_nuisance,
     influence_table,
-    ipw_value,
     policy_scores,
 )
 from snpl.synthetic import ThresholdPolicy, generate
 
-from conftest import make_dataset, random_dataset, three_arm_generate
+from conftest import (
+    LoggingPolicy,
+    UniformPolicy,
+    dr_value,
+    ipw_value,
+    make_dataset,
+    random_dataset,
+    three_arm_generate,
+)
 
 
 def zero_nuisance(dataset) -> NuisanceModel:
@@ -112,13 +118,12 @@ class TestNuisance:
 
     @pytest.mark.parametrize("action", [0, 3])
     def test_out_of_range_action_rejected(self, action):
+        # such data cannot be built, so no fit ever sees it
         rng = np.random.default_rng(11)
         A = rng.integers(1, 3, size=40)
         A[5] = action
-        ds = make_dataset(rng.random((40, 2)), A, rng.random((40, 1)))
-        for seed in range(4):  # row 5 in each fold, the last one included
-            with pytest.raises(ValueError, match="action out of range at row 5"):
-                fit_nuisance(ds, 4, np.random.default_rng(seed))
+        with pytest.raises(ValueError, match="action out of range at row 5"):
+            make_dataset(rng.random((40, 2)), A, rng.random((40, 1)))
 
     def test_more_folds_than_rows_rejected(self):
         ds = make_dataset([[0.1], [0.2]], [1, 2], [[0.5], [0.5]])

@@ -99,9 +99,18 @@ class TestBenchmarkConfig:
         ],
         ids=("snpl-n-below-folds", "ds-50", "ds-25", "ds-25-finite", "ds-75-finite"),
     )
-    def test_sample_size_errors_raised_when_built(self, setting, message):
+    def test_sample_size_errors_raised_when_built(self, setting, message, monkeypatch):
+        # n is checked where it makes rows: the config builds, and
+        # run_benchmark raises before it generates any data
+        from snpl import harness
+
+        def no_data(*args):
+            raise AssertionError("data generated for a config that cannot run")
+
+        monkeypatch.setattr(harness, "generate", no_data)
+        cfg = BenchmarkConfig(replications=1, **setting)
         with pytest.raises(ConfigError, match=message):
-            BenchmarkConfig(**setting)
+            run_benchmark(cfg, workers=1)
 
     @pytest.mark.parametrize(
         "setting",
@@ -114,8 +123,21 @@ class TestBenchmarkConfig:
         ],
         ids=("asymptotic-n-equals-folds", "ds-50", "ds-all", "finite-ds", "finite-tiny"),
     )
-    def test_smallest_sample_sizes_accepted(self, setting):
-        assert BenchmarkConfig(**setting).n == setting["n"]
+    def test_smallest_sample_sizes_accepted(self, setting, monkeypatch):
+        # run_benchmark passes its sample-size check and goes on to generate
+        from snpl import harness
+
+        class Generated(Exception):
+            pass
+
+        def generated(*args):
+            raise Generated
+
+        monkeypatch.setattr(harness, "generate", generated)
+        cfg = BenchmarkConfig(replications=1, grid_size=2, **setting)
+        assert cfg.n == setting["n"]
+        with pytest.raises(Generated):
+            run_benchmark(cfg, workers=1)
 
     def test_json_round_trip(self):
         cfg = tiny_config(eta=7, senses=("lower", "upper"), weights=(0.0, 0.0))
@@ -529,6 +551,46 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
         assert not (out_dir / "report.csv").exists()
+
+    def test_config_n_sizes_only_simulated_data(self, tmp_path, capsys, monkeypatch):
+        # a CSV run takes its rows from the file, so a config whose n is
+        # too small for five folds stops only simulate, before any data
+        from snpl import harness
+        from snpl.cli import main
+
+        data = tmp_path / "d.csv"
+        write_dataset_csv(generate(1000, np.random.default_rng(6)), str(data))
+
+        def no_data(*args):
+            raise AssertionError("data generated for a config that cannot run")
+
+        monkeypatch.setattr(harness, "generate", no_data)
+        cpath = tmp_path / "c.json"
+        cpath.write_text(json.dumps({"n": 3, "methods": ["snpl"], "grid_size": 5}))
+        io = ["--data", str(data), "--config", str(cpath), "--out"]
+        assert main(["run", *io, str(tmp_path / "t.json")]) in (0, 3)
+        assert main(["bounds-scatter", *io, str(tmp_path / "s.csv")]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(["simulate", "--config", str(cpath), "--out", str(tmp_path / "sim")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: more folds than observations: n = 3, folds = 5"]
+
+    @pytest.mark.parametrize("command", ["run", "bounds-scatter"])
+    def test_outcome_index_beyond_data_exits_two(self, tmp_path, capsys, command):
+        # one outcome column against the default guardrails (1, 2)
+        from snpl.cli import main
+
+        ds = generate(60, np.random.default_rng(5))
+        ds = Dataset(ds.covariates, ds.actions, ds.outcomes[:, :1], ds.propensity)
+        data = tmp_path / "d.csv"
+        write_dataset_csv(ds, str(data))
+        cpath = tmp_path / "c.json"
+        write_json(tiny_config(methods=("snpl",)).to_json_dict(), str(cpath))
+        out = tmp_path / "out"
+        code = main([command, "--data", str(data), "--config", str(cpath), "--out", str(out)])
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: guardrail or goal index exceeds outcome count"]
 
     def test_simulate_command(self, tmp_path):
         from snpl.cli import main

@@ -1,5 +1,6 @@
 """Each run scores each dataset once: the per-arm score array of a dataset
-(or of each split) is computed one time and passed to every later step."""
+(or of each split) is computed one time and passed to every later step.
+Each dataset is also checked once, when it is built."""
 
 import dataclasses
 import sys
@@ -7,10 +8,11 @@ import sys
 import numpy as np
 import pytest
 
-from snpl import estimators
+from snpl import core, estimators
 from snpl.algorithm import snpl_run
 from snpl.baselines import bonferroni_run, hcpi_run
 from snpl.core import Hyperparams, SafetySpec
+from snpl.harness import METHOD_STREAMS, BenchmarkConfig, run_benchmark
 from snpl.synthetic import build_class, default_baseline, generate
 
 SPEC = SafetySpec(goal=1, guardrails=(1, 2), weights=(-0.3, -0.3), alpha=0.1)
@@ -43,10 +45,10 @@ def test_arm_scores_once_per_dataset(monkeypatch, mode, method, in_loop, calls):
     assert len(seen) == calls
 
 
-def count_calls(monkeypatch, name):
-    """Counts calls of an ``estimators`` function at every module that binds
-    it, as the perfbench tracer patches."""
-    real, seen = getattr(estimators, name), []
+def count_calls(monkeypatch, name, module=estimators):
+    """Counts calls of a library function at every module that binds it, as
+    the perfbench tracer patches."""
+    real, seen = getattr(module, name), []
 
     def counting(*args, **kwargs):
         seen.append(1)
@@ -81,6 +83,26 @@ def test_each_policy_contracted_once(monkeypatch, mode, method):
         table = (trace.selected_id,)
     assert len(table) >= 1
     assert len(seen) == (1 if method == "bonferroni" else 2 + len(table))
+
+
+@pytest.mark.parametrize("method,calls", (("snpl", 0), ("bonferroni", 0), ("ds", 2)))
+def test_given_dataset_not_validated_again(monkeypatch, method, calls):
+    # snpl and bonferroni re-check nothing they are given; ds-* checks the
+    # two splits it builds
+    dataset = generate(600, np.random.default_rng(7))
+    seen = count_calls(monkeypatch, "validate_dataset", core)
+    run(method, dataset, "asymptotic")
+    assert len(seen) == calls
+
+
+def test_benchmark_replication_validates_each_dataset_once(monkeypatch):
+    # the generated dataset, then the two splits of each of three ds-* methods
+    seen = count_calls(monkeypatch, "validate_dataset", core)
+    config = BenchmarkConfig(
+        methods=tuple(METHOD_STREAMS), n=600, replications=1, grid_size=4, n_sim=2000, eta=3
+    )
+    run_benchmark(config, workers=1)
+    assert len(seen) == 1 + 3 * 2
 
 
 @pytest.mark.parametrize(

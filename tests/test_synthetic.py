@@ -10,11 +10,12 @@ from snpl.synthetic import (
     build_class,
     default_baseline,
     generate,
-    mc_true_values,
     oracle_safe,
     true_values,
     truth_table,
 )
+
+from conftest import mc_true_values
 
 
 class TestGenerate:
