@@ -13,10 +13,12 @@ saved traces, one worker, all five methods, for each shape in ``SHAPES``
 traces land in ``OUT/<shape>/traces/`` and each shape's wall time is
 printed. It then writes ``emit_bounds_scatter`` for each case in
 ``SCATTERS`` (name: mode, grid size, n, seed of the data and the run,
-senses, weights, eta) to ``OUT/scatter/<case>.csv``. Last, it writes
-``generate(CSV_N, default_rng(0))`` with ``write_dataset_csv`` and saves
-the ``run_single`` trace of each method on that file to
-``OUT/csv/<method>.json``, so the CSV path of ``snpl run`` is covered too.
+senses, weights, eta) to ``OUT/scatter/<case>.csv``. Last, it saves the
+``run_single`` trace of each method on two data files, so the CSV path of
+``snpl run`` is covered too: ``generate(CSV_N, default_rng(0))`` written
+with ``write_dataset_csv`` (to ``OUT/csv/<method>.json``), and a
+tabular-propensity file whose text this script writes itself, so it reads
+the same in every tree (to ``OUT/csv-tabular/<method>.json``).
 
 ``diff`` reads schema-1 traces in the schema-2 layout (``_upgrade``), so a
 dump made before the change of schema compares with one made after it. It
@@ -66,6 +68,9 @@ SCATTERS = {
 
 # Rows of the CSV case's dataset and the grid size of its configs.
 CSV_N, CSV_GRID = 1000, 100
+
+# Seed of the tabular-propensity CSV case's data.
+TABULAR_SEED = 5
 
 # Scatter columns holding floats; every other column must match exactly.
 _SCATTER_FLOATS = ("estimate_", "bound_", "threshold_")
@@ -119,21 +124,43 @@ def dump(src: str, out: str) -> None:
         emit_bounds_scatter(dataset, build_class(grid), config, path)
         print(f"scatter {name}: {path}", flush=True)
 
-    # The data file and configs sit outside OUT: ``diff`` reads every CSV
+    # The data files and configs sit outside OUT: ``diff`` reads every CSV
     # there as a scatter and every JSON as a trace.
-    os.makedirs(os.path.join(out, "csv"), exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        data = os.path.join(tmp, "data.csv")
-        write_dataset_csv(generate(CSV_N, np.random.default_rng(0)), data)
+        data = {"csv": os.path.join(tmp, "data.csv"), "csv-tabular": os.path.join(tmp, "tab.csv")}
+        write_dataset_csv(generate(CSV_N, np.random.default_rng(0)), data["csv"])
+        _write_tabular_csv(data["csv-tabular"], np.random.default_rng(TABULAR_SEED))
         for method in METHODS:
-            config = os.path.join(tmp, f"{method}.json")
             write_json(
                 BenchmarkConfig(methods=(method,), grid_size=CSV_GRID, n_sim=20_000).to_json_dict(),
-                config,
+                os.path.join(tmp, f"{method}.json"),
             )
-            path = os.path.join(out, "csv", f"{method}.json")
-            code = run_single(data, config, path)
-            print(f"csv {method}: {path} (exit {code})", flush=True)
+        for case, data_path in data.items():
+            os.makedirs(os.path.join(out, case), exist_ok=True)
+            for method in METHODS:
+                path = os.path.join(out, case, f"{method}.json")
+                code = run_single(data_path, os.path.join(tmp, f"{method}.json"), path)
+                print(f"{case} {method}: {path} (exit {code})", flush=True)
+
+
+def _write_tabular_csv(path: str, rng) -> None:
+    """CSV_N rows of the synthetic outcome model under covariate-dependent
+    logging, P(A = 1 | x) = e1 = 0.3 + 0.4 x1, with columns e1, e2 = 1 - e1
+    at full precision."""
+    X = rng.random((CSV_N, 3))
+    e1 = 0.3 + 0.4 * X[:, 0]
+    treated = rng.random(CSV_N) < e1
+    y1 = rng.random(CSV_N) < 0.5 * (1.0 - treated * X[:, 1])
+    y2 = rng.random(CSV_N) < 0.5 * (1.0 + treated * X[:, 0] * X[:, 2])
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x1", "x2", "x3", "a", "y1", "y2", "e1", "e2"])
+        for i in range(CSV_N):
+            writer.writerow(
+                [f"{v:.6f}" for v in X[i]]
+                + [1 if treated[i] else 2, int(y1[i]), int(y2[i])]
+                + [repr(float(e1[i])), repr(float(1.0 - e1[i]))]
+            )
 
 
 def _upgrade(trace: dict) -> dict:

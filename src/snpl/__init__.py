@@ -16,7 +16,6 @@ from .bounds import (
     supt_quantile,
 )
 from .core import (
-    ConstantPropensity,
     Dataset,
     Hyperparams,
     Policy,
@@ -24,7 +23,6 @@ from .core import (
     ScanRecord,
     Split,
     Svt,
-    TabularPropensity,
     Trace,
 )
 from .estimators import (
@@ -83,7 +81,6 @@ __all__ = [
     "finite_bounds",
     "normal_quantile",
     "supt_quantile",
-    "ConstantPropensity",
     "Dataset",
     "Hyperparams",
     "Policy",
@@ -91,7 +88,6 @@ __all__ = [
     "ScanRecord",
     "Split",
     "Svt",
-    "TabularPropensity",
     "Trace",
     "InfluenceTable",
     "NuisanceModel",

@@ -110,7 +110,7 @@ def snpl_run(
         eta = eta_heuristic(spec.alpha, aprime, max(len(candidates), 1), spec.s_count, hyper.p)
         eta_source = "heuristic"
 
-    xi = (2.0 + max(spec.weights)) / dataset.propensity.c
+    xi = (2.0 + max(spec.weights)) / dataset.c
     if mode == "finite":
         floor = b_finite(n, xi, aprime)
     else:
@@ -134,7 +134,7 @@ def snpl_run(
         stats = class_stats(dataset, candidates, spec, baseline, scores)
         scan_margins = union_table(
             [p.policy_id for p in candidates], stats.means, stats.variances, spec, mode,
-            aprime, eta, n, dataset.propensity.c,
+            aprime, eta, n, dataset.c,
         ).margins.min(axis=1)
 
     # SVT scan: one threshold draw, then one independent noise per scanned

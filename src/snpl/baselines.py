@@ -23,7 +23,6 @@ from .core import (
     Policy,
     SafetySpec,
     Split,
-    TabularPropensity,
     Trace,
     normalize_seed,
     seed_tuple,
@@ -34,11 +33,9 @@ __all__ = ["hcpi_run", "bonferroni_run"]
 
 
 def _subset(dataset: Dataset, rows: np.ndarray) -> Dataset:
-    prop = dataset.propensity
-    if isinstance(prop, TabularPropensity):
-        prop = TabularPropensity(prop.values[rows])
     return Dataset(
-        dataset.covariates[rows], dataset.actions[rows], dataset.outcomes[rows], prop
+        dataset.covariates[rows], dataset.actions[rows], dataset.outcomes[rows],
+        dataset.propensities[rows],
     )
 
 
@@ -95,7 +92,7 @@ def hcpi_run(
     class_size = len(candidates) if mode == "finite" else 1
     learn_margins = union_table(
         [p.policy_id for p in candidates], stats.means, stats.variances, spec, mode,
-        spec.alpha, class_size, data_l.n, data_l.propensity.c,
+        spec.alpha, class_size, data_l.n, data_l.c,
     ).margins.min(axis=1)
     f = np.where(learn_margins >= 0.0, stats.goal, learn_margins)
     pick = int(np.argmax(f))
@@ -151,7 +148,7 @@ def bonferroni_run(
     m = len(candidates)
     table = union_table(
         [p.policy_id for p in candidates], stats.means, stats.variances, spec, mode,
-        spec.alpha, m, dataset.n, dataset.propensity.c,
+        spec.alpha, m, dataset.n, dataset.c,
     )
     certified_idx = np.flatnonzero(table.margins.min(axis=1) > 0.0).tolist()
     decision = baseline.policy_id

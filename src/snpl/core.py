@@ -1,5 +1,5 @@
-"""Domain types shared by every module: datasets, propensity models,
-policies, safety specifications, and hyperparameters.
+"""Domain types shared by every module: datasets, policies, safety
+specifications, and hyperparameters.
 
 Actions are 1-indexed integers in {1..K}; outcome and guardrail indices are
 1-indexed everywhere in the public API.
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -17,9 +17,6 @@ if TYPE_CHECKING:
     from .bounds import LowerBoundTable
 
 __all__ = [
-    "PropensityModel",
-    "ConstantPropensity",
-    "TabularPropensity",
     "Dataset",
     "Policy",
     "SafetySpec",
@@ -32,73 +29,30 @@ __all__ = [
 ]
 
 
-class PropensityModel:
-    """Known logging propensities e(k, x) with positivity floor c.
-
-    Subclasses implement ``matrix`` returning the (n, K) array of
-    probabilities for a covariate matrix.
-    """
-
-    n_actions: int
-    c: float
-
-    def matrix(self, covariates: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
-class ConstantPropensity(PropensityModel):
-    """Covariate-independent propensities, e.g. a Bernoulli(0.5) experiment."""
-
-    def __init__(self, probs: Sequence[float]):
-        probs = np.asarray(probs, dtype=float)
-        if probs.ndim != 1 or probs.size < 1:
-            raise ValueError("probs must be a nonempty vector")
-        self.probs = probs
-        self.n_actions = probs.size
-        self.c = float(probs.min())
-
-    def matrix(self, covariates: np.ndarray) -> np.ndarray:
-        n = np.asarray(covariates).shape[0]
-        return np.broadcast_to(self.probs, (n, self.n_actions)).copy()
-
-
-class TabularPropensity(PropensityModel):
-    """Per-row propensities supplied alongside the data (CSV columns e1..eK).
-
-    Only defined at the rows it was built from, which suffices for
-    estimation on the same dataset.
-    """
-
-    def __init__(self, values: np.ndarray):
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 2:
-            raise ValueError("values must be an (n, K) matrix")
-        self.values = values
-        self.n_actions = values.shape[1]
-        self.c = float(values.min())
-
-    def matrix(self, covariates: np.ndarray) -> np.ndarray:
-        n = np.asarray(covariates).shape[0]
-        if n != self.values.shape[0]:
-            raise ValueError("tabular propensities are tied to their dataset rows")
-        return self.values
-
-
 @dataclass(frozen=True)
 class Dataset:
-    """Logged data stored columnwise: X (n, d_X), A (n,) in {1..K}, Y (n, d_Y).
+    """Logged data stored columnwise: X (n, d_X), A (n,) in {1..K}, Y (n, d_Y),
+    and the known logging propensities e(k, x_i) as an (n, K) array (a
+    covariate-independent design passes ``np.broadcast_to(probs, (n, K))``).
 
     Valid by construction: building one checks the logged-data assumptions
     the bounds rest on and raises ValueError naming the first offending row.
+    It then marks the four arrays it holds read-only, in place, so they
+    stay as checked; views of the same memory made before are not covered.
+    ``c`` is the positivity floor, the smallest propensity.
     """
 
     covariates: np.ndarray
     actions: np.ndarray
     outcomes: np.ndarray
-    propensity: PropensityModel
+    propensities: np.ndarray
+    c: float = field(init=False)
 
     def __post_init__(self):
         validate_dataset(self)
+        for array in (self.covariates, self.actions, self.outcomes, self.propensities):
+            array.flags.writeable = False
+        object.__setattr__(self, "c", float(self.propensities.min()))
 
     @property
     def n(self) -> int:
@@ -106,7 +60,7 @@ class Dataset:
 
     @property
     def n_actions(self) -> int:
-        return self.propensity.n_actions
+        return self.propensities.shape[1]
 
     @property
     def n_outcomes(self) -> int:
@@ -396,17 +350,22 @@ def validate_dataset(dataset: Dataset) -> None:
     name, so a wrapper bound to that name sees every call.
     """
     X, A, Y = dataset.covariates, dataset.actions, dataset.outcomes
-    if X.ndim != 2 or Y.ndim != 2 or A.ndim != 1:
-        raise ValueError("dimension mismatch: expected X (n,d_X), A (n,), Y (n,d_Y)")
+    E = dataset.propensities
+    if X.ndim != 2 or Y.ndim != 2 or A.ndim != 1 or E.ndim != 2:
+        raise ValueError(
+            "dimension mismatch: expected X (n,d_X), A (n,), Y (n,d_Y), propensities (n,K)"
+        )
     n = X.shape[0]
     if n == 0:
         raise ValueError("dataset must be nonempty")
-    if A.shape[0] != n or Y.shape[0] != n:
-        raise ValueError("dimension mismatch: rows of X, A, Y differ")
+    if A.shape[0] != n or Y.shape[0] != n or E.shape[0] != n:
+        raise ValueError("dimension mismatch: rows of X, A, Y, propensities differ")
     if not np.all(np.isfinite(X)):
         i = int(np.argwhere(~np.isfinite(X).all(axis=1))[0, 0])
         raise ValueError(f"non-finite covariate at row {i}")
-    K = dataset.n_actions
+    K = E.shape[1]
+    if K < 2:
+        raise ValueError("propensities must cover at least two actions")
     bad = (A < 1) | (A > K)
     if bad.any():
         i = int(np.argmax(bad))
@@ -415,18 +374,10 @@ def validate_dataset(dataset: Dataset) -> None:
     if out.any():
         i = int(np.argmax(out.any(axis=1)))
         raise ValueError(f"outcome out of range at row {i}")
-    E = dataset.propensity.matrix(X)
-    if E.shape != (n, K):
-        raise ValueError("propensity matrix shape mismatch")
-    if np.any(E <= 0.0):
-        i = int(np.argmax((E <= 0.0).any(axis=1)))
+    nonpositive = ~(E > 0.0)  # NaN included
+    if nonpositive.any():
+        i = int(np.argmax(nonpositive.any(axis=1)))
         raise ValueError(f"positivity violated at row {i}")
-    c = dataset.propensity.c
-    if not 0.0 < c < 1.0:
-        raise ValueError("positivity floor c must lie in (0, 1)")
-    if np.any(E < c - 1e-12):
-        i = int(np.argmax((E < c - 1e-12).any(axis=1)))
-        raise ValueError(f"propensity below floor at row {i}")
     rowsum = E.sum(axis=1)
     if np.any(np.abs(rowsum - 1.0) > 1e-8):
         i = int(np.argmax(np.abs(rowsum - 1.0) > 1e-8))

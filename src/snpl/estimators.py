@@ -121,10 +121,9 @@ def fit_nuisance(dataset: Dataset, folds: int, rng: np.random.Generator) -> Nuis
 def arm_scores(dataset: Dataset, nuisance: NuisanceModel | None = None) -> np.ndarray:
     """(n, K, d_Y) per-arm scores: IPW without a nuisance model, DR with one."""
     n, K = dataset.n, dataset.n_actions
-    E = dataset.propensity.matrix(dataset.covariates)
     hit = np.zeros((n, K))
     hit[np.arange(n), dataset.actions - 1] = 1.0
-    weight = hit / E
+    weight = hit / dataset.propensities
     if nuisance is None:
         return weight[:, :, None] * dataset.outcomes[:, None, :]
     resid = dataset.outcomes[:, None, :] - nuisance.mu
@@ -209,7 +208,7 @@ def influence_table(
         policy_ids=tuple(pol.policy_id for pol in policies),
         spec=spec,
         baseline_id=baseline.policy_id,
-        c=dataset.propensity.c,
+        c=dataset.c,
         goal=goal,
         baseline_goal=float(psi0[:, spec.goal - 1].mean()),
     )

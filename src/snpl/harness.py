@@ -24,13 +24,7 @@ from .algorithm import snpl_run
 from .baselines import bonferroni_run, hcpi_run
 from .bounds import check_mode, margins, supt_widths, union_table
 from .classstats import class_stats
-from .core import (
-    ConstantPropensity,
-    Dataset,
-    Hyperparams,
-    SafetySpec,
-    TabularPropensity,
-)
+from .core import Dataset, Hyperparams, SafetySpec
 from .estimators import policy_scores
 from .stability import gamma_grid
 from .synthetic import ThresholdPolicy, build_class, generate, truth_table
@@ -270,25 +264,13 @@ def _execute_replication(state: dict, r: int) -> dict:
     return out
 
 
+# The run state of a multi-worker benchmark: filled before the fork pool
+# starts, so every worker inherits it, and cleared when the pool is done.
 _POOL_STATE: dict = {}
-
-
-def _init_pool(config_obj: dict, out_dir: str | None):
-    config = BenchmarkConfig.from_json_dict(config_obj)
-    _POOL_STATE.clear()
-    _POOL_STATE.update(_build_state(config, out_dir))
 
 
 def _pool_job(r: int) -> tuple[int, dict]:
     return r, _execute_replication(_POOL_STATE, r)
-
-
-def _build_state(config: BenchmarkConfig, out_dir: str | None) -> dict:
-    return {
-        "config": config,
-        "policies": build_class(config.grid_size),
-        "out_dir": out_dir,
-    }
 
 
 def run_benchmark(
@@ -318,7 +300,7 @@ def run_benchmark(
                     f"method '{m}' splits n = {n} rows into {n_learn} and "
                     f"{n - n_learn}; each side needs at least {least}"
                 )
-    state = _build_state(config, out_dir)
+    state = {"config": config, "policies": build_class(config.grid_size), "out_dir": out_dir}
     M = config.replications
     nworkers = worker_count(M, workers)
     per_rep: dict[int, dict] = {}
@@ -328,12 +310,13 @@ def run_benchmark(
     else:
         import multiprocessing as mp
 
-        ctx = mp.get_context("fork")
-        with ctx.Pool(
-            nworkers, initializer=_init_pool, initargs=(config.to_json_dict(), out_dir)
-        ) as pool:
-            for r, result in pool.imap_unordered(_pool_job, range(M)):
-                per_rep[r] = result
+        _POOL_STATE.update(state)
+        try:
+            with mp.get_context("fork").Pool(nworkers) as pool:
+                for r, result in pool.imap_unordered(_pool_job, range(M)):
+                    per_rep[r] = result
+        finally:
+            _POOL_STATE.clear()
 
     baseline = config.baseline()
     truth = truth_table(state["policies"], baseline, config.spec())
@@ -419,13 +402,12 @@ def write_truth_csv(truth, path: str) -> None:
 
 
 def write_dataset_csv(dataset: Dataset, path: str) -> None:
-    """Header x1..xd,a,y1..yd_Y, plus e1..eK when the propensities are
-    tabular; actions as integers, covariates and outcomes to 6 decimals,
-    propensities at full precision (they enter the scores as 1/e)."""
+    """Header x1..xd,a,y1..yd_Y,e1..eK; actions as integers, covariates and
+    outcomes to 6 decimals, propensities at full precision (they enter the
+    scores as 1/e), so reading the file back keeps them and c."""
     d_x = dataset.covariates.shape[1]
     d_y = dataset.outcomes.shape[1]
-    tabular = isinstance(dataset.propensity, TabularPropensity)
-    e_cols = [f"e{k+1}" for k in range(dataset.n_actions)] if tabular else []
+    e_cols = [f"e{k+1}" for k in range(dataset.n_actions)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -435,8 +417,7 @@ def write_dataset_csv(dataset: Dataset, path: str) -> None:
             row = [f"{v:.6f}" for v in dataset.covariates[i]]
             row.append(str(int(dataset.actions[i])))
             row.extend(f"{v:.6f}" for v in dataset.outcomes[i])
-            if tabular:
-                row.extend(repr(float(v)) for v in dataset.propensity.values[i])
+            row.extend(repr(float(v)) for v in dataset.propensities[i])
             writer.writerow(row)
 
 
@@ -487,15 +468,13 @@ def read_dataset_csv(path: str, config: BenchmarkConfig) -> Dataset:
         except ValueError as err:
             raise ConfigError(f"unparseable value at data row {i + 1}: {err}") from err
 
-    if ne:
-        propensity = TabularPropensity(E)
-    else:
+    if not ne:
         probs = config.propensity
         if len(probs) != config.n_actions:
             raise ConfigError("propensity vector length must equal n_actions")
-        propensity = ConstantPropensity(probs)
+        E = np.broadcast_to(np.asarray(probs, dtype=float), (len(rows), len(probs)))
     try:
-        return Dataset(X, A, Y, propensity)
+        return Dataset(X, A, Y, E)
     except ValueError as err:
         raise ConfigError(str(err)) from err
 
@@ -581,7 +560,7 @@ def emit_bounds_scatter(dataset: Dataset, policies, config: BenchmarkConfig, out
         size = len(trace.pruned_ids) or trace.svt.eta
         widths = union_table(
             [p.policy_id for p in rows], estimates, stats.variances, spec, config.mode,
-            trace.svt.alpha_prime, size, n, dataset.propensity.c,
+            trace.svt.alpha_prime, size, n, dataset.c,
         ).widths
     bounds = spec.signs * margins(estimates, widths, spec)  # estimate -/+ width
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConstantPropensity, Dataset, Policy, SafetySpec
+from .core import Dataset, Policy, SafetySpec
 
 __all__ = [
     "ThresholdPolicy",
@@ -98,7 +98,7 @@ def generate(n: int, rng: np.random.Generator) -> Dataset:
     f2 = 0.5 * (1.0 + treated * X[:, 0] * X[:, 2])
     y1 = (rng.random(n) < f1).astype(float)
     y2 = (rng.random(n) < f2).astype(float)
-    return Dataset(X, A, np.column_stack([y1, y2]), ConstantPropensity([0.5, 0.5]))
+    return Dataset(X, A, np.column_stack([y1, y2]), np.broadcast_to([0.5, 0.5], (n, 2)))
 
 
 def build_class(grid_size: int) -> list[ThresholdPolicy]:

@@ -3,14 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from snpl.core import (
-    ConstantPropensity,
-    Dataset,
-    Policy,
-    PropensityModel,
-    SafetySpec,
-    TabularPropensity,
-)
+from snpl.core import Dataset, Policy, SafetySpec
 from snpl.estimators import NuisanceModel, arm_scores, policy_scores
 from snpl.synthetic import ThresholdPolicy
 
@@ -31,18 +24,18 @@ class UniformPolicy(Policy):
 
 
 class LoggingPolicy(Policy):
-    """The logging policy itself: pi(k, x) = e(k, x)."""
+    """The logging policy itself, pi(k, x_i) = e(k, x_i), given the (n, K)
+    propensity array of a dataset; only defined at that dataset's rows."""
 
-    def __init__(self, propensity: PropensityModel, policy_id: str = "logging"):
-        self.propensity = propensity
-        self.n_actions = propensity.n_actions
+    def __init__(self, propensities: np.ndarray, policy_id: str = "logging"):
+        self.propensities = propensities
+        self.n_actions = propensities.shape[1]
         self.policy_id = policy_id
 
-    def distribution(self, x: np.ndarray) -> np.ndarray:
-        return self.propensity.matrix(np.asarray(x, dtype=float).reshape(1, -1))[0]
-
     def prob_matrix(self, covariates: np.ndarray) -> np.ndarray:
-        return self.propensity.matrix(covariates)
+        if np.asarray(covariates).shape[0] != self.propensities.shape[0]:
+            raise ValueError("logging propensities are tied to their dataset rows")
+        return self.propensities
 
 
 def ipw_value(dataset: Dataset, policy: Policy, outcome: int) -> float:
@@ -95,7 +88,8 @@ def make_dataset(X, A, Y, probs=(0.5, 0.5)) -> Dataset:
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if Y.shape[0] != X.shape[0]:
         Y = Y.T
-    return Dataset(X, A, Y, ConstantPropensity(probs))
+    E = np.broadcast_to(np.asarray(probs, dtype=float), (X.shape[0], len(probs)))
+    return Dataset(X, A, Y, E)
 
 
 def random_dataset(rng: np.random.Generator, n: int, d_x: int = 2, d_y: int = 2,
@@ -104,13 +98,13 @@ def random_dataset(rng: np.random.Generator, n: int, d_x: int = 2, d_y: int = 2,
     X = rng.random((n, d_x))
     A = rng.integers(1, K + 1, size=n)
     Y = rng.random((n, d_y))
-    return Dataset(X, A, Y, ConstantPropensity(probs))
+    return Dataset(X, A, Y, np.broadcast_to(np.asarray(probs, dtype=float), (n, K)))
 
 
 def tabular_generate(n: int, rng: np.random.Generator) -> Dataset:
     """The synthetic outcome model of ``snpl.synthetic.generate`` under a
     covariate-dependent logging policy, P(A = 1 | x) = 0.3 + 0.4 x3, whose
-    per-row propensities ride along as a TabularPropensity."""
+    per-row propensities ride along with the data."""
     X = rng.random((n, 3))
     e1 = 0.3 + 0.4 * X[:, 2]
     treated = rng.random(n) < e1
@@ -118,11 +112,11 @@ def tabular_generate(n: int, rng: np.random.Generator) -> Dataset:
     y1 = rng.random(n) < 0.5 * (1.0 - treated * X[:, 1])
     y2 = rng.random(n) < 0.5 * (1.0 + treated * X[:, 0] * X[:, 2])
     Y = np.column_stack([y1, y2]).astype(float)
-    return Dataset(X, A, Y, TabularPropensity(np.column_stack([e1, 1.0 - e1])))
+    return Dataset(X, A, Y, np.column_stack([e1, 1.0 - e1]))
 
 
 def three_arm_generate(n: int, rng: np.random.Generator) -> Dataset:
-    """K = 3 logged data with covariate-dependent TabularPropensity logging,
+    """K = 3 logged data with covariate-dependent logging propensities,
     e(x) = (0.2 + 0.2 x1, 0.3, 0.5 - 0.2 x1), and arm-dependent Bernoulli
     outcomes: arm 1 raises Y1 with x2 and lowers Y2 with x1, arm 3 lowers
     Y1 with x3."""
@@ -135,7 +129,7 @@ def three_arm_generate(n: int, rng: np.random.Generator) -> Dataset:
     y1 = rng.random(n) < p1[rows, A - 1]
     y2 = rng.random(n) < p2[rows, A - 1]
     Y = np.column_stack([y1, y2]).astype(float)
-    return Dataset(X, A.astype(np.int64), Y, TabularPropensity(e))
+    return Dataset(X, A.astype(np.int64), Y, e)
 
 
 class BucketPolicy(Policy):

@@ -262,7 +262,7 @@ def test_c6_estimator_identities():
                 dr_value(dataset, pol, j, zero) - ipw_value(dataset, pol, j)
             ) <= 1e-12
 
-    logging = LoggingPolicy(dataset.propensity)
+    logging = LoggingPolicy(dataset.propensities)
     for j in (1, 2):
         assert abs(
             ipw_value(dataset, logging, j) - dataset.outcomes[:, j - 1].mean()

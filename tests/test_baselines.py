@@ -13,7 +13,7 @@ from snpl.bounds import (
 )
 from snpl.classstats import class_stats
 from conftest import dr_value, ipw_value, tabular_generate, three_arm_class, three_arm_generate
-from snpl.core import Dataset, Hyperparams, SafetySpec, TabularPropensity, Trace
+from snpl.core import Dataset, Hyperparams, SafetySpec, Trace
 from snpl.estimators import arm_scores, fit_nuisance, influence_table
 from snpl.synthetic import ThresholdPolicy, build_class, default_baseline, generate
 
@@ -24,11 +24,9 @@ def two_guardrails(weights=(0.0, -0.1)) -> SafetySpec:
 
 def subset(dataset: Dataset, rows) -> Dataset:
     rows = np.asarray(rows, dtype=np.int64)
-    prop = dataset.propensity
-    if isinstance(prop, TabularPropensity):
-        prop = TabularPropensity(prop.values[rows])
     return Dataset(
-        dataset.covariates[rows], dataset.actions[rows], dataset.outcomes[rows], prop
+        dataset.covariates[rows], dataset.actions[rows], dataset.outcomes[rows],
+        dataset.propensities[rows],
     )
 
 
@@ -278,7 +276,7 @@ class TestBonferroniTraceMatchesDecision:
             )
             stats = class_stats(ds, candidates, spec, baseline, arm_scores(ds, nuis))
             if mode == "finite":
-                widths = bernstein_widths(stats.variances, spec, spec.alpha, m, n, ds.propensity.c)
+                widths = bernstein_widths(stats.variances, spec, spec.alpha, m, n, ds.c)
             else:
                 widths = normal_widths(stats.variances, spec, spec.alpha, m, n)
             margin = margins(stats.means, widths, spec)

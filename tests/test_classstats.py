@@ -11,7 +11,6 @@ from conftest import LoggingPolicy, UniformPolicy, tabular_generate
 from snpl.bounds import margins, normal_widths
 from snpl.classstats import class_stats, policy_loop_stats
 from snpl.core import (
-    ConstantPropensity,
     Dataset,
     Hyperparams,
     SafetySpec,
@@ -118,20 +117,21 @@ class TestAgainstReference:
     def test_two_rows(self):
         X = np.array([[0.2, 0.7, 0.4], [0.6, 0.1, 0.9]])
         ds = Dataset(X, np.array([1, 2]), np.array([[1.0, 0.0], [0.0, 1.0]]),
-                     ConstantPropensity([0.5, 0.5]))
+                     np.full((2, 2), 0.5))
         assert_matches_reference(ds, candidates(6), SPEC, scores_for(ds, "ipw"))
 
     def test_row_subset(self):
         # as on hcpi_run's learning split: a sorted row subset, its own nuisance
         ds = generate(500, np.random.default_rng(6))
         rows = np.sort(np.random.default_rng(7).permutation(ds.n)[:200])
-        sub = Dataset(ds.covariates[rows], ds.actions[rows], ds.outcomes[rows], ds.propensity)
+        sub = Dataset(ds.covariates[rows], ds.actions[rows], ds.outcomes[rows],
+                      ds.propensities[rows])
         assert_matches_reference(sub, candidates(), SPEC, scores_for(sub, "dr"))
 
     def test_other_policies_take_the_loop(self, monkeypatch):
         ds = generate(300, np.random.default_rng(8))
         pols = candidates(8)
-        mixed = pols[:5] + [UniformPolicy(2)] + pols[5:] + [LoggingPolicy(ds.propensity)]
+        mixed = pols[:5] + [UniformPolicy(2)] + pols[5:] + [LoggingPolicy(ds.propensities)]
         scores = scores_for(ds, "dr")
         got, want = assert_matches_reference(ds, mixed, SPEC, scores)
         for i in (5, len(mixed) - 1):
@@ -152,8 +152,8 @@ class TestAgainstReference:
         rng = np.random.default_rng(9)
         n = 200
         ds = Dataset(rng.random((n, 3)), rng.integers(1, 4, size=n), rng.random((n, 2)),
-                     ConstantPropensity([0.2, 0.3, 0.5]))
-        pols = [UniformPolicy(3, "u3"), LoggingPolicy(ds.propensity)]
+                     np.broadcast_to([0.2, 0.3, 0.5], (n, 3)))
+        pols = [UniformPolicy(3, "u3"), LoggingPolicy(ds.propensities)]
         baseline = UniformPolicy(3, "base")
         scores = scores_for(ds, "ipw")
         assert_matches_reference(ds, pols, SPEC, scores, baseline)

@@ -5,11 +5,9 @@ from hypothesis import strategies as st
 
 from snpl.core import (
     MIN_N_SIM,
-    ConstantPropensity,
     Dataset,
     Hyperparams,
     SafetySpec,
-    TabularPropensity,
     validate_dataset,
 )
 from snpl.synthetic import ThresholdPolicy
@@ -37,6 +35,14 @@ class TestValidateDataset:
         with pytest.raises(ValueError, match="positivity violated"):
             make_dataset([[0.1]], [1], [[0.3]], probs=(1.0, 0.0))
 
+    def test_nan_propensity_is_positivity_violation(self):
+        with pytest.raises(ValueError, match="positivity violated at row 0"):
+            make_dataset([[0.1]], [1], [[0.3]], probs=(np.nan, 1.0))
+
+    def test_single_action_rejected(self):
+        with pytest.raises(ValueError, match="at least two actions"):
+            make_dataset([[0.1]], [1], [[0.3]], probs=(1.0,))
+
     def test_action_out_of_range_reports_row(self):
         with pytest.raises(ValueError, match="action out of range at row 1"):
             make_dataset([[0.1], [0.2]], [1, 3], [[0.3], [0.4]])
@@ -47,9 +53,7 @@ class TestValidateDataset:
 
     def test_row_count_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            Dataset(
-                np.zeros((2, 1)), np.array([1]), np.zeros((2, 1)), ConstantPropensity([0.5, 0.5])
-            )
+            Dataset(np.zeros((2, 1)), np.array([1]), np.zeros((2, 1)), np.full((2, 2), 0.5))
 
     def test_idempotent_and_side_effect_free(self):
         ds = make_dataset([[0.1], [0.9]], [1, 2], [[0.3], [0.7]])
@@ -97,21 +101,25 @@ class TestActionDistribution:
 
 
 class TestPropensityModels:
+    """The logging propensities are the (n, K) array a Dataset holds, and
+    its positivity floor c is their minimum."""
+
     def test_constant_matrix_and_floor(self):
-        prop = ConstantPropensity([0.3, 0.7])
-        assert prop.c == pytest.approx(0.3)
-        assert np.allclose(prop.matrix(np.zeros((4, 2))), [[0.3, 0.7]] * 4)
+        ds = make_dataset(np.zeros((4, 2)), [1, 2, 1, 2], np.zeros((4, 1)), probs=(0.3, 0.7))
+        assert ds.c == 0.3
+        assert np.array_equal(ds.propensities, [[0.3, 0.7]] * 4)
 
     def test_tabular_is_row_aligned_only(self):
-        prop = TabularPropensity(np.array([[0.4, 0.6], [0.5, 0.5]]))
-        assert prop.matrix(np.zeros((2, 1))).shape == (2, 2)
-        with pytest.raises(ValueError, match="tied to their dataset rows"):
-            prop.matrix(np.zeros((3, 1)))
+        E = np.array([[0.4, 0.6], [0.5, 0.5]])
+        ds = Dataset(np.zeros((2, 1)), np.array([1, 2]), np.zeros((2, 1)), E)
+        assert ds.c == 0.4
+        with pytest.raises(ValueError, match="rows of X, A, Y, propensities differ"):
+            Dataset(np.zeros((3, 1)), np.array([1, 2, 1]), np.zeros((3, 1)), E)
 
     def test_logging_policy_mirrors_propensities(self):
-        prop = ConstantPropensity([0.25, 0.75])
-        pol = LoggingPolicy(prop)
-        assert np.allclose(pol.prob_matrix(np.zeros((3, 1))), [[0.25, 0.75]] * 3)
+        ds = make_dataset(np.zeros((3, 1)), [1, 2, 2], np.zeros((3, 1)), probs=(0.25, 0.75))
+        pol = LoggingPolicy(ds.propensities)
+        assert np.array_equal(pol.prob_matrix(ds.covariates), [[0.25, 0.75]] * 3)
 
 
 class TestSafetySpec:
@@ -180,4 +188,18 @@ class TestDataset:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             Dataset(np.empty((0, 2)), np.empty(0, dtype=np.int64), np.empty((0, 1)),
-                    ConstantPropensity([0.5, 0.5]))
+                    np.empty((0, 2)))
+
+    @pytest.mark.parametrize("name", ["covariates", "actions", "outcomes", "propensities"])
+    def test_arrays_are_read_only(self, name):
+        # the checks ran on these arrays; an edit after building would skip them
+        arrays = {
+            "covariates": np.zeros((2, 1)),
+            "actions": np.array([1, 2]),
+            "outcomes": np.zeros((2, 1)),
+            "propensities": np.array([[0.4, 0.6], [0.5, 0.5]]),
+        }
+        ds = Dataset(**arrays)
+        assert getattr(ds, name) is arrays[name]  # frozen in place, not copied
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(ds, name)[0] = 2.0

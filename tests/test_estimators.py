@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snpl.core import ConstantPropensity, Dataset, SafetySpec
+from snpl.core import Dataset, SafetySpec
 from snpl.estimators import (
     RIDGE_PENALTY,
     InfluenceTable,
@@ -57,7 +57,7 @@ class TestIpw:
         rng = np.random.default_rng(11)
         ds = random_dataset(rng, 200, d_x=3, probs=(0.3, 0.7))
         for j in (1, 2):
-            assert ipw_value(ds, LoggingPolicy(ds.propensity), j) == pytest.approx(
+            assert ipw_value(ds, LoggingPolicy(ds.propensities), j) == pytest.approx(
                 float(ds.outcomes[:, j - 1].mean()), abs=1e-12
             )
 
@@ -192,7 +192,7 @@ def fit_recording_warnings(fit, dataset, folds: int, seed: int):
 
 def offset_covariates(offset: float) -> Dataset:
     ds = generate(2000, np.random.default_rng(6))
-    return Dataset(ds.covariates + offset, ds.actions, ds.outcomes, ds.propensity)
+    return Dataset(ds.covariates + offset, ds.actions, ds.outcomes, ds.propensities)
 
 
 def intercept_duplicate() -> Dataset:

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from snpl.core import ConstantPropensity, Dataset, TabularPropensity
+from snpl.core import Dataset
 from snpl.harness import (
     BenchmarkConfig,
     ConfigError,
@@ -308,12 +308,29 @@ class TestDatasetCsv:
         path = tmp_path / "d.csv"
         write_dataset_csv(ds, str(path))
         header = path.read_text().splitlines()[0]
-        assert header == "x1,x2,x3,a,y1,y2"
+        assert header == "x1,x2,x3,a,y1,y2,e1,e2"
         back = read_dataset_csv(str(path), tiny_config())
         assert np.array_equal(back.actions, ds.actions)
         assert np.array_equal(back.outcomes, ds.outcomes)
         assert np.allclose(back.covariates, ds.covariates, atol=5e-7)
-        assert isinstance(back.propensity, ConstantPropensity)
+        assert np.array_equal(back.propensities, ds.propensities)
+
+    def test_constant_propensity_round_trip(self, tmp_path):
+        # the default config's (0.5, 0.5) must not replace the written columns
+        ds = generate(25, np.random.default_rng(0))
+        ds = Dataset(ds.covariates, ds.actions, ds.outcomes, np.broadcast_to([0.3, 0.7], (25, 2)))
+        path = tmp_path / "d.csv"
+        write_dataset_csv(ds, str(path))
+        back = read_dataset_csv(str(path), tiny_config())
+        assert np.array_equal(back.propensities, ds.propensities)
+        assert back.c == 0.3
+
+    def test_missing_propensity_columns_take_config_vector(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x1,x2,x3,a,y1,y2\n0.1,0.2,0.3,1,1,0\n0.5,0.6,0.7,2,0,1\n")
+        ds = read_dataset_csv(str(path), tiny_config(propensity=(0.3, 0.7)))
+        assert np.array_equal(ds.propensities, [[0.3, 0.7]] * 2)
+        assert ds.c == 0.3
 
     def test_explicit_propensity_columns(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -323,8 +340,8 @@ class TestDatasetCsv:
             "0.5,0.6,0.7,2,0,1,0.3,0.7\n"
         )
         ds = read_dataset_csv(str(path), tiny_config())
-        assert isinstance(ds.propensity, TabularPropensity)
-        assert np.allclose(ds.propensity.values, [[0.4, 0.6], [0.3, 0.7]])
+        assert np.array_equal(ds.propensities, [[0.4, 0.6], [0.3, 0.7]])
+        assert ds.c == 0.3
 
     def test_tabular_propensity_round_trip(self, tmp_path):
         ds = three_arm_generate(40, np.random.default_rng(3))
@@ -334,8 +351,7 @@ class TestDatasetCsv:
         assert header == "x1,x2,x3,a,y1,y2,e1,e2,e3"
         # the config's constant vector must not replace the written columns
         back = read_dataset_csv(str(path), tiny_config())
-        assert isinstance(back.propensity, TabularPropensity)
-        assert np.array_equal(back.propensity.values, ds.propensity.values)
+        assert np.array_equal(back.propensities, ds.propensities)
         assert np.array_equal(back.actions, ds.actions)
 
     def test_header_mismatch(self, tmp_path):
@@ -581,7 +597,7 @@ class TestCli:
         from snpl.cli import main
 
         ds = generate(60, np.random.default_rng(5))
-        ds = Dataset(ds.covariates, ds.actions, ds.outcomes[:, :1], ds.propensity)
+        ds = Dataset(ds.covariates, ds.actions, ds.outcomes[:, :1], ds.propensities)
         data = tmp_path / "d.csv"
         write_dataset_csv(ds, str(data))
         cpath = tmp_path / "c.json"
@@ -617,7 +633,7 @@ class TestCli:
             ds = three_arm_generate(60, np.random.default_rng(4))
         else:
             ds = generate(60, np.random.default_rng(5))
-            ds = Dataset(ds.covariates[:, :2], ds.actions, ds.outcomes, ds.propensity)
+            ds = Dataset(ds.covariates[:, :2], ds.actions, ds.outcomes, ds.propensities)
         data = tmp_path / "d.csv"
         write_dataset_csv(ds, str(data))
         cpath = tmp_path / "c.json"

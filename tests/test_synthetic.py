@@ -24,7 +24,7 @@ class TestGenerate:
         assert ds.covariates.shape == (500, 3)
         assert set(np.unique(ds.actions)) <= {1, 2}
         assert set(np.unique(ds.outcomes)) <= {0.0, 1.0}
-        assert ds.propensity.c == pytest.approx(0.5)
+        assert ds.c == 0.5
         validate_dataset(ds)
 
     def test_seed_reproducibility(self):

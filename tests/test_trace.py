@@ -134,7 +134,7 @@ class TestSnplRunCommand:
         ds = generate(1000, np.random.default_rng(0))
         outcomes = ds.outcomes.copy()
         outcomes[:, 1] = 1.0
-        ds = Dataset(ds.covariates, ds.actions, outcomes, ds.propensity)
+        ds = Dataset(ds.covariates, ds.actions, outcomes, ds.propensities)
         code, blob = self.run_cli(
             tmp_path, ds, mode="asymptotic", weights=(-0.3, -0.1), n_sim=2000
         )
