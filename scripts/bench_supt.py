@@ -3,15 +3,19 @@ benchmark call it with, and measures the memory its draws take.
 
     python scripts/bench_supt.py [--src src] [--repeats 7] [--dims 2,20,40]
 
-For each dimension d it builds one fixed positive-definite covariance and
-calls ``supt_quantile(cov, 0.1, 100_000, seed)``: d = 2 is a ``ds-*`` test
-split (one policy, two guardrails), d = 20 the ``paper`` workload's final
-certification, d = 40 the acceptance suite's coverage check. It prints the
-median wall time of ``--repeats`` calls (``time.perf_counter``) and the peak
-``tracemalloc`` size of one further call, in MB; numpy reports its array
-buffers to ``tracemalloc``, so the peak covers the draws. BLAS is pinned to
-one thread, as in ``perfbench/run.py``. ``--src`` imports ``snpl`` from
-another source tree, so two trees can be compared on one host.
+For each dimension d in ``--dims`` it builds one fixed positive-definite
+covariance and calls ``supt_quantile(cov, 0.1, 100_000, seed)``: d = 2 is a
+``ds-*`` test split (one policy, two guardrails), d = 20 the ``paper``
+workload's final certification, d = 40 the acceptance suite's coverage
+check. It also times one rank-deficient 20 x 20 covariance whose columns
+repeat those of a 10-dimensional one, as pruned rules that treat the same
+rows make ``snpl``'s final covariance singular. It prints the case, d, the
+rank r (the draws take r normals each), the median wall time of
+``--repeats`` calls (``time.perf_counter``) and the peak ``tracemalloc``
+size of one further call, in MB; numpy reports its array buffers to
+``tracemalloc``, so the peak covers the draws. BLAS is pinned to one
+thread, as in ``perfbench/run.py``. ``--src`` imports ``snpl`` from another
+source tree, so two trees can be compared on one host.
 """
 
 from __future__ import annotations
@@ -40,10 +44,18 @@ def main(argv: list[str] | None = None) -> None:
     import numpy as np
     from snpl.bounds import supt_quantile
 
-    print(f"{'d':>4} {'median ms':>10} {'peak MB':>8}")
-    for d in (int(x) for x in args.dims.split(",")):
+    def random_cov(d):
         a = np.random.default_rng(d).standard_normal((d, d + 3))
-        cov = a @ a.T / d
+        return a @ a.T / d
+
+    def duplicated_cov(d):
+        idx = np.arange(d) % ((d + 1) // 2)
+        return random_cov((d + 1) // 2)[np.ix_(idx, idx)]
+
+    cases = [("full", random_cov(int(x))) for x in args.dims.split(",") if x]
+    cases.append(("dup", duplicated_cov(20)))
+    print(f"{'case':>5} {'d':>4} {'r':>4} {'median ms':>10} {'peak MB':>8}")
+    for name, cov in cases:
         supt_quantile(cov, LEVEL, N_SIM, 0)  # warm-up
         times = []
         for seed in range(args.repeats):
@@ -54,7 +66,9 @@ def main(argv: list[str] | None = None) -> None:
         supt_quantile(cov, LEVEL, N_SIM, 0)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        print(f"{d:>4} {statistics.median(times) * 1e3:>10.2f} {peak / 2**20:>8.2f}")
+        d, r = cov.shape[0], np.linalg.matrix_rank(cov)
+        median = statistics.median(times) * 1e3
+        print(f"{name:>5} {d:>4} {r:>4} {median:>10.2f} {peak / 2**20:>8.2f}")
 
 
 if __name__ == "__main__":

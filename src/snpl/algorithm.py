@@ -18,10 +18,12 @@ option skips that call; per scanned candidate it builds the
 ``asymptotic_bounds`` table over the pruned set plus the candidate, with
 d = (|pruned| + 1) |S| columns: influence columns O(n d) from the run's
 arm scores, covariance O(n d^2), eigendecomposition O(d^3) and loop_n_sim
-draws O(loop_n_sim d^2), taken in cache-sized blocks. The draws dominate:
-at n = 1,000, 500 policies, loop_n_sim = 20,000 and eta = 20, a scan of 33
-candidates (20 admitted) took about 0.45-0.49 s on a 2-vCPU host with one
-BLAS thread, about 85% of it in ``supt_quantile``.
+draws O(loop_n_sim r d) for the covariance's rank r <= d (candidates that
+treat the same rows make it singular), taken in cache-sized blocks. The
+draws dominate: at n = 1,000, 500 policies, loop_n_sim = 20,000 and eta =
+20, a scan of 47 candidates (20 admitted; d up to 40, r about 0.8 d) took
+about 0.57-0.84 s on a 2-vCPU host with one BLAS thread, about 85% of it in
+``supt_quantile``.
 """
 
 from __future__ import annotations

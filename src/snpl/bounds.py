@@ -248,19 +248,27 @@ def _as_rng(rng) -> tuple[np.random.Generator, int | None]:
 
 def supt_quantile(cov: np.ndarray, level: float, n_sim: int, rng) -> SupTQuantile:
     """Empirical lower ``level``-quantile of min_j cov_jj^{-1/2} rho_j over
-    n_sim draws rho ~ N(0, cov), via symmetric eigendecomposition with a
-    relative eigenvalue floor: lambda <= d eps lambda_max counts as 0 (eps
-    the float64 machine epsilon, d the active dimension), so the rounding
-    noise of a singular covariance (duplicate columns) cannot move z*.
+    n_sim draws rho ~ N(0, cov).
+
+    The draws are z @ root for z ~ N(0, I_r), where root is r x d: the r
+    eigenpairs (lambda, v) of the symmetric eigendecomposition above a
+    relative floor, lambda > d eps lambda_max (eps the float64 machine
+    epsilon, d the active dimension), as rows sqrt(lambda) v^T, each
+    column divided by its coordinate's sd. So r is the numerical rank, the
+    rounding noise of a singular covariance (duplicate columns) cannot move
+    z*, and a rank-deficient covariance takes only r normals per draw. Each
+    kept eigenvector is signed so that its largest-magnitude component (the
+    first one on a tie) is positive, so a rounding-level change of the
+    covariance cannot flip a row of the root and re-sample z*.
 
     Zero-variance coordinates are dropped from the min; an all-zero
     covariance is degenerate. Quantile convention: order statistic at index
     ceil(level * n_sim). ``rng`` is anything ``np.random.default_rng``
     accepts; the result records it as ``seed`` only when it is an integer.
 
-    The draws are taken and reduced in blocks of rows = max(1, _BLOCK // d)
-    rows for d active coordinates, so memory is O(rows d + n_sim). Each
-    block is the next slice of the one ``standard_normal((n_sim, d))``
+    Cost O(n_sim r d) for the draws. They are taken and reduced in blocks of
+    rows = max(1, _BLOCK // d) rows, so memory is O(rows d + n_sim). Each
+    block is the next slice of the one ``standard_normal((n_sim, r))``
     stream with the same per-element arithmetic, so z* and the generator's
     state afterwards do not depend on the block size.
     """
@@ -276,22 +284,22 @@ def supt_quantile(cov: np.ndarray, level: float, n_sim: int, rng) -> SupTQuantil
     active = _active(diag)
     if not active.any():
         raise ValueError("degenerate covariance")
-    sub = cov[np.ix_(active, active)]
-    lam, vec = np.linalg.eigh(sub)
-    scale = np.sqrt(diag[active])
-    d = scale.size
-    lam = np.where(lam > d * np.finfo(float).eps * lam.max(), lam, 0.0)
-    root_t = (vec * np.sqrt(lam)).T
+    lam, vec = np.linalg.eigh(cov[np.ix_(active, active)])
+    d = vec.shape[0]
+    keep = lam > d * np.finfo(float).eps * lam.max()
+    lam, vec = lam[keep], vec[:, keep]
+    r = lam.size
+    signs = np.sign(vec[np.abs(vec).argmax(axis=0), np.arange(r)])
+    root = (vec * (signs * np.sqrt(lam))).T / np.sqrt(diag[active])
     rows = max(1, _BLOCK // d)
-    normals = np.empty((rows, d))
+    normals = np.empty((rows, r))
     draws = np.empty((rows, d))
     stats = np.empty(n_sim)
     for start in range(0, n_sim, rows):
         m = min(rows, n_sim - start)
         z, block = normals[:m], draws[:m]
         gen.standard_normal(out=z)
-        np.matmul(z, root_t, out=block)
-        block /= scale
+        np.matmul(z, root, out=block)
         out = stats[start : start + m]
         np.copyto(out, block[:, 0])
         for j in range(1, d):

@@ -29,7 +29,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Logged data stored columnwise: X (n, d_X), A (n,) in {1..K}, Y (n, d_Y),
     and the known logging propensities e(k, x_i) as an (n, K) array (a
@@ -39,7 +39,8 @@ class Dataset:
     the bounds rest on and raises ValueError naming the first offending row.
     It then marks the four arrays it holds read-only, in place, so they
     stay as checked; views of the same memory made before are not covered.
-    ``c`` is the positivity floor, the smallest propensity.
+    ``c`` is the positivity floor, the smallest propensity. Datasets compare
+    and hash by identity, as arrays have no single truth value.
     """
 
     covariates: np.ndarray

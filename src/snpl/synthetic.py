@@ -157,8 +157,12 @@ def true_values(policy: ThresholdPolicy) -> tuple[float, float]:
 def oracle_safe(policy: ThresholdPolicy, baseline: ThresholdPolicy, spec: SafetySpec) -> bool:
     """True iff every guardrail holds with exact values, boundary inclusive:
     V_j(pi) - (1+w_j) V_j(pi0) >= 0 (lower sense) or <= 0 (upper)."""
-    v = true_values(policy)
-    v0 = true_values(baseline)
+    return _guardrails_hold(true_values(policy), true_values(baseline), spec)
+
+
+def _guardrails_hold(v: tuple[float, float], v0: tuple[float, float], spec: SafetySpec) -> bool:
+    """``oracle_safe`` on the exact values v of a policy and v0 of the
+    baseline."""
     for s, j in enumerate(spec.guardrails):
         diff = v[j - 1] - (1.0 + spec.weights[s]) * v0[j - 1]
         if spec.sign(s) * diff < 0.0:
@@ -182,7 +186,6 @@ def truth_table(
     policies: list[ThresholdPolicy], baseline: ThresholdPolicy, spec: SafetySpec
 ) -> TruthTable:
     values = {pol.policy_id: true_values(pol) for pol in policies}
-    values[baseline.policy_id] = true_values(baseline)
-    safe = {pol.policy_id: oracle_safe(pol, baseline, spec) for pol in policies}
-    safe[baseline.policy_id] = oracle_safe(baseline, baseline, spec)
+    v0 = values[baseline.policy_id] = true_values(baseline)
+    safe = {pid: _guardrails_hold(v, v0, spec) for pid, v in values.items()}
     return TruthTable(values=values, safe=safe, baseline_id=baseline.policy_id)

@@ -187,10 +187,37 @@ class TestSupTQuantile:
             supt_quantile(np.eye(2), 0.05, 50, 0)
 
 
+def kept_eigenpairs(cov):
+    """The documented root's eigenpairs: those of the active submatrix with
+    lambda > d eps lambda_max, each eigenvector signed so that its
+    largest-magnitude component (the first on a tie) is positive."""
+    active = _active(np.diag(cov))
+    sub = cov[np.ix_(active, active)]
+    lam, vec = np.linalg.eigh(sub)
+    keep = lam > sub.shape[0] * np.finfo(float).eps * lam.max()
+    lam, vec = lam[keep], vec[:, keep]
+    flip = [vec[np.argmax(np.abs(col)), i] < 0.0 for i, col in enumerate(vec.T)]
+    return lam, vec * np.where(flip, -1.0, 1.0)
+
+
 def one_shot_supt(cov, level, n_sim, gen):
-    """The unblocked sup-t quantile: every draw in one (n_sim, d) array,
-    with the documented relative eigenvalue floor (lambda <= d eps
-    lambda_max counts as 0)."""
+    """The unblocked sup-t quantile: one (n_sim, r) normal draw through the
+    r x d root sqrt(lambda) v^T of the kept eigenpairs, its columns divided
+    by the coordinates' sd."""
+    cov = np.asarray(cov, dtype=float)
+    lam, vec = kept_eigenpairs(cov)
+    diag = np.diag(cov)
+    root = (vec * np.sqrt(lam)).T / np.sqrt(diag[_active(diag)])
+    stats = (gen.standard_normal((n_sim, lam.size)) @ root).min(axis=1)
+    k = math.ceil(level * n_sim)
+    return float(np.partition(stats, k - 1)[k - 1])
+
+
+def full_dimension_supt(cov, level, n_sim, gen):
+    """The formula the rank-sized draws replaced, as a distributional
+    reference: d normals per draw through the d x d root with the floored
+    eigenvalues set to 0 and eigh's signs, then each coordinate divided by
+    its sd."""
     cov = np.asarray(cov, dtype=float)
     diag = np.diag(cov)
     active = _active(diag)
@@ -231,9 +258,9 @@ def flipped_cov(d, seed):
 
 
 class TestSupTBlockedDraws:
-    """The blocked simulation against the one-shot formula it replaced: the
-    same z* bit for bit, and the generator left where one (n_sim, d) draw
-    leaves it."""
+    """The blocked simulation against the one-shot formula it implements:
+    the same z* bit for bit, and the generator left where one (n_sim, r)
+    draw leaves it."""
 
     def check(self, cov, level, n_sim, seed=11):
         gen, ref_gen = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -257,17 +284,29 @@ class TestSupTBlockedDraws:
         for n_sim in (rows + 1, 100_000):
             self.check(cov, 0.1, n_sim, seed=d)
 
-    @pytest.mark.parametrize("d", [20, 41])
-    def test_one_ulp_on_duplicate_columns_keeps_z_star(self, d):
+    @pytest.mark.parametrize(
+        "d, entry", [(2, (0, 0)), (20, (0, -1)), (41, (0, -1))], ids=["2", "20", "41"]
+    )
+    def test_one_ulp_on_duplicate_columns_keeps_z_star(self, d, entry):
         # duplicate columns leave eigenvalues of about +-1e-16 that a one-ulp
         # change of one covariance entry reshuffles; under the relative
         # floor they count as zero, so z* moves by rounding only (by about
-        # 1e-9 with max(lambda, 0))
+        # 1e-9 with max(lambda, 0)). At d = 2 the matrix is all-equal and one
+        # ulp on entry (0, 0) flips the sign eigh gives the top eigenvector;
+        # drawn with eigh's signs, z* went from -1.2696 to -1.2928
         cov = duplicated_cov(d, seed=d + 1)
         bumped = cov.copy()
-        bumped[0, -1] = bumped[-1, 0] = np.nextafter(cov[0, -1], np.inf)
+        i, j = entry
+        bumped[i, j] = bumped[j, i] = np.nextafter(cov[i, j], np.inf)
         z = supt_quantile(cov, 0.1, 20_000, 3).z_star
         assert supt_quantile(bumped, 0.1, 20_000, 3).z_star == pytest.approx(z, abs=1e-12)
+
+    def test_rank_deficient_draws_rank_normals(self):
+        # the floor keeps the numerical rank: duplicated_cov(20) has rank 10,
+        # so test_special_covariances_match_one_shot's state check holds the
+        # draws of that case to (n_sim, 10) normals
+        cov = duplicated_cov(20, seed=21)
+        assert kept_eigenpairs(cov)[0].size == np.linalg.matrix_rank(cov) < 20
 
     def test_stream_continues_across_calls(self):
         # a reused generator (the supt scan's loop stream) draws the same
@@ -278,6 +317,40 @@ class TestSupTBlockedDraws:
             assert supt_quantile(cov, 0.1, 2_000, gen).z_star == one_shot_supt(
                 cov, 0.1, 2_000, ref_gen
             )
+
+
+class TestSupTSignConvention:
+    """Fixed eigenvector signs: a change of the covariance that leaves its
+    eigenvectors equal up to sign and rounding moves z* by rounding only,
+    not by re-sampling."""
+
+    def test_rebuilt_from_negated_eigenvectors_keeps_z_star(self):
+        cov = random_cov(5, seed=5)
+        lam, vec = np.linalg.eigh(cov)
+        vec = vec * np.array([-1.0, 1.0, -1.0, 1.0, -1.0])
+        rebuilt = vec @ np.diag(lam) @ vec.T
+        z = supt_quantile(cov, 0.1, 20_000, 3).z_star
+        assert supt_quantile(rebuilt, 0.1, 20_000, 3).z_star == pytest.approx(z, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_reversed_coordinates_keep_z_star(self, seed):
+        # the min is symmetric in the coordinates, but eigh may sign the
+        # reversed matrix's eigenvectors differently; drawn with eigh's
+        # signs, z* moves by up to 0.023 over these seeds
+        cov = random_cov(5, seed=seed)
+        z = supt_quantile(cov, 0.1, 20_000, 3).z_star
+        assert supt_quantile(cov[::-1, ::-1], 0.1, 20_000, 3).z_star == pytest.approx(
+            z, abs=1e-12
+        )
+
+
+@pytest.mark.parametrize("build", [duplicated_cov, random_cov])
+def test_rank_sized_draws_match_full_dimension_distribution(build):
+    # 0.02 is about 4 Monte Carlo sd of a 0.1-quantile at 1e5 draws
+    cov = build(20, seed=9)
+    new = supt_quantile(cov, 0.1, 100_000, 1).z_star
+    old = full_dimension_supt(cov, 0.1, 100_000, np.random.default_rng(2))
+    assert new == pytest.approx(old, abs=0.02)
 
 
 class TestAsymptoticBounds:

@@ -10,7 +10,7 @@ from snpl.core import (
     SafetySpec,
     validate_dataset,
 )
-from snpl.synthetic import ThresholdPolicy
+from snpl.synthetic import ThresholdPolicy, generate
 
 from conftest import LoggingPolicy, UniformPolicy, make_dataset
 
@@ -189,6 +189,12 @@ class TestDataset:
         with pytest.raises(ValueError, match="nonempty"):
             Dataset(np.empty((0, 2)), np.empty(0, dtype=np.int64), np.empty((0, 1)),
                     np.empty((0, 2)))
+
+    def test_compares_and_hashes_by_identity(self):
+        a, b = generate(5, np.random.default_rng(0)), generate(5, np.random.default_rng(0))
+        assert (a == b) is False
+        assert a == a
+        assert hash(a) != hash(b)
 
     @pytest.mark.parametrize("name", ["covariates", "actions", "outcomes", "propensities"])
     def test_arrays_are_read_only(self, name):

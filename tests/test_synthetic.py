@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from snpl import synthetic
 from snpl.core import SafetySpec, validate_dataset
 from snpl.synthetic import (
     FEATURES,
@@ -200,3 +201,22 @@ class TestTruthTable:
         assert table.safe["g1@0.5"]
         assert not table.safe["g5@0.5"]
         assert set(table.values) == {"g1@0.2", "g5@0.5", "g1@0.5"}
+
+    def test_values_computed_once_per_policy(self, monkeypatch):
+        base = default_baseline()
+        spec = SafetySpec(goal=1, guardrails=(1, 2), weights=(0.0, -0.1), alpha=0.1)
+        pols = build_class(20)
+        calls = []
+
+        def counted(policy):
+            calls.append(policy.policy_id)
+            return true_values(policy)
+
+        monkeypatch.setattr(synthetic, "true_values", counted)
+        table = truth_table(pols, base, spec)
+        assert len(calls) == len(pols) + 1
+        monkeypatch.undo()
+        safe = {pol.policy_id: oracle_safe(pol, base, spec) for pol in pols}
+        safe[base.policy_id] = oracle_safe(base, base, spec)
+        assert list(table.safe.items()) == list(safe.items())
+        assert table.values == {p.policy_id: true_values(p) for p in [*pols, base]}
