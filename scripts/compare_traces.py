@@ -20,9 +20,7 @@ with ``write_dataset_csv`` (to ``OUT/csv/<method>.json``), and a
 tabular-propensity file whose text this script writes itself, so it reads
 the same in every tree (to ``OUT/csv-tabular/<method>.json``).
 
-``diff`` reads schema-1 traces in the schema-2 layout (``_upgrade``), so a
-dump made before the change of schema compares with one made after it. It
-pairs the files of two dumps by path and reports, per pair, a
+``diff`` pairs the files of two dumps by path and reports, per pair, a
 decision mismatch (a trace's ``decision`` or ``is_baseline``, or a
 scatter's selected row, differ), a structural difference (keys, list
 lengths, types or any non-float value differ; in a scatter, the header or
@@ -37,11 +35,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import math
 import os
-import struct
 import sys
 import tempfile
 import time
@@ -163,27 +159,13 @@ def _write_tabular_csv(path: str, rng) -> None:
             )
 
 
-def _upgrade(trace: dict) -> dict:
-    """A schema-1 trace in the schema-2 layout: its split's learning rows
-    become their count and the SHA-256 of the rows as little-endian int64,
-    as ``snpl.core.Trace`` writes them."""
-    if trace.get("schema_version") == 1:
-        trace["schema_version"] = 2
-        split = trace.get("split")
-        if split is not None:
-            rows = split.pop("learning")
-            split["learning_count"] = len(rows)
-            split["rows_sha256"] = hashlib.sha256(struct.pack(f"<{len(rows)}q", *rows)).hexdigest()
-    return trace
-
-
 def _load(path: str) -> dict:
-    """A trace as parsed, in the schema-2 layout; a scatter as its header
+    """A trace as parsed; a scatter as its header
     and rows, float columns parsed, with the selected row's id as its
     decision."""
     with open(path, encoding="utf-8", newline="") as fh:
         if path.endswith(".json"):
-            return _upgrade(json.load(fh))
+            return json.load(fh)
         reader = csv.DictReader(fh)
         rows = list(reader)
     for row in rows:

@@ -42,8 +42,7 @@ from .core import (
     ScanRecord,
     Svt,
     Trace,
-    normalize_seed,
-    seed_tuple,
+    run_streams,
 )
 from .estimators import InfluenceTable, influence_table, mode_scores
 from .stability import b_asymp, b_finite, delta_star, eta_heuristic, laplace
@@ -96,10 +95,7 @@ def snpl_run(
     check_mode(mode)
     if len(policies) == 0:
         raise ValueError("empty policy class")
-    seed_seq = normalize_seed(seed)
-    rng_nuisance, rng_svt, rng_loop, rng_final = [
-        np.random.default_rng(s) for s in seed_seq.spawn(4)
-    ]
+    recorded_seed, (rng_nuisance, rng_svt, rng_loop, rng_final) = run_streams(seed, 4)
     n = dataset.n
     candidates = [p for p in policies if p.policy_id != baseline.policy_id]
 
@@ -134,10 +130,8 @@ def snpl_run(
     if candidates and not supt_loop:
         # Fixed-width in-loop bounds: |Pi~| = eta whatever the pruned set.
         stats = class_stats(dataset, candidates, spec, baseline, scores)
-        scan_margins = union_table(
-            [p.policy_id for p in candidates], stats.means, stats.variances, spec, mode,
-            aprime, eta, n, dataset.c,
-        ).margins.min(axis=1)
+        scan_table = union_table(stats, spec, mode, aprime, eta, n, dataset.c)
+        scan_margins = scan_table.margins.min(axis=1)
 
     # SVT scan: one threshold draw, then one independent noise per scanned
     # candidate, stopping once eta policies are admitted.
@@ -177,7 +171,7 @@ def snpl_run(
         goal_values=goal_values,
         baseline_goal_value=table.baseline_goal,
         decision=decision,
-        seed=seed_tuple(seed_seq),
+        seed=recorded_seed,
         svt=Svt(
             gamma=hyper.gamma,
             epsilon=epsilon,

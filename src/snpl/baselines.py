@@ -24,8 +24,7 @@ from .core import (
     SafetySpec,
     Split,
     Trace,
-    normalize_seed,
-    seed_tuple,
+    run_streams,
 )
 from .estimators import influence_table, mode_scores
 
@@ -73,10 +72,7 @@ def hcpi_run(
     n_learn = int(math.floor(rho * n))
     if n_learn < 1 or n - n_learn < 1:
         raise ValueError("both splits must be nonempty")
-    seed_seq = normalize_seed(seed)
-    rng_split, rng_nuis_l, rng_nuis_t, rng_supt = [
-        np.random.default_rng(s) for s in seed_seq.spawn(4)
-    ]
+    recorded_seed, (rng_split, rng_nuis_l, rng_nuis_t, rng_supt) = run_streams(seed, 4)
 
     perm = rng_split.permutation(n)
     learn_rows = np.sort(perm[:n_learn])
@@ -90,10 +86,8 @@ def hcpi_run(
     scores_l = mode_scores(data_l, mode, hyper.folds, rng_nuis_l)
     stats = class_stats(data_l, candidates, spec, baseline, scores_l)
     class_size = len(candidates) if mode == "finite" else 1
-    learn_margins = union_table(
-        [p.policy_id for p in candidates], stats.means, stats.variances, spec, mode,
-        spec.alpha, class_size, data_l.n, data_l.c,
-    ).margins.min(axis=1)
+    learn_table = union_table(stats, spec, mode, spec.alpha, class_size, data_l.n, data_l.c)
+    learn_margins = learn_table.margins.min(axis=1)
     f = np.where(learn_margins >= 0.0, stats.goal, learn_margins)
     pick = int(np.argmax(f))
     selected = candidates[pick]
@@ -116,7 +110,7 @@ def hcpi_run(
         goal_values=goal_values,
         baseline_goal_value=table.baseline_goal,
         decision=decision,
-        seed=seed_tuple(seed_seq),
+        seed=recorded_seed,
         split=Split(rho=rho, learning=learn_rows, testing=test_rows),
         selected_id=selected.policy_id,
         selected_score=float(f[pick]),
@@ -141,15 +135,11 @@ def bonferroni_run(
     candidates = [p for p in policies if p.policy_id != baseline.policy_id]
     if not candidates:
         raise ValueError("empty policy class")
-    seed_seq = normalize_seed(seed)
-    (nuis_seed,) = seed_seq.spawn(1)
-    scores = mode_scores(dataset, mode, hyper.folds, np.random.default_rng(nuis_seed))
+    recorded_seed, (rng_nuisance,) = run_streams(seed, 1)
+    scores = mode_scores(dataset, mode, hyper.folds, rng_nuisance)
     stats = class_stats(dataset, candidates, spec, baseline, scores)
     m = len(candidates)
-    table = union_table(
-        [p.policy_id for p in candidates], stats.means, stats.variances, spec, mode,
-        spec.alpha, m, dataset.n, dataset.c,
-    )
+    table = union_table(stats, spec, mode, spec.alpha, m, dataset.n, dataset.c)
     certified_idx = np.flatnonzero(table.margins.min(axis=1) > 0.0).tolist()
     decision = baseline.policy_id
     if certified_idx:  # the first goal argmax among the certified
@@ -176,5 +166,5 @@ def bonferroni_run(
         goal_values={candidates[i].policy_id: float(stats.goal[i]) for i in certified_idx},
         baseline_goal_value=stats.baseline_goal,
         decision=decision,
-        seed=seed_tuple(seed_seq),
+        seed=recorded_seed,
     )

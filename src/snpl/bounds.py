@@ -10,9 +10,9 @@ the union-bound comparator and the cheap in-loop bound.
 The width functions (``bernstein_widths``, ``normal_widths``,
 ``supt_widths``) and ``margins`` work on arrays of (1/n)-normalized
 variances and means shaped (..., |S|). ``union_table`` builds every
-union-corrected ``LowerBoundTable`` from such arrays, whether they come from
-an influence table (``finite_bounds``, ``bonferroni_normal_bounds``) or from
-class statistics (the scan, the baselines, the bounds scatter).
+union-corrected ``LowerBoundTable`` from an ``estimators.ClassStats``, whether
+an influence table (``finite_bounds``, ``bonferroni_normal_bounds``) or the
+class statistics of the scan, the baselines and the bounds scatter.
 
 This module also owns the pairing of a guarantee mode with its bounds:
 ``finite`` takes the empirical-Bernstein widths and tables, ``asymptotic``
@@ -34,11 +34,10 @@ import numpy as np
 from scipy.special import ndtri
 
 from .core import MIN_N_SIM, SafetySpec
-from .estimators import InfluenceTable, empirical_covariance
+from .estimators import ClassStats, InfluenceTable, empirical_covariance
 
 __all__ = [
     "LowerBoundTable",
-    "SupTQuantile",
     "finite_bounds",
     "supt_quantile",
     "asymptotic_bounds",
@@ -203,19 +202,15 @@ class LowerBoundTable:
         }
 
 
-@dataclass(frozen=True)
-class SupTQuantile:
-    z_star: float
-    n_sim: int
-    seed: int | None = None
-
-
-def _variances(table: InfluenceTable) -> np.ndarray:
-    """(1/n)-normalized column variances, shaped (|Pi|, |S|)."""
+def _table_bounds(
+    table: InfluenceTable, spec: SafetySpec, mode: str, level: float, class_size: int | None
+) -> LowerBoundTable:
+    """``union_table`` over an influence table's statistics; |Pi~| defaults
+    to its policy count."""
     if table.n < 2:
         raise ValueError("bounds require n >= 2")
-    centered = table.values - table.estimates
-    return np.mean(centered**2, axis=0).reshape(table.policy_count, table.spec.s_count)
+    m = table.policy_count if class_size is None else class_size
+    return union_table(table, spec, mode, level, m, table.n, table.c)
 
 
 def finite_bounds(
@@ -231,22 +226,10 @@ def finite_bounds(
 
     with |Pi~| = assumed_class_size (defaults to the table's policy count).
     """
-    m = table.policy_count if assumed_class_size is None else assumed_class_size
-    means = table.estimates.reshape(-1, spec.s_count)
-    return union_table(
-        table.policy_ids, means, _variances(table), spec, "finite", level, m, table.n, table.c
-    )
+    return _table_bounds(table, spec, "finite", level, assumed_class_size)
 
 
-def _as_rng(rng) -> tuple[np.random.Generator, int | None]:
-    """The generator ``np.random.default_rng(rng)`` (a Generator passes
-    through) and the seed to record: ``rng`` itself when it is an integer,
-    else None."""
-    seed = int(rng) if isinstance(rng, (int, np.integer)) else None
-    return np.random.default_rng(rng), seed
-
-
-def supt_quantile(cov: np.ndarray, level: float, n_sim: int, rng) -> SupTQuantile:
+def supt_quantile(cov: np.ndarray, level: float, n_sim: int, rng) -> float:
     """Empirical lower ``level``-quantile of min_j cov_jj^{-1/2} rho_j over
     n_sim draws rho ~ N(0, cov).
 
@@ -264,7 +247,7 @@ def supt_quantile(cov: np.ndarray, level: float, n_sim: int, rng) -> SupTQuantil
     Zero-variance coordinates are dropped from the min; an all-zero
     covariance is degenerate. Quantile convention: order statistic at index
     ceil(level * n_sim). ``rng`` is anything ``np.random.default_rng``
-    accepts; the result records it as ``seed`` only when it is an integer.
+    accepts.
 
     Cost O(n_sim r d) for the draws. They are taken and reduced in blocks of
     rows = max(1, _BLOCK // d) rows, so memory is O(rows d + n_sim). Each
@@ -279,7 +262,7 @@ def supt_quantile(cov: np.ndarray, level: float, n_sim: int, rng) -> SupTQuantil
         raise ValueError("level must lie in (0, 1)")
     if n_sim < MIN_N_SIM:
         raise ValueError(f"n_sim must be >= {MIN_N_SIM}")
-    gen, seed = _as_rng(rng)
+    gen = np.random.default_rng(rng)
     diag = np.diag(cov)
     active = _active(diag)
     if not active.any():
@@ -305,8 +288,7 @@ def supt_quantile(cov: np.ndarray, level: float, n_sim: int, rng) -> SupTQuantil
         for j in range(1, d):
             np.minimum(out, block[:, j], out=out)
     k = math.ceil(level * n_sim)
-    z_star = float(np.partition(stats, k - 1)[k - 1])
-    return SupTQuantile(z_star=z_star, n_sim=n_sim, seed=seed)
+    return float(np.partition(stats, k - 1)[k - 1])
 
 
 def asymptotic_bounds(
@@ -318,26 +300,27 @@ def asymptotic_bounds(
 ) -> LowerBoundTable:
     """Sup-t joint bounds: C_j(pi) = D_j(pi) + z* sqrt(Sigma_jj / n) in the
     lower-sense form (z* <= 0 for level < 0.5), upper-sense entries via the
-    symmetric construction. Zero-variance columns get width 0.
+    symmetric construction. Zero-variance columns get width 0. ``meta``
+    records ``rng`` as the seed when it is an integer, else null.
     """
     n = table.n
     if n < 2:
         raise ValueError("bounds require n >= 2")
     cov = empirical_covariance(table)
     signs = np.tile(spec.signs, table.policy_count)
-    q = supt_quantile(cov * np.outer(signs, signs), level, n_sim, rng)
-    widths = supt_widths(np.diag(cov), q.z_star, n)
+    z_star = supt_quantile(cov * np.outer(signs, signs), level, n_sim, rng)
+    widths = supt_widths(np.diag(cov), z_star, n)
     return LowerBoundTable(
         policy_ids=table.policy_ids,
         spec=spec,
-        estimates=table.estimates.reshape(-1, spec.s_count),
+        estimates=table.means,
         widths=widths.reshape(-1, spec.s_count),
         method="supt",
         level=level,
         meta={
-            "z_star": q.z_star,
+            "z_star": z_star,
             "n_sim": n_sim,
-            "seed": q.seed,
+            "seed": int(rng) if isinstance(rng, (int, np.integer)) else None,
             "class_size": table.policy_count,
             "s_count": spec.s_count,
             "n": n,
@@ -356,11 +339,7 @@ def bonferroni_normal_bounds(
         C_j(pi) = D_j(pi) -/+ z sqrt(Sigma_jj / n),
         z = Phi^{-1}(1 - level / (|Pi~| |S|)).
     """
-    m = table.policy_count if assumed_class_size is None else assumed_class_size
-    means = table.estimates.reshape(-1, spec.s_count)
-    return union_table(
-        table.policy_ids, means, _variances(table), spec, "asymptotic", level, m, table.n, table.c
-    )
+    return _table_bounds(table, spec, "asymptotic", level, assumed_class_size)
 
 
 def check_mode(mode: str) -> None:
@@ -370,9 +349,7 @@ def check_mode(mode: str) -> None:
 
 
 def union_table(
-    policy_ids,
-    means: np.ndarray,
-    variances: np.ndarray,
+    stats: ClassStats,
     spec: SafetySpec,
     mode: str,
     level: float,
@@ -381,18 +358,18 @@ def union_table(
     c: float,
 ) -> LowerBoundTable:
     """The mode's union-corrected bound table over |Pi~| = class_size, from
-    the (1/n)-normalized means and variances of the policies' influence
-    columns, shaped (|Pi|, |S|): ``bernstein_widths`` in finite mode (method
-    ``finite``; ``c`` sets the range term), ``normal_widths`` in asymptotic
-    mode (method ``bonferroni-normal``)."""
+    the statistics' means and (1/n)-normalized variances, one row per
+    policy: ``bernstein_widths`` in finite mode (method ``finite``; ``c``
+    sets the range term), ``normal_widths`` in asymptotic mode (method
+    ``bonferroni-normal``)."""
     if mode == "finite":
-        widths = bernstein_widths(variances, spec, level, class_size, n, c)
+        widths = bernstein_widths(stats.variances, spec, level, class_size, n, c)
         method, meta = "finite", {"log_term": _log_term(spec, level, class_size)}
     else:
-        widths = normal_widths(variances, spec, level, class_size, n)
+        widths = normal_widths(stats.variances, spec, level, class_size, n)
         method, meta = "bonferroni-normal", {"z": _bonferroni_z(spec, level, class_size)}
     meta.update(class_size=class_size, s_count=spec.s_count, n=n)
-    return LowerBoundTable(tuple(policy_ids), spec, means, widths, method, level, meta)
+    return LowerBoundTable(stats.policy_ids, spec, stats.means, widths, method, level, meta)
 
 
 def joint_bounds(

@@ -1,8 +1,8 @@
 """Class statistics: for every candidate of a policy class, the means and
 (1/n)-normalized variances of its influence columns
 d_j(O_i, pi) = psi_j(O_i, pi) - (1 + w_j) psi_j(O_i, pi0), and its estimated
-goal value. The width and margin functions of ``bounds`` turn them into the
-scan, selection and union bounds.
+goal value, as an ``estimators.ClassStats``, from which
+``bounds.union_table`` builds the scan, selection and union bounds.
 
 ``class_stats`` serves a whole class at once. Threshold policies over two
 actions take a batched path: each feature is evaluated once per family, the
@@ -17,27 +17,13 @@ statistics either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import Dataset, Policy, SafetySpec
-from .estimators import policy_scores
+from .estimators import ClassStats, _contractions, policy_scores
 from .synthetic import ThresholdPolicy
 
-__all__ = ["ClassStats", "class_stats", "policy_loop_stats"]
-
-
-@dataclass
-class ClassStats:
-    """Per-candidate means and variances of the influence columns, shape
-    (|Pi|, |S|), goal-value means, shape (|Pi|,), and the baseline's goal
-    value."""
-
-    means: np.ndarray
-    variances: np.ndarray
-    goal: np.ndarray
-    baseline_goal: float
+__all__ = ["class_stats", "policy_loop_stats"]
 
 
 def policy_loop_stats(
@@ -60,21 +46,19 @@ def _loop_stats(
     psi0: np.ndarray,
 ) -> ClassStats:
     """The per-policy loop against the baseline's scores psi0."""
-    X = dataset.covariates
-    jdx = np.asarray(spec.guardrails, dtype=np.int64) - 1
-    w = np.asarray(spec.weights)
-    base = psi0[:, jdx]
     means = np.empty((len(candidates), spec.s_count))
     variances = np.empty((len(candidates), spec.s_count))
     goal = np.empty(len(candidates))
-    for i, pol in enumerate(candidates):
-        psi = policy_scores(scores, pol, X)
-        d = psi[:, jdx] - (1.0 + w) * base
+    columns = _contractions(scores, candidates, dataset.covariates, spec, psi0)
+    for i, (d, g) in enumerate(columns):
         mu = d.mean(axis=0)
         means[i] = mu
         variances[i] = np.mean((d - mu) ** 2, axis=0)
-        goal[i] = psi[:, spec.goal - 1].mean()
-    return ClassStats(means, variances, goal, float(psi0[:, spec.goal - 1].mean()))
+        goal[i] = g
+    return ClassStats(
+        tuple(p.policy_id for p in candidates), means, variances, goal,
+        float(psi0[:, spec.goal - 1].mean()),
+    )
 
 
 def class_stats(
@@ -143,7 +127,10 @@ def class_stats(
     if rest:
         ref = _loop_stats(dataset, [candidates[i] for i in rest], spec, scores, psi0)
         means[rest], variances[rest], goal[rest] = ref.means, ref.variances, ref.goal
-    return ClassStats(means, variances, goal, float(psi0[:, spec.goal - 1].mean()))
+    return ClassStats(
+        tuple(p.policy_id for p in candidates), means, variances, goal,
+        float(psi0[:, spec.goal - 1].mean()),
+    )
 
 
 def _coinciding(

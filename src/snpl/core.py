@@ -329,19 +329,15 @@ class Hyperparams:
             raise ValueError(f"loop_n_sim must be >= {MIN_N_SIM}")
 
 
-def normalize_seed(seed) -> np.random.SeedSequence:
-    """A run's root seed sequence: passed through, or built from an int or
-    entropy tuple."""
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
-
-
-def seed_tuple(seed_seq: np.random.SeedSequence) -> tuple:
-    """Entropy plus spawn key, the tuple a trace records to name its seed."""
-    ent = seed_seq.entropy
-    base = tuple(ent) if isinstance(ent, (tuple, list)) else (int(ent),)
-    return base + tuple(seed_seq.spawn_key)
+def run_streams(seed, count: int) -> tuple[tuple, list[np.random.Generator]]:
+    """A run's random streams: the seed a trace records (the root's entropy
+    plus spawn key) and ``count`` generators on the root's spawned
+    children, in order. The root is ``seed`` itself when it is a
+    SeedSequence, else the SeedSequence of an int or entropy tuple."""
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    ent = root.entropy
+    recorded = (tuple(ent) if isinstance(ent, (tuple, list)) else (int(ent),)) + root.spawn_key
+    return recorded, [np.random.default_rng(child) for child in root.spawn(count)]
 
 
 def validate_dataset(dataset: Dataset) -> None:

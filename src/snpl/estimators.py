@@ -1,6 +1,7 @@
 """Policy-value estimation: IPW and cross-fitted doubly-robust scores, the
-per-observation influence terms for weighted value differences, and their
-empirical variances and covariances.
+per-observation influence terms for weighted value differences, their
+empirical variances and covariances, and ``ClassStats``, the one record of
+per-policy statistics that every bound table is built from.
 
 Per-arm score arrays have shape (n, K, d_Y):
     IPW:  s[i,k,j] = 1[A_i=k+1] * Y_ij / e(k+1, X_i)
@@ -20,6 +21,7 @@ from .core import Dataset, Policy, SafetySpec
 
 __all__ = [
     "NuisanceModel",
+    "ClassStats",
     "InfluenceTable",
     "fit_nuisance",
     "arm_scores",
@@ -146,26 +148,32 @@ def policy_scores(scores: np.ndarray, policy: Policy, covariates: np.ndarray) ->
     return np.einsum("nk,nkj->nj", P, scores)
 
 
-@dataclass(frozen=True)
-class InfluenceTable:
-    """Per-observation weighted differences d_j(O_i, pi) for a policy list
-    and guardrail set, in column order (p)|S| + s (policies indexed 0-based
-    here; the 1-based index map is (p-1)|S| + s).
+@dataclass(frozen=True, eq=False)
+class ClassStats:
+    """Per-policy statistics of the influence columns d_j(O_i, pi), in
+    ``policy_ids`` order: means and (1/n)-normalized variances shaped
+    (|Pi|, |S|), estimated goal values shaped (|Pi|,), and the baseline's
+    goal value. ``bounds.union_table`` builds bound tables from them."""
 
-    values: (n, |Pi| * |S|); estimates are the column means; c and n carry
-    the dataset context the bound constructions need. goal and
-    baseline_goal are the estimated goal values V_g of the policies and of
-    the baseline, from the same contractions (set by ``influence_table``).
-    """
+    policy_ids: tuple[str, ...]
+    means: np.ndarray
+    variances: np.ndarray
+    goal: np.ndarray
+    baseline_goal: float
+
+
+@dataclass(frozen=True, eq=False)
+class InfluenceTable(ClassStats):
+    """The statistics of a policy list plus its per-observation weighted
+    differences d_j(O_i, pi): values has shape (n, |Pi| * |S|), columns in
+    order (p)|S| + s (policies indexed 0-based here; the 1-based index map
+    is (p-1)|S| + s), and means and variances are its column moments. c
+    and n carry the dataset context the bound constructions need."""
 
     values: np.ndarray
-    estimates: np.ndarray
-    policy_ids: tuple[str, ...]
     spec: SafetySpec
     baseline_id: str
     c: float
-    goal: np.ndarray | None = None
-    baseline_goal: float | None = None
 
     @property
     def n(self) -> int:
@@ -174,6 +182,24 @@ class InfluenceTable:
     @property
     def policy_count(self) -> int:
         return len(self.policy_ids)
+
+
+def _contractions(
+    scores: np.ndarray,
+    policies: list[Policy],
+    covariates: np.ndarray,
+    spec: SafetySpec,
+    psi0: np.ndarray,
+):
+    """Yields, per policy, its influence columns d_j(O_i, pi) =
+    psi_j(O_i, pi) - (1 + w_j) psi_j(O_i, pi0), shaped (n, |S|), against the
+    baseline's scores psi0, and its estimated goal value."""
+    jdx = np.asarray(spec.guardrails, dtype=np.int64) - 1
+    w = np.asarray(spec.weights)
+    base = psi0[:, jdx]
+    for policy in policies:
+        psi = policy_scores(scores, policy, covariates)
+        yield psi[:, jdx] - (1.0 + w) * base, psi[:, spec.goal - 1].mean()
 
 
 def influence_table(
@@ -185,32 +211,30 @@ def influence_table(
 ) -> InfluenceTable:
     """Builds d_j(O_i, pi) = psi_j(O_i, pi) - (1 + w_j) psi_j(O_i, pi0)
     from the dataset's (n, K, d_Y) per-arm scores for every (policy,
-    guardrail) pair, plus the column-mean estimates
-    D_j(pi) = V_j(pi) - (1 + w_j) V_j(pi0), and the goal values of every
-    policy and of the baseline; each policy is contracted once.
+    guardrail) pair, with its column means D_j(pi) = V_j(pi) - (1 + w_j)
+    V_j(pi0) and variances, and the goal values of every policy and of the
+    baseline; each policy is contracted once.
     """
-    X = dataset.covariates
     S = spec.s_count
-    jdx = np.asarray(spec.guardrails, dtype=np.int64) - 1
-    w = np.asarray(spec.weights)
-
-    psi0 = policy_scores(scores, baseline, X)
-    base = psi0[:, jdx]
+    psi0 = policy_scores(scores, baseline, dataset.covariates)
     values = np.empty((dataset.n, len(policies) * S))
     goal = np.empty(len(policies))
-    for p, policy in enumerate(policies):
-        psi = policy_scores(scores, policy, X)
-        values[:, p * S : (p + 1) * S] = psi[:, jdx] - (1.0 + w) * base
-        goal[p] = psi[:, spec.goal - 1].mean()
+    columns = _contractions(scores, policies, dataset.covariates, spec, psi0)
+    for p, (d, g) in enumerate(columns):
+        values[:, p * S : (p + 1) * S] = d
+        goal[p] = g
+    means = values.mean(axis=0)
+    variances = np.mean((values - means) ** 2, axis=0)
     return InfluenceTable(
-        values=values,
-        estimates=values.mean(axis=0),
         policy_ids=tuple(pol.policy_id for pol in policies),
+        means=means.reshape(-1, S),
+        variances=variances.reshape(-1, S),
+        goal=goal,
+        baseline_goal=float(psi0[:, spec.goal - 1].mean()),
+        values=values,
         spec=spec,
         baseline_id=baseline.policy_id,
         c=dataset.c,
-        goal=goal,
-        baseline_goal=float(psi0[:, spec.goal - 1].mean()),
     )
 
 
@@ -218,5 +242,5 @@ def empirical_covariance(table: InfluenceTable) -> np.ndarray:
     """(1/n)-normalized covariance of the influence columns."""
     if table.n < 2:
         raise ValueError("covariance requires n >= 2")
-    centered = table.values - table.estimates
+    centered = table.values - table.means.reshape(-1)
     return centered.T @ centered / table.n

@@ -70,9 +70,12 @@ class BenchmarkConfig:
     eta = null (the default) re-derives eta per class size from the
     width-ratio heuristic.
 
-    The safety spec and hyperparameters are built, and so checked, once
-    when the config is; ``spec()`` and ``hyper()`` return them. Only
-    ``run_benchmark`` reads ``n``; a CSV run takes its rows from the file.
+    The safety spec, hyperparameters and baseline policy are built, and so
+    checked, once when the config is; ``spec()``, ``hyper()`` and
+    ``baseline()`` return them. ``methods`` lists distinct method tags, at
+    least one. Only ``run_benchmark`` reads ``n``; a CSV run takes its rows
+    from the file, and ``propensity`` (one entry per action) applies only
+    to a file without e-columns.
     """
 
     methods: tuple[str, ...] = ("snpl",)
@@ -98,12 +101,15 @@ class BenchmarkConfig:
     save_traces: bool = False
     baseline_feature: str = "g1"
     baseline_cutoff: float = 0.5
-    n_actions: int = 2
     propensity: tuple[float, ...] = (0.5, 0.5)
 
     def __post_init__(self):
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
+        if not self.methods:
+            raise ConfigError("methods must list at least one method")
+        if len(set(self.methods)) != len(self.methods):
+            raise ConfigError(f"methods must not repeat: {list(self.methods)}")
         for m in self.methods:
             if m not in METHOD_STREAMS:
                 raise ConfigError(f"unrecognized method tag '{m}'")
@@ -121,10 +127,12 @@ class BenchmarkConfig:
                 in_loop=self.in_loop,
                 loop_n_sim=self.loop_n_sim,
             )
+            baseline = ThresholdPolicy(self.baseline_feature, self.baseline_cutoff)
         except ValueError as err:
             raise ConfigError(str(err)) from err
         object.__setattr__(self, "_spec", spec)
         object.__setattr__(self, "_hyper", hyper)
+        object.__setattr__(self, "_baseline", baseline)
 
     def spec(self) -> SafetySpec:
         return self._spec
@@ -133,7 +141,7 @@ class BenchmarkConfig:
         return self._hyper
 
     def baseline(self) -> ThresholdPolicy:
-        return ThresholdPolicy(self.baseline_feature, self.baseline_cutoff)
+        return self._baseline
 
     def to_json_dict(self) -> dict:
         """Every field by name, tuples as lists."""
@@ -221,33 +229,27 @@ def worker_count(replications: int, workers: int | None = None) -> int:
     return max(1, min(workers, replications))
 
 
-def _dispatch(method: str, dataset, policies, config: BenchmarkConfig, seed_seq):
+def _dispatch(method: str, dataset, policies, config: BenchmarkConfig, seed):
     # Built per call, so it holds the run functions this module binds at
     # call time (perfbench's tracer rebinds them).
     runs = {"snpl": snpl_run, "bonferroni": bonferroni_run}
     runs.update({m: functools.partial(hcpi_run, rho=rho) for m, rho in _SPLIT_RHO.items()})
     spec, baseline, hyper = config.spec(), config.baseline(), config.hyper()
-    return runs[method](dataset, policies, spec, baseline, config.mode, hyper, seed_seq)
-
-
-def _replication_seed(master: int, r: int, slot: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence((master, r, slot))
+    return runs[method](dataset, policies, spec, baseline, config.mode, hyper, seed)
 
 
 def _execute_replication(state: dict, r: int) -> dict:
     config: BenchmarkConfig = state["config"]
-    rng = np.random.default_rng(_replication_seed(config.master_seed, r, _DATA_STREAM))
-    dataset = generate(config.n, rng)
+    dataset = generate(config.n, np.random.default_rng((config.master_seed, r, _DATA_STREAM)))
     out = {}
     for method in config.methods:
-        seed_seq = _replication_seed(config.master_seed, r, METHOD_STREAMS[method])
+        seed = (config.master_seed, r, METHOD_STREAMS[method])
         start = time.perf_counter()
         try:
-            trace = _dispatch(method, dataset, state["policies"], config, seed_seq)
+            trace = _dispatch(method, dataset, state["policies"], config, seed)
         except Exception as err:
             raise RuntimeError(
-                f"method '{method}' failed in replication {r} "
-                f"(seed ({config.master_seed}, {r}, {METHOD_STREAMS[method]})): {err}"
+                f"method '{method}' failed in replication {r} (seed {seed}): {err}"
             ) from err
         elapsed = time.perf_counter() - start
         out[method] = (trace.decision, elapsed)
@@ -470,8 +472,6 @@ def read_dataset_csv(path: str, config: BenchmarkConfig) -> Dataset:
 
     if not ne:
         probs = config.propensity
-        if len(probs) != config.n_actions:
-            raise ConfigError("propensity vector length must equal n_actions")
         E = np.broadcast_to(np.asarray(probs, dtype=float), (len(rows), len(probs)))
     try:
         return Dataset(X, A, Y, E)
@@ -523,8 +523,8 @@ def run_single(data_path: str, config_path: str, out_path: str) -> int:
     CLI to map to exit code 2."""
     config, dataset = load_csv_inputs(data_path, config_path)
     method = config.methods[0]
-    seed_seq = _replication_seed(config.master_seed, 0, METHOD_STREAMS[method])
-    trace = _dispatch(method, dataset, build_class(config.grid_size), config, seed_seq)
+    seed = (config.master_seed, 0, METHOD_STREAMS[method])
+    trace = _dispatch(method, dataset, build_class(config.grid_size), config, seed)
     write_json(trace.to_json_dict(), out_path)
     return 0 if not trace.is_baseline else 3
 
@@ -544,8 +544,8 @@ def emit_bounds_scatter(dataset: Dataset, policies, config: BenchmarkConfig, out
     """
     spec = config.spec()
     baseline = config.baseline()
-    seed_seq = _replication_seed(config.master_seed, 0, METHOD_STREAMS["snpl"])
-    trace = _dispatch("snpl", dataset, policies, config, seed_seq)
+    seed = (config.master_seed, 0, METHOD_STREAMS["snpl"])
+    trace = _dispatch("snpl", dataset, policies, config, seed)
     jdx = np.asarray(spec.guardrails, dtype=np.int64) - 1
     n = dataset.n
 
@@ -559,8 +559,7 @@ def emit_bounds_scatter(dataset: Dataset, policies, config: BenchmarkConfig, out
     else:  # |Pi~|: the pruned count (finite mode), or eta when nothing was pruned
         size = len(trace.pruned_ids) or trace.svt.eta
         widths = union_table(
-            [p.policy_id for p in rows], estimates, stats.variances, spec, config.mode,
-            trace.svt.alpha_prime, size, n, dataset.c,
+            stats, spec, config.mode, trace.svt.alpha_prime, size, n, dataset.c
         ).widths
     bounds = spec.signs * margins(estimates, widths, spec)  # estimate -/+ width
 

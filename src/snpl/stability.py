@@ -27,10 +27,6 @@ __all__ = [
     "laplace",
 ]
 
-_GRID_POINTS = 2000
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 def alpha_prime(alpha: float, delta: float, n: int, epsilon: float) -> float:
     """(alpha - delta) * exp(-(n/2) eps^2 - eps sqrt(n log(2/delta) / 2))."""
     if not 0.0 < delta < alpha < 1.0:
@@ -44,38 +40,28 @@ def alpha_prime(alpha: float, delta: float, n: int, epsilon: float) -> float:
 
 
 def delta_star(alpha: float, n: int, epsilon: float) -> tuple[float, float]:
-    """Maximizes alpha'(delta) over delta in (0, alpha): dense log-spaced
-    grid (2000 points over [alpha 1e-6, alpha (1 - 1e-6)]) then
-    golden-section refinement around the best grid cell. Returns
-    (delta*, alpha'(delta*)).
-    """
-    lo_edge = alpha * 1e-6
-    hi_edge = alpha * (1.0 - 1e-6)
-    grid = np.geomspace(lo_edge, hi_edge, _GRID_POINTS)
-    vals = [alpha_prime(alpha, float(d), n, epsilon) for d in grid]
-    best = int(np.argmax(vals))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, _GRID_POINTS - 1)]
+    """Maximizes alpha'(delta) over delta in [alpha 1e-6, alpha (1 - 1e-6)].
+    Returns (delta*, alpha'(delta*)).
 
-    # Golden-section on [lo, hi]; handles boundary maxima as well as
-    # interior ones. 80 iterations shrink the bracket far below any
-    # meaningful delta resolution.
-    a, b = float(lo), float(hi)
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1 = alpha_prime(alpha, x1, n, epsilon)
-    f2 = alpha_prime(alpha, x2, n, epsilon)
-    for _ in range(80):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = alpha_prime(alpha, x2, n, epsilon)
+    With c = eps sqrt(n/2), d log alpha'/d delta = 0 is equivalent to
+    g(delta) = 2 delta sqrt(log(2/delta)) - c (alpha - delta) = 0, and g is
+    strictly increasing on (0, alpha) since 2 log(2/delta) > 1 there. So
+    bisection on the sign of g, down to adjacent floats, finds the
+    maximizer; its lower end stays at alpha 1e-6 when g >= 0 there (as at
+    eps = 0, where alpha' only falls).
+    """
+    alpha_prime(alpha, alpha / 2.0, n, epsilon)  # validates the arguments
+    c = epsilon * math.sqrt(n / 2.0)
+    lo, hi = alpha * 1e-6, alpha * (1.0 - 1e-6)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if 2.0 * mid * math.sqrt(math.log(2.0 / mid)) < c * (alpha - mid):
+            lo = mid
         else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = alpha_prime(alpha, x1, n, epsilon)
-    d = x1 if f1 >= f2 else x2
-    return float(d), alpha_prime(alpha, float(d), n, epsilon)
+            hi = mid
+    return lo, alpha_prime(alpha, lo, n, epsilon)
 
 
 def gamma_grid(alphas, gammas) -> np.ndarray:

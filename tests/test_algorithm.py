@@ -8,9 +8,10 @@ import pytest
 from conftest import dr_value, ipw_value, tabular_generate, three_arm_class, three_arm_generate
 from snpl.algorithm import final_certify, snpl_run
 from snpl.baselines import bonferroni_run, hcpi_run
-from snpl.bounds import asymptotic_bounds, bonferroni_normal_bounds, finite_bounds
-from snpl.core import Hyperparams, SafetySpec
-from snpl.estimators import arm_scores, fit_nuisance, influence_table
+from snpl.bounds import asymptotic_bounds, bonferroni_normal_bounds, finite_bounds, union_table
+from snpl.classstats import class_stats
+from snpl.core import Dataset, Hyperparams, SafetySpec, run_streams
+from snpl.estimators import arm_scores, fit_nuisance, influence_table, mode_scores
 from snpl.stability import delta_star, eta_heuristic, laplace
 from snpl.synthetic import ThresholdPolicy, build_class, default_baseline, generate, true_values
 
@@ -297,6 +298,46 @@ class TestHighSignalSelection:
             best_true = max(trace.pruned_ids, key=truth.__getitem__)
             assert trace.decision == best_true
         assert non_baseline >= 95
+
+
+class TestScanSensitivity:
+    """The guarantee the scan's noise is calibrated to: replacing one row of
+    the data moves every candidate's scan margin by at most B. Margins are
+    computed as snpl_run computes them (class_stats, then union_table at
+    alpha' with |Pi~| = eta), the nuisance refit on the run's own nuisance
+    stream, so both fits split the rows into the same folds."""
+
+    @pytest.mark.parametrize("mode", ["finite", "asymptotic"])
+    def test_replacing_one_row_moves_scan_margins_at_most_b(self, mode):
+        baseline = default_baseline()
+        candidates = [p for p in build_class(100) if p.policy_id != baseline.policy_id]
+        ds = generate(200, np.random.default_rng(61))
+        hyper = Hyperparams(n_sim=1000)
+        svt = snpl_run(ds, candidates, SPEC, baseline, mode, hyper, seed=3).svt
+
+        def scan_margins(data):
+            _, (rng_nuisance, *_) = run_streams(3, 4)
+            scores = mode_scores(data, mode, hyper.folds, rng_nuisance)
+            stats = class_stats(data, candidates, SPEC, baseline, scores)
+            table = union_table(stats, SPEC, mode, svt.alpha_prime, svt.eta, data.n, data.c)
+            return table.margins.min(axis=1)
+
+        margins = scan_margins(ds)
+        rng = np.random.default_rng(62)
+        largest = 0.0
+        for _ in range(40):
+            i, row = rng.integers(ds.n), generate(1, rng)
+            columns = []
+            for old, new in zip(
+                (ds.covariates, ds.actions, ds.outcomes, ds.propensities),
+                (row.covariates, row.actions, row.outcomes, row.propensities),
+            ):
+                column = old.copy()
+                column[i] = new[0]
+                columns.append(column)
+            moved = np.abs(scan_margins(Dataset(*columns)) - margins).max()
+            largest = max(largest, moved)
+        assert 0.0 < largest <= svt.B
 
 
 class TestAsymptoticCrossCheck:

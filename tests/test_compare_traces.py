@@ -1,9 +1,7 @@
-import hashlib
 import importlib.util
 import json
 import pathlib
 
-import numpy as np
 import pytest
 
 _SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "compare_traces.py"
@@ -50,23 +48,3 @@ def test_empty_dumps_fail(tmp_path):
 
 def test_missing_dumps_fail(tmp_path):
     assert compare_traces.main(["diff", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
-
-
-def test_schema_1_split_reads_as_schema_2(tmp_path):
-    # a schema-1 ds-* trace lists its learning rows; schema 2 records their
-    # count and the SHA-256 of the rows as little-endian int64
-    rows = [0, 3, 4, 9]
-    v1 = dict(TRACE, schema_version=1, split={"rho": 0.4, "learning": rows, "testing_count": 6})
-    v2 = dict(
-        TRACE,
-        schema_version=2,
-        split={
-            "rho": 0.4,
-            "learning_count": 4,
-            "testing_count": 6,
-            "rows_sha256": hashlib.sha256(np.asarray(rows, dtype="<i8").tobytes()).hexdigest(),
-        },
-    )
-    assert run_diff(tmp_path / "same", v1, v2) == 0
-    moved = dict(v1, split=dict(v1["split"], learning=[0, 3, 5, 9]))
-    assert run_diff(tmp_path / "moved", moved, v2) == 1

@@ -326,7 +326,7 @@ class TestInfluenceTable:
         table = influence_table(ds, arm_scores(ds), [pol], spec_two_guardrails, base)
         for s, (j, w) in enumerate(zip((1, 2), (0.0, -0.1))):
             expect = ipw_value(ds, pol, j) - (1.0 + w) * ipw_value(ds, base, j)
-            assert table.estimates[s] == pytest.approx(expect, abs=1e-12)
+            assert table.means[0, s] == pytest.approx(expect, abs=1e-12)
 
     def test_metadata(self, spec_two_guardrails):
         rng = np.random.default_rng(16)
@@ -340,18 +340,27 @@ class TestInfluenceTable:
         assert table.baseline_id == UniformPolicy(2).policy_id
 
 
-def column_variance(column) -> float:
-    """empirical_covariance of a one-column table."""
-    values = np.asarray(column, dtype=float)[:, None]
-    table = InfluenceTable(
-        values=values,
-        estimates=values.mean(axis=0),
+def values_table(values, spec) -> InfluenceTable:
+    """A one-policy table over the given influence columns."""
+    means = values.mean(axis=0)
+    return InfluenceTable(
         policy_ids=("p",),
-        spec=SafetySpec(goal=1, guardrails=(1,), weights=(0.0,), alpha=0.1),
+        means=means[None, :],
+        variances=np.mean((values - means) ** 2, axis=0)[None, :],
+        goal=np.zeros(1),
+        baseline_goal=0.0,
+        values=values,
+        spec=spec,
         baseline_id="b",
         c=0.5,
     )
-    return float(empirical_covariance(table)[0, 0])
+
+
+def column_variance(column) -> float:
+    """empirical_covariance of a one-column table."""
+    values = np.asarray(column, dtype=float)[:, None]
+    spec = SafetySpec(goal=1, guardrails=(1,), weights=(0.0,), alpha=0.1)
+    return float(empirical_covariance(values_table(values, spec))[0, 0])
 
 
 class TestMoments:
@@ -373,15 +382,7 @@ class TestMoments:
     def test_covariance_of_independent_columns(self, spec_two_guardrails):
         rng = np.random.default_rng(17)
         values = rng.standard_normal((100_000, 2))
-        table = InfluenceTable(
-            values=values,
-            estimates=values.mean(axis=0),
-            policy_ids=("p",),
-            spec=spec_two_guardrails,
-            baseline_id="b",
-            c=0.5,
-        )
-        cov = empirical_covariance(table)
+        cov = empirical_covariance(values_table(values, spec_two_guardrails))
         assert abs(cov[0, 1]) < 0.02
         assert cov[0, 0] == pytest.approx(1.0, abs=0.02)
         assert np.allclose(cov, cov.T)

@@ -11,8 +11,8 @@ from snpl.harness import (
     BenchmarkConfig,
     ConfigError,
     METHOD_STREAMS,
-    _replication_seed,
     load_config,
+    load_csv_inputs,
     read_dataset_csv,
     run_benchmark,
     run_single,
@@ -67,6 +67,30 @@ class TestBenchmarkConfig:
             BenchmarkConfig(loop_n_sim=99)
         with pytest.raises(ConfigError, match="n_sim must be >= 100"):
             BenchmarkConfig.from_json_dict({"n_sim": 50})
+
+    @pytest.mark.parametrize(
+        "methods, message",
+        [((), "at least one method"), (("snpl", "snpl"), "must not repeat")],
+        ids=("empty", "repeated"),
+    )
+    def test_methods_checked_when_built(self, methods, message):
+        with pytest.raises(ConfigError, match=message):
+            BenchmarkConfig(methods=methods)
+        with pytest.raises(ConfigError, match=message):
+            BenchmarkConfig.from_json_dict({"methods": list(methods)})
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [({"baseline_cutoff": 2.0}, r"cutoff must lie in \[0, 1\]"),
+         ({"baseline_feature": "g9"}, "unknown feature function 'g9'")],
+        ids=("cutoff", "feature"),
+    )
+    def test_baseline_built_once_when_built(self, setting, message):
+        with pytest.raises(ConfigError, match=message):
+            BenchmarkConfig(**setting)
+        cfg = BenchmarkConfig(baseline_feature="g2", baseline_cutoff=0.25)
+        assert cfg.baseline() is cfg.baseline()
+        assert cfg.baseline().policy_id == "g2@0.25"
 
     def test_spec_errors_become_config_errors(self):
         with pytest.raises(ConfigError, match="nonpositive"):
@@ -193,15 +217,15 @@ class TestWorkerCount:
 
 class TestSeeding:
     def test_deterministic(self):
-        a = np.random.default_rng(_replication_seed(3, 5, 1)).random(4)
-        b = np.random.default_rng(_replication_seed(3, 5, 1)).random(4)
+        a = np.random.default_rng((3, 5, 1)).random(4)
+        b = np.random.default_rng((3, 5, 1)).random(4)
         assert np.array_equal(a, b)
 
     def test_streams_distinct(self):
         draws = {}
         for r in range(3):
             for slot in range(6):
-                key = float(np.random.default_rng(_replication_seed(0, r, slot)).random())
+                key = float(np.random.default_rng((0, r, slot)).random())
                 draws[(r, slot)] = key
         assert len(set(draws.values())) == len(draws)
 
@@ -392,12 +416,17 @@ class TestDatasetCsv:
         with pytest.raises(ConfigError, match="outcome out of range at row 0"):
             read_dataset_csv(str(path), tiny_config())
 
-    def test_propensity_length_must_match_actions(self, tmp_path):
+    def test_propensity_vector_length_sets_actions(self, tmp_path):
+        # K is the vector's length; the two-action threshold class then
+        # refuses the three-action data
         path = tmp_path / "d.csv"
         path.write_text("x1,x2,x3,a,y1,y2\n0.1,0.2,0.3,1,1,0\n")
         cfg = tiny_config(propensity=(0.2, 0.3, 0.5))
-        with pytest.raises(ConfigError, match="propensity vector length"):
-            read_dataset_csv(str(path), cfg)
+        assert read_dataset_csv(str(path), cfg).n_actions == 3
+        cpath = tmp_path / "c.json"
+        write_json(cfg.to_json_dict(), str(cpath))
+        with pytest.raises(ConfigError, match="two-action; the data has 3 actions"):
+            load_csv_inputs(str(path), str(cpath))
 
     def test_short_propensity_columns_fail_validation(self, tmp_path):
         # a lone e-column implies K=1; the dataset check rejects it
@@ -461,7 +490,7 @@ class TestRunSingle:
         ds = read_dataset_csv(data, cfg)
         trace = snpl_run(
             ds, build_class(cfg.grid_size), cfg.spec(), cfg.baseline(), cfg.mode, cfg.hyper(),
-            _replication_seed(cfg.master_seed, 0, METHOD_STREAMS["snpl"]),
+            (cfg.master_seed, 0, METHOD_STREAMS["snpl"]),
         )
         assert blob == trace.to_json_dict()
 
@@ -541,6 +570,38 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not (out_dir / "report.csv").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "run"])
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"methods": []}, "methods must list at least one method"),
+            ({"methods": ["snpl", "snpl"]}, "methods must not repeat"),
+            ({"baseline_cutoff": 2.0}, "cutoff must lie in [0, 1]"),
+        ],
+        ids=("no-methods", "repeated-method", "baseline-cutoff"),
+    )
+    def test_bad_methods_or_baseline_exit_two_before_any_data(
+        self, tmp_path, capsys, monkeypatch, command, setting, message
+    ):
+        from snpl import harness
+        from snpl.cli import main
+
+        def no_data(*args):
+            raise AssertionError("data generated or read for a malformed config")
+
+        monkeypatch.setattr(harness, "generate", no_data)
+        monkeypatch.setattr(harness, "read_dataset_csv", no_data)
+        cpath = tmp_path / "c.json"
+        cpath.write_text(json.dumps({"replications": 1, "n": 100, "grid_size": 2, **setting}))
+        out = tmp_path / "out"
+        args = ["--config", str(cpath), "--out", str(out)]
+        if command == "run":
+            args += ["--data", str(tmp_path / "d.csv")]
+        assert main([command, *args]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "setting, message",
@@ -703,7 +764,7 @@ class TestBoundsScatter:
 
         trace = snpl_run(
             ds, policies, cfg.spec(), cfg.baseline(), mode, cfg.hyper(),
-            _replication_seed(cfg.master_seed, 0, METHOD_STREAMS["snpl"]),
+            (cfg.master_seed, 0, METHOD_STREAMS["snpl"]),
         )
         assert trace.pruned_ids
         spec = cfg.spec()
@@ -736,7 +797,7 @@ class TestBoundsScatter:
 
         trace = snpl_run(
             ds, policies, cfg.spec(), cfg.baseline(), "finite", cfg.hyper(),
-            _replication_seed(cfg.master_seed, 0, METHOD_STREAMS["snpl"]),
+            (cfg.master_seed, 0, METHOD_STREAMS["snpl"]),
         )
         assert trace.pruned_ids == () and trace.svt.eta == 3
         table = influence_table(

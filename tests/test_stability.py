@@ -88,6 +88,18 @@ class TestDeltaStar:
         for d in np.linspace(alpha * 1e-4, alpha * (1 - 1e-4), 500):
             assert ap >= alpha_prime(alpha, float(d), n, eps) - 1e-12
 
+    def test_zero_epsilon_keeps_lower_end(self):
+        # alpha' = alpha - delta only falls, so the bracket's lower end wins
+        assert delta_star(0.1, 1000, 0.0) == (0.1 * 1e-6, 0.1 - 0.1 * 1e-6)
+
+    @pytest.mark.parametrize("alpha, eps", [(0.05, 0.01), (0.5, 3.0)])
+    def test_root_of_first_order_condition(self, alpha, eps):
+        # delta* is where d alpha'/d delta changes sign: alpha' at its two
+        # neighbors a relative 1e-6 away is no larger
+        d, ap = delta_star(alpha, 1, eps)
+        for side in (d * (1 - 1e-6), d * (1 + 1e-6)):
+            assert alpha_prime(alpha, side, 1, eps) <= ap
+
     def test_returns_feasible_delta(self):
         d, ap = delta_star(0.05, 200, 0.4)
         assert 0.0 < d < 0.05
