@@ -9,7 +9,7 @@ decisions as they were and to bound how far its floats moved.
 
 ``dump`` imports ``snpl`` from ``--src`` and runs ``run_benchmark`` with
 saved traces, one worker, all five methods, for each shape in ``SHAPES``
-(name: mode, grid size, n, replications, master seed, in-loop bound); the
+(name: mode, grid size, n, replications, master seed); the
 traces land in ``OUT/<shape>/traces/`` and each shape's wall time is
 printed. It then writes ``emit_bounds_scatter`` for each case in
 ``SCATTERS`` (name: mode, grid size, n, seed of the data and the run,
@@ -44,13 +44,12 @@ import time
 
 METHODS = ("snpl", "bonferroni", "ds-25", "ds-50", "ds-75")
 
-# name: (mode, grid_size, n, replications, master_seed, in_loop)
+# name: (mode, grid_size, n, replications, master_seed)
 SHAPES = {
-    "paper": ("asymptotic", 500, 1000, 20, 0, "bonferroni-normal"),
-    "mid": ("asymptotic", 100, 500, 40, 1, "bonferroni-normal"),
-    "finite": ("finite", 100, 2000, 20, 2, "bonferroni-normal"),
-    "supt": ("asymptotic", 20, 400, 10, 3, "supt"),
-    "large-n": ("asymptotic", 2, 50_000, 5, 4, "bonferroni-normal"),
+    "paper": ("asymptotic", 500, 1000, 20, 0),
+    "mid": ("asymptotic", 100, 500, 40, 1),
+    "finite": ("finite", 100, 2000, 20, 2),
+    "large-n": ("asymptotic", 2, 50_000, 5, 4),
 }
 
 # name: (mode, grid_size, n, seed, senses, weights, eta); "finite-empty"
@@ -85,7 +84,7 @@ def dump(src: str, out: str) -> None:
     )
     from snpl.synthetic import build_class, generate
 
-    for name, (mode, grid, n, reps, seed, in_loop) in SHAPES.items():
+    for name, (mode, grid, n, reps, seed) in SHAPES.items():
         config = BenchmarkConfig(
             methods=METHODS,
             mode=mode,
@@ -93,7 +92,6 @@ def dump(src: str, out: str) -> None:
             n=n,
             replications=reps,
             master_seed=seed,
-            in_loop=in_loop,
             n_sim=20_000,
             save_traces=True,
         )

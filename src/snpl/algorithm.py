@@ -5,25 +5,15 @@ own bounds certify).
 
 Mode ``finite`` pairs the IPW estimator with the empirical-Bernstein bounds;
 mode ``asymptotic`` pairs the cross-fitted DR estimator with sup-t bounds
-(the pairing lives in ``bounds``). Inside the loop, finite mode evaluates
-widths as if |pruned| = eta; asymptotic mode uses either a Bonferroni-normal
-quantile per candidate (the default ``in_loop``) or sup-t over pruned +
-candidate.
+(the pairing lives in ``bounds``). Inside the loop, every candidate's
+margin comes from the mode's union-corrected table at |Pi~| = eta
+(Bernstein in finite mode, Bonferroni-normal in asymptotic mode), the one
+in-loop bound whose replace-one-row sensitivity B calibrates.
 
-Cost: with the fixed-width bounds (finite, Bonferroni-normal), the margins of
-the whole class come from one ``class_stats`` call before the scan, which for
-threshold classes is O(n log |Pi| + |Pi|) per feature family and for other
-classes one O(n) pass per policy; each scan step is then O(1). The sup-t
-option skips that call; per scanned candidate it builds the
-``asymptotic_bounds`` table over the pruned set plus the candidate, with
-d = (|pruned| + 1) |S| columns: influence columns O(n d) from the run's
-arm scores, covariance O(n d^2), eigendecomposition O(d^3) and loop_n_sim
-draws O(loop_n_sim r d) for the covariance's rank r <= d (candidates that
-treat the same rows make it singular), taken in cache-sized blocks. The
-draws dominate: at n = 1,000, 500 policies, loop_n_sim = 20,000 and eta =
-20, a scan of 47 candidates (20 admitted; d up to 40, r about 0.8 d) took
-about 0.57-0.84 s on a 2-vCPU host with one BLAS thread, about 85% of it in
-``supt_quantile``.
+Cost: the margins of the whole class come from one ``class_stats`` call
+before the scan, which for threshold classes is O(n log |Pi| + |Pi|) per
+feature family and for other classes one O(n) pass per policy; each scan
+step is then O(1).
 """
 
 from __future__ import annotations
@@ -32,7 +22,7 @@ import math
 
 import numpy as np
 
-from .bounds import LowerBoundTable, asymptotic_bounds, check_mode, joint_bounds, union_table
+from .bounds import LowerBoundTable, check_mode, joint_bounds, union_table
 from .classstats import class_stats
 from .core import (
     Dataset,
@@ -95,11 +85,13 @@ def snpl_run(
     check_mode(mode)
     if len(policies) == 0:
         raise ValueError("empty policy class")
-    recorded_seed, (rng_nuisance, rng_svt, rng_loop, rng_final) = run_streams(seed, 4)
+    # Four streams, the third unused: the final certification draws from
+    # the fourth, so a seed's z* matches the traces already recorded for it.
+    recorded_seed, (rng_nuisance, rng_svt, _, rng_final) = run_streams(seed, 4)
     n = dataset.n
     candidates = [p for p in policies if p.policy_id != baseline.policy_id]
 
-    epsilon = hyper.epsilon if hyper.epsilon is not None else hyper.gamma / math.sqrt(n)
+    epsilon = hyper.gamma / math.sqrt(n)
     dstar, aprime = delta_star(spec.alpha, n, epsilon)
 
     if hyper.eta is not None:
@@ -125,9 +117,7 @@ def snpl_run(
 
     scores = mode_scores(dataset, mode, hyper.folds, rng_nuisance)
 
-    loop_n_sim = hyper.loop_n_sim if hyper.loop_n_sim is not None else hyper.n_sim
-    supt_loop = mode == "asymptotic" and hyper.in_loop == "supt"
-    if candidates and not supt_loop:
+    if candidates:
         # Fixed-width in-loop bounds: |Pi~| = eta whatever the pruned set.
         stats = class_stats(dataset, candidates, spec, baseline, scores)
         scan_table = union_table(stats, spec, mode, aprime, eta, n, dataset.c)
@@ -139,13 +129,7 @@ def snpl_run(
     pruned: list[Policy] = []
     records: list[ScanRecord] = []
     for i, pol in enumerate(candidates):
-        if supt_loop:
-            # Sup-t over the pruned set so far plus the candidate.
-            table = influence_table(dataset, scores, pruned + [pol], spec, baseline)
-            bt = asymptotic_bounds(table, spec, aprime, loop_n_sim, rng_loop)
-            margin = bt.min_margin(pol.policy_id)
-        else:
-            margin = float(scan_margins[i])
+        margin = float(scan_margins[i])
         noise = laplace(query_scale, rng_svt)
         admitted = margin + noise > v
         records.append(ScanRecord(pol.policy_id, margin, noise, admitted))
@@ -182,8 +166,6 @@ def snpl_run(
             B=B,
             B_floor=floor,
             p=hyper.p,
-            in_loop=hyper.in_loop,
-            loop_n_sim=loop_n_sim,
             threshold_scale=threshold_scale,
             query_scale=query_scale,
             threshold_noise=v,

@@ -5,7 +5,7 @@ Two constructions: finite-sample empirical-Bernstein bounds (population
 variance, union-corrected over |Pi~| x |S| tests) and asymptotic sup-t
 bounds whose critical value is a simulated quantile of the minimum of
 standardized correlated Gaussians. A Bonferroni-normal variant serves as
-the union-bound comparator and the cheap in-loop bound.
+the union-bound comparator and the in-loop bound.
 
 The width functions (``bernstein_widths``, ``normal_widths``,
 ``supt_widths``) and ``margins`` work on arrays of (1/n)-normalized
@@ -300,7 +300,8 @@ def asymptotic_bounds(
 ) -> LowerBoundTable:
     """Sup-t joint bounds: C_j(pi) = D_j(pi) + z* sqrt(Sigma_jj / n) in the
     lower-sense form (z* <= 0 for level < 0.5), upper-sense entries via the
-    symmetric construction. Zero-variance columns get width 0. ``meta``
+    symmetric construction. z* comes from the table's covariance, the
+    widths from its ``variances``. Zero-variance columns get width 0. ``meta``
     records ``rng`` as the seed when it is an integer, else null.
     """
     n = table.n
@@ -309,12 +310,11 @@ def asymptotic_bounds(
     cov = empirical_covariance(table)
     signs = np.tile(spec.signs, table.policy_count)
     z_star = supt_quantile(cov * np.outer(signs, signs), level, n_sim, rng)
-    widths = supt_widths(np.diag(cov), z_star, n)
     return LowerBoundTable(
         policy_ids=table.policy_ids,
         spec=spec,
         estimates=table.means,
-        widths=widths.reshape(-1, spec.s_count),
+        widths=supt_widths(table.variances, z_star, n),
         method="supt",
         level=level,
         meta={

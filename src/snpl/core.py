@@ -156,8 +156,8 @@ class ScanRecord:
 @dataclass(frozen=True)
 class Svt:
     """snpl's scan block: the constants that set the noise (gamma, epsilon,
-    delta*, alpha', eta, B and its floor, p), the in-loop bound, the SVT
-    scales, the threshold draw, and one record per scanned candidate."""
+    delta*, alpha', eta, B and its floor, p), the SVT scales, the threshold
+    draw, and one record per scanned candidate."""
 
     gamma: float
     epsilon: float
@@ -168,8 +168,6 @@ class Svt:
     B: float
     B_floor: float
     p: float
-    in_loop: str
-    loop_n_sim: int
     threshold_scale: float
     query_scale: float
     threshold_noise: float
@@ -189,9 +187,7 @@ class Split:
 
 # JSON homes of the scan block's fields in a trace.
 _SVT_JSON = {
-    "hyper": (
-        "gamma", "epsilon", "eta", "eta_source", "B", "B_floor", "p", "in_loop", "loop_n_sim"
-    ),
+    "hyper": ("gamma", "epsilon", "eta", "eta_source", "B", "B_floor", "p"),
     "stability": ("delta_star", "alpha_prime"),
     "svt": ("threshold_scale", "query_scale", "threshold_noise"),
 }
@@ -293,11 +289,9 @@ MIN_N_SIM = 100
 class Hyperparams:
     """Algorithm knobs; defaults mirror the benchmark settings.
 
-    epsilon defaults to gamma / sqrt(n); set it explicitly to override.
-    eta=None selects the size heuristic; B=None the Theorem 1 sensitivity.
-    in_loop is snpl's asymptotic-mode scan bound, a Bonferroni-normal
-    quantile per candidate or sup-t over pruned + candidate with loop_n_sim
-    draws (None: n_sim).
+    The scan's privacy level is epsilon = gamma / sqrt(n), under which
+    alpha'(delta*) does not depend on n. eta=None selects the size
+    heuristic; B=None the Theorem 1 sensitivity.
     """
 
     gamma: float = 0.1
@@ -306,9 +300,6 @@ class Hyperparams:
     p: float = 0.5
     n_sim: int = 100_000
     folds: int = 5
-    epsilon: float | None = None
-    in_loop: str = "bonferroni-normal"
-    loop_n_sim: int | None = None
 
     def __post_init__(self):
         if self.gamma <= 0:
@@ -321,12 +312,6 @@ class Hyperparams:
             raise ValueError("folds must be >= 2")
         if not self.p < 1:
             raise ValueError("p must be < 1")
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ValueError("epsilon override must be positive")
-        if self.in_loop not in ("bonferroni-normal", "supt"):
-            raise ValueError("in_loop must be 'bonferroni-normal' or 'supt'")
-        if self.loop_n_sim is not None and self.loop_n_sim < MIN_N_SIM:
-            raise ValueError(f"loop_n_sim must be >= {MIN_N_SIM}")
 
 
 def run_streams(seed, count: int) -> tuple[tuple, list[np.random.Generator]]:

@@ -16,6 +16,8 @@ import json
 import math
 import os
 import time
+import types
+import typing
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -92,10 +94,7 @@ class BenchmarkConfig:
     p: float = 0.5
     eta: int | None = None
     B: float | None = None
-    epsilon: float | None = None
     n_sim: int = 100_000
-    loop_n_sim: int | None = None
-    in_loop: str = "bonferroni-normal"
     folds: int = 5
     master_seed: int = 0
     save_traces: bool = False
@@ -123,9 +122,6 @@ class BenchmarkConfig:
                 p=self.p,
                 n_sim=self.n_sim,
                 folds=self.folds,
-                epsilon=self.epsilon,
-                in_loop=self.in_loop,
-                loop_n_sim=self.loop_n_sim,
             )
             baseline = ThresholdPolicy(self.baseline_feature, self.baseline_cutoff)
         except ValueError as err:
@@ -153,24 +149,46 @@ class BenchmarkConfig:
 
     @staticmethod
     def from_json_dict(obj: dict) -> "BenchmarkConfig":
+        """A config from parsed JSON, each field checked against its JSON
+        type (an array for a tuple field); null means the default."""
         if not isinstance(obj, dict):
             raise ConfigError("config must be a JSON object")
-        known = {f for f in BenchmarkConfig.__dataclass_fields__}
-        unknown = set(obj) - known - {"schema_version"}
+        hints = typing.get_type_hints(BenchmarkConfig)
+        unknown = set(obj) - set(hints) - {"schema_version"}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        kwargs = {}
-        for name in known:
-            if name not in obj or obj[name] is None:
-                continue
-            value = obj[name]
-            if name in ("methods", "guardrails", "weights", "senses", "propensity"):
-                value = tuple(value)
-            kwargs[name] = value
-        try:
-            return BenchmarkConfig(**kwargs)
-        except (TypeError, ValueError) as err:
-            raise ConfigError(str(err)) from err
+        return BenchmarkConfig(**{
+            name: _json_field(name, obj[name], hints[name])
+            for name in hints
+            if obj.get(name) is not None
+        })
+
+
+# The JSON values a config field of each Python type accepts, and their name.
+_JSON_TYPES = {
+    bool: (bool, "a boolean"),
+    int: (int, "an integer"),
+    float: ((int, float), "a number"),
+    str: (str, "a string"),
+}
+
+
+def _json_field(name: str, value, hint):
+    """``value`` as config field ``name`` of type ``hint``, an optional field
+    checked as its non-null type; raises ConfigError naming the field unless
+    the JSON type matches (a boolean is no number)."""
+    if typing.get_origin(hint) is types.UnionType:
+        hint = typing.get_args(hint)[0]
+    array = typing.get_origin(hint) is tuple
+    kind = typing.get_args(hint)[0] if array else hint
+    accepted, what = _JSON_TYPES[kind]
+    entries = value if array else [value]
+    if (array and not isinstance(value, list)) or not all(
+        isinstance(v, accepted) and (kind is bool or not isinstance(v, bool)) for v in entries
+    ):
+        shape = "an array, each entry " if array else ""
+        raise ConfigError(f"config field '{name}' must be {shape}{what}: {json.dumps(value)}")
+    return tuple(value) if array else value
 
 
 def load_config(path: str) -> BenchmarkConfig:

@@ -53,15 +53,6 @@ class TestConfig:
         assert str(err.value) == "mode must be 'finite' or 'asymptotic'"
         assert err.traceback[-1].name == "check_mode"
 
-    def test_in_loop_validated(self):
-        with pytest.raises(ValueError, match="in_loop"):
-            Hyperparams(in_loop="wald")
-
-    def test_loop_n_sim_at_least_the_supt_minimum(self):
-        assert Hyperparams(in_loop="supt", loop_n_sim=100).loop_n_sim == 100
-        with pytest.raises(ValueError, match="loop_n_sim must be >= 100"):
-            Hyperparams(in_loop="supt", loop_n_sim=99)
-
 
 class TestTrivialCases:
     def test_baseline_only_class(self):
@@ -205,10 +196,6 @@ class TestSnplRun:
         assert trace.svt.B == pytest.approx(ref.svt.B_floor * 2.0)
         assert trace.svt.threshold_scale == pytest.approx(2.0 * ref.svt.threshold_scale)
 
-    def test_epsilon_override(self):
-        trace = self.run_once(eta=3, epsilon=0.05)
-        assert trace.svt.epsilon == 0.05
-
     def test_scan_margins_match_in_loop_bounds(self):
         # finite in-loop bounds: the Bernstein table at alpha' with |Pi~|
         # fixed to eta, whatever the pruned set holds at that point
@@ -245,37 +232,6 @@ class TestSnplRun:
         assert trace.mode == "asymptotic"
         assert trace.final.method in ("supt", "asymptotic") or trace.pruned_ids == ()
 
-    def test_supt_in_loop_runs(self):
-        ds = generate(300, np.random.default_rng(103))
-        trace = run(ds, small_class(), "asymptotic", 4, in_loop="supt", eta=2, n_sim=2000)
-        assert trace.svt.in_loop == "supt"
-        assert len(trace.pruned_ids) <= 2
-
-    def test_supt_scan_margins_match_in_loop_bounds(self):
-        # replays the scan: the sup-t table over the pruned set so far plus
-        # each candidate (the candidate alone at first), drawing from the
-        # run's own loop stream
-        ds = generate(400, np.random.default_rng(104))
-        policies = build_class(4)
-        trace = run(
-            ds, policies, "asymptotic", 6, in_loop="supt", eta=3, n_sim=2000, loop_n_sim=1000
-        )
-        r_nuis, _, r_loop, _ = (
-            np.random.default_rng(s) for s in np.random.SeedSequence(6).spawn(4)
-        )
-        scores = arm_scores(ds, fit_nuisance(ds, 5, r_nuis))
-        by_id = {p.policy_id: p for p in policies}
-        pruned = []
-        for r in trace.scan:
-            joint = pruned + [by_id[r.policy_id]]
-            table = influence_table(ds, scores, joint, SPEC, default_baseline())
-            bt = asymptotic_bounds(table, SPEC, trace.svt.alpha_prime, 1000, r_loop)
-            assert r.margin == pytest.approx(bt.min_margin(r.policy_id), abs=1e-12)
-            if r.admitted:
-                pruned.append(by_id[r.policy_id])
-        assert trace.pruned_ids == tuple(p.policy_id for p in pruned)
-        assert pruned
-
 
 class TestHighSignalSelection:
     def test_reliable_selection_at_high_snr(self):
@@ -305,28 +261,46 @@ class TestScanSensitivity:
     the data moves every candidate's scan margin by at most B. Margins are
     computed as snpl_run computes them (class_stats, then union_table at
     alpha' with |Pi~| = eta), the nuisance refit on the run's own nuisance
-    stream, so both fits split the rows into the same folds."""
+    stream, so both fits split the rows into the same folds. Replacement
+    rows come from the data's own generator, so under tabular propensities
+    each dataset keeps its own floor c."""
 
-    @pytest.mark.parametrize("mode", ["finite", "asymptotic"])
-    def test_replacing_one_row_moves_scan_margins_at_most_b(self, mode):
+    UPPER = SafetySpec(1, (1, 2), (0.0, 0.0), 0.1, senses=("lower", "upper"))
+
+    @pytest.mark.parametrize(
+        "mode, spec, make_data",
+        [
+            ("finite", SPEC, generate),
+            ("asymptotic", SPEC, generate),
+            ("finite", UPPER, generate),
+            ("asymptotic", UPPER, generate),
+            ("finite", SPEC, tabular_generate),
+            ("asymptotic", SPEC, tabular_generate),
+        ],
+        ids=(
+            "finite", "asymptotic", "finite-upper-sense", "asymptotic-upper-sense",
+            "finite-tabular", "asymptotic-tabular",
+        ),
+    )
+    def test_replacing_one_row_moves_scan_margins_at_most_b(self, mode, spec, make_data):
         baseline = default_baseline()
         candidates = [p for p in build_class(100) if p.policy_id != baseline.policy_id]
-        ds = generate(200, np.random.default_rng(61))
+        ds = make_data(200, np.random.default_rng(61))
         hyper = Hyperparams(n_sim=1000)
-        svt = snpl_run(ds, candidates, SPEC, baseline, mode, hyper, seed=3).svt
+        svt = snpl_run(ds, candidates, spec, baseline, mode, hyper, seed=3).svt
 
         def scan_margins(data):
             _, (rng_nuisance, *_) = run_streams(3, 4)
             scores = mode_scores(data, mode, hyper.folds, rng_nuisance)
-            stats = class_stats(data, candidates, SPEC, baseline, scores)
-            table = union_table(stats, SPEC, mode, svt.alpha_prime, svt.eta, data.n, data.c)
+            stats = class_stats(data, candidates, spec, baseline, scores)
+            table = union_table(stats, spec, mode, svt.alpha_prime, svt.eta, data.n, data.c)
             return table.margins.min(axis=1)
 
         margins = scan_margins(ds)
         rng = np.random.default_rng(62)
         largest = 0.0
         for _ in range(40):
-            i, row = rng.integers(ds.n), generate(1, rng)
+            i, row = rng.integers(ds.n), make_data(1, rng)
             columns = []
             for old, new in zip(
                 (ds.covariates, ds.actions, ds.outcomes, ds.propensities),

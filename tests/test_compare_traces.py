@@ -48,3 +48,13 @@ def test_empty_dumps_fail(tmp_path):
 
 def test_missing_dumps_fail(tmp_path):
     assert compare_traces.main(["diff", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+
+
+def test_dump_of_one_tree_diffs_clean(tmp_path):
+    # every shape, scatter and CSV case builds its configs from this tree's
+    # fields, so a renamed or removed field fails here
+    src = str(_SCRIPT.parents[1] / "src")
+    for side in ("a", "b"):
+        assert compare_traces.main(["dump", "--src", src, "--out", str(tmp_path / side)]) == 0
+    assert (tmp_path / "a" / "paper" / "traces" / "snpl_r00000.json").exists()
+    assert compare_traces.main(["diff", str(tmp_path / "a"), str(tmp_path / "b"), "--tol", "0"]) == 0

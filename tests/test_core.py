@@ -179,10 +179,6 @@ class TestHyperparams:
         with pytest.raises(ValueError, match="folds"):
             Hyperparams(folds=1)
 
-    def test_epsilon_override_positive(self):
-        with pytest.raises(ValueError, match="epsilon"):
-            Hyperparams(epsilon=0.0)
-
 
 class TestDataset:
     def test_empty_rejected(self):

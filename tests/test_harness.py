@@ -60,11 +60,9 @@ class TestBenchmarkConfig:
             BenchmarkConfig(guardrails=(1,), weights=(0.0, -0.1))
 
     def test_n_sim_checked_when_built(self):
-        assert BenchmarkConfig(n_sim=100, loop_n_sim=100).loop_n_sim == 100
+        assert BenchmarkConfig(n_sim=100).n_sim == 100
         with pytest.raises(ConfigError, match="n_sim must be >= 100"):
             BenchmarkConfig(n_sim=50)
-        with pytest.raises(ConfigError, match="loop_n_sim must be >= 100"):
-            BenchmarkConfig(loop_n_sim=99)
         with pytest.raises(ConfigError, match="n_sim must be >= 100"):
             BenchmarkConfig.from_json_dict({"n_sim": 50})
 
@@ -102,11 +100,9 @@ class TestBenchmarkConfig:
             ({"gamma": -1}, "gamma must be positive"),
             ({"folds": 1}, "folds must be >= 2"),
             ({"eta": 0}, "eta must be >= 1"),
-            ({"epsilon": 0}, "epsilon override must be positive"),
-            ({"in_loop": "bogus"}, "in_loop must be"),
-            ({"in_loop": "bogus", "methods": ("bonferroni",)}, "in_loop must be"),
+            ({"p": 1, "methods": ("bonferroni",)}, "p must be < 1"),
         ],
-        ids=("gamma", "folds", "eta", "epsilon", "in_loop", "in_loop-bonferroni"),
+        ids=("gamma", "folds", "eta", "p-bonferroni"),
     )
     def test_hyperparameter_errors_raised_when_built(self, setting, message):
         with pytest.raises(ConfigError, match=message):
@@ -549,12 +545,34 @@ class TestCli:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(
-        "setting",
-        [{"gamma": -1}, {"folds": 1}, {"eta": 0}, {"in_loop": "bogus", "methods": ["bonferroni"]}],
-        ids=("gamma", "folds", "eta", "in_loop-bonferroni"),
+        "setting, message",
+        [
+            ({"gamma": -1}, "gamma must be positive"),
+            ({"folds": 1}, "folds must be >= 2"),
+            ({"eta": 0}, "eta must be >= 1"),
+            ({"p": 1, "methods": ["bonferroni"]}, "p must be < 1"),
+            ({"in_loop": "supt"}, "unknown config fields: ['in_loop']"),
+            ({"loop_n_sim": 500}, "unknown config fields: ['loop_n_sim']"),
+            ({"epsilon": 0.05}, "unknown config fields: ['epsilon']"),
+            ({"guardrails": 2}, "'guardrails' must be an array, each entry an integer"),
+            ({"methods": "snpl"}, "'methods' must be an array, each entry a string"),
+            ({"weights": [0, "-0.1"]}, "'weights' must be an array, each entry a number"),
+            ({"n": "1000"}, "'n' must be an integer"),
+            ({"grid_size": "5"}, "'grid_size' must be an integer"),
+            ({"replications": True}, "'replications' must be an integer"),
+            ({"alpha": "0.1"}, "'alpha' must be a number"),
+            ({"save_traces": "no"}, "'save_traces' must be a boolean"),
+            ({"mode": 1}, "'mode' must be a string"),
+        ],
+        ids=(
+            "gamma", "folds", "eta", "p-bonferroni", "in_loop", "loop_n_sim", "epsilon",
+            "guardrails-scalar", "methods-string", "weights-entry", "n-string",
+            "grid_size-string", "replications-bool", "alpha-string", "save_traces-string",
+            "mode-number",
+        ),
     )
     def test_malformed_config_exits_two_before_any_data(
-        self, tmp_path, capsys, monkeypatch, setting
+        self, tmp_path, capsys, monkeypatch, setting, message
     ):
         from snpl import harness
         from snpl.cli import main
@@ -568,7 +586,7 @@ class TestCli:
         out_dir = tmp_path / "out"
         assert main(["simulate", "--config", str(cpath), "--out", str(out_dir)]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
         assert not (out_dir / "report.csv").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "run"])

@@ -2,7 +2,6 @@
 (or of each split) is computed one time and passed to every later step.
 Each dataset is also checked once, when it is built."""
 
-import dataclasses
 import sys
 
 import numpy as np
@@ -19,11 +18,10 @@ SPEC = SafetySpec(goal=1, guardrails=(1, 2), weights=(-0.3, -0.3), alpha=0.1)
 HYPER = Hyperparams(n_sim=2000, eta=3)
 
 
-def run(method, dataset, mode, in_loop="bonferroni-normal"):
+def run(method, dataset, mode):
     policies, baseline = build_class(4), default_baseline()
     if method == "snpl":
-        hyper = dataclasses.replace(HYPER, in_loop=in_loop, loop_n_sim=500)
-        return snpl_run(dataset, policies, SPEC, baseline, mode, hyper, seed=1)
+        return snpl_run(dataset, policies, SPEC, baseline, mode, HYPER, seed=1)
     if method == "bonferroni":
         return bonferroni_run(dataset, policies, SPEC, baseline, mode, HYPER, seed=1)
     return hcpi_run(dataset, policies, SPEC, baseline, mode, HYPER, seed=1, rho=0.5)
@@ -31,17 +29,13 @@ def run(method, dataset, mode, in_loop="bonferroni-normal"):
 
 @pytest.mark.parametrize("mode", ("finite", "asymptotic"))
 @pytest.mark.parametrize(
-    "method,in_loop,calls",
-    (
-        ("snpl", "bonferroni-normal", 1),
-        ("snpl", "supt", 1),
-        ("bonferroni", "bonferroni-normal", 1),
-        ("ds", "bonferroni-normal", 2),  # the learning and the testing split
-    ),
+    "method,calls",
+    (("snpl", 1), ("bonferroni", 1), ("ds", 2)),  # ds: the learning and the testing split
+    ids=("snpl-bonferroni-normal-1", "bonferroni-bonferroni-normal-1", "ds-bonferroni-normal-2"),
 )
-def test_arm_scores_once_per_dataset(monkeypatch, mode, method, in_loop, calls):
+def test_arm_scores_once_per_dataset(monkeypatch, mode, method, calls):
     seen = count_calls(monkeypatch, "arm_scores")
-    run(method, generate(600, np.random.default_rng(7)), mode, in_loop)
+    run(method, generate(600, np.random.default_rng(7)), mode)
     assert len(seen) == calls
 
 

@@ -22,7 +22,7 @@ from snpl.synthetic import build_class, default_baseline, generate
 SPEC = SafetySpec(goal=1, guardrails=(1, 2), weights=(-0.3, -0.3), alpha=0.1)
 HYPER = Hyperparams(n_sim=2000, eta=3)
 METHODS = ("snpl", "bonferroni", "ds-25", "ds-50", "ds-75")
-SNPL_HYPER = {"gamma", "epsilon", "eta", "eta_source", "B", "B_floor", "p", "in_loop", "loop_n_sim"}
+SNPL_HYPER = {"gamma", "epsilon", "eta", "eta_source", "B", "B_floor", "p"}
 
 
 def run(method, dataset, mode, seed=(7, 0, 1)):
