@@ -1,13 +1,15 @@
 """Times ``bounds.supt_quantile`` alone at the shapes the test suite and the
 benchmark call it with, and measures the memory its draws take.
 
-    python scripts/bench_supt.py [--src src] [--repeats 7] [--dims 2,20,40]
+    python scripts/bench_supt.py [--src src] [--repeats 7] [--dims 2,3,20,40]
 
 For each dimension d in ``--dims`` it builds one fixed positive-definite
 covariance and calls ``supt_quantile(cov, 0.1, 100_000, seed)``: d = 2 is a
-``ds-*`` test split (one policy, two guardrails), d = 20 the ``paper``
-workload's final certification, d = 40 the acceptance suite's coverage
-check. It also times one rank-deficient 20 x 20 covariance whose columns
+``ds-*`` test split (one policy, two guardrails), which takes the closed
+form and draws nothing (its peak is then about 0); d = 3 is the smallest
+dimension that still simulates, d = 20 the ``paper`` workload's final
+certification, d = 40 the acceptance suite's coverage check. It also
+times one rank-deficient 20 x 20 covariance whose columns
 repeat those of a 10-dimensional one, as pruned rules that treat the same
 rows make ``snpl``'s final covariance singular. It prints the case, d, the
 rank r (the draws take r normals each), the median wall time of
@@ -35,7 +37,7 @@ def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default="src", help="source tree holding the snpl package")
     parser.add_argument("--repeats", type=int, default=7, help="timed calls per dimension")
-    parser.add_argument("--dims", default="2,20,40", help="comma-separated dimensions")
+    parser.add_argument("--dims", default="2,3,20,40", help="comma-separated dimensions")
     args = parser.parse_args(argv)
 
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):

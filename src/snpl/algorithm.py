@@ -35,7 +35,7 @@ from .core import (
     run_streams,
 )
 from .estimators import InfluenceTable, influence_table, mode_scores
-from .stability import b_asymp, b_finite, delta_star, eta_heuristic, laplace
+from .stability import b_asymp, b_finite, check_alpha_prime, delta_star, eta_heuristic, laplace
 
 __all__ = ["snpl_run", "final_certify"]
 
@@ -99,6 +99,7 @@ def snpl_run(
     else:
         eta = eta_heuristic(spec.alpha, aprime, max(len(candidates), 1), spec.s_count, hyper.p)
         eta_source = "heuristic"
+    check_alpha_prime(aprime, eta, spec.s_count)
 
     xi = (2.0 + max(spec.weights)) / dataset.c
     if mode == "finite":

@@ -4,8 +4,9 @@ one home of every width and margin formula.
 Two constructions: finite-sample empirical-Bernstein bounds (population
 variance, union-corrected over |Pi~| x |S| tests) and asymptotic sup-t
 bounds whose critical value is a simulated quantile of the minimum of
-standardized correlated Gaussians. A Bonferroni-normal variant serves as
-the union-bound comparator and the in-loop bound.
+standardized correlated Gaussians, exact at one or two coordinates and
+simulated beyond. A Bonferroni-normal variant serves as the union-bound
+comparator and the in-loop bound.
 
 The width functions (``bernstein_widths``, ``normal_widths``,
 ``supt_widths``) and ``margins`` work on arrays of (1/n)-normalized
@@ -31,7 +32,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri, owens_t
 
 from .core import MIN_N_SIM, SafetySpec
 from .estimators import ClassStats, InfluenceTable, empirical_covariance
@@ -60,6 +61,10 @@ _BLOCK = 1 << 15
 # excluded from the min statistic, given width 0.
 _VAR_FLOOR = 1e-12
 
+# Cap on the root-finding steps of the two-coordinate z*; Newton needs
+# about five, bisection at most about 60 to reach adjacent floats.
+_MAX_STEPS = 100
+
 
 def _active(variances: np.ndarray) -> np.ndarray:
     """Entries above the relative zero-variance floor."""
@@ -86,13 +91,15 @@ def _log_term(spec: SafetySpec, level: float, class_size: int) -> float:
 
 
 def _bonferroni_z(spec: SafetySpec, level: float, class_size: int) -> float:
-    """z = Phi^{-1}(1 - level / (|Pi~| |S|)) of the Bonferroni-normal width."""
+    """z = Phi^{-1}(1 - level / (|Pi~| |S|)) of the Bonferroni-normal width,
+    taken as -Phi^{-1}(level / (|Pi~| |S|)) so that a tiny per-test level
+    does not round away in 1 - level / (|Pi~| |S|)."""
     if class_size < 1:
         raise ValueError("class size must be positive")
     per_test = level / (class_size * spec.s_count)
     if not 0.0 < per_test < 0.5:
         raise ValueError("per-test level must lie in (0, 0.5)")
-    return normal_quantile(1.0 - per_test)
+    return -normal_quantile(per_test)
 
 
 def bernstein_widths(
@@ -229,25 +236,68 @@ def finite_bounds(
     return _table_bounds(table, spec, "finite", level, assumed_class_size)
 
 
+def _exact_supt(sub: np.ndarray, level: float) -> float:
+    """``supt_quantile`` of a covariance with d <= 2 coordinates, all
+    active, in closed form.
+
+    d = 1: z* = Phi^{-1}(level). d = 2 with correlation rho: by Owen's
+    (1956) bivariate normal formula, P(min <= z) = Phi(z) + 2 T(z, a) with
+    a = sqrt((1 - rho) / (1 + rho)) and T Owen's T function. It increases
+    in z with derivative 2 phi(z) Phi(-a z) and in a, so the root lies in
+    [Phi^{-1}(level / 2), Phi^{-1}(level)], the ends at rho = -1 and rho = 1.
+    Newton steps from the upper end find it, each step kept inside the
+    shrinking bracket (a bisection where it would leave it). A correlation
+    matrix whose eigenvalues 1 -/+ |rho| fall under the Monte Carlo path's
+    floor (d eps lambda_max), or with |rho| > 1 from rounding, counts as
+    rank 1: z* is then an end of the bracket, as at rho = +-1.
+    """
+    hi = float(ndtri(level))
+    if sub.shape[0] == 1:
+        return hi
+    rho = sub[0, 1] / math.sqrt(sub[0, 0]) / math.sqrt(sub[1, 1])
+    lo = float(ndtri(0.5 * level))
+    if 1.0 - abs(rho) <= 2.0 * np.finfo(float).eps * (1.0 + abs(rho)):
+        return hi if rho > 0.0 else lo
+    a = math.sqrt((1.0 - rho) / (1.0 + rho))
+    z = hi
+    for _ in range(_MAX_STEPS):
+        excess = float(ndtr(z) + 2.0 * owens_t(z, a)) - level
+        if excess > 0.0:
+            hi = z
+        else:
+            lo = z
+        slope = 2.0 * math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) * float(ndtr(-a * z))
+        step = excess / slope if slope > 0.0 else math.inf
+        if abs(step) <= 2.0 * np.finfo(float).eps * max(abs(z), 1.0):
+            return z - step
+        z = z - step if lo < z - step < hi else 0.5 * (lo + hi)
+        if not lo < z < hi:  # the bracket is down to adjacent floats
+            return z
+    return z
+
+
 def supt_quantile(cov: np.ndarray, level: float, n_sim: int, rng) -> float:
-    """Empirical lower ``level``-quantile of min_j cov_jj^{-1/2} rho_j over
-    n_sim draws rho ~ N(0, cov).
+    """Lower ``level``-quantile z* of min_j cov_jj^{-1/2} rho_j for
+    rho ~ N(0, cov): exact at d <= 2 active coordinates, else the empirical
+    quantile of n_sim draws.
 
-    The draws are z @ root for z ~ N(0, I_r), where root is r x d: the r
-    eigenpairs (lambda, v) of the symmetric eigendecomposition above a
-    relative floor, lambda > d eps lambda_max (eps the float64 machine
-    epsilon, d the active dimension), as rows sqrt(lambda) v^T, each
-    column divided by its coordinate's sd. So r is the numerical rank, the
-    rounding noise of a singular covariance (duplicate columns) cannot move
-    z*, and a rank-deficient covariance takes only r normals per draw. Each
-    kept eigenvector is signed so that its largest-magnitude component (the
+    Zero-variance coordinates are dropped from the min first; an all-zero
+    covariance is degenerate. With d <= 2 coordinates left, z* is the
+    closed form of ``_exact_supt`` (Phi^{-1}(level) at d = 1), no normals
+    are drawn and ``rng`` is not used, so n_sim only has to pass its check.
+
+    With d >= 3, the draws are z @ root for z ~ N(0, I_r), where root is
+    r x d: the r eigenpairs (lambda, v) of the symmetric eigendecomposition
+    above a relative floor, lambda > d eps lambda_max (eps the float64
+    machine epsilon), as rows sqrt(lambda) v^T, each column divided by its
+    coordinate's sd. So r is the numerical rank, the rounding noise of a
+    singular covariance (duplicate columns) cannot move z*, and a
+    rank-deficient covariance takes only r normals per draw. Each kept
+    eigenvector is signed so that its largest-magnitude component (the
     first one on a tie) is positive, so a rounding-level change of the
-    covariance cannot flip a row of the root and re-sample z*.
-
-    Zero-variance coordinates are dropped from the min; an all-zero
-    covariance is degenerate. Quantile convention: order statistic at index
-    ceil(level * n_sim). ``rng`` is anything ``np.random.default_rng``
-    accepts.
+    covariance cannot flip a row of the root and re-sample z*. Quantile
+    convention: order statistic at index ceil(level * n_sim). ``rng`` is
+    anything ``np.random.default_rng`` accepts.
 
     Cost O(n_sim r d) for the draws. They are taken and reduced in blocks of
     rows = max(1, _BLOCK // d) rows, so memory is O(rows d + n_sim). Each
@@ -262,12 +312,15 @@ def supt_quantile(cov: np.ndarray, level: float, n_sim: int, rng) -> float:
         raise ValueError("level must lie in (0, 1)")
     if n_sim < MIN_N_SIM:
         raise ValueError(f"n_sim must be >= {MIN_N_SIM}")
-    gen = np.random.default_rng(rng)
     diag = np.diag(cov)
     active = _active(diag)
     if not active.any():
         raise ValueError("degenerate covariance")
-    lam, vec = np.linalg.eigh(cov[np.ix_(active, active)])
+    sub = cov[np.ix_(active, active)]
+    if sub.shape[0] <= 2:
+        return _exact_supt(sub, level)
+    gen = np.random.default_rng(rng)
+    lam, vec = np.linalg.eigh(sub)
     d = vec.shape[0]
     keep = lam > d * np.finfo(float).eps * lam.max()
     lam, vec = lam[keep], vec[:, keep]
@@ -302,7 +355,9 @@ def asymptotic_bounds(
     lower-sense form (z* <= 0 for level < 0.5), upper-sense entries via the
     symmetric construction. z* comes from the table's covariance, the
     widths from its ``variances``. Zero-variance columns get width 0. ``meta``
-    records ``rng`` as the seed when it is an integer, else null.
+    records n_sim, and ``rng`` as the seed when it is an integer, else null;
+    neither applies when at most two columns have variance, where z* is
+    exact.
     """
     n = table.n
     if n < 2:

@@ -28,7 +28,7 @@ from .bounds import check_mode, margins, supt_widths, union_table
 from .classstats import class_stats
 from .core import Dataset, Hyperparams, SafetySpec
 from .estimators import policy_scores
-from .stability import gamma_grid
+from .stability import check_alpha_prime, delta_star, gamma_grid
 from .synthetic import ThresholdPolicy, build_class, generate, truth_table
 
 __all__ = [
@@ -124,6 +124,8 @@ class BenchmarkConfig:
                 folds=self.folds,
             )
             baseline = ThresholdPolicy(self.baseline_feature, self.baseline_cutoff)
+            # a null eta is the heuristic's, which is 1 wherever alpha' nears the limit
+            check_alpha_prime(delta_star(self.alpha, 1, self.gamma)[1], self.eta or 1, spec.s_count)
         except ValueError as err:
             raise ConfigError(str(err)) from err
         object.__setattr__(self, "_spec", spec)

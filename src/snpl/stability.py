@@ -1,7 +1,7 @@
 """Stability machinery: the max-information level correction alpha'(delta),
-its maximizer delta*, the gamma-grid ratio f(gamma, alpha), the sensitivity
-constants B_finite / B_asymp, the pruned-set size heuristic, and Laplace
-noise.
+its maximizer delta*, the check that alpha' keeps snpl's bounds finite,
+the gamma-grid ratio f(gamma, alpha), the sensitivity constants B_finite /
+B_asymp, the pruned-set size heuristic, and Laplace noise.
 
 With epsilon = gamma / sqrt(n) both exponent terms depend on n only through
 n * eps^2 = gamma^2 and eps * sqrt(n) = gamma, so alpha'(delta*) is
@@ -19,6 +19,7 @@ from .bounds import normal_quantile
 __all__ = [
     "alpha_prime",
     "delta_star",
+    "check_alpha_prime",
     "gamma_grid",
     "t_fn",
     "b_finite",
@@ -64,6 +65,19 @@ def delta_star(alpha: float, n: int, epsilon: float) -> tuple[float, float]:
     return lo, alpha_prime(alpha, lo, n, epsilon)
 
 
+def check_alpha_prime(alpha_prime_value: float, eta: int, s_count: int) -> None:
+    """Raises ValueError unless snpl's bounds are finite at level alpha':
+    b_finite's log(3 / alpha'), the Bernstein log(3 |Pi~| |S| / (2 alpha'))
+    at |Pi~| <= eta, and the normal quantiles at alpha' / (eta |S|) all hold
+    when 3 eta |S| / alpha' is finite. The check keeps a factor 4 inside that
+    edge, so alpha'(delta*) at n = 1 (which depends on alpha and gamma only)
+    passes at every n: its n-dependence is rounding alone."""
+    if not (alpha_prime_value > 0.0 and math.isfinite(12.0 * eta * s_count / alpha_prime_value)):
+        raise ValueError(
+            f"alpha'(delta*) = {alpha_prime_value:.3g} is too small for snpl's bounds; lower gamma"
+        )
+
+
 def gamma_grid(alphas, gammas) -> np.ndarray:
     """Matrix of f(gamma, alpha) = alpha'(delta*) / alpha; rows follow
     alphas, columns gammas. n-invariant under epsilon = gamma / sqrt(n),
@@ -96,11 +110,13 @@ def b_finite(n: int, xi: float, alpha_prime_value: float) -> float:
 
 
 def b_asymp(n: int, xi: float, alpha_prime_value: float, eta: int, s_count: int) -> float:
-    """B_asymp = 4 xi / n + Phi^{-1}(1 - alpha' / (eta |S|)) sqrt(t(n, 2 xi))."""
+    """B_asymp = 4 xi / n + Phi^{-1}(1 - alpha' / (eta |S|)) sqrt(t(n, 2 xi)),
+    the quantile taken as -Phi^{-1}(alpha' / (eta |S|)) so that no alpha'
+    rounds away in 1 - alpha' / (eta |S|)."""
     frac = alpha_prime_value / (eta * s_count)
     if not 0.0 < frac < 0.5:
         raise ValueError("alpha' / (eta |S|) must lie in (0, 1/2)")
-    return 4.0 * xi / n + normal_quantile(1.0 - frac) * math.sqrt(t_fn(n, 2.0 * xi))
+    return 4.0 * xi / n - normal_quantile(frac) * math.sqrt(t_fn(n, 2.0 * xi))
 
 
 def eta_heuristic(alpha: float, alpha_prime_value: float, class_size: int, s_count: int, p: float) -> int:

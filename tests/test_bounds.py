@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
+from scipy.special import ndtr, ndtri, owens_t
 
 from snpl.bounds import (
     _BLOCK,
@@ -263,19 +265,125 @@ def flipped_cov(d, seed):
     return random_cov(d, seed) * np.outer(signs, signs)
 
 
+def brentq_supt(cov, level):
+    """The exact z* at d <= 2 active coordinates as an independent
+    reference: Phi^{-1}(level) at d = 1; at d = 2, brentq on Owen's
+    P(min <= z) = Phi(z) + 2 T(z, sqrt((1 - rho) / (1 + rho))) = level over
+    a bracket a little wider than the documented one, with the closed forms
+    Phi^{-1}(level) and Phi^{-1}(level / 2) at rho = 1 and rho = -1."""
+    cov = np.asarray(cov, dtype=float)
+    sub = cov[np.ix_(*[_active(np.diag(cov))] * 2)]
+    if sub.shape[0] == 1:
+        return float(ndtri(level))
+    rho = sub[0, 1] / math.sqrt(sub[0, 0] * sub[1, 1])
+    if abs(rho) > 1.0 - 1e-14:
+        return float(ndtri(level if rho > 0.0 else level / 2.0))
+    a = math.sqrt((1.0 - rho) / (1.0 + rho))
+    return brentq(
+        lambda z: ndtr(z) + 2.0 * owens_t(z, a) - level,
+        ndtri(level / 2.0) - 1e-6, ndtri(level) + 1e-6, xtol=1e-15, maxiter=500,
+    )
+
+
+def min_density(cov, z):
+    """Density of the standardized two-coordinate min at z, 2 phi(z)
+    Phi(-a z): the slope of P(min <= z)."""
+    rho = cov[0, 1] / math.sqrt(cov[0, 0] * cov[1, 1])
+    a = math.sqrt((1.0 - rho) / (1.0 + rho))
+    return 2.0 * math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) * ndtr(-a * z)
+
+
+def correlation(rho):
+    return np.array([[1.0, rho], [rho, 1.0]])
+
+
+class TestSupTExact:
+    """z* in closed form at d <= 2 active coordinates: the root-finding
+    reference, the closed forms at rho in {-1, 0, 1}, agreement with Monte
+    Carlo, and no draws from the generator."""
+
+    @pytest.mark.parametrize("level", [0.001, 0.01, 0.05, 0.1, 0.25, 0.5, 0.9])
+    def test_matches_brentq(self, level):
+        scale = np.diag([0.3, 2.0])
+        for rho in np.linspace(-1.0, 1.0, 41)[:-1]:
+            for cov in (correlation(rho), scale @ correlation(rho) @ scale):
+                assert supt_quantile(cov, level, 100, 0) == pytest.approx(
+                    brentq_supt(cov, level), abs=1e-12
+                )
+
+    @pytest.mark.parametrize("level", [0.001, 0.05, 0.1, 0.5])
+    def test_closed_forms(self, level):
+        # independent: P(min <= z) = 1 - (1 - Phi(z))^2; rho = 1: one
+        # coordinate; rho = -1: min(X, -X) = -|X|
+        assert supt_quantile(correlation(0.0), level, 100, 0) == pytest.approx(
+            ndtri(1.0 - math.sqrt(1.0 - level)), abs=1e-12
+        )
+        assert supt_quantile(correlation(1.0), level, 100, 0) == ndtri(level)
+        assert supt_quantile(correlation(-1.0), level, 100, 0) == ndtri(level / 2.0)
+        assert supt_quantile([[4.0]], level, 100, 0) == ndtri(level)
+
+    def test_correlation_beyond_one_is_rank_one(self):
+        # rounding can put |rho| a little above 1
+        over = np.array([[1.0, 1.0 + 1e-12], [1.0 + 1e-12, 1.0]])
+        assert supt_quantile(over, 0.1, 100, 0) == ndtri(0.1)
+        assert supt_quantile(over * np.array([[1, -1], [-1, 1]]), 0.1, 100, 0) == ndtri(0.05)
+
+    @pytest.mark.parametrize("build", [random_cov, flipped_cov])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_within_four_mc_sd_of_draws(self, build, seed):
+        # the sd of an empirical level-quantile is sqrt(level (1 - level) /
+        # n_sim) over the density at it
+        cov = build(2, seed=seed)
+        z = supt_quantile(cov, 0.1, 100_000, 0)
+        mc = one_shot_supt(cov, 0.1, 100_000, np.random.default_rng(seed))
+        sd = math.sqrt(0.1 * 0.9 / 100_000) / min_density(cov, z)
+        assert abs(z - mc) < 4.0 * sd
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_zero_variance_padding_dropped(self, d):
+        cov = random_cov(d, seed=d)
+        padded = np.zeros((d + 3, d + 3))
+        live = [1, 3][:d]
+        padded[np.ix_(live, live)] = cov
+        padded[0, 0] = 1e-14 * cov.max()  # under the relative floor
+        assert supt_quantile(padded, 0.1, 100, 0) == supt_quantile(cov, 0.1, 100, 0)
+
+    def test_duplicate_columns_are_one_coordinate(self):
+        # rho = +-1 whatever the scales: one coordinate, or min(X, -X)
+        v = np.array([[1.7]])
+        same = np.block([[v, 3.0 * v], [3.0 * v, 9.0 * v]])
+        assert supt_quantile(same, 0.1, 100, 0) == ndtri(0.1)
+        assert supt_quantile(duplicated_cov(2, seed=3), 0.1, 100, 0) == ndtri(0.1)
+        assert supt_quantile(same * np.array([[1, -1], [-1, 1]]), 0.1, 100, 0) == ndtri(0.05)
+
+    @pytest.mark.parametrize(
+        "cov",
+        [[[2.0]], correlation(0.4), np.diag([0.0, 3.0, 0.0, 1.0, 0.0])],
+        ids=["d1", "d2", "d2-padded"],
+    )
+    def test_generator_untouched(self, cov):
+        gen = np.random.default_rng(5)
+        before = gen.bit_generator.state
+        supt_quantile(cov, 0.1, 100_000, gen)
+        assert gen.bit_generator.state == before
+
+
 class TestSupTBlockedDraws:
     """The blocked simulation against the one-shot formula it implements:
     the same z* bit for bit, and the generator left where one (n_sim, r)
-    draw leaves it."""
+    draw leaves it. With d <= 2 active coordinates there is no simulation:
+    z* is the root-finding reference and the generator is left untouched."""
 
     def check(self, cov, level, n_sim, seed=11):
         gen, ref_gen = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert supt_quantile(cov, level, n_sim, gen) == one_shot_supt(
-            cov, level, n_sim, ref_gen
-        )
+        z = supt_quantile(cov, level, n_sim, gen)
+        if _active(np.diag(cov)).sum() <= 2:
+            assert z == pytest.approx(brentq_supt(cov, level), abs=1e-12)
+        else:
+            assert z == one_shot_supt(cov, level, n_sim, ref_gen)
         assert gen.bit_generator.state == ref_gen.bit_generator.state
 
-    @pytest.mark.parametrize("d", [1, 2, 20, 41])
+    @pytest.mark.parametrize("d", [1, 2, 3, 20, 41])
     @pytest.mark.parametrize("n_sim", ["100", "rows-1", "rows", "rows+1", "100000"])
     def test_matches_one_shot(self, d, n_sim):
         rows = max(1, _BLOCK // d)
@@ -283,7 +391,7 @@ class TestSupTBlockedDraws:
         self.check(random_cov(d, seed=d), 0.05, count.get(n_sim, 100_000))
 
     @pytest.mark.parametrize("build", [duplicated_cov, zero_variance_cov, flipped_cov])
-    @pytest.mark.parametrize("d", [2, 20, 41])
+    @pytest.mark.parametrize("d", [2, 3, 20, 41])
     def test_special_covariances_match_one_shot(self, build, d):
         cov = build(d, seed=d + 1)
         rows = max(1, _BLOCK // int(_active(np.diag(cov)).sum()))
@@ -291,15 +399,19 @@ class TestSupTBlockedDraws:
             self.check(cov, 0.1, n_sim, seed=d)
 
     @pytest.mark.parametrize(
-        "d, entry", [(2, (0, 0)), (20, (0, -1)), (41, (0, -1))], ids=["2", "20", "41"]
+        "d, entry",
+        [(2, (0, 0)), (3, (0, 0)), (20, (0, -1)), (41, (0, -1))],
+        ids=["2", "3", "20", "41"],
     )
     def test_one_ulp_on_duplicate_columns_keeps_z_star(self, d, entry):
         # duplicate columns leave eigenvalues of about +-1e-16 that a one-ulp
         # change of one covariance entry reshuffles; under the relative
         # floor they count as zero, so z* moves by rounding only (by about
-        # 1e-9 with max(lambda, 0)). At d = 2 the matrix is all-equal and one
-        # ulp on entry (0, 0) flips the sign eigh gives the top eigenvector;
-        # drawn with eigh's signs, z* went from -1.2696 to -1.2928
+        # 1e-9 with max(lambda, 0)). At d = 3 the first and last columns are
+        # equal. At d = 2 the matrix is all-equal and z* is exact: one ulp
+        # on entry (0, 0) leaves rho within the same floor of 1 (simulated
+        # with eigh's signs, it flipped the top eigenvector and moved z*
+        # from -1.2696 to -1.2928)
         cov = duplicated_cov(d, seed=d + 1)
         bumped = cov.copy()
         i, j = entry
@@ -315,14 +427,18 @@ class TestSupTBlockedDraws:
         assert kept_eigenpairs(cov)[0].size == np.linalg.matrix_rank(cov) < 20
 
     def test_stream_continues_across_calls(self):
-        # a reused generator (the supt scan's loop stream) draws the same
-        # sequence of z* as the one-shot formula on a twin generator
+        # a reused generator draws the same sequence of z* as the one-shot
+        # formula on a twin generator; the exact d = 1 and d = 2 calls in
+        # between draw nothing from it
         gen, ref_gen = np.random.default_rng(4), np.random.default_rng(4)
-        for d in (3, 41, 1, 20):
+        for d in (3, 41, 1, 20, 2, 5):
             cov = random_cov(d, seed=d)
-            assert supt_quantile(cov, 0.1, 2_000, gen) == one_shot_supt(
-                cov, 0.1, 2_000, ref_gen
-            )
+            z = supt_quantile(cov, 0.1, 2_000, gen)
+            if d <= 2:
+                assert z == pytest.approx(brentq_supt(cov, 0.1), abs=1e-12)
+            else:
+                assert z == one_shot_supt(cov, 0.1, 2_000, ref_gen)
+        assert gen.bit_generator.state == ref_gen.bit_generator.state
 
 
 class TestSupTSignConvention:

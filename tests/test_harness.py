@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import sys
 
@@ -89,6 +90,31 @@ class TestBenchmarkConfig:
         cfg = BenchmarkConfig(baseline_feature="g2", baseline_cutoff=0.25)
         assert cfg.baseline() is cfg.baseline()
         assert cfg.baseline().policy_id == "g2@0.25"
+
+    @pytest.mark.parametrize("mode", ["asymptotic", "finite"])
+    def test_largest_accepted_gamma_runs(self, mode):
+        # alpha'(delta*) falls like exp(-gamma^2 / 2): the edge of the
+        # accepted gammas sits a factor 4 of alpha' inside the gammas where
+        # 3 eta |S| / alpha' overflows (alpha' near 1e-308), and snpl runs
+        # there at any n, its B finite
+        from snpl.algorithm import snpl_run
+        from snpl.synthetic import build_class
+
+        lo, hi = 1.0, 100.0
+        while hi - lo > 1e-6:
+            mid = 0.5 * (lo + hi)
+            try:
+                BenchmarkConfig(mode=mode, gamma=mid, grid_size=2)
+                lo = mid
+            except ConfigError as err:
+                assert "too small for snpl's bounds" in str(err)
+                hi = mid
+        assert 36.0 < lo < 37.0
+        cfg = BenchmarkConfig(mode=mode, gamma=lo, grid_size=2)
+        for n in (40, 1000, 54321):
+            ds = generate(n, np.random.default_rng(n))
+            trace = snpl_run(ds, build_class(2), cfg.spec(), cfg.baseline(), mode, cfg.hyper())
+            assert 0.0 < trace.svt.alpha_prime < 1e-300 and math.isfinite(trace.svt.B)
 
     def test_spec_errors_become_config_errors(self):
         with pytest.raises(ConfigError, match="nonpositive"):
@@ -563,12 +589,14 @@ class TestCli:
             ({"alpha": "0.1"}, "'alpha' must be a number"),
             ({"save_traces": "no"}, "'save_traces' must be a boolean"),
             ({"mode": 1}, "'mode' must be a string"),
+            ({"gamma": 40}, "too small for snpl's bounds; lower gamma"),
+            ({"gamma": 40, "mode": "finite"}, "too small for snpl's bounds; lower gamma"),
         ],
         ids=(
             "gamma", "folds", "eta", "p-bonferroni", "in_loop", "loop_n_sim", "epsilon",
             "guardrails-scalar", "methods-string", "weights-entry", "n-string",
             "grid_size-string", "replications-bool", "alpha-string", "save_traces-string",
-            "mode-number",
+            "mode-number", "gamma-40", "gamma-40-finite",
         ),
     )
     def test_malformed_config_exits_two_before_any_data(
@@ -699,6 +727,18 @@ class TestCli:
         assert (out_dir / "report.json").exists()
         blob = json.loads((out_dir / "report.json").read_text())
         assert blob["results"][0]["method"] == "bonferroni"
+
+    def test_simulate_at_gamma_ten(self, tmp_path):
+        # 1 - alpha'(delta*) / (eta |S|) rounds to 1 here; snpl's bounds
+        # take the quantile at the level itself
+        from snpl.cli import main
+
+        cpath = tmp_path / "c.json"
+        cpath.write_text(json.dumps({"gamma": 10, "replications": 1, "n": 200, "grid_size": 2}))
+        out_dir = tmp_path / "results"
+        assert main(["simulate", "--config", str(cpath), "--out", str(out_dir)]) == 0
+        rows = list(csv.DictReader(open(out_dir / "report.csv", encoding="utf-8")))
+        assert [r["method"] for r in rows][0] == "snpl"
 
     @pytest.mark.parametrize("command", ["run", "bounds-scatter"])
     @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from snpl.stability import (
     alpha_prime,
     b_asymp,
     b_finite,
+    check_alpha_prime,
     delta_star,
     eta_heuristic,
     gamma_grid,
@@ -161,9 +162,33 @@ class TestSensitivityBounds:
         with pytest.raises(ValueError, match="eta"):
             b_asymp(100, 1.0, 0.9, 1, 1)
 
+    def test_b_asymp_keeps_a_tiny_level(self):
+        # 1 - 1e-20 rounds to 1; the quantile is taken at 1e-20 itself:
+        # Phi^{-1}(1 - 1e-20) = 9.2623400897984
+        expected = 16.0 / 1000 + 9.2623400897984 * math.sqrt(t_fn(1000, 8.0))
+        assert b_asymp(1000, 4.0, 2e-20, 1, 2) == pytest.approx(expected, rel=1e-13)
+
     def test_both_shrink_with_n(self):
         assert b_finite(10_000, 4.0, 0.05) < b_finite(1000, 4.0, 0.05)
         assert b_asymp(10_000, 4.0, 0.05, 10, 2) < b_asymp(1000, 4.0, 0.05, 10, 2)
+
+
+class TestCheckAlphaPrime:
+    def test_accepts_a_tiny_level(self):
+        check_alpha_prime(1e-300, 10, 2)
+        check_alpha_prime(0.05, 1, 1)
+
+    @pytest.mark.parametrize("aprime, eta", [(0.0, 1), (1e-307, 1), (1e-300, 10**300)])
+    def test_rejects_a_level_whose_bounds_overflow(self, aprime, eta):
+        # 12 eta |S| / alpha' must be finite: a factor 4 inside 3 eta |S| / alpha'
+        with pytest.raises(ValueError, match="too small for snpl's bounds"):
+            check_alpha_prime(aprime, eta, 2)
+
+    def test_accepted_level_gives_finite_bounds(self):
+        aprime = 12.0 * 2 / np.finfo(float).max * 1.01
+        check_alpha_prime(aprime, 1, 2)
+        assert math.isfinite(b_finite(1000, 4.0, aprime))
+        assert math.isfinite(b_asymp(1000, 4.0, aprime, 1, 2))
 
 
 class TestEtaHeuristic:
