@@ -10,10 +10,10 @@ margin comes from the mode's union-corrected table at |Pi~| = eta
 (Bernstein in finite mode, Bonferroni-normal in asymptotic mode), the one
 in-loop bound whose replace-one-row sensitivity B calibrates.
 
-Cost: the margins of the whole class come from one ``class_stats`` call
-before the scan, which for threshold classes is O(n log |Pi| + |Pi|) per
-feature family and for other classes one O(n) pass per policy; each scan
-step is then O(1).
+Cost: the margins of the whole class come from one
+``estimators.class_stats`` call before the scan, which for threshold classes
+is O(n log |Pi| + |Pi|) per feature family and for other classes one O(n)
+pass per policy; each scan step is then O(1).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import math
 import numpy as np
 
 from .bounds import LowerBoundTable, check_mode, joint_bounds, union_table
-from .classstats import class_stats
 from .core import (
     Dataset,
     Hyperparams,
@@ -34,7 +33,7 @@ from .core import (
     Trace,
     run_streams,
 )
-from .estimators import InfluenceTable, influence_table, mode_scores
+from .estimators import InfluenceTable, class_stats, influence_table, mode_scores
 from .stability import b_asymp, b_finite, check_alpha_prime, delta_star, eta_heuristic, laplace
 
 __all__ = ["snpl_run", "final_certify"]

@@ -16,7 +16,6 @@ import numpy as np
 
 from .algorithm import final_certify
 from .bounds import LowerBoundTable, check_mode, union_table
-from .classstats import class_stats
 from .core import (
     Dataset,
     Hyperparams,
@@ -26,7 +25,7 @@ from .core import (
     Trace,
     run_streams,
 )
-from .estimators import influence_table, mode_scores
+from .estimators import class_stats, influence_table, mode_scores
 
 __all__ = ["hcpi_run", "bonferroni_run"]
 

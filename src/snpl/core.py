@@ -19,6 +19,8 @@ if TYPE_CHECKING:
 __all__ = [
     "Dataset",
     "Policy",
+    "ThresholdPolicy",
+    "FEATURES",
     "SafetySpec",
     "Hyperparams",
     "ScanRecord",
@@ -81,6 +83,54 @@ class Policy:
         """(n, K) action probabilities; subclasses override for speed."""
         X = np.asarray(covariates, dtype=float)
         return np.stack([self.distribution(X[i]) for i in range(X.shape[0])])
+
+
+FEATURES = ("g1", "g2", "g3", "g4", "g5")
+
+
+def _feature(name: str, X: np.ndarray) -> np.ndarray:
+    x1, x2, x3 = X[:, 0], X[:, 1], X[:, 2]
+    if name == "g1":
+        return x1
+    if name == "g2":
+        return x2
+    if name == "g3":
+        return x1 * x2
+    if name == "g4":
+        return x1 * x2 * x3
+    if name == "g5":
+        return -x1 * x2 * x3
+    raise ValueError(f"unknown feature function '{name}'")
+
+
+class ThresholdPolicy(Policy):
+    """Deterministic rule: treat (action 1) iff g(x) < c, strict inequality."""
+
+    n_actions = 2
+
+    def __init__(self, feature: str, cutoff: float):
+        if feature not in FEATURES:
+            raise ValueError(f"unknown feature function '{feature}'")
+        if not 0.0 <= cutoff <= 1.0:
+            raise ValueError("cutoff must lie in [0, 1]")
+        self.feature = feature
+        self.cutoff = float(cutoff)
+        self.policy_id = f"{feature}@{self.cutoff:.10g}"
+
+    def feature_values(self, covariates: np.ndarray) -> np.ndarray:
+        """g(x) per row; shared by every policy of the same family."""
+        return _feature(self.feature, np.asarray(covariates, dtype=float))
+
+    def treat_mask(self, covariates: np.ndarray) -> np.ndarray:
+        return self.feature_values(covariates) < self.cutoff
+
+    def distribution(self, x: np.ndarray) -> np.ndarray:
+        treat = bool(self.treat_mask(np.asarray(x, dtype=float).reshape(1, -1))[0])
+        return np.array([1.0, 0.0]) if treat else np.array([0.0, 1.0])
+
+    def prob_matrix(self, covariates: np.ndarray) -> np.ndarray:
+        m = self.treat_mask(covariates).astype(float)
+        return np.column_stack([m, 1.0 - m])
 
 
 @dataclass(frozen=True)

@@ -25,11 +25,10 @@ import numpy as np
 from .algorithm import snpl_run
 from .baselines import bonferroni_run, hcpi_run
 from .bounds import check_mode, margins, supt_widths, union_table
-from .classstats import class_stats
-from .core import Dataset, Hyperparams, SafetySpec
-from .estimators import policy_scores
+from .core import Dataset, Hyperparams, SafetySpec, ThresholdPolicy
+from .estimators import class_stats, policy_scores
 from .stability import check_alpha_prime, delta_star, gamma_grid
-from .synthetic import ThresholdPolicy, build_class, generate, truth_table
+from .synthetic import build_class, generate, truth_table
 
 __all__ = [
     "METHOD_STREAMS",
@@ -43,7 +42,6 @@ __all__ = [
     "write_dataset_csv",
     "read_dataset_csv",
     "write_report_csv",
-    "write_truth_csv",
     "write_gamma_grid_csv",
     "worker_count",
 ]
@@ -309,10 +307,13 @@ def run_benchmark(
     not depend on completion order.
     """
     # Cross-fitting needs at least one row per fold in every sample it
-    # fits on; a finite-mode split needs one row on each side.
+    # fits on; a finite-mode split needs one row on each side, and snpl's
+    # sensitivity t(n, xi) two rows.
     n, folds = config.n, config.folds
     if config.mode == "asymptotic" and n < folds:
         raise ConfigError(f"more folds than observations: n = {n}, folds = {folds}")
+    if "snpl" in config.methods and n < 2:
+        raise ConfigError(f"method 'snpl' needs n >= 2 rows, got n = {n}")
     least = folds if config.mode == "asymptotic" else 1
     for m in config.methods:
         if m in _SPLIT_RHO:
@@ -410,17 +411,6 @@ def write_report_csv(report: BenchmarkReport, path: str) -> None:
                     r.reps,
                 ]
             )
-
-
-def write_truth_csv(truth, path: str) -> None:
-    """Header policy_id,v1,v2,safe; exact oracle values at full precision,
-    safe as 0/1. Row order follows the table's insertion order (class order,
-    baseline appended last when not a member)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["policy_id", "v1", "v2", "safe"])
-        for pid, (v1, v2) in truth.values.items():
-            writer.writerow([pid, repr(v1), repr(v2), int(truth.safe[pid])])
 
 
 def write_dataset_csv(dataset: Dataset, path: str) -> None:

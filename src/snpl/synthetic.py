@@ -1,6 +1,7 @@
 """Synthetic experiment: uniform covariates, a randomized binary treatment,
-two Bernoulli outcomes, threshold policy classes, and the exact true-value
-oracle used to score decisions.
+two Bernoulli outcomes, the benchmark's class of ``core.ThresholdPolicy``
+rules and its baseline, and the exact true-value oracle used to score
+decisions.
 
 Data-generating process (action 1 = treated):
     X1, X2, X3 ~ Unif(0,1),  A ~ Bern(0.5),
@@ -19,66 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Policy, SafetySpec
+from .core import FEATURES, Dataset, SafetySpec, ThresholdPolicy
 
 __all__ = [
-    "ThresholdPolicy",
     "TruthTable",
-    "FEATURES",
     "generate",
     "build_class",
     "true_values",
-    "oracle_safe",
     "truth_table",
     "default_baseline",
 ]
-
-FEATURES = ("g1", "g2", "g3", "g4", "g5")
-
-
-def _feature(name: str, X: np.ndarray) -> np.ndarray:
-    x1, x2, x3 = X[:, 0], X[:, 1], X[:, 2]
-    if name == "g1":
-        return x1
-    if name == "g2":
-        return x2
-    if name == "g3":
-        return x1 * x2
-    if name == "g4":
-        return x1 * x2 * x3
-    if name == "g5":
-        return -x1 * x2 * x3
-    raise ValueError(f"unknown feature function '{name}'")
-
-
-class ThresholdPolicy(Policy):
-    """Deterministic rule: treat (action 1) iff g(x) < c, strict inequality."""
-
-    n_actions = 2
-
-    def __init__(self, feature: str, cutoff: float):
-        if feature not in FEATURES:
-            raise ValueError(f"unknown feature function '{feature}'")
-        if not 0.0 <= cutoff <= 1.0:
-            raise ValueError("cutoff must lie in [0, 1]")
-        self.feature = feature
-        self.cutoff = float(cutoff)
-        self.policy_id = f"{feature}@{self.cutoff:.10g}"
-
-    def feature_values(self, covariates: np.ndarray) -> np.ndarray:
-        """g(x) per row; shared by every policy of the same family."""
-        return _feature(self.feature, np.asarray(covariates, dtype=float))
-
-    def treat_mask(self, covariates: np.ndarray) -> np.ndarray:
-        return self.feature_values(covariates) < self.cutoff
-
-    def distribution(self, x: np.ndarray) -> np.ndarray:
-        treat = bool(self.treat_mask(np.asarray(x, dtype=float).reshape(1, -1))[0])
-        return np.array([1.0, 0.0]) if treat else np.array([0.0, 1.0])
-
-    def prob_matrix(self, covariates: np.ndarray) -> np.ndarray:
-        m = self.treat_mask(covariates).astype(float)
-        return np.column_stack([m, 1.0 - m])
 
 
 def default_baseline() -> ThresholdPolicy:
@@ -154,15 +105,10 @@ def true_values(policy: ThresholdPolicy) -> tuple[float, float]:
     return 0.5 * (1.0 - t1), 0.5 * (1.0 + t2)
 
 
-def oracle_safe(policy: ThresholdPolicy, baseline: ThresholdPolicy, spec: SafetySpec) -> bool:
-    """True iff every guardrail holds with exact values, boundary inclusive:
-    V_j(pi) - (1+w_j) V_j(pi0) >= 0 (lower sense) or <= 0 (upper)."""
-    return _guardrails_hold(true_values(policy), true_values(baseline), spec)
-
-
 def _guardrails_hold(v: tuple[float, float], v0: tuple[float, float], spec: SafetySpec) -> bool:
-    """``oracle_safe`` on the exact values v of a policy and v0 of the
-    baseline."""
+    """True iff every guardrail holds with the exact values v of a policy
+    and v0 of the baseline, boundary inclusive:
+    V_j(pi) - (1+w_j) V_j(pi0) >= 0 (lower sense) or <= 0 (upper)."""
     for s, j in enumerate(spec.guardrails):
         diff = v[j - 1] - (1.0 + spec.weights[s]) * v0[j - 1]
         if spec.sign(s) * diff < 0.0:

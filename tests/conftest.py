@@ -5,7 +5,7 @@ import pytest
 
 from snpl.core import Dataset, Policy, SafetySpec
 from snpl.estimators import NuisanceModel, arm_scores, policy_scores
-from snpl.synthetic import ThresholdPolicy
+from snpl.core import ThresholdPolicy
 
 
 class UniformPolicy(Policy):

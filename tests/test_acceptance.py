@@ -32,7 +32,8 @@ from snpl.stability import (
     laplace,
     t_fn,
 )
-from snpl.synthetic import ThresholdPolicy, default_baseline, generate, true_values
+from snpl.core import ThresholdPolicy
+from snpl.synthetic import default_baseline, generate, true_values
 
 from conftest import LoggingPolicy, dr_value, ipw_value
 

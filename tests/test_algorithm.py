@@ -9,11 +9,10 @@ from conftest import dr_value, ipw_value, tabular_generate, three_arm_class, thr
 from snpl.algorithm import final_certify, snpl_run
 from snpl.baselines import bonferroni_run, hcpi_run
 from snpl.bounds import asymptotic_bounds, bonferroni_normal_bounds, finite_bounds, union_table
-from snpl.classstats import class_stats
-from snpl.core import Dataset, Hyperparams, SafetySpec, run_streams
-from snpl.estimators import arm_scores, fit_nuisance, influence_table, mode_scores
+from snpl.core import Dataset, Hyperparams, SafetySpec, ThresholdPolicy, run_streams
+from snpl.estimators import arm_scores, class_stats, fit_nuisance, influence_table, mode_scores
 from snpl.stability import delta_star, eta_heuristic, laplace
-from snpl.synthetic import ThresholdPolicy, build_class, default_baseline, generate, true_values
+from snpl.synthetic import build_class, default_baseline, generate, true_values
 
 
 def two_guardrails(weights=(0.0, -0.1), goal=1):

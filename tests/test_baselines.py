@@ -11,11 +11,10 @@ from snpl.bounds import (
     normal_quantile,
     normal_widths,
 )
-from snpl.classstats import class_stats
 from conftest import dr_value, ipw_value, tabular_generate, three_arm_class, three_arm_generate
-from snpl.core import Dataset, Hyperparams, SafetySpec, Trace
-from snpl.estimators import arm_scores, fit_nuisance, influence_table
-from snpl.synthetic import ThresholdPolicy, build_class, default_baseline, generate
+from snpl.core import Dataset, Hyperparams, SafetySpec, ThresholdPolicy, Trace
+from snpl.estimators import arm_scores, class_stats, fit_nuisance, influence_table
+from snpl.synthetic import build_class, default_baseline, generate
 
 
 def two_guardrails(weights=(0.0, -0.1)) -> SafetySpec:

@@ -4,19 +4,19 @@ and run decisions with the engine against runs with the reference."""
 import numpy as np
 import pytest
 
-from snpl import algorithm, baselines, classstats
+from snpl import algorithm, baselines, estimators
 from snpl.algorithm import snpl_run
 from snpl.baselines import bonferroni_run, hcpi_run
 from conftest import LoggingPolicy, UniformPolicy, tabular_generate
 from snpl.bounds import margins, normal_widths
-from snpl.classstats import class_stats, policy_loop_stats
 from snpl.core import (
     Dataset,
     Hyperparams,
     SafetySpec,
+    ThresholdPolicy,
 )
-from snpl.estimators import arm_scores, fit_nuisance
-from snpl.synthetic import ThresholdPolicy, build_class, default_baseline, generate
+from snpl.estimators import arm_scores, class_stats, fit_nuisance, policy_loop_stats
+from snpl.synthetic import build_class, default_baseline, generate
 
 SPEC = SafetySpec(goal=1, guardrails=(1, 2), weights=(0.0, -0.1), alpha=0.1)
 BASE = default_baseline()
@@ -141,9 +141,9 @@ class TestAgainstReference:
 
         # threshold rules never reach policy_scores; the baseline does once
         calls = []
-        real = classstats.policy_scores
+        real = estimators.policy_scores
         monkeypatch.setattr(
-            classstats, "policy_scores", lambda *a: calls.append(a[1]) or real(*a)
+            estimators, "policy_scores", lambda *a: calls.append(a[1]) or real(*a)
         )
         class_stats(ds, pols, SPEC, BASE, scores)
         assert calls == [BASE]

@@ -8,9 +8,10 @@ from snpl.core import (
     Dataset,
     Hyperparams,
     SafetySpec,
+    ThresholdPolicy,
     validate_dataset,
 )
-from snpl.synthetic import ThresholdPolicy, generate
+from snpl.synthetic import generate
 
 from conftest import LoggingPolicy, UniformPolicy, make_dataset
 

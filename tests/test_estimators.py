@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snpl.core import Dataset, SafetySpec
+from snpl.core import Dataset, SafetySpec, ThresholdPolicy
 from snpl.estimators import (
     RIDGE_PENALTY,
     InfluenceTable,
@@ -17,7 +17,7 @@ from snpl.estimators import (
     influence_table,
     policy_scores,
 )
-from snpl.synthetic import ThresholdPolicy, generate
+from snpl.synthetic import generate
 
 from conftest import (
     LoggingPolicy,

@@ -22,7 +22,6 @@ from snpl.harness import (
     write_gamma_grid_csv,
     write_json,
     write_report_csv,
-    write_truth_csv,
 )
 from snpl.synthetic import generate, truth_table
 
@@ -142,8 +141,10 @@ class TestBenchmarkConfig:
             ({"n": 19, "methods": ("ds-25",)}, "'ds-25' splits n = 19 rows into 4 and 15"),
             ({"n": 3, "methods": ("ds-25",), "mode": "finite"}, "each side needs at least 1"),
             ({"n": 1, "methods": ("ds-75",), "mode": "finite"}, "into 0 and 1"),
+            ({"n": 1, "mode": "finite"}, "method 'snpl' needs n >= 2 rows, got n = 1"),
         ],
-        ids=("snpl-n-below-folds", "ds-50", "ds-25", "ds-25-finite", "ds-75-finite"),
+        ids=("snpl-n-below-folds", "ds-50", "ds-25", "ds-25-finite", "ds-75-finite",
+             "snpl-finite-n-1"),
     )
     def test_sample_size_errors_raised_when_built(self, setting, message, monkeypatch):
         # n is checked where it makes rows: the config builds, and
@@ -166,8 +167,10 @@ class TestBenchmarkConfig:
             {"n": 20, "methods": ("ds-25", "ds-50", "ds-75")},
             {"n": 4, "methods": ("ds-25", "ds-75"), "mode": "finite"},
             {"n": 2, "methods": ("snpl", "bonferroni", "ds-50"), "mode": "finite"},
+            {"n": 1, "methods": ("bonferroni",), "mode": "finite"},
         ],
-        ids=("asymptotic-n-equals-folds", "ds-50", "ds-all", "finite-ds", "finite-tiny"),
+        ids=("asymptotic-n-equals-folds", "ds-50", "ds-all", "finite-ds", "finite-tiny",
+             "finite-bonferroni-n-1"),
     )
     def test_smallest_sample_sizes_accepted(self, setting, monkeypatch):
         # run_benchmark passes its sample-size check and goes on to generate
@@ -329,23 +332,6 @@ class TestRunBenchmark:
         report = run_benchmark(tiny_config(), workers=1)
         with pytest.raises(KeyError):
             report.result("snpl")
-
-    def test_truth_csv(self, tmp_path):
-        from snpl.synthetic import ThresholdPolicy, build_class, default_baseline
-
-        cfg = tiny_config()
-        truth = truth_table(build_class(4), default_baseline(), cfg.spec())
-        path = tmp_path / "truth.csv"
-        write_truth_csv(truth, str(path))
-        rows = list(csv.reader(path.read_text().splitlines()))
-        assert rows[0] == ["policy_id", "v1", "v2", "safe"]
-        assert len(rows) == 1 + 20 + 1  # class plus appended baseline
-        by_id = {r[0]: r for r in rows[1:]}
-        never = by_id["g1@0"]
-        assert float(never[1]) == 0.5 and float(never[2]) == 0.5 and never[3] == "1"
-        always = by_id["g5@0.3333333333"]
-        assert float(always[1]) == 0.25 and always[3] == "0"
-        assert float(by_id["g1@0.5"][1]) == 0.375  # appended baseline row
 
 
 class TestDatasetCsv:
@@ -654,8 +640,12 @@ class TestCli:
         [
             ({"n": 3, "methods": ["snpl"]}, "more folds than observations"),
             ({"n": 8, "methods": ["ds-50"], "replications": 1}, "method 'ds-50' splits"),
+            (
+                {"n": 1, "mode": "finite", "replications": 1, "grid_size": 2},
+                "method 'snpl' needs n >= 2",
+            ),
         ],
-        ids=("n-below-folds", "ds-50-split"),
+        ids=("n-below-folds", "ds-50-split", "snpl-finite-n-1"),
     )
     def test_sample_size_errors_exit_two_before_any_data(
         self, tmp_path, capsys, monkeypatch, setting, message
@@ -673,7 +663,7 @@ class TestCli:
         assert main(["simulate", "--config", str(cpath), "--out", str(out_dir)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
-        assert not (out_dir / "report.csv").exists()
+        assert sorted(os.listdir(out_dir)) == []
 
     def test_config_n_sizes_only_simulated_data(self, tmp_path, capsys, monkeypatch):
         # a CSV run takes its rows from the file, so a config whose n is
@@ -843,7 +833,8 @@ class TestBoundsScatter:
         from snpl.bounds import finite_bounds
         from snpl.estimators import arm_scores, influence_table
         from snpl.harness import emit_bounds_scatter
-        from snpl.synthetic import ThresholdPolicy, build_class
+        from snpl.core import ThresholdPolicy
+        from snpl.synthetic import build_class
 
         ds = generate(300, np.random.default_rng(28))
         cfg = BenchmarkConfig(mode="finite", grid_size=20, master_seed=28, eta=3)

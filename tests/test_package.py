@@ -1,0 +1,68 @@
+"""The package's shape: README's library examples run as written, the
+top-level names are the ones README's module map lists, and the modules
+keep their import layering (only the benchmark harness and the CLI use the
+synthetic generator; no module imports another module's private names)."""
+
+import ast
+import contextlib
+import io
+import os
+import re
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "snpl")
+
+
+def readme_section(title: str) -> str:
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    start = text.index(f"\n## {title}\n")
+    end = text.find("\n## ", start + 1)
+    return text[start : end if end >= 0 else len(text)]
+
+
+def test_readme_library_examples_run():
+    # the entry-point example, then the bound-construction one that reuses
+    # its data; the later split snippet reads a trace file
+    blocks = re.findall(r"```python\n(.*?)```", readme_section("Library entry points"), re.S)
+    blocks = blocks[:2]
+    assert "snpl_run(" in blocks[0] and "finite_bounds(" in blocks[1]
+    namespace: dict = {}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), namespace)
+    assert len(out.getvalue().splitlines()) == 3
+
+
+def test_top_level_names_are_the_module_map_row():
+    import snpl
+
+    row = next(
+        line for line in readme_section("Module map").splitlines() if line.startswith("| `snpl` ")
+    )
+    assert sorted(re.findall(r"`(\w+)`", row.split("|")[2])) == sorted(snpl.__all__)
+
+
+def relative_imports(path: str):
+    """(module, imported name) of every ``from .module import name`` in a
+    file; ``from . import name`` gives the module ''."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                yield node.module or "", alias.name
+
+
+MODULES = sorted(f[:-3] for f in os.listdir(SRC) if f.endswith(".py"))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_import_layering(module):
+    imports = list(relative_imports(os.path.join(SRC, f"{module}.py")))
+    uses_synthetic = any("synthetic" in (source, name) for source, name in imports)
+    assert uses_synthetic == (module in ("harness", "cli"))
+    assert [name for _, name in imports if name.startswith("_")] == []
