@@ -120,7 +120,7 @@ def snpl_run(
     if candidates:
         # Fixed-width in-loop bounds: |Pi~| = eta whatever the pruned set.
         stats = class_stats(dataset, candidates, spec, baseline, scores)
-        scan_table = union_table(stats, spec, mode, aprime, eta, n, dataset.c)
+        scan_table = union_table(stats, mode, aprime, eta)
         scan_margins = scan_table.margins.min(axis=1)
 
     # SVT scan: one threshold draw, then one independent noise per scanned

@@ -85,7 +85,7 @@ def hcpi_run(
     scores_l = mode_scores(data_l, mode, hyper.folds, rng_nuis_l)
     stats = class_stats(data_l, candidates, spec, baseline, scores_l)
     class_size = len(candidates) if mode == "finite" else 1
-    learn_table = union_table(stats, spec, mode, spec.alpha, class_size, data_l.n, data_l.c)
+    learn_table = union_table(stats, mode, spec.alpha, class_size)
     learn_margins = learn_table.margins.min(axis=1)
     f = np.where(learn_margins >= 0.0, stats.goal, learn_margins)
     pick = int(np.argmax(f))
@@ -137,8 +137,7 @@ def bonferroni_run(
     recorded_seed, (rng_nuisance,) = run_streams(seed, 1)
     scores = mode_scores(dataset, mode, hyper.folds, rng_nuisance)
     stats = class_stats(dataset, candidates, spec, baseline, scores)
-    m = len(candidates)
-    table = union_table(stats, spec, mode, spec.alpha, m, dataset.n, dataset.c)
+    table = union_table(stats, mode, spec.alpha)
     certified_idx = np.flatnonzero(table.margins.min(axis=1) > 0.0).tolist()
     decision = baseline.policy_id
     if certified_idx:  # the first goal argmax among the certified
@@ -155,7 +154,7 @@ def bonferroni_run(
         method="bonferroni",
         mode=mode,
         n=dataset.n,
-        class_size=m,
+        class_size=len(candidates),
         baseline_id=baseline.policy_id,
         spec=spec,
         folds=hyper.folds,

@@ -13,7 +13,9 @@ The width functions (``bernstein_widths``, ``normal_widths``,
 variances and means shaped (..., |S|). ``union_table`` builds every
 union-corrected ``LowerBoundTable`` from an ``estimators.ClassStats``, whether
 an influence table (``finite_bounds``, ``bonferroni_normal_bounds``) or the
-class statistics of the scan, the baselines and the bounds scatter.
+class statistics of the scan, the baselines and the bounds scatter. Every
+bound builder takes only the record: its spec, n and propensity floor c
+are those of the rows the statistics came from.
 
 This module also owns the pairing of a guarantee mode with its bounds:
 ``finite`` takes the empirical-Bernstein widths and tables, ``asymptotic``
@@ -209,31 +211,20 @@ class LowerBoundTable:
         }
 
 
-def _table_bounds(
-    table: InfluenceTable, spec: SafetySpec, mode: str, level: float, class_size: int | None
-) -> LowerBoundTable:
-    """``union_table`` over an influence table's statistics; |Pi~| defaults
-    to its policy count."""
-    if table.n < 2:
-        raise ValueError("bounds require n >= 2")
-    m = table.policy_count if class_size is None else class_size
-    return union_table(table, spec, mode, level, m, table.n, table.c)
-
-
 def finite_bounds(
-    table: InfluenceTable,
-    spec: SafetySpec,
-    level: float,
-    assumed_class_size: int | None = None,
+    table: InfluenceTable, level: float, assumed_class_size: int | None = None
 ) -> LowerBoundTable:
     """Empirical-Bernstein joint bounds at level ``level``:
 
         C_j(pi) = D_j(pi) -/+ [ sigma_j(pi) sqrt(2L/n) + 3 R_j L / n ],
         L = log(3 |Pi~| |S| / (2 level)),  R_j = (2 + w_j) / c,
 
-    with |Pi~| = assumed_class_size (defaults to the table's policy count).
+    with |Pi~| = assumed_class_size (defaults to the table's policy count),
+    and the spec, n and c the table's.
     """
-    return _table_bounds(table, spec, "finite", level, assumed_class_size)
+    if table.n < 2:
+        raise ValueError("bounds require n >= 2")
+    return union_table(table, "finite", level, assumed_class_size)
 
 
 def _exact_supt(sub: np.ndarray, level: float) -> float:
@@ -344,13 +335,7 @@ def supt_quantile(cov: np.ndarray, level: float, n_sim: int, rng) -> float:
     return float(np.partition(stats, k - 1)[k - 1])
 
 
-def asymptotic_bounds(
-    table: InfluenceTable,
-    spec: SafetySpec,
-    level: float,
-    n_sim: int,
-    rng,
-) -> LowerBoundTable:
+def asymptotic_bounds(table: InfluenceTable, level: float, n_sim: int, rng) -> LowerBoundTable:
     """Sup-t joint bounds: C_j(pi) = D_j(pi) + z* sqrt(Sigma_jj / n) in the
     lower-sense form (z* <= 0 for level < 0.5), upper-sense entries via the
     symmetric construction. z* comes from the table's covariance, the
@@ -359,7 +344,7 @@ def asymptotic_bounds(
     neither applies when at most two columns have variance, where z* is
     exact.
     """
-    n = table.n
+    n, spec = table.n, table.spec
     if n < 2:
         raise ValueError("bounds require n >= 2")
     cov = empirical_covariance(table)
@@ -384,17 +369,18 @@ def asymptotic_bounds(
 
 
 def bonferroni_normal_bounds(
-    table: InfluenceTable,
-    spec: SafetySpec,
-    level: float,
-    assumed_class_size: int | None = None,
+    table: InfluenceTable, level: float, assumed_class_size: int | None = None
 ) -> LowerBoundTable:
     """Normal-approximation bounds with a union correction: per (pi, j),
 
         C_j(pi) = D_j(pi) -/+ z sqrt(Sigma_jj / n),
-        z = Phi^{-1}(1 - level / (|Pi~| |S|)).
+        z = Phi^{-1}(1 - level / (|Pi~| |S|)),
+
+    with |Pi~| = assumed_class_size (defaults to the table's policy count).
     """
-    return _table_bounds(table, spec, "asymptotic", level, assumed_class_size)
+    if table.n < 2:
+        raise ValueError("bounds require n >= 2")
+    return union_table(table, "asymptotic", level, assumed_class_size)
 
 
 def check_mode(mode: str) -> None:
@@ -404,26 +390,23 @@ def check_mode(mode: str) -> None:
 
 
 def union_table(
-    stats: ClassStats,
-    spec: SafetySpec,
-    mode: str,
-    level: float,
-    class_size: int,
-    n: int,
-    c: float,
+    stats: ClassStats, mode: str, level: float, class_size: int | None = None
 ) -> LowerBoundTable:
-    """The mode's union-corrected bound table over |Pi~| = class_size, from
-    the statistics' means and (1/n)-normalized variances, one row per
-    policy: ``bernstein_widths`` in finite mode (method ``finite``; ``c``
-    sets the range term), ``normal_widths`` in asymptotic mode (method
+    """The mode's union-corrected bound table over |Pi~| = class_size
+    (defaults to the statistics' policy count), from the statistics' means
+    and (1/n)-normalized variances and their spec, n and c, one row per
+    policy: ``bernstein_widths`` in finite mode (method ``finite``; c sets
+    the range term), ``normal_widths`` in asymptotic mode (method
     ``bonferroni-normal``)."""
+    spec, n = stats.spec, stats.n
+    m = stats.policy_count if class_size is None else class_size
     if mode == "finite":
-        widths = bernstein_widths(stats.variances, spec, level, class_size, n, c)
-        method, meta = "finite", {"log_term": _log_term(spec, level, class_size)}
+        widths = bernstein_widths(stats.variances, spec, level, m, n, stats.c)
+        method, meta = "finite", {"log_term": _log_term(spec, level, m)}
     else:
-        widths = normal_widths(stats.variances, spec, level, class_size, n)
-        method, meta = "bonferroni-normal", {"z": _bonferroni_z(spec, level, class_size)}
-    meta.update(class_size=class_size, s_count=spec.s_count, n=n)
+        widths = normal_widths(stats.variances, spec, level, m, n)
+        method, meta = "bonferroni-normal", {"z": _bonferroni_z(spec, level, m)}
+    meta.update(class_size=m, s_count=spec.s_count, n=n)
     return LowerBoundTable(stats.policy_ids, spec, stats.means, widths, method, level, meta)
 
 
@@ -434,5 +417,5 @@ def joint_bounds(
     ``finite_bounds`` in finite mode, ``asymptotic_bounds`` (n_sim sup-t
     draws from rng) in asymptotic mode."""
     if mode == "finite":
-        return finite_bounds(table, table.spec, level)
-    return asymptotic_bounds(table, table.spec, level, n_sim, rng)
+        return finite_bounds(table, level)
+    return asymptotic_bounds(table, level, n_sim, rng)

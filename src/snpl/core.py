@@ -76,13 +76,9 @@ class Policy:
     policy_id: str
     n_actions: int
 
-    def distribution(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def prob_matrix(self, covariates: np.ndarray) -> np.ndarray:
-        """(n, K) action probabilities; subclasses override for speed."""
-        X = np.asarray(covariates, dtype=float)
-        return np.stack([self.distribution(X[i]) for i in range(X.shape[0])])
+        """(n, K) action probabilities pi(k | x_i), one row per covariate row."""
+        raise NotImplementedError
 
 
 FEATURES = ("g1", "g2", "g3", "g4", "g5")
@@ -123,10 +119,6 @@ class ThresholdPolicy(Policy):
 
     def treat_mask(self, covariates: np.ndarray) -> np.ndarray:
         return self.feature_values(covariates) < self.cutoff
-
-    def distribution(self, x: np.ndarray) -> np.ndarray:
-        treat = bool(self.treat_mask(np.asarray(x, dtype=float).reshape(1, -1))[0])
-        return np.array([1.0, 0.0]) if treat else np.array([0.0, 1.0])
 
     def prob_matrix(self, covariates: np.ndarray) -> np.ndarray:
         m = self.treat_mask(covariates).astype(float)

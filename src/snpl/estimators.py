@@ -2,7 +2,9 @@
 per-observation influence terms for weighted value differences, their
 empirical variances and covariances, and ``ClassStats``, the one record of
 per-policy statistics that every bound table is built from, for a policy
-list (``influence_table``) or a whole class at once (``class_stats``).
+list (``influence_table``) or a whole class at once (``class_stats``). A
+record carries the spec, the baseline id, and the n and propensity floor c
+of the rows it was computed on, so a bound builder needs only the record.
 
 Per-arm score arrays have shape (n, K, d_Y):
     IPW:  s[i,k,j] = 1[A_i=k+1] * Y_ij / e(k+1, X_i)
@@ -156,13 +158,23 @@ class ClassStats:
     """Per-policy statistics of the influence columns d_j(O_i, pi), in
     ``policy_ids`` order: means and (1/n)-normalized variances shaped
     (|Pi|, |S|), estimated goal values shaped (|Pi|,), and the baseline's
-    goal value. ``bounds.union_table`` builds bound tables from them."""
+    goal value; with the spec and baseline id they were taken against and
+    the row count n and propensity floor c of their dataset, the context
+    ``bounds.union_table`` builds bound tables from."""
 
     policy_ids: tuple[str, ...]
     means: np.ndarray
     variances: np.ndarray
     goal: np.ndarray
     baseline_goal: float
+    spec: SafetySpec
+    baseline_id: str
+    n: int
+    c: float
+
+    @property
+    def policy_count(self) -> int:
+        return len(self.policy_ids)
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,21 +182,9 @@ class InfluenceTable(ClassStats):
     """The statistics of a policy list plus its per-observation weighted
     differences d_j(O_i, pi): values has shape (n, |Pi| * |S|), columns in
     order (p)|S| + s (policies indexed 0-based here; the 1-based index map
-    is (p-1)|S| + s), and means and variances are its column moments. c
-    and n carry the dataset context the bound constructions need."""
+    is (p-1)|S| + s), and means and variances are its column moments."""
 
     values: np.ndarray
-    spec: SafetySpec
-    baseline_id: str
-    c: float
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def policy_count(self) -> int:
-        return len(self.policy_ids)
 
 
 def _contractions(
@@ -234,10 +234,11 @@ def influence_table(
         variances=variances.reshape(-1, S),
         goal=goal,
         baseline_goal=float(psi0[:, spec.goal - 1].mean()),
-        values=values,
         spec=spec,
         baseline_id=baseline.policy_id,
+        n=dataset.n,
         c=dataset.c,
+        values=values,
     )
 
 
@@ -250,17 +251,19 @@ def policy_loop_stats(
 ) -> ClassStats:
     """Reference path: one policy_scores evaluation per candidate."""
     psi0 = policy_scores(scores, baseline, dataset.covariates)
-    return _loop_stats(dataset, candidates, spec, scores, psi0)
+    moments = _loop_moments(dataset, candidates, spec, scores, psi0)
+    return _record(dataset, candidates, spec, baseline, psi0, *moments)
 
 
-def _loop_stats(
+def _loop_moments(
     dataset: Dataset,
     candidates: list[Policy],
     spec: SafetySpec,
     scores: np.ndarray,
     psi0: np.ndarray,
-) -> ClassStats:
-    """The per-policy loop against the baseline's scores psi0."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Means, variances and goal values from the per-policy loop against
+    the baseline's scores psi0."""
     means = np.empty((len(candidates), spec.s_count))
     variances = np.empty((len(candidates), spec.s_count))
     goal = np.empty(len(candidates))
@@ -270,9 +273,15 @@ def _loop_stats(
         means[i] = mu
         variances[i] = np.mean((d - mu) ** 2, axis=0)
         goal[i] = g
+    return means, variances, goal
+
+
+def _record(dataset, candidates, spec, baseline, psi0, means, variances, goal) -> ClassStats:
+    """The candidates' moments with the baseline's goal value (from its
+    scores psi0) and the context they were taken in."""
     return ClassStats(
         tuple(p.policy_id for p in candidates), means, variances, goal,
-        float(psi0[:, spec.goal - 1].mean()),
+        float(psi0[:, spec.goal - 1].mean()), spec, baseline.policy_id, dataset.n, dataset.c,
     )
 
 
@@ -349,12 +358,9 @@ def class_stats(
     variances = np.maximum(sums[:, S : 2 * S] / n - means**2, 0.0)
     goal = sums[:, 2 * S] / n
     if rest:
-        ref = _loop_stats(dataset, [candidates[i] for i in rest], spec, scores, psi0)
-        means[rest], variances[rest], goal[rest] = ref.means, ref.variances, ref.goal
-    return ClassStats(
-        tuple(p.policy_id for p in candidates), means, variances, goal,
-        float(psi0[:, spec.goal - 1].mean()),
-    )
+        moments = _loop_moments(dataset, [candidates[i] for i in rest], spec, scores, psi0)
+        means[rest], variances[rest], goal[rest] = moments
+    return _record(dataset, candidates, spec, baseline, psi0, means, variances, goal)
 
 
 def _coinciding(

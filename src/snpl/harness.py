@@ -28,7 +28,7 @@ from .bounds import check_mode, margins, supt_widths, union_table
 from .core import Dataset, Hyperparams, SafetySpec, ThresholdPolicy
 from .estimators import class_stats, policy_scores
 from .stability import check_alpha_prime, delta_star, gamma_grid
-from .synthetic import build_class, generate, truth_table
+from .synthetic import N_OUTCOMES, build_class, generate, truth_table
 
 __all__ = [
     "METHOD_STREAMS",
@@ -298,7 +298,8 @@ def run_benchmark(
 ) -> BenchmarkReport:
     """Runs every configured method on `replications` fresh synthetic
     datasets and scores decisions against the exact truth oracle. An n too
-    small for a method raises ConfigError before any data is generated.
+    small for a method, or a goal or guardrail index beyond the synthetic
+    outcomes, raises ConfigError before any data is generated.
 
     Detection is the fraction of non-baseline returns; Type I the fraction
     of truly unsafe policies among those (null on a zero denominator); EI
@@ -323,6 +324,7 @@ def run_benchmark(
                     f"method '{m}' splits n = {n} rows into {n_learn} and "
                     f"{n - n_learn}; each side needs at least {least}"
                 )
+    _check_outcome_indices(config.spec(), N_OUTCOMES)
     state = {"config": config, "policies": build_class(config.grid_size), "out_dir": out_dir}
     M = config.replications
     nworkers = worker_count(M, workers)
@@ -514,15 +516,20 @@ def check_threshold_class_fits(dataset: Dataset) -> None:
         )
 
 
+def _check_outcome_indices(spec: SafetySpec, n_outcomes: int) -> None:
+    """Raises ConfigError unless the goal and every guardrail index name one
+    of the data's n_outcomes outcome columns."""
+    if max(max(spec.guardrails), spec.goal) > n_outcomes:
+        raise ConfigError("guardrail or goal index exceeds outcome count")
+
+
 def load_csv_inputs(data_path: str, config_path: str) -> tuple[BenchmarkConfig, Dataset]:
     """The config and CSV dataset of ``run`` and ``bounds-scatter``; raises
     ConfigError unless the threshold class and the spec fit the data."""
     config = load_config(config_path)
     dataset = read_dataset_csv(data_path, config)
     check_threshold_class_fits(dataset)
-    spec = config.spec()
-    if max(max(spec.guardrails), spec.goal) > dataset.n_outcomes:
-        raise ConfigError("guardrail or goal index exceeds outcome count")
+    _check_outcome_indices(config.spec(), dataset.n_outcomes)
     return config, dataset
 
 
@@ -568,9 +575,7 @@ def emit_bounds_scatter(dataset: Dataset, policies, config: BenchmarkConfig, out
         widths = supt_widths(stats.variances, trace.final.meta["z_star"], n)
     else:  # |Pi~|: the pruned count (finite mode), or eta when nothing was pruned
         size = len(trace.pruned_ids) or trace.svt.eta
-        widths = union_table(
-            stats, spec, config.mode, trace.svt.alpha_prime, size, n, dataset.c
-        ).widths
+        widths = union_table(stats, config.mode, trace.svt.alpha_prime, size).widths
     bounds = spec.signs * margins(estimates, widths, spec)  # estimate -/+ width
 
     pruned = set(trace.pruned_ids)

@@ -23,6 +23,7 @@ import numpy as np
 from .core import FEATURES, Dataset, SafetySpec, ThresholdPolicy
 
 __all__ = [
+    "N_OUTCOMES",
     "TruthTable",
     "generate",
     "build_class",
@@ -30,6 +31,10 @@ __all__ = [
     "truth_table",
     "default_baseline",
 ]
+
+
+# Outcome columns of every ``generate`` dataset: (Y1, Y2).
+N_OUTCOMES = 2
 
 
 def default_baseline() -> ThresholdPolicy:

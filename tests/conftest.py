@@ -15,9 +15,6 @@ class UniformPolicy(Policy):
         self.n_actions = n_actions
         self.policy_id = policy_id
 
-    def distribution(self, x: np.ndarray) -> np.ndarray:
-        return np.full(self.n_actions, 1.0 / self.n_actions)
-
     def prob_matrix(self, covariates: np.ndarray) -> np.ndarray:
         n = np.asarray(covariates).shape[0]
         return np.full((n, self.n_actions), 1.0 / self.n_actions)
@@ -143,9 +140,6 @@ class BucketPolicy(Policy):
         self.feature, self.cutoff = feature, cutoff
         self.low, self.high = np.asarray(low, dtype=float), np.asarray(high, dtype=float)
         self.policy_id = f"x{feature + 1}<{cutoff:g}:{tuple(low)}/{tuple(high)}"
-
-    def distribution(self, x: np.ndarray) -> np.ndarray:
-        return self.low if x[self.feature] < self.cutoff else self.high
 
     def prob_matrix(self, covariates: np.ndarray) -> np.ndarray:
         below = np.asarray(covariates)[:, self.feature] < self.cutoff

@@ -210,7 +210,7 @@ def test_c5_bound_coverage():
         rng = np.random.default_rng(np.random.SeedSequence((505, rep)))
         dataset = generate(1000, rng)
         table = influence_table(dataset, arm_scores(dataset), pols, spec, baseline)
-        bt = finite_bounds(table, spec, ALPHA)
+        bt = finite_bounds(table, ALPHA)
         bounds = bt.bounds.ravel()
         if (bounds > d_true).any():
             miss_finite += 1
@@ -226,11 +226,11 @@ def test_c5_bound_coverage():
         dataset = generate(4000, r_data)
         nuisance = fit_nuisance(dataset, 5, r_nuis)
         table = influence_table(dataset, arm_scores(dataset, nuisance), pols, spec, baseline)
-        bt = asymptotic_bounds(table, spec, ALPHA, 100_000, r_sup)
+        bt = asymptotic_bounds(table, ALPHA, 100_000, r_sup)
         bounds = bt.bounds.ravel()
         if (bounds > d_true).any():
             miss_asym += 1
-        bn = bonferroni_normal_bounds(table, spec, ALPHA)
+        bn = bonferroni_normal_bounds(table, ALPHA)
         w_sup, w_bon = bt.widths.ravel(), bn.widths.ravel()
         assert (w_sup <= w_bon + 0.01).all(), f"sup-t wider than union bound, rep {rep}"
     assert miss_asym / reps <= ALPHA + 0.03, f"asymptotic miscoverage {miss_asym}/{reps}"

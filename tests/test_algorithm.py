@@ -201,7 +201,7 @@ class TestSnplRun:
         ds = generate(400, np.random.default_rng(100))
         trace = run(ds, small_class(), seed=3, eta=3)
         table = influence_table(ds, arm_scores(ds), small_class(), SPEC, default_baseline())
-        loop = finite_bounds(table, SPEC, trace.svt.alpha_prime, assumed_class_size=3)
+        loop = finite_bounds(table, trace.svt.alpha_prime, assumed_class_size=3)
         assert loop.meta["log_term"] == pytest.approx(
             math.log(3.0 * 3 * 2 / (2.0 * trace.svt.alpha_prime)), abs=1e-12
         )
@@ -292,7 +292,7 @@ class TestScanSensitivity:
             _, (rng_nuisance, *_) = run_streams(3, 4)
             scores = mode_scores(data, mode, hyper.folds, rng_nuisance)
             stats = class_stats(data, candidates, spec, baseline, scores)
-            table = union_table(stats, spec, mode, svt.alpha_prime, svt.eta, data.n, data.c)
+            table = union_table(stats, mode, svt.alpha_prime, svt.eta)
             return table.margins.min(axis=1)
 
         margins = scan_margins(ds)
@@ -351,7 +351,7 @@ class TestAsymptoticCrossCheck:
             nuis = fit_nuisance(ds, hyper.folds, r_nuis)
             scores = arm_scores(ds, nuis)
             table = influence_table(ds, scores, candidates, spec, baseline)
-            loop = bonferroni_normal_bounds(table, spec, aprime, assumed_class_size=eta)
+            loop = bonferroni_normal_bounds(table, aprime, assumed_class_size=eta)
 
             # SVT: one threshold draw, one noise per scanned candidate in
             # declared order, stopping at the eta-th admission
@@ -378,7 +378,7 @@ class TestAsymptoticCrossCheck:
                 outcomes.add("empty")
                 continue
             final_table = influence_table(ds, scores, pruned, spec, baseline)
-            final = asymptotic_bounds(final_table, spec, aprime, hyper.n_sim, r_final)
+            final = asymptotic_bounds(final_table, aprime, hyper.n_sim, r_final)
             np.testing.assert_allclose(trace.final.margins, final.margins, rtol=0, atol=1e-12)
             goals = [dr_value(ds, pol, spec.goal, nuis) for pol in pruned]
             pick = pruned[int(np.argmax(goals))].policy_id
@@ -416,7 +416,7 @@ class TestThreeArmCrossCheck:
             nuis = fit_nuisance(ds, hyper.folds, r_nuis) if mode == "asymptotic" else None
             scores = arm_scores(ds, nuis)
             table = influence_table(ds, scores, policies, spec, baseline)
-            loop = loop_bounds(table, spec, aprime, assumed_class_size=2)
+            loop = loop_bounds(table, aprime, assumed_class_size=2)
 
             v = laplace(trace.svt.threshold_scale, r_svt)
             assert trace.svt.threshold_noise == v
@@ -436,10 +436,10 @@ class TestThreeArmCrossCheck:
                 continue
             final_table = influence_table(ds, scores, pruned, spec, baseline)
             if mode == "finite":
-                final = finite_bounds(final_table, spec, aprime)
+                final = finite_bounds(final_table, aprime)
                 goals = [ipw_value(ds, pol, spec.goal) for pol in pruned]
             else:
-                final = asymptotic_bounds(final_table, spec, aprime, hyper.n_sim, r_final)
+                final = asymptotic_bounds(final_table, aprime, hyper.n_sim, r_final)
                 goals = [dr_value(ds, pol, spec.goal, nuis) for pol in pruned]
             np.testing.assert_allclose(trace.final.margins, final.margins, rtol=0, atol=1e-12)
             pick = pruned[int(np.argmax(goals))].policy_id

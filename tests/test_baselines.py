@@ -108,7 +108,7 @@ class TestHcpi:
         table = influence_table(
             data_l, arm_scores(data_l), self.candidates(), spec, default_baseline()
         )
-        bt = finite_bounds(table, spec, spec.alpha, assumed_class_size=4)
+        bt = finite_bounds(table, spec.alpha, assumed_class_size=4)
         margins = {pid: bt.min_margin(pid) for pid in table.policy_ids}
         assert all(m > 0.0 for m in margins.values())
         # score of the selected policy must be its learning-split V_g
@@ -126,7 +126,7 @@ class TestHcpi:
         trace = hcpi_run(ds, cands, spec, default_baseline(), rho=0.5, mode="finite", seed=8)
         data_l = subset(ds, trace.split.learning)
         table = influence_table(data_l, arm_scores(data_l), cands, spec, default_baseline())
-        bt = finite_bounds(table, spec, spec.alpha, assumed_class_size=3)
+        bt = finite_bounds(table, spec.alpha, assumed_class_size=3)
         margins = {pid: bt.min_margin(pid) for pid in table.policy_ids}
         assert all(m < 0.0 for m in margins.values())
         best = max(margins, key=margins.__getitem__)
@@ -170,7 +170,7 @@ class TestBonferroni:
         cand = ThresholdPolicy("g1", 0.0)  # never treat: V1 = 0.5, clearly safe
         trace = bonferroni_run(ds, [cand], spec, default_baseline(), "finite", seed=13)
         table = influence_table(ds, arm_scores(ds), [cand], spec, default_baseline())
-        bt = finite_bounds(table, spec, spec.alpha, assumed_class_size=1)
+        bt = finite_bounds(table, spec.alpha, assumed_class_size=1)
         assert trace.decision == cand.policy_id
         assert trace.certified_ids == (cand.policy_id,)
         assert trace.final.margins[0, 0] == pytest.approx(bt.margins[0, 0], abs=1e-12)
@@ -353,7 +353,7 @@ class TestAsymptoticCrossCheck:
             nuis_l = fit_nuisance(data_l, folds, r_learn)
             scores_l = arm_scores(data_l, nuis_l)
             table = influence_table(data_l, scores_l, self.candidates, spec, baseline)
-            bt = bonferroni_normal_bounds(table, spec, spec.alpha, assumed_class_size=1)
+            bt = bonferroni_normal_bounds(table, spec.alpha, assumed_class_size=1)
             f = []
             for pol in self.candidates:
                 margin = bt.min_margin(pol.policy_id)
@@ -366,7 +366,7 @@ class TestAsymptoticCrossCheck:
             data_t = subset(ds, test)
             nuis_t = fit_nuisance(data_t, folds, r_test)
             table_t = influence_table(data_t, arm_scores(data_t, nuis_t), [pick], spec, baseline)
-            final = asymptotic_bounds(table_t, spec, spec.alpha, self.hyper.n_sim, r_supt)
+            final = asymptotic_bounds(table_t, spec.alpha, self.hyper.n_sim, r_supt)
             np.testing.assert_allclose(trace.final.margins, final.margins, rtol=0, atol=1e-12)
             passed = final.min_margin(pick.policy_id) > 0.0
             assert trace.decision == (pick.policy_id if passed else baseline.policy_id)
@@ -393,7 +393,7 @@ class TestAsymptoticCrossCheck:
             (nuis_seed,) = np.random.SeedSequence(seed).spawn(1)
             nuis = fit_nuisance(ds, self.hyper.folds, np.random.default_rng(nuis_seed))
             table = influence_table(ds, arm_scores(ds, nuis), self.candidates, spec, baseline)
-            bt = bonferroni_normal_bounds(table, spec, spec.alpha, assumed_class_size=m)
+            bt = bonferroni_normal_bounds(table, spec.alpha, assumed_class_size=m)
             certified = bt.certified_ids()
             assert trace.certified_ids == tuple(certified)
             goals = {
@@ -445,9 +445,9 @@ class TestThreeArmCrossCheck:
             scores_l = self.scores(data_l, mode, r_learn)
             table = influence_table(data_l, scores_l, policies, spec, baseline)
             if mode == "finite":
-                bt = finite_bounds(table, spec, spec.alpha, assumed_class_size=len(policies))
+                bt = finite_bounds(table, spec.alpha, assumed_class_size=len(policies))
             else:
-                bt = bonferroni_normal_bounds(table, spec, spec.alpha, assumed_class_size=1)
+                bt = bonferroni_normal_bounds(table, spec.alpha, assumed_class_size=1)
             f = []
             for pol in policies:
                 margin = bt.min_margin(pol.policy_id)
@@ -460,9 +460,9 @@ class TestThreeArmCrossCheck:
             scores_t = self.scores(data_t, mode, r_test)
             table_t = influence_table(data_t, scores_t, [pick], spec, baseline)
             if mode == "finite":
-                final = finite_bounds(table_t, spec, spec.alpha, assumed_class_size=1)
+                final = finite_bounds(table_t, spec.alpha, assumed_class_size=1)
             else:
-                final = asymptotic_bounds(table_t, spec, spec.alpha, self.hyper.n_sim, r_supt)
+                final = asymptotic_bounds(table_t, spec.alpha, self.hyper.n_sim, r_supt)
             np.testing.assert_allclose(trace.final.margins, final.margins, rtol=0, atol=1e-12)
             passed = final.min_margin(pick.policy_id) > 0.0
             assert trace.decision == (pick.policy_id if passed else baseline.policy_id)
@@ -482,9 +482,9 @@ class TestThreeArmCrossCheck:
             scores = self.scores(ds, mode, np.random.default_rng(nuis_seed))
             table = influence_table(ds, scores, policies, spec, baseline)
             if mode == "finite":
-                bt = finite_bounds(table, spec, spec.alpha, assumed_class_size=m)
+                bt = finite_bounds(table, spec.alpha, assumed_class_size=m)
             else:
-                bt = bonferroni_normal_bounds(table, spec, spec.alpha, assumed_class_size=m)
+                bt = bonferroni_normal_bounds(table, spec.alpha, assumed_class_size=m)
             certified = bt.certified_ids()
             assert trace.certified_ids == tuple(certified)
             assert certified

@@ -37,10 +37,11 @@ def table_from_values(values, spec, c=0.5) -> InfluenceTable:
         variances=np.mean((values - means) ** 2, axis=0).reshape(-1, spec.s_count),
         goal=np.zeros(n_pol),
         baseline_goal=0.0,
-        values=values,
         spec=spec,
         baseline_id="base",
+        n=values.shape[0],
         c=c,
+        values=values,
     )
 
 
@@ -69,7 +70,7 @@ class TestFiniteBounds:
         # width = sqrt(2 L / 100) + 12 L / 100 = 0.23272 + 0.32497
         spec = one_guardrail_spec()
         table = self.unit_variance_table(spec)
-        out = finite_bounds(table, spec, level=0.1)
+        out = finite_bounds(table, level=0.1)
         assert out.widths[0, 0] == pytest.approx(0.55770, abs=1e-4)
         assert out.estimates[0, 0] == pytest.approx(1.0)
         assert out.margins[0, 0] == pytest.approx(1.0 - 0.55770, abs=1e-4)
@@ -80,7 +81,7 @@ class TestFiniteBounds:
     def test_assumed_class_size_inflates_log_term(self):
         spec = one_guardrail_spec()
         table = self.unit_variance_table(spec)
-        out = finite_bounds(table, spec, level=0.1, assumed_class_size=10)
+        out = finite_bounds(table, level=0.1, assumed_class_size=10)
         L = math.log(3.0 * 10 / 0.2)
         assert out.meta["log_term"] == pytest.approx(L, abs=1e-12)
         assert out.widths[0, 0] == pytest.approx(
@@ -89,15 +90,15 @@ class TestFiniteBounds:
 
     def test_width_shrinks_with_n(self):
         spec = one_guardrail_spec()
-        small = finite_bounds(self.unit_variance_table(spec, 100), spec, 0.1)
-        large = finite_bounds(self.unit_variance_table(spec, 10_000), spec, 0.1)
+        small = finite_bounds(self.unit_variance_table(spec, 100), 0.1)
+        large = finite_bounds(self.unit_variance_table(spec, 10_000), 0.1)
         assert large.widths[0, 0] < small.widths[0, 0]
 
     def test_weight_tightens_range_term(self):
         # w = -0.5 gives R = 3 instead of 4
         spec = one_guardrail_spec(w=-0.5)
         table = self.unit_variance_table(spec)
-        out = finite_bounds(table, spec, 0.1)
+        out = finite_bounds(table, 0.1)
         L = math.log(15.0)
         assert out.widths[0, 0] == pytest.approx(
             math.sqrt(2.0 * L / 100.0) + 9.0 * L / 100.0, abs=1e-12
@@ -106,7 +107,7 @@ class TestFiniteBounds:
     def test_upper_sense_margin_flip(self):
         spec = one_guardrail_spec(sense="upper")
         table = self.unit_variance_table(spec)
-        out = finite_bounds(table, spec, 0.1)
+        out = finite_bounds(table, 0.1)
         estimate, width = out.estimates[0, 0], out.widths[0, 0]
         assert out.margins[0, 0] == pytest.approx(-estimate - width, abs=1e-12)
         assert out.bounds[0, 0] == pytest.approx(estimate + width, abs=1e-12)
@@ -115,13 +116,13 @@ class TestFiniteBounds:
         spec = one_guardrail_spec()
         table = self.unit_variance_table(spec)
         with pytest.raises(ValueError, match="level"):
-            finite_bounds(table, spec, 0.0)
+            finite_bounds(table, 0.0)
 
     def test_single_row_rejected(self):
         spec = one_guardrail_spec()
         table = table_from_values([[0.5]], spec)
         with pytest.raises(ValueError, match="n >= 2"):
-            finite_bounds(table, spec, 0.1)
+            finite_bounds(table, 0.1)
 
 
 class TestSupTQuantile:
@@ -171,7 +172,7 @@ class TestSupTQuantile:
         # z* is a float; the table built from it records an integer seed
         spec = one_guardrail_spec()
         table = table_from_values(np.tile([-1.0, 1.0], 20)[:, None], spec)
-        out = asymptotic_bounds(table, spec, 0.1, 1_000, np.int64(42))
+        out = asymptotic_bounds(table, 0.1, 1_000, np.int64(42))
         assert out.meta["seed"] == 42 and type(out.meta["seed"]) is int
         assert supt_quantile(np.eye(2), 0.1, 1_000, 42) == (
             supt_quantile(np.eye(2), 0.1, 1_000, np.int64(42))
@@ -481,7 +482,7 @@ class TestAsymptoticBounds:
         spec = one_guardrail_spec()
         col = np.tile([-1.0, 1.0], 50)[:, None]
         table = table_from_values(col, spec)
-        out = asymptotic_bounds(table, spec, 0.05, 100_000, 7)
+        out = asymptotic_bounds(table, 0.05, 100_000, 7)
         assert out.widths[0, 0] == pytest.approx(0.1645, abs=0.005)
         assert out.meta["z_star"] < 0.0
         assert out.meta["seed"] == 7 and out.meta["n_sim"] == 100_000
@@ -491,7 +492,7 @@ class TestAsymptoticBounds:
         rng = np.random.default_rng(0)
         values = np.column_stack([rng.standard_normal(200), np.full(200, 0.3)])
         table = table_from_values(values, spec)
-        out = asymptotic_bounds(table, spec, 0.05, 10_000, 1)
+        out = asymptotic_bounds(table, 0.05, 10_000, 1)
         assert out.widths[0, 1] == 0.0
         assert out.margins[0, 1] == pytest.approx(0.3)
         assert out.widths[0, 0] > 0.0
@@ -503,7 +504,7 @@ class TestAsymptoticBounds:
         )
         rng = np.random.default_rng(2)
         table = table_from_values(rng.standard_normal((300, 2)), spec)
-        out = asymptotic_bounds(table, spec, 0.1, 20_000, 9)
+        out = asymptotic_bounds(table, 0.1, 20_000, 9)
         (est_l, est_u), (width_l, width_u) = out.estimates[0], out.widths[0]
         assert out.margins[0, 0] == pytest.approx(est_l - width_l, abs=1e-12)
         assert out.margins[0, 1] == pytest.approx(-est_u - width_u, abs=1e-12)
@@ -511,7 +512,7 @@ class TestAsymptoticBounds:
     def test_rng_object_accepted(self):
         spec = one_guardrail_spec()
         table = table_from_values(np.tile([-1.0, 1.0], 20)[:, None], spec)
-        out = asymptotic_bounds(table, spec, 0.1, 1000, np.random.default_rng(0))
+        out = asymptotic_bounds(table, 0.1, 1000, np.random.default_rng(0))
         assert out.meta["seed"] is None
 
     @pytest.mark.parametrize(
@@ -520,15 +521,15 @@ class TestAsymptoticBounds:
     def test_seed_sequence_and_bit_generator_accepted(self, rng):
         spec = one_guardrail_spec()
         table = table_from_values(np.tile([-1.0, 1.0], 20)[:, None], spec)
-        out = asymptotic_bounds(table, spec, 0.1, 1000, rng)
-        ref = asymptotic_bounds(table, spec, 0.1, 1000, np.random.default_rng(3))
+        out = asymptotic_bounds(table, 0.1, 1000, rng)
+        ref = asymptotic_bounds(table, 0.1, 1000, np.random.default_rng(3))
         assert out.meta["seed"] is None
         assert out.meta["z_star"] == ref.meta["z_star"]
 
     def test_rng_none_draws_fresh_entropy(self):
         spec = one_guardrail_spec()
         table = table_from_values(np.tile([-1.0, 1.0], 20)[:, None], spec)
-        out = asymptotic_bounds(table, spec, 0.1, 1000, None)
+        out = asymptotic_bounds(table, 0.1, 1000, None)
         assert out.meta["seed"] is None and out.meta["z_star"] < 0.0
 
 
@@ -538,7 +539,7 @@ class TestBonferroniNormalBounds:
         spec = SafetySpec(goal=1, guardrails=(1, 2), weights=(0.0, 0.0), alpha=0.1)
         rng = np.random.default_rng(3)
         table = table_from_values(rng.standard_normal((100, 20)), spec)
-        out = bonferroni_normal_bounds(table, spec, 0.08)
+        out = bonferroni_normal_bounds(table, 0.08)
         assert out.meta["z"] == pytest.approx(2.652, abs=0.005)
         assert out.meta["class_size"] == 10
 
@@ -546,7 +547,7 @@ class TestBonferroniNormalBounds:
         spec = one_guardrail_spec()
         col = np.tile([-1.0, 1.0], 128)[:, None]
         table = table_from_values(col, spec)
-        out = bonferroni_normal_bounds(table, spec, 0.05)
+        out = bonferroni_normal_bounds(table, 0.05)
         assert out.widths[0, 0] == pytest.approx(normal_quantile(0.95) / 16.0, abs=1e-12)
 
     def test_never_tighter_than_supt(self):
@@ -555,8 +556,8 @@ class TestBonferroniNormalBounds:
         base = rng.standard_normal((400, 1))
         values = np.column_stack([base + 0.5 * rng.standard_normal((400, 1)) for _ in range(6)])
         table = table_from_values(values, spec)
-        bonf = bonferroni_normal_bounds(table, spec, 0.1)
-        supt = asymptotic_bounds(table, spec, 0.1, 100_000, 11)
+        bonf = bonferroni_normal_bounds(table, 0.1)
+        supt = asymptotic_bounds(table, 0.1, 100_000, 11)
         assert bonf.widths.shape == supt.widths.shape == (3, 2)
         assert np.all(supt.widths <= bonf.widths + 1e-3)
 
@@ -564,7 +565,7 @@ class TestBonferroniNormalBounds:
         spec = one_guardrail_spec()
         table = table_from_values(np.tile([-1.0, 1.0], 10)[:, None], spec)
         with pytest.raises(ValueError, match="per-test level"):
-            bonferroni_normal_bounds(table, spec, 0.6)
+            bonferroni_normal_bounds(table, 0.6)
 
 
 class TestWidthFunctions:
@@ -578,12 +579,12 @@ class TestWidthFunctions:
         table = table_from_values(values, self.spec)
         var = np.var(values, axis=0).reshape(3, 2)
         pairs = (
-            (finite_bounds(table, self.spec, 0.1, 7),
+            (finite_bounds(table, 0.1, 7),
              bernstein_widths(var, self.spec, 0.1, 7, 50, 0.5)),
-            (bonferroni_normal_bounds(table, self.spec, 0.1, 7),
+            (bonferroni_normal_bounds(table, 0.1, 7),
              normal_widths(var, self.spec, 0.1, 7, 50)),
         )
-        sup = asymptotic_bounds(table, self.spec, 0.1, 1000, 3)
+        sup = asymptotic_bounds(table, 0.1, 1000, 3)
         pairs += ((sup, supt_widths(var, sup.meta["z_star"], 50)),)
         for out, widths in pairs:
             assert out.widths.shape == (3, 2)
@@ -607,7 +608,7 @@ class TestWidthFunctions:
         # an empty table at its own policy count, as a union over nothing
         empty = table_from_values(np.zeros((10, 0)), self.spec)
         with pytest.raises(ValueError, match="class size"):
-            bonferroni_normal_bounds(empty, self.spec, 0.1)
+            bonferroni_normal_bounds(empty, 0.1)
 
     def test_supt_widths_zero_below_floor(self):
         widths = supt_widths(np.array([4.0, 1e-13, 0.0]), -2.0, 100)

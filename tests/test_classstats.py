@@ -8,14 +8,20 @@ from snpl import algorithm, baselines, estimators
 from snpl.algorithm import snpl_run
 from snpl.baselines import bonferroni_run, hcpi_run
 from conftest import LoggingPolicy, UniformPolicy, tabular_generate
-from snpl.bounds import margins, normal_widths
+from snpl.bounds import asymptotic_bounds, bernstein_widths, margins, normal_widths, union_table
 from snpl.core import (
     Dataset,
     Hyperparams,
     SafetySpec,
     ThresholdPolicy,
 )
-from snpl.estimators import arm_scores, class_stats, fit_nuisance, policy_loop_stats
+from snpl.estimators import (
+    arm_scores,
+    class_stats,
+    fit_nuisance,
+    influence_table,
+    policy_loop_stats,
+)
 from snpl.synthetic import build_class, default_baseline, generate
 
 SPEC = SafetySpec(goal=1, guardrails=(1, 2), weights=(0.0, -0.1), alpha=0.1)
@@ -166,6 +172,62 @@ class TestAgainstReference:
         ds = generate(50, np.random.default_rng(10))
         got = class_stats(ds, [], SPEC, BASE, scores_for(ds, "ipw"))
         assert got.means.shape == (0, 2) and got.goal.shape == (0,)
+
+
+class TestRecordContext:
+    """A record carries the n, c, spec and baseline of the rows and inputs
+    it was built from, and the bound builders read them from it: here the
+    learning side of a split, whose propensity floor differs from the full
+    data's."""
+
+    UPPER = SafetySpec(
+        goal=1, guardrails=(1, 2), weights=(0.0, -0.1), alpha=0.1, senses=("lower", "upper")
+    )
+
+    @staticmethod
+    def learning_side(rho=0.5):
+        ds = tabular_generate(400, np.random.default_rng(21))
+        rows = np.sort(np.random.default_rng(23).permutation(ds.n)[: int(rho * ds.n)])
+        part = Dataset(
+            ds.covariates[rows], ds.actions[rows], ds.outcomes[rows], ds.propensities[rows]
+        )
+        assert part.n == 200 and part.c != ds.c
+        return part
+
+    @pytest.mark.parametrize("build", ("class_stats", "policy_loop_stats", "influence_table"))
+    def test_records_carry_their_rows(self, build):
+        part = self.learning_side()
+        scores, pols = arm_scores(part), candidates(5)
+        if build == "influence_table":
+            record = influence_table(part, scores, pols, SPEC, BASE)
+        else:
+            record = getattr(estimators, build)(part, pols, SPEC, BASE, scores)
+        assert (record.n, record.c) == (part.n, part.c)
+        assert record.spec is SPEC and record.baseline_id == BASE.policy_id
+        assert record.policy_count == len(pols)
+
+    def test_bound_builders_read_the_record(self):
+        part = self.learning_side()
+        pols = candidates(5)
+        scores = arm_scores(part)
+        stats = class_stats(part, pols, self.UPPER, BASE, scores)
+        table = influence_table(part, scores, pols, self.UPPER, BASE)
+        finite = union_table(stats, "finite", 0.1)
+        np.testing.assert_array_equal(
+            finite.widths,
+            bernstein_widths(stats.variances, self.UPPER, 0.1, len(pols), part.n, part.c),
+        )
+        normal = union_table(stats, "asymptotic", 0.1, 7)
+        np.testing.assert_array_equal(
+            normal.widths, normal_widths(stats.variances, self.UPPER, 0.1, 7, part.n)
+        )
+        supt = asymptotic_bounds(table, 0.1, 1000, 0)
+        assert supt.meta["n"] == part.n
+        for record, out in ((stats, finite), (stats, normal), (table, supt)):
+            assert out.spec is record.spec
+            np.testing.assert_array_equal(
+                out.margins, margins(record.means, out.widths, record.spec)
+            )
 
 
 def _decisions(ds, policies, spec, mode, seed):

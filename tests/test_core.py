@@ -66,39 +66,34 @@ class TestValidateDataset:
         assert np.array_equal(ds.outcomes, before[2])
 
 
+def one_row(pol, x) -> np.ndarray:
+    """pi(. | x) of one covariate row, from a one-row ``prob_matrix`` call."""
+    return pol.prob_matrix(np.asarray([x], dtype=float))[0]
+
+
 class TestActionDistribution:
     def test_threshold_treats_below_cutoff(self):
         pol = ThresholdPolicy("g1", 0.5)
-        assert np.array_equal(pol.distribution([0.2, 0.0, 0.0]), [1.0, 0.0])
+        assert np.array_equal(one_row(pol, [0.2, 0.0, 0.0]), [1.0, 0.0])
 
     def test_threshold_controls_above_cutoff(self):
         pol = ThresholdPolicy("g1", 0.5)
-        assert np.array_equal(pol.distribution([0.9, 0.0, 0.0]), [0.0, 1.0])
+        assert np.array_equal(one_row(pol, [0.9, 0.0, 0.0]), [0.0, 1.0])
 
     def test_tie_at_cutoff_is_not_selected(self):
         # strict inequality: g(x) = c means control
         pol = ThresholdPolicy("g1", 0.5)
-        assert np.array_equal(pol.distribution([0.5, 0.0, 0.0]), [0.0, 1.0])
+        assert np.array_equal(one_row(pol, [0.5, 0.0, 0.0]), [0.0, 1.0])
 
     def test_uniform_policy(self):
-        assert np.array_equal(
-            UniformPolicy(2).distribution([0.3]), [0.5, 0.5]
-        )
+        assert np.array_equal(one_row(UniformPolicy(2), [0.3]), [0.5, 0.5])
 
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
            st.floats(0.0, 1.0), st.sampled_from(["g1", "g2", "g3", "g4", "g5"]))
     def test_distribution_is_probability_vector(self, x1, x2, x3, cutoff, feature):
-        dist = ThresholdPolicy(feature, cutoff).distribution([x1, x2, x3])
+        dist = one_row(ThresholdPolicy(feature, cutoff), [x1, x2, x3])
         assert np.all(dist >= 0.0)
         assert abs(dist.sum() - 1.0) <= 1e-9
-
-    def test_prob_matrix_matches_rowwise_distribution(self):
-        rng = np.random.default_rng(3)
-        X = rng.random((40, 3))
-        for pol in [ThresholdPolicy("g3", 0.4), UniformPolicy(2)]:
-            mat = pol.prob_matrix(X)
-            rows = np.stack([pol.distribution(x) for x in X])
-            assert np.allclose(mat, rows)
 
 
 class TestPropensityModels:

@@ -349,10 +349,11 @@ def values_table(values, spec) -> InfluenceTable:
         variances=np.mean((values - means) ** 2, axis=0)[None, :],
         goal=np.zeros(1),
         baseline_goal=0.0,
-        values=values,
         spec=spec,
         baseline_id="b",
+        n=values.shape[0],
         c=0.5,
+        values=values,
     )
 
 

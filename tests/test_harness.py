@@ -644,8 +644,15 @@ class TestCli:
                 {"n": 1, "mode": "finite", "replications": 1, "grid_size": 2},
                 "method 'snpl' needs n >= 2",
             ),
+            (
+                {"n": 200, "guardrails": [1, 3], "weights": [0, -0.1]},
+                "guardrail or goal index exceeds outcome count",
+            ),
+            ({"n": 200, "goal": 3}, "guardrail or goal index exceeds outcome count"),
         ],
-        ids=("n-below-folds", "ds-50-split", "snpl-finite-n-1"),
+        ids=(
+            "n-below-folds", "ds-50-split", "snpl-finite-n-1", "guardrail-3", "goal-3",
+        ),
     )
     def test_sample_size_errors_exit_two_before_any_data(
         self, tmp_path, capsys, monkeypatch, setting, message
@@ -852,7 +859,7 @@ class TestBoundsScatter:
         table = influence_table(
             ds, arm_scores(ds), [ThresholdPolicy("g1", 0.0)], cfg.spec(), cfg.baseline()
         )
-        want = finite_bounds(table, cfg.spec(), trace.svt.alpha_prime, assumed_class_size=3)
+        want = finite_bounds(table, trace.svt.alpha_prime, assumed_class_size=3)
         row = rows["g1@0"]
         width = float(row["estimate_1"]) - float(row["bound_1"])
         assert width == pytest.approx(want.widths[0, 0], abs=1e-12)

@@ -5,9 +5,11 @@ synthetic generator; no module imports another module's private names)."""
 
 import ast
 import contextlib
+import inspect
 import io
 import os
 import re
+import typing
 
 import pytest
 
@@ -44,6 +46,25 @@ def test_top_level_names_are_the_module_map_row():
         line for line in readme_section("Module map").splitlines() if line.startswith("| `snpl` ")
     )
     assert sorted(re.findall(r"`(\w+)`", row.split("|")[2])) == sorted(snpl.__all__)
+
+
+def test_bound_builders_take_context_from_the_record():
+    # a builder that takes a statistics record reads its spec, n and c from
+    # it, so nothing can pass a spec or rows that disagree with the record
+    from snpl import bounds
+    from snpl.estimators import ClassStats
+
+    builders = []
+    for name, fn in vars(bounds).items():
+        if name.startswith("_") or not inspect.isfunction(fn) or fn.__module__ != bounds.__name__:
+            continue
+        params = list(inspect.signature(fn).parameters)
+        first = typing.get_type_hints(fn).get(params[0])
+        if isinstance(first, type) and issubclass(first, ClassStats):
+            builders.append(name)
+            assert not {"spec", "n", "c"} & set(params[1:]), name
+    assert {"union_table", "finite_bounds", "asymptotic_bounds"} <= set(builders)
+    assert {"bonferroni_normal_bounds", "joint_bounds"} <= set(builders)
 
 
 def relative_imports(path: str):
