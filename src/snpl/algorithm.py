@@ -13,7 +13,10 @@ in-loop bound whose replace-one-row sensitivity B calibrates.
 Cost: the margins of the whole class come from one
 ``estimators.class_stats`` call before the scan, which for threshold classes
 is O(n log |Pi| + |Pi|) per feature family and for other classes one O(n)
-pass per policy; each scan step is then O(1).
+pass per policy; each scan step is then O(1). Grouping the class into
+feature families happens once per class, not once per call: ``class_stats``
+keeps the grouping of the last class it saw, and every method of a
+replication reuses it.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ and psi_j(O_i, pi) = sum_k pi(k, X_i) * s[i,k,j].
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -187,6 +188,14 @@ class InfluenceTable(ClassStats):
     values: np.ndarray
 
 
+def _check_spec_fits(spec: SafetySpec, dataset: Dataset) -> None:
+    """Raises ValueError naming the first goal or guardrail index beyond the
+    dataset's outcome columns."""
+    for role, j in (("goal", spec.goal), *(("guardrail", g) for g in spec.guardrails)):
+        if j > dataset.n_outcomes:
+            raise ValueError(f"{role} index {j} exceeds the {dataset.n_outcomes} outcomes")
+
+
 def _contractions(
     scores: np.ndarray,
     policies: list[Policy],
@@ -218,6 +227,7 @@ def influence_table(
     V_j(pi0) and variances, and the goal values of every policy and of the
     baseline; each policy is contracted once.
     """
+    _check_spec_fits(spec, dataset)
     S = spec.s_count
     psi0 = policy_scores(scores, baseline, dataset.covariates)
     values = np.empty((dataset.n, len(policies) * S))
@@ -250,9 +260,10 @@ def policy_loop_stats(
     scores: np.ndarray,
 ) -> ClassStats:
     """Reference path: one policy_scores evaluation per candidate."""
+    _check_spec_fits(spec, dataset)
     psi0 = policy_scores(scores, baseline, dataset.covariates)
     moments = _loop_moments(dataset, candidates, spec, scores, psi0)
-    return _record(dataset, candidates, spec, baseline, psi0, *moments)
+    return _record(dataset, tuple(p.policy_id for p in candidates), spec, baseline, psi0, *moments)
 
 
 def _loop_moments(
@@ -276,13 +287,57 @@ def _loop_moments(
     return means, variances, goal
 
 
-def _record(dataset, candidates, spec, baseline, psi0, means, variances, goal) -> ClassStats:
+def _record(dataset, policy_ids, spec, baseline, psi0, means, variances, goal) -> ClassStats:
     """The candidates' moments with the baseline's goal value (from its
     scores psi0) and the context they were taken in."""
     return ClassStats(
-        tuple(p.policy_id for p in candidates), means, variances, goal,
+        policy_ids, means, variances, goal,
         float(psi0[:, spec.goal - 1].mean()), spec, baseline.policy_id, dataset.n, dataset.c,
     )
+
+
+@dataclass(frozen=True, eq=False)
+class _ClassPlan:
+    """The grouping of one candidate list (see ``class_stats``); each family
+    also holds a member to evaluate its feature with."""
+
+    candidates: tuple[Policy, ...]
+    families: tuple[tuple[np.ndarray, np.ndarray, ThresholdPolicy], ...]
+    rest: list[int]
+    policy_ids: tuple[str, ...]
+
+
+# The one slot: the plan of the last candidate list ``class_stats`` saw.
+_last_plan = _ClassPlan((), (), [], ())
+
+
+def _class_plan(candidates: list[Policy]) -> _ClassPlan:
+    """The plan of a candidate list, from the slot when it holds the same
+    policy objects in the same order (by identity: ``==`` would call a
+    policy's ``__eq__``)."""
+    global _last_plan
+    plan = _last_plan
+    if len(plan.candidates) == len(candidates) and all(
+        map(operator.is_, plan.candidates, candidates)
+    ):
+        return plan
+    grouped: dict[str, list[int]] = {}
+    rest: list[int] = []
+    for i, pol in enumerate(candidates):
+        if isinstance(pol, ThresholdPolicy):
+            grouped.setdefault(pol.feature, []).append(i)
+        else:
+            rest.append(i)
+    families = []
+    for members in grouped.values():
+        cutoffs = np.array([candidates[i].cutoff for i in members])
+        order = np.argsort(cutoffs, kind="stable")
+        members = np.asarray(members)[order]
+        families.append((members, cutoffs[order], candidates[members[0]]))
+    _last_plan = plan = _ClassPlan(
+        tuple(candidates), tuple(families), rest, tuple(p.policy_id for p in candidates)
+    )
+    return plan
 
 
 def class_stats(
@@ -303,15 +358,23 @@ def class_stats(
     baseline on every row has exact-zero moments on a w = 0 guardrail
     either way, and rules that treat the same rows get identical statistics
     either way.
+
+    The grouping does not depend on the data, so it is done once per class:
+    a plan holds the families (members in cutoff order, sorted cutoffs),
+    the indices of the other candidates and the policy ids, and is kept in
+    one slot for the next call on the same policy objects, as every method
+    of a replication makes. Policies are taken to be immutable. The slot
+    holds a strong reference to its class and matches a call's candidates
+    to it by identity, since a key made only of ``id``s could match a later
+    class allocated at the same addresses. It holds one class at most, so no
+    older class outlives the next call.
     """
+    _check_spec_fits(spec, dataset)
     n, S = dataset.n, spec.s_count
-    families: dict[str, list[int]] = {}
-    rest: list[int] = []
-    for i, pol in enumerate(candidates):
-        if isinstance(pol, ThresholdPolicy) and scores.shape[1] == 2:
-            families.setdefault(pol.feature, []).append(i)
-        else:
-            rest.append(i)
+    plan = _class_plan(candidates)
+    families, rest = plan.families, plan.rest
+    if scores.shape[1] != 2:
+        families, rest = (), list(range(len(candidates)))
 
     X = dataset.covariates
     psi0 = policy_scores(scores, baseline, X)
@@ -328,14 +391,11 @@ def class_stats(
             D = scores[:, k, jdx] - (1.0 + w) * base
             arm.append(np.vstack([D.T, (D * D).T, scores[:, k, spec.goal - 1]]))
         earlier = []
-        for members in families.values():
-            cutoffs = np.array([candidates[i].cutoff for i in members])
-            order = np.argsort(cutoffs, kind="stable")
-            members = np.asarray(members)[order]
-            values = candidates[members[0]].feature_values(X)
+        for members, cutoffs, member in families:
+            values = member.feature_values(X)
             # Row i falls in bucket b_i = #{cutoffs <= g(x_i)}; the t-th
             # sorted cutoff treats exactly the rows with b_i <= t.
-            bucket = np.searchsorted(cutoffs[order], values, side="right")
+            bucket = np.searchsorted(cutoffs, values, side="right")
             nb = len(members) + 1
             count = np.cumsum(np.bincount(bucket, minlength=nb))[:-1]
             same, source = _coinciding(members, count, bucket, earlier)
@@ -360,7 +420,7 @@ def class_stats(
     if rest:
         moments = _loop_moments(dataset, [candidates[i] for i in rest], spec, scores, psi0)
         means[rest], variances[rest], goal[rest] = moments
-    return _record(dataset, candidates, spec, baseline, psi0, means, variances, goal)
+    return _record(dataset, plan.policy_ids, spec, baseline, psi0, means, variances, goal)
 
 
 def _coinciding(

@@ -304,8 +304,9 @@ def run_benchmark(
     Detection is the fraction of non-baseline returns; Type I the fraction
     of truly unsafe policies among those (null on a zero denominator); EI
     the unconditional mean true goal gain, zero when the baseline comes
-    back. Aggregation iterates replications in index order, so reports do
-    not depend on completion order.
+    back. Truth is taken for the decided policies and the baseline only,
+    not for the whole class. Aggregation iterates replications in index
+    order, so reports do not depend on completion order.
     """
     # Cross-fitting needs at least one row per fold in every sample it
     # fits on; a finite-mode split needs one row on each side, and snpl's
@@ -343,8 +344,12 @@ def run_benchmark(
         finally:
             _POOL_STATE.clear()
 
+    # Truth only for the policies some method decided on: at most one per
+    # method and replication, where the class may hold thousands.
     baseline = config.baseline()
-    truth = truth_table(state["policies"], baseline, config.spec())
+    decided = {out[0] for rep in per_rep.values() for out in rep.values()}
+    chosen = [p for p in state["policies"] if p.policy_id in decided]
+    truth = truth_table(chosen, baseline, config.spec())
     base_id = baseline.policy_id
     goal = config.goal
     results = []

@@ -1,17 +1,28 @@
 """The batched class-statistics engine against the per-policy reference loop,
 and run decisions with the engine against runs with the reference."""
 
+import gc
+import weakref
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 
 from snpl import algorithm, baselines, estimators
 from snpl.algorithm import snpl_run
 from snpl.baselines import bonferroni_run, hcpi_run
-from conftest import LoggingPolicy, UniformPolicy, tabular_generate
+from conftest import (
+    LoggingPolicy,
+    UniformPolicy,
+    tabular_generate,
+    three_arm_class,
+    three_arm_generate,
+)
 from snpl.bounds import asymptotic_bounds, bernstein_widths, margins, normal_widths, union_table
 from snpl.core import (
     Dataset,
     Hyperparams,
+    Policy,
     SafetySpec,
     ThresholdPolicy,
 )
@@ -172,6 +183,153 @@ class TestAgainstReference:
         ds = generate(50, np.random.default_rng(10))
         got = class_stats(ds, [], SPEC, BASE, scores_for(ds, "ipw"))
         assert got.means.shape == (0, 2) and got.goal.shape == (0,)
+
+
+def planned_afresh(ds, pols, spec, scores, baseline=BASE):
+    """class_stats on a plan built for this call: the empty class takes the
+    one plan slot first."""
+    class_stats(ds, [], spec, baseline, scores)
+    return class_stats(ds, pols, spec, baseline, scores)
+
+
+def assert_same_bits(got, want):
+    assert got.policy_ids == want.policy_ids
+    for name in ("means", "variances", "goal"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def assert_cached_call_exact(ds, pols, spec, scores, baseline=BASE):
+    """A call that may reuse the slot's plan gives the bits of a call that
+    builds its own, and matches the per-policy reference."""
+    got, _ = assert_matches_reference(ds, pols, spec, scores, baseline)
+    assert_same_bits(got, planned_afresh(ds, pols, spec, scores, baseline))
+    return got
+
+
+@dataclass(eq=True)
+class FixedPolicy(Policy):
+    """Treats with one probability on every row. A dataclass with eq=True
+    sets __hash__ to None, so the policy is unhashable; two of them with
+    the same probability compare equal whatever their ids."""
+
+    policy_id: str = field(compare=False)
+    treat: float
+    n_actions: int = 2
+
+    def prob_matrix(self, covariates):
+        n = np.asarray(covariates).shape[0]
+        return np.column_stack([np.full(n, self.treat), np.full(n, 1.0 - self.treat)])
+
+
+class TestPlanCache:
+    """class_stats groups a class once and keeps the grouping in one slot,
+    keyed on the identity of the candidate objects; every reuse must give
+    the bits of a fresh grouping."""
+
+    def test_one_class_on_two_datasets(self):
+        pols = candidates()
+        for seed, n in ((30, 600), (31, 250), (30, 600)):
+            ds = generate(n, np.random.default_rng(seed))
+            class_stats(ds, pols, SPEC, BASE, scores_for(ds, "ipw"))
+            assert_cached_call_exact(ds, pols, SPEC, scores_for(ds, "dr"))
+
+    def test_alternating_classes_evict_each_other(self):
+        ds = generate(400, np.random.default_rng(32))
+        scores = scores_for(ds, "dr")
+        first, second = candidates(40), candidates(7)[::-1]
+        want = [planned_afresh(ds, pols, SPEC, scores) for pols in (first, second)]
+        for _ in range(2):
+            for pols, fresh in zip((first, second), want):
+                got, _ = assert_matches_reference(ds, pols, SPEC, scores)
+                assert_same_bits(got, fresh)
+
+    def test_same_length_new_cutoffs_after_the_class_is_deleted(self):
+        ds = generate(500, np.random.default_rng(33))
+        scores = scores_for(ds, "ipw")
+        pols = candidates()
+        old = class_stats(ds, pols, SPEC, BASE, scores)
+        shifted = [(p.feature, 0.9 * p.cutoff) for p in pols]
+        del pols
+        gc.collect()
+        # built straight after the delete, in the same order: had the delete
+        # freed the old class, its addresses could be handed out again
+        pols = [ThresholdPolicy(f, c) for f, c in shifted]
+        got = assert_cached_call_exact(ds, pols, SPEC, scores)
+        assert len(got.policy_ids) == len(old.policy_ids)
+        assert got.policy_ids != old.policy_ids
+
+    def test_unhashable_policies_take_the_loop(self):
+        ds = generate(300, np.random.default_rng(34))
+        scores = scores_for(ds, "dr")
+        pols = candidates(8)
+        mixed = pols[:5] + [FixedPolicy("fixed-a", 0.3)] + pols[5:] + [FixedPolicy("fixed-b", 1.0)]
+        with pytest.raises(TypeError):
+            hash(mixed[5])
+        want = policy_loop_stats(ds, mixed, SPEC, BASE, scores)
+        for _ in range(2):
+            got = assert_cached_call_exact(ds, mixed, SPEC, scores)
+            for i in (5, len(mixed) - 1):
+                assert np.array_equal(got.means[i], want.means[i])
+                assert np.array_equal(got.variances[i], want.variances[i])
+                assert got.goal[i] == want.goal[i]
+        # an equal but distinct policy is another class: the plan is matched
+        # by identity, so the new id comes through
+        twin = mixed[:5] + [FixedPolicy("fixed-c", 0.3)] + mixed[6:]
+        assert twin == mixed
+        assert class_stats(ds, twin, SPEC, BASE, scores).policy_ids[5] == "fixed-c"
+
+    def test_three_actions_every_candidate_takes_the_loop(self):
+        ds = three_arm_generate(400, np.random.default_rng(35))
+        baseline, pols = three_arm_class()
+        scores = scores_for(ds, "ipw")
+        want = policy_loop_stats(ds, pols, SPEC, baseline, scores)
+        for _ in range(2):
+            assert_same_bits(class_stats(ds, pols, SPEC, baseline, scores), want)
+
+    def test_keeps_at_most_one_class_alive(self):
+        ds = generate(100, np.random.default_rng(36))
+        scores = scores_for(ds, "ipw")
+        first, second = candidates(5), candidates(5)
+        refs = [[weakref.ref(p) for p in pols] for pols in (first, second)]
+        class_stats(ds, first, SPEC, BASE, scores)
+        class_stats(ds, second, SPEC, BASE, scores)
+        del first, second
+        gc.collect()
+        # the slot holds every policy of the last class and nothing older
+        assert all(ref() is None for ref in refs[0])
+        assert all(ref() is not None for ref in refs[1])
+        class_stats(ds, [], SPEC, BASE, scores)
+        gc.collect()
+        assert all(ref() is None for ref in refs[1])
+
+
+GOAL_BEYOND = SafetySpec(goal=3, guardrails=(1, 2), weights=(0.0, -0.1), alpha=0.1)
+GUARDRAIL_BEYOND = SafetySpec(goal=1, guardrails=(1, 3), weights=(0.0, -0.1), alpha=0.1)
+
+
+@pytest.mark.parametrize(
+    "spec,message",
+    ((GOAL_BEYOND, "goal index 3"), (GUARDRAIL_BEYOND, "guardrail index 3")),
+    ids=("goal", "guardrail"),
+)
+@pytest.mark.parametrize(
+    "entry",
+    ("snpl_run", "hcpi_run", "bonferroni_run", "class_stats", "policy_loop_stats",
+     "influence_table"),
+)
+def test_outcome_index_beyond_the_data_is_a_value_error(entry, spec, message):
+    ds = generate(200, np.random.default_rng(0))
+    pols = build_class(3)
+    calls = {
+        "snpl_run": lambda: snpl_run(ds, pols, spec, BASE, "finite"),
+        "hcpi_run": lambda: hcpi_run(ds, pols, spec, BASE, "finite", rho=0.5),
+        "bonferroni_run": lambda: bonferroni_run(ds, pols, spec, BASE, "finite"),
+        "class_stats": lambda: class_stats(ds, pols, spec, BASE, arm_scores(ds)),
+        "policy_loop_stats": lambda: policy_loop_stats(ds, pols, spec, BASE, arm_scores(ds)),
+        "influence_table": lambda: influence_table(ds, arm_scores(ds), pols, spec, BASE),
+    }
+    with pytest.raises(ValueError, match=f"{message} exceeds the 2 outcomes"):
+        calls[entry]()
 
 
 class TestRecordContext:

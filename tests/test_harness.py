@@ -314,6 +314,46 @@ class TestRunBenchmark:
         res = report.result("bonferroni")
         assert res.ei == pytest.approx(float(np.mean(gains)), abs=1e-12)
 
+    def test_scores_match_the_full_class_truth(self, tmp_path):
+        # truth is taken for the decided policies only; every score must
+        # equal the one the whole class's truth table gives
+        cfg = tiny_config(
+            methods=tuple(METHOD_STREAMS), mode="asymptotic", n=800, replications=3,
+            grid_size=8, n_sim=2000, save_traces=True,
+        )
+        report = run_benchmark(cfg, workers=1, out_dir=str(tmp_path))
+        from snpl.synthetic import build_class
+
+        truth = truth_table(build_class(cfg.grid_size), cfg.baseline(), cfg.spec())
+        base_id, M = cfg.baseline().policy_id, cfg.replications
+        detected = 0
+        for method in cfg.methods:
+            decisions = [
+                json.loads((tmp_path / "traces" / f"{method}_r{r:05d}.json").read_text())[
+                    "decision"
+                ]
+                for r in range(M)
+            ]
+            nonbase = [d for d in decisions if d != base_id]
+            detected += len(nonbase)
+            gains = np.array(
+                [truth.value(d, cfg.goal) - truth.value(base_id, cfg.goal) for d in decisions]
+            )
+            det = len(nonbase) / M
+            res = report.result(method)
+            assert res.detection == det
+            assert res.detection_se == math.sqrt(det * (1.0 - det) / M)
+            assert res.ei == float(gains.mean())
+            assert res.ei_se == float(gains.std(ddof=1) / math.sqrt(M))
+            if nonbase:
+                type1 = sum(not truth.safe[d] for d in nonbase) / len(nonbase)
+                assert res.type1 == type1
+                assert res.type1_se == math.sqrt(type1 * (1.0 - type1) / len(nonbase))
+            else:
+                assert res.type1 is None and res.type1_se is None
+        # the decisions mix the baseline and class members
+        assert 0 < detected < M * len(cfg.methods)
+
     def test_zero_detection_gives_null_type1(self, tmp_path):
         # 25 candidates, n=60, w=(0,0): Bernstein widths dwarf any margin,
         # so nothing ever certifies
