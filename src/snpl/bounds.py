@@ -23,6 +23,15 @@ the Bonferroni-normal union widths and the sup-t joint tables.
 ``check_mode`` is the one check of a mode name; ``union_table`` and
 ``joint_bounds`` make the choice for the methods.
 
+The scalar normal functions need nothing beyond ``math``: Phi^{-1} is a
+port of Cephes ``ndtri`` (the algorithm scipy uses), equal to it bit for
+bit down to p = 5e-324; Phi(x) = erfc(-x / sqrt 2) / 2, good to about
+x^2 ulp relative (the rounding of x / sqrt 2, amplified in the tail); and
+Owen's T, which sets the exact two-coordinate z*, is 20-point
+Gauss-Legendre quadrature (with a reflection for a > 1), within 1e-16
+absolute of scipy's Patefield-Tandy ``owens_t`` over h in [-8, 8] and a
+in [1e-4, 1e4].
+
 Upper-sense guardrails are handled by negating into the lower-sense form:
 every entry carries both the sense-correct ``bound`` and the flipped
 ``margin`` (lower bound on the certified quantity; certify iff margin > 0).
@@ -34,7 +43,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import ndtr, ndtri, owens_t
 
 from .core import MIN_N_SIM, SafetySpec
 from .estimators import ClassStats, InfluenceTable, empirical_covariance
@@ -68,16 +76,110 @@ _VAR_FLOOR = 1e-12
 _MAX_STEPS = 100
 
 
+# Moshier's Cephes ``ndtri`` (also scipy's): exp(-2), sqrt(2 pi) and the
+# rational-approximation coefficients, highest degree first. P0/Q0 serve
+# exp(-2) < p < 1 - exp(-2), P1/Q1 the tails down to exp(-32), P2/Q2 beyond.
+# Each Q leads with the 1.0 Cephes' ``p1evl`` leaves implicit (1.0 x == x,
+# so ``_polevl`` takes the same steps).
+_E2 = 0.13533528323661269189
+_S2PI = 2.50662827463100050242
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _polevl(x: float, coef: tuple) -> float:
+    """Horner's rule: coef[0] x^k + ... + coef[k]."""
+    a = coef[0]
+    for c in coef[1:]:
+        a = a * x + c
+    return a
+
+
+def _ndtri(y: float) -> float:
+    """Phi^{-1}(y) for 0 < y < 1, Cephes ``ndtri`` step for step."""
+    upper = y > 1.0 - _E2
+    if upper:
+        y = 1.0 - y
+    if y > _E2:
+        y -= 0.5
+        y2 = y * y
+        return (y + y * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0))) * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:
+        x1 = z * _polevl(z, _P1) / _polevl(z, _Q1)
+    else:
+        x1 = z * _polevl(z, _P2) / _polevl(z, _Q2)
+    return x0 - x1 if upper else x1 - x0
+
+
+def _ndtr(x: float) -> float:
+    """Phi(x) = erfc(-x / sqrt 2) / 2."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def _gauss_legendre(m: int) -> tuple[tuple[float, float], ...]:
+    """(node, weight) pairs of m-point Gauss-Legendre quadrature on [0, 1]:
+    eight Newton steps on the Legendre recurrence from the usual cosine
+    guesses (the rule stops changing after six)."""
+    rule = []
+    for i in range(1, m + 1):
+        x = math.cos(math.pi * (i - 0.25) / (m + 0.5))
+        for _ in range(8):
+            p0, p1 = 1.0, x
+            for k in range(2, m + 1):
+                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+            slope = m * (x * p1 - p0) / (x * x - 1.0)
+            x -= p1 / slope
+        rule.append((0.5 * (1.0 - x), 1.0 / ((1.0 - x * x) * slope * slope)))
+    return tuple(rule)
+
+
+_GAUSS_LEGENDRE_20 = _gauss_legendre(20)
+
+
+def _owens_t(h: float, a: float) -> float:
+    """Owen's T(h, a) for a > 0. At a <= 1, 20-point Gauss-Legendre on
+    T = (1 / 2 pi) int_0^{atan a} exp(-h^2 / (2 cos^2 t)) dt; at a > 1, the
+    reflection T(h, a) = Q(h) / 2 + Q(ah) / 2 - Q(h) Q(ah) - T(ah, 1 / a)
+    with h = |h| and Q(x) = Phi(-x). Within 1e-16 absolute of scipy's
+    ``owens_t`` for h in [-8, 8] and a in [1e-4, 1e4]."""
+    h = abs(h)
+    if a > 1.0:
+        q, qa = _ndtr(-h), _ndtr(-a * h)
+        return 0.5 * q + 0.5 * qa - q * qa - _owens_t(a * h, 1.0 / a)
+    top, c = math.atan(a), -0.5 * h * h
+    total = sum(w * math.exp(c / math.cos(t * top) ** 2) for t, w in _GAUSS_LEGENDRE_20)
+    return top / (2.0 * math.pi) * total
+
+
 def _active(variances: np.ndarray) -> np.ndarray:
     """Entries above the relative zero-variance floor."""
     return variances > _VAR_FLOOR * max(1.0, float(variances.max(initial=0.0)))
 
 
 def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF (machine precision)."""
+    """Inverse standard normal CDF, bit for bit Cephes ``ndtri`` (as in
+    scipy), so machine precision down to p = 5e-324."""
     if not 0.0 < p < 1.0:
         raise ValueError("quantile argument must lie in (0, 1)")
-    return float(ndtri(p))
+    return _ndtri(float(p))
 
 
 def _log_term(spec: SafetySpec, level: float, class_size: int) -> float:
@@ -241,23 +343,29 @@ def _exact_supt(sub: np.ndarray, level: float) -> float:
     matrix whose eigenvalues 1 -/+ |rho| fall under the Monte Carlo path's
     floor (d eps lambda_max), or with |rho| > 1 from rounding, counts as
     rank 1: z* is then an end of the bracket, as at rho = +-1.
+
+    Phi^{-1} is Cephes ``ndtri`` bit for bit, so the d = 1 z* and the
+    bracket ends are scipy's to the last bit. Phi (``_ndtr``, from erfc)
+    and T (``_owens_t``, quadrature) agree with scipy's ``ndtr`` and
+    ``owens_t`` to a few ulp relative near the root, so the d = 2 z* lies
+    within a few ulp of the root taken with scipy's functions.
     """
-    hi = float(ndtri(level))
+    hi = _ndtri(level)
     if sub.shape[0] == 1:
         return hi
     rho = sub[0, 1] / math.sqrt(sub[0, 0]) / math.sqrt(sub[1, 1])
-    lo = float(ndtri(0.5 * level))
+    lo = _ndtri(0.5 * level)
     if 1.0 - abs(rho) <= 2.0 * np.finfo(float).eps * (1.0 + abs(rho)):
         return hi if rho > 0.0 else lo
     a = math.sqrt((1.0 - rho) / (1.0 + rho))
     z = hi
     for _ in range(_MAX_STEPS):
-        excess = float(ndtr(z) + 2.0 * owens_t(z, a)) - level
+        excess = _ndtr(z) + 2.0 * _owens_t(z, a) - level
         if excess > 0.0:
             hi = z
         else:
             lo = z
-        slope = 2.0 * math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) * float(ndtr(-a * z))
+        slope = 2.0 * math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) * _ndtr(-a * z)
         step = excess / slope if slope > 0.0 else math.inf
         if abs(step) <= 2.0 * np.finfo(float).eps * max(abs(z), 1.0):
             return z - step

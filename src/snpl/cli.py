@@ -11,6 +11,7 @@ import os
 import sys
 
 from .harness import (
+    ConfigError,
     emit_bounds_scatter,
     load_config,
     load_csv_inputs,
@@ -51,19 +52,37 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out_file(path: str) -> None:
+    """Raises ConfigError unless a file can be created at path: its directory
+    exists and path is not itself a directory."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise ConfigError(f"cannot write output: no directory {parent}")
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write output: {path} is a directory")
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         if args.command == "simulate":
             config = load_config(args.config)
-            os.makedirs(args.out, exist_ok=True)
+            try:
+                os.makedirs(args.out, exist_ok=True)
+            except OSError as err:
+                raise ConfigError(f"cannot create output directory: {err}") from err
             report = run_benchmark(config, out_dir=args.out)
             write_report_csv(report, os.path.join(args.out, "report.csv"))
             write_json(report.to_json_dict(), os.path.join(args.out, "report.json"))
             return 0
+        _check_out_file(args.out)
         if args.command == "run":
             return run_single(args.data, args.config, args.out)
         if args.command == "gamma-grid":
+            steps = {"--alpha-steps": args.alpha_steps, "--gamma-steps": args.gamma_steps}
+            for flag, count in steps.items():
+                if count < 1:
+                    raise ConfigError(f"{flag} must be >= 1, got {count}")
             write_gamma_grid_csv(args.out, args.alpha_steps, args.gamma_steps)
             return 0
         if args.command == "bounds-scatter":

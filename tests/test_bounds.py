@@ -7,7 +7,10 @@ from scipy.special import ndtr, ndtri, owens_t
 
 from snpl.bounds import (
     _BLOCK,
+    _E2,
     _active,
+    _ndtr,
+    _owens_t,
     LowerBoundTable,
     asymptotic_bounds,
     bernstein_widths,
@@ -52,10 +55,41 @@ class TestNormalQuantile:
     def test_symmetry(self):
         assert normal_quantile(0.1) == pytest.approx(-normal_quantile(0.9), abs=1e-12)
 
-    @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.5])
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.5, math.nan])
     def test_domain(self, p):
         with pytest.raises(ValueError, match="quantile argument"):
             normal_quantile(p)
+
+    def test_matches_cephes_bit_for_bit(self):
+        # the port of Cephes ndtri against scipy's: the body, both tails to
+        # the smallest subnormal, and each branch edge with its neighbours
+        rng = np.random.default_rng(0)
+        edges = np.array([_E2, 1.0 - _E2, math.exp(-32.0)])
+        grid = np.concatenate([
+            rng.uniform(size=100_000),
+            10.0 ** rng.uniform(-300.0, 0.0, size=20_000),
+            1.0 - 10.0 ** -rng.uniform(0.0, 16.0, size=20_000),
+            [0.5, 5e-324, math.exp(-2.0), 1.0 - math.exp(-2.0)],
+            edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+        ])
+        grid = grid[(grid > 0.0) & (grid < 1.0)]
+        ours = np.array([normal_quantile(float(p)) for p in grid])
+        np.testing.assert_array_equal(ours, ndtri(grid))
+
+
+class TestNormalCdfAndOwensT:
+    def test_cdf_matches_scipy(self):
+        # erfc(-x / sqrt 2) / 2: the rounding of x / sqrt 2 costs about x^2
+        # ulp of relative error far in the tail
+        xs = np.linspace(-37.0, 8.0, 4501)
+        ours = np.array([_ndtr(float(x)) for x in xs])
+        np.testing.assert_allclose(ours, ndtr(xs), rtol=1e-12, atol=0.0)
+
+    def test_owens_t_matches_scipy(self):
+        hs = np.linspace(-8.0, 8.0, 161)
+        for a in np.geomspace(1e-4, 1e4, 81):
+            ours = np.array([_owens_t(float(h), float(a)) for h in hs])
+            np.testing.assert_allclose(ours, owens_t(hs, a), rtol=0.0, atol=1e-15)
 
 
 class TestFiniteBounds:
@@ -303,7 +337,8 @@ class TestSupTExact:
     reference, the closed forms at rho in {-1, 0, 1}, agreement with Monte
     Carlo, and no draws from the generator."""
 
-    @pytest.mark.parametrize("level", [0.001, 0.01, 0.05, 0.1, 0.25, 0.5, 0.9])
+    # a tiny level arises at large gamma, where alpha' is small
+    @pytest.mark.parametrize("level", [1e-10, 1e-6, 0.001, 0.01, 0.05, 0.1, 0.25, 0.5, 0.9])
     def test_matches_brentq(self, level):
         scale = np.diag([0.3, 2.0])
         for rho in np.linspace(-1.0, 1.0, 41)[:-1]:

@@ -563,6 +563,49 @@ class TestCli:
                      "--gamma-steps", "3"]) == 0
         assert out.exists()
 
+    @pytest.mark.parametrize("flag", ["--alpha-steps", "--gamma-steps"])
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_gamma_grid_step_count_below_one_exits_two(self, tmp_path, capsys, flag, count):
+        from snpl.cli import main
+
+        out = tmp_path / "grid.csv"
+        assert main(["gamma-grid", "--out", str(out), flag, str(count)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {flag} must be >= 1, got {count}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "bounds-scatter", "gamma-grid"])
+    @pytest.mark.parametrize("where", ["missing-dir", "is-dir"])
+    def test_unwritable_out_exits_two_before_any_work(
+        self, tmp_path, capsys, monkeypatch, command, where
+    ):
+        from snpl import cli
+
+        def no_work(*args):
+            raise AssertionError("work done for an --out that cannot be written")
+
+        for name in ("load_csv_inputs", "run_single", "write_gamma_grid_csv"):
+            monkeypatch.setattr(cli, name, no_work)
+        out = tmp_path / "missing" / "o.json" if where == "missing-dir" else tmp_path
+        args = ["--out", str(out)]
+        if command != "gamma-grid":
+            args += ["--data", str(tmp_path / "d.csv"), "--config", str(tmp_path / "c.json")]
+        assert cli.main([command, *args]) == 2
+        err = capsys.readouterr().err.splitlines()
+        expect = "no directory" if where == "missing-dir" else "is a directory"
+        assert len(err) == 1 and err[0].startswith("error: cannot write output: ")
+        assert expect in err[0]
+
+    def test_simulate_out_on_a_file_exits_two(self, tmp_path, capsys):
+        from snpl.cli import main
+
+        cpath = tmp_path / "c.json"
+        write_json(tiny_config(replications=1).to_json_dict(), str(cpath))
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        assert main(["simulate", "--config", str(cpath), "--out", str(blocker / "sim")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot create output directory")
+
     def test_run_command_exit_codes(self, tmp_path):
         from snpl.cli import main
 

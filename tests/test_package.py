@@ -1,14 +1,19 @@
 """The package's shape: README's library examples run as written, the
 top-level names are the ones README's module map lists, and the modules
 keep their import layering (only the benchmark harness and the CLI use the
-synthetic generator; no module imports another module's private names)."""
+synthetic generator; no module imports another module's private names),
+and no runtime path imports scipy, a test-only dependency."""
 
 import ast
 import contextlib
 import inspect
 import io
+import json
 import os
 import re
+import subprocess
+import sys
+import textwrap
 import typing
 
 import pytest
@@ -87,3 +92,43 @@ def test_import_layering(module):
     uses_synthetic = any("synthetic" in (source, name) for source, name in imports)
     assert uses_synthetic == (module in ("harness", "cli"))
     assert [name for _, name in imports if name.startswith("_")] == []
+
+
+def test_no_runtime_path_imports_scipy():
+    # scipy is the tests' oracle for the bounds numerics, not a dependency:
+    # a stray import would bring back its import time and memory. The run
+    # takes the exact z* (d <= 2, ds-50) and the Monte Carlo one (d >= 3,
+    # snpl with eta = 3); one replication keeps it in this process.
+    script = textwrap.dedent(
+        """
+        import importlib, json, pkgutil, sys
+        import numpy as np
+        import snpl
+        from snpl import bounds
+        from snpl.harness import BenchmarkConfig, run_benchmark
+
+        for info in pkgutil.iter_modules(snpl.__path__):
+            importlib.import_module(f"snpl.{info.name}")
+        dims, supt = [], bounds.supt_quantile
+
+        def spy(cov, level, n_sim, rng):
+            dims.append(int(bounds._active(np.diag(cov)).sum()))
+            return supt(cov, level, n_sim, rng)
+
+        bounds.supt_quantile = spy
+        run_benchmark(BenchmarkConfig(
+            methods=("snpl", "ds-50"), mode="asymptotic", n=300, replications=1,
+            grid_size=3, eta=3, n_sim=100, master_seed=0,
+        ))
+        scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        print(json.dumps({"dims": dims, "scipy": scipy}))
+        """
+    )
+    path = os.pathsep.join(filter(None, [os.path.dirname(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=path),
+    )
+    seen = json.loads(done.stdout)
+    assert min(seen["dims"]) <= 2 < max(seen["dims"])
+    assert seen["scipy"] == []
