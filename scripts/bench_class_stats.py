@@ -17,10 +17,10 @@ score.
 
 Before timing, it asserts at grid 40 (200 policies, n = 1,000) that a
 repeat call returns the same bits as the first and that both agree with
-``policy_loop_stats``, the per-policy reference, to 1e-12: the batched sums
-are not bit-identical to the loop's per-policy means. BLAS is pinned to one
-thread, as in ``perfbench/run.py``. ``--src`` imports ``snpl`` from another
-source tree, so two trees can be compared on one host.
+``influence_table``, the per-policy reference, to 1e-12: the batched sums
+are not bit-identical to the reference's per-policy means. BLAS is pinned
+to one thread, as in ``perfbench/run.py``. ``--src`` imports ``snpl`` from
+another source tree, so two trees can be compared on one host.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def main(argv: list[str] | None = None) -> None:
         os.environ[var] = "1"
     sys.path.insert(0, os.path.abspath(args.src))
     import numpy as np
-    from snpl.estimators import arm_scores, class_stats, policy_loop_stats
+    from snpl.estimators import arm_scores, class_stats, influence_table
     from snpl.harness import BenchmarkConfig
     from snpl.synthetic import build_class, generate
 
@@ -66,12 +66,12 @@ def main(argv: list[str] | None = None) -> None:
     pols = candidates(40)
     first = class_stats(dataset, pols, spec, baseline, scores)
     again = class_stats(dataset, pols, spec, baseline, scores)
-    loop = policy_loop_stats(dataset, pols, spec, baseline, scores)
+    table = influence_table(dataset, scores, pols, spec, baseline)
     for field in ("means", "variances", "goal"):
-        a, b, ref = getattr(first, field), getattr(again, field), getattr(loop, field)
+        a, b, ref = getattr(first, field), getattr(again, field), getattr(table, field)
         assert np.array_equal(a, b), f"repeat call moved {field}"
-        assert np.allclose(a, ref, rtol=0.0, atol=1e-12), f"{field} differs from the loop"
-    assert first.policy_ids == again.policy_ids == loop.policy_ids
+        assert np.allclose(a, ref, rtol=0.0, atol=1e-12), f"{field} differs from the reference"
+    assert first.policy_ids == again.policy_ids == table.policy_ids
 
     print(f"{'workload':>8} {'n':>7} {'|Pi|':>5} {'first ms':>9} {'repeat ms':>10}")
     for workload, n, grid_size in SHAPES:

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import MIN_N_SIM, SafetySpec
-from .estimators import ClassStats, InfluenceTable, empirical_covariance
+from .estimators import ClassStats, InfluenceTable
 
 __all__ = [
     "LowerBoundTable",
@@ -455,7 +455,7 @@ def asymptotic_bounds(table: InfluenceTable, level: float, n_sim: int, rng) -> L
     n, spec = table.n, table.spec
     if n < 2:
         raise ValueError("bounds require n >= 2")
-    cov = empirical_covariance(table)
+    cov = _covariance(table)
     signs = np.tile(spec.signs, table.policy_count)
     z_star = supt_quantile(cov * np.outer(signs, signs), level, n_sim, rng)
     return LowerBoundTable(
@@ -474,6 +474,12 @@ def asymptotic_bounds(table: InfluenceTable, level: float, n_sim: int, rng) -> L
             "n": n,
         },
     )
+
+
+def _covariance(table: InfluenceTable) -> np.ndarray:
+    """(1/n)-normalized covariance of the influence columns."""
+    centered = table.values - table.means.reshape(-1)
+    return centered.T @ centered / table.n
 
 
 def bonferroni_normal_bounds(

@@ -1,10 +1,11 @@
 """Policy-value estimation: IPW and cross-fitted doubly-robust scores, the
-per-observation influence terms for weighted value differences, their
-empirical variances and covariances, and ``ClassStats``, the one record of
-per-policy statistics that every bound table is built from, for a policy
-list (``influence_table``) or a whole class at once (``class_stats``). A
-record carries the spec, the baseline id, and the n and propensity floor c
-of the rows it was computed on, so a bound builder needs only the record.
+per-observation influence terms for weighted value differences, and
+``ClassStats``, the one record of per-policy statistics that every bound
+table is built from, for a policy list (``influence_table``, which keeps
+the per-row terms too) or a whole class at once (``class_stats``, whose
+per-policy path shares ``influence_table``'s moment formula). A record
+carries the spec, the baseline id, and the n and propensity floor c of the
+rows it was computed on, so a bound builder needs only the record.
 
 Per-arm score arrays have shape (n, K, d_Y):
     IPW:  s[i,k,j] = 1[A_i=k+1] * Y_ij / e(k+1, X_i)
@@ -32,8 +33,6 @@ __all__ = [
     "policy_scores",
     "influence_table",
     "class_stats",
-    "policy_loop_stats",
-    "empirical_covariance",
 ]
 
 RIDGE_PENALTY = 1e-8
@@ -183,7 +182,8 @@ class InfluenceTable(ClassStats):
     """The statistics of a policy list plus its per-observation weighted
     differences d_j(O_i, pi): values has shape (n, |Pi| * |S|), columns in
     order (p)|S| + s (policies indexed 0-based here; the 1-based index map
-    is (p-1)|S| + s), and means and variances are its column moments."""
+    is (p-1)|S| + s). means and variances are the moments of each policy's
+    |S| columns, computed on that policy's block before it is copied in."""
 
     values: np.ndarray
 
@@ -196,7 +196,7 @@ def _check_spec_fits(spec: SafetySpec, dataset: Dataset) -> None:
             raise ValueError(f"{role} index {j} exceeds the {dataset.n_outcomes} outcomes")
 
 
-def _contractions(
+def _policy_moments(
     scores: np.ndarray,
     policies: list[Policy],
     covariates: np.ndarray,
@@ -205,13 +205,18 @@ def _contractions(
 ):
     """Yields, per policy, its influence columns d_j(O_i, pi) =
     psi_j(O_i, pi) - (1 + w_j) psi_j(O_i, pi0), shaped (n, |S|), against the
-    baseline's scores psi0, and its estimated goal value."""
+    baseline's scores psi0; their means and (1/n)-normalized variances, a
+    two-pass formula on that block; and the policy's estimated goal value.
+    This is the one per-policy moment formula: numpy sums a narrow block
+    pairwise, so its means are more accurate than a wide matrix's."""
     jdx = np.asarray(spec.guardrails, dtype=np.int64) - 1
     w = np.asarray(spec.weights)
     base = psi0[:, jdx]
     for policy in policies:
         psi = policy_scores(scores, policy, covariates)
-        yield psi[:, jdx] - (1.0 + w) * base, psi[:, spec.goal - 1].mean()
+        d = psi[:, jdx] - (1.0 + w) * base
+        mean = d.mean(axis=0)
+        yield d, mean, np.mean((d - mean) ** 2, axis=0), psi[:, spec.goal - 1].mean()
 
 
 def influence_table(
@@ -223,25 +228,25 @@ def influence_table(
 ) -> InfluenceTable:
     """Builds d_j(O_i, pi) = psi_j(O_i, pi) - (1 + w_j) psi_j(O_i, pi0)
     from the dataset's (n, K, d_Y) per-arm scores for every (policy,
-    guardrail) pair, with its column means D_j(pi) = V_j(pi) - (1 + w_j)
-    V_j(pi0) and variances, and the goal values of every policy and of the
-    baseline; each policy is contracted once.
+    guardrail) pair, with the means D_j(pi) = V_j(pi) - (1 + w_j) V_j(pi0)
+    and variances of each policy's columns, and the goal values of every
+    policy and of the baseline; each policy is contracted once. This is the
+    per-policy reference ``class_stats`` is checked against: its loop path
+    gives the same bits.
     """
     _check_spec_fits(spec, dataset)
-    S = spec.s_count
+    P, S = len(policies), spec.s_count
     psi0 = policy_scores(scores, baseline, dataset.covariates)
-    values = np.empty((dataset.n, len(policies) * S))
-    goal = np.empty(len(policies))
-    columns = _contractions(scores, policies, dataset.covariates, spec, psi0)
-    for p, (d, g) in enumerate(columns):
+    values = np.empty((dataset.n, P * S))
+    means, variances, goal = np.empty((P, S)), np.empty((P, S)), np.empty(P)
+    moments = _policy_moments(scores, policies, dataset.covariates, spec, psi0)
+    for p, (d, mean, variance, g) in enumerate(moments):
         values[:, p * S : (p + 1) * S] = d
-        goal[p] = g
-    means = values.mean(axis=0)
-    variances = np.mean((values - means) ** 2, axis=0)
+        means[p], variances[p], goal[p] = mean, variance, g
     return InfluenceTable(
         policy_ids=tuple(pol.policy_id for pol in policies),
-        means=means.reshape(-1, S),
-        variances=variances.reshape(-1, S),
+        means=means,
+        variances=variances,
         goal=goal,
         baseline_goal=float(psi0[:, spec.goal - 1].mean()),
         spec=spec,
@@ -249,50 +254,6 @@ def influence_table(
         n=dataset.n,
         c=dataset.c,
         values=values,
-    )
-
-
-def policy_loop_stats(
-    dataset: Dataset,
-    candidates: list[Policy],
-    spec: SafetySpec,
-    baseline: Policy,
-    scores: np.ndarray,
-) -> ClassStats:
-    """Reference path: one policy_scores evaluation per candidate."""
-    _check_spec_fits(spec, dataset)
-    psi0 = policy_scores(scores, baseline, dataset.covariates)
-    moments = _loop_moments(dataset, candidates, spec, scores, psi0)
-    return _record(dataset, tuple(p.policy_id for p in candidates), spec, baseline, psi0, *moments)
-
-
-def _loop_moments(
-    dataset: Dataset,
-    candidates: list[Policy],
-    spec: SafetySpec,
-    scores: np.ndarray,
-    psi0: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Means, variances and goal values from the per-policy loop against
-    the baseline's scores psi0."""
-    means = np.empty((len(candidates), spec.s_count))
-    variances = np.empty((len(candidates), spec.s_count))
-    goal = np.empty(len(candidates))
-    columns = _contractions(scores, candidates, dataset.covariates, spec, psi0)
-    for i, (d, g) in enumerate(columns):
-        mu = d.mean(axis=0)
-        means[i] = mu
-        variances[i] = np.mean((d - mu) ** 2, axis=0)
-        goal[i] = g
-    return means, variances, goal
-
-
-def _record(dataset, policy_ids, spec, baseline, psi0, means, variances, goal) -> ClassStats:
-    """The candidates' moments with the baseline's goal value (from its
-    scores psi0) and the context they were taken in."""
-    return ClassStats(
-        policy_ids, means, variances, goal,
-        float(psi0[:, spec.goal - 1].mean()), spec, baseline.policy_id, dataset.n, dataset.c,
     )
 
 
@@ -352,12 +313,13 @@ def class_stats(
     Threshold policies over two actions take a batched path: each feature is
     evaluated once per family, the rows are bucketed by the family's sorted
     cutoffs, and per-bucket sums give every cutoff's moments through prefix
-    sums (treated side) and suffix sums (untreated side). Any other
-    candidate takes ``policy_loop_stats``, the per-policy reference. Both
-    paths sum the same per-row values d_i, so a candidate that matches the
-    baseline on every row has exact-zero moments on a w = 0 guardrail
-    either way, and rules that treat the same rows get identical statistics
-    either way.
+    sums (treated side) and suffix sums (untreated side); it agrees with
+    ``influence_table``, the per-policy reference, to rounding. Any other
+    candidate takes the reference's own per-policy formula, so its
+    statistics equal ``influence_table``'s bit for bit. Both paths sum the
+    same per-row values d_i, so a candidate that matches the baseline on
+    every row has exact-zero moments on a w = 0 guardrail either way, and
+    rules that treat the same rows get identical statistics either way.
 
     The grouping does not depend on the data, so it is done once per class:
     a plan holds the families (members in cutoff order, sorted cutoffs),
@@ -417,10 +379,13 @@ def class_stats(
     means = sums[:, :S] / n
     variances = np.maximum(sums[:, S : 2 * S] / n - means**2, 0.0)
     goal = sums[:, 2 * S] / n
-    if rest:
-        moments = _loop_moments(dataset, [candidates[i] for i in rest], spec, scores, psi0)
-        means[rest], variances[rest], goal[rest] = moments
-    return _record(dataset, plan.policy_ids, spec, baseline, psi0, means, variances, goal)
+    moments = _policy_moments(scores, [candidates[i] for i in rest], X, spec, psi0)
+    for i, (_, mean, variance, g) in zip(rest, moments):
+        means[i], variances[i], goal[i] = mean, variance, g
+    return ClassStats(
+        plan.policy_ids, means, variances, goal,
+        float(psi0[:, spec.goal - 1].mean()), spec, baseline.policy_id, n, dataset.c,
+    )
 
 
 def _coinciding(
@@ -446,10 +411,3 @@ def _coinciding(
         same |= hit
     return same, source
 
-
-def empirical_covariance(table: InfluenceTable) -> np.ndarray:
-    """(1/n)-normalized covariance of the influence columns."""
-    if table.n < 2:
-        raise ValueError("covariance requires n >= 2")
-    centered = table.values - table.means.reshape(-1)
-    return centered.T @ centered / table.n

@@ -497,7 +497,12 @@ def read_dataset_csv(path: str, config: BenchmarkConfig) -> Dataset:
 
 
 def write_gamma_grid_csv(path: str, alpha_steps: int = 50, gamma_steps: int = 80) -> None:
-    """f(gamma, alpha) over the standard ranges, 6 significant digits."""
+    """f(gamma, alpha) over the standard ranges, 6 significant digits.
+    Raises ValueError, before the file is opened, unless both step counts
+    are at least 1."""
+    for name, count in (("alpha_steps", alpha_steps), ("gamma_steps", gamma_steps)):
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count}")
     alphas = np.linspace(0.01, 0.5, alpha_steps)
     gammas = np.linspace(0.01, 0.8, gamma_steps)
     ratios = gamma_grid(alphas, gammas)

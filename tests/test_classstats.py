@@ -1,7 +1,9 @@
-"""The batched class-statistics engine against the per-policy reference loop,
-and run decisions with the engine against runs with the reference."""
+"""The batched class-statistics engine against ``influence_table``, the
+per-policy reference, and run decisions with the engine against runs with
+the reference."""
 
 import gc
+import math
 import weakref
 from dataclasses import dataclass, field
 
@@ -31,7 +33,6 @@ from snpl.estimators import (
     class_stats,
     fit_nuisance,
     influence_table,
-    policy_loop_stats,
 )
 from snpl.synthetic import build_class, default_baseline, generate
 
@@ -48,9 +49,14 @@ def scores_for(ds, estimator, seed=0):
     return arm_scores(ds, nuis)
 
 
+def reference(ds, pols, spec, baseline, scores):
+    """influence_table, the per-policy reference, called as class_stats is."""
+    return influence_table(ds, scores, pols, spec, baseline)
+
+
 def assert_matches_reference(ds, pols, spec, scores, baseline=BASE):
     got = class_stats(ds, pols, spec, baseline, scores)
-    want = policy_loop_stats(ds, pols, spec, baseline, scores)
+    want = reference(ds, pols, spec, baseline, scores)
     np.testing.assert_allclose(got.means, want.means, rtol=0, atol=1e-12)
     np.testing.assert_allclose(got.variances, want.variances, rtol=0, atol=1e-12)
     np.testing.assert_allclose(got.goal, want.goal, rtol=0, atol=1e-12)
@@ -175,7 +181,7 @@ class TestAgainstReference:
         scores = scores_for(ds, "ipw")
         assert_matches_reference(ds, pols, SPEC, scores, baseline)
         # a two-action rule does not fit three-action scores on either path
-        for stats in (class_stats, policy_loop_stats):
+        for stats in (class_stats, reference):
             with pytest.raises(ValueError):
                 stats(ds, [ThresholdPolicy("g1", 0.5)], SPEC, baseline, scores)
 
@@ -183,6 +189,16 @@ class TestAgainstReference:
         ds = generate(50, np.random.default_rng(10))
         got = class_stats(ds, [], SPEC, BASE, scores_for(ds, "ipw"))
         assert got.means.shape == (0, 2) and got.goal.shape == (0,)
+
+
+def test_reference_means_are_accurate_at_large_n():
+    # each policy's means come from its own (n, |S|) block, which numpy sums
+    # pairwise; summing the wide values matrix row by row is off by up to
+    # 4.4e-16 here
+    ds = generate(50_000, np.random.default_rng(1))
+    table = influence_table(ds, scores_for(ds, "dr"), build_class(2), SPEC, BASE)
+    exact = [math.fsum(column) / ds.n for column in table.values.T]
+    np.testing.assert_allclose(table.means.reshape(-1), exact, rtol=0, atol=1e-16)
 
 
 def planned_afresh(ds, pols, spec, scores, baseline=BASE):
@@ -265,7 +281,7 @@ class TestPlanCache:
         mixed = pols[:5] + [FixedPolicy("fixed-a", 0.3)] + pols[5:] + [FixedPolicy("fixed-b", 1.0)]
         with pytest.raises(TypeError):
             hash(mixed[5])
-        want = policy_loop_stats(ds, mixed, SPEC, BASE, scores)
+        want = reference(ds, mixed, SPEC, BASE, scores)
         for _ in range(2):
             got = assert_cached_call_exact(ds, mixed, SPEC, scores)
             for i in (5, len(mixed) - 1):
@@ -282,7 +298,7 @@ class TestPlanCache:
         ds = three_arm_generate(400, np.random.default_rng(35))
         baseline, pols = three_arm_class()
         scores = scores_for(ds, "ipw")
-        want = policy_loop_stats(ds, pols, SPEC, baseline, scores)
+        want = reference(ds, pols, SPEC, baseline, scores)
         for _ in range(2):
             assert_same_bits(class_stats(ds, pols, SPEC, baseline, scores), want)
 
@@ -314,8 +330,7 @@ GUARDRAIL_BEYOND = SafetySpec(goal=1, guardrails=(1, 3), weights=(0.0, -0.1), al
 )
 @pytest.mark.parametrize(
     "entry",
-    ("snpl_run", "hcpi_run", "bonferroni_run", "class_stats", "policy_loop_stats",
-     "influence_table"),
+    ("snpl_run", "hcpi_run", "bonferroni_run", "class_stats", "influence_table"),
 )
 def test_outcome_index_beyond_the_data_is_a_value_error(entry, spec, message):
     ds = generate(200, np.random.default_rng(0))
@@ -325,7 +340,6 @@ def test_outcome_index_beyond_the_data_is_a_value_error(entry, spec, message):
         "hcpi_run": lambda: hcpi_run(ds, pols, spec, BASE, "finite", rho=0.5),
         "bonferroni_run": lambda: bonferroni_run(ds, pols, spec, BASE, "finite"),
         "class_stats": lambda: class_stats(ds, pols, spec, BASE, arm_scores(ds)),
-        "policy_loop_stats": lambda: policy_loop_stats(ds, pols, spec, BASE, arm_scores(ds)),
         "influence_table": lambda: influence_table(ds, arm_scores(ds), pols, spec, BASE),
     }
     with pytest.raises(ValueError, match=f"{message} exceeds the 2 outcomes"):
@@ -352,14 +366,13 @@ class TestRecordContext:
         assert part.n == 200 and part.c != ds.c
         return part
 
-    @pytest.mark.parametrize("build", ("class_stats", "policy_loop_stats", "influence_table"))
+    @pytest.mark.parametrize(
+        "build", (class_stats, reference), ids=("class_stats", "influence_table")
+    )
     def test_records_carry_their_rows(self, build):
         part = self.learning_side()
-        scores, pols = arm_scores(part), candidates(5)
-        if build == "influence_table":
-            record = influence_table(part, scores, pols, SPEC, BASE)
-        else:
-            record = getattr(estimators, build)(part, pols, SPEC, BASE, scores)
+        pols = candidates(5)
+        record = build(part, pols, SPEC, BASE, arm_scores(part))
         assert (record.n, record.c) == (part.n, part.c)
         assert record.spec is SPEC and record.baseline_id == BASE.policy_id
         assert record.policy_count == len(pols)
@@ -410,8 +423,8 @@ def test_decisions_match_reference_runs(mode, weights, monkeypatch):
         for seed in range(4)
     ]
     fast = [_decisions(ds, policies, spec, mode, seed) for ds, seed in runs]
-    monkeypatch.setattr(algorithm, "class_stats", policy_loop_stats)
-    monkeypatch.setattr(baselines, "class_stats", policy_loop_stats)
+    monkeypatch.setattr(algorithm, "class_stats", reference)
+    monkeypatch.setattr(baselines, "class_stats", reference)
     slow = [_decisions(ds, policies, spec, mode, seed) for ds, seed in runs]
     assert fast == slow
     if weights == (-0.4, -0.4):

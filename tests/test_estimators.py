@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from snpl.bounds import _covariance, asymptotic_bounds
 from snpl.core import Dataset, SafetySpec, ThresholdPolicy
 from snpl.estimators import (
     RIDGE_PENALTY,
     InfluenceTable,
     NuisanceModel,
     arm_scores,
-    empirical_covariance,
     fit_nuisance,
     influence_table,
     policy_scores,
@@ -357,14 +357,21 @@ def values_table(values, spec) -> InfluenceTable:
     )
 
 
-def column_variance(column) -> float:
-    """empirical_covariance of a one-column table."""
+def column_table(column) -> InfluenceTable:
     values = np.asarray(column, dtype=float)[:, None]
     spec = SafetySpec(goal=1, guardrails=(1,), weights=(0.0,), alpha=0.1)
-    return float(empirical_covariance(values_table(values, spec))[0, 0])
+    return values_table(values, spec)
+
+
+def column_variance(column) -> float:
+    """The covariance asymptotic_bounds takes z* from, of a one-column table."""
+    return float(_covariance(column_table(column))[0, 0])
 
 
 class TestMoments:
+    """The covariance of the influence columns, kept in ``bounds`` for the
+    sup-t z* of ``asymptotic_bounds``."""
+
     def test_variance_hand_example(self):
         assert column_variance([0.0, 2.0]) == pytest.approx(1.0)
 
@@ -374,7 +381,7 @@ class TestMoments:
 
     def test_variance_needs_two_points(self):
         with pytest.raises(ValueError, match="n >= 2"):
-            column_variance([1.0])
+            asymptotic_bounds(column_table([1.0]), 0.1, 1000, 0)
 
     def test_population_normalization(self):
         x = np.array([1.0, 2.0, 3.0, 4.0])
@@ -383,7 +390,7 @@ class TestMoments:
     def test_covariance_of_independent_columns(self, spec_two_guardrails):
         rng = np.random.default_rng(17)
         values = rng.standard_normal((100_000, 2))
-        cov = empirical_covariance(values_table(values, spec_two_guardrails))
+        cov = _covariance(values_table(values, spec_two_guardrails))
         assert abs(cov[0, 1]) < 0.02
         assert cov[0, 0] == pytest.approx(1.0, abs=0.02)
         assert np.allclose(cov, cov.T)
@@ -394,7 +401,7 @@ class TestMoments:
         table = influence_table(
             ds, arm_scores(ds), [ThresholdPolicy("g1", 0.5)], spec_two_guardrails, UniformPolicy(2)
         )
-        cov = empirical_covariance(table)
+        cov = _covariance(table)
         for s in range(2):
             assert cov[s, s] == pytest.approx(float(np.var(table.values[:, s])), abs=1e-12)
 

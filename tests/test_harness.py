@@ -499,6 +499,14 @@ class TestGammaGridCsv:
         for r in rows[1:]:
             assert 0.0 < float(r[2]) <= 1.0
 
+    @pytest.mark.parametrize("name", ["alpha_steps", "gamma_steps"])
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_step_count_below_one_is_a_value_error(self, tmp_path, name, count):
+        path = tmp_path / "g.csv"
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {count}$"):
+            write_gamma_grid_csv(str(path), **{name: count})
+        assert not path.exists()
+
 
 class TestRunSingle:
     def prepare(self, tmp_path, **cfg_kwargs):

@@ -2,10 +2,12 @@
 top-level names are the ones README's module map lists, and the modules
 keep their import layering (only the benchmark harness and the CLI use the
 synthetic generator; no module imports another module's private names),
-and no runtime path imports scipy, a test-only dependency."""
+every name the scripts import from the package exists, and no runtime path
+imports scipy, a test-only dependency."""
 
 import ast
 import contextlib
+import importlib
 import inspect
 import io
 import json
@@ -72,13 +74,14 @@ def test_bound_builders_take_context_from_the_record():
     assert {"bonferroni_normal_bounds", "joint_bounds"} <= set(builders)
 
 
-def relative_imports(path: str):
-    """(module, imported name) of every ``from .module import name`` in a
-    file; ``from . import name`` gives the module ''."""
+def from_imports(path: str, level: int):
+    """(module, imported name) of every ``from module import name`` in a
+    file, at any depth, with ``level`` leading dots (1 for ``from .module``;
+    ``from . import name`` gives the module '')."""
     with open(path, encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
+        if isinstance(node, ast.ImportFrom) and node.level == level:
             for alias in node.names:
                 yield node.module or "", alias.name
 
@@ -88,10 +91,23 @@ MODULES = sorted(f[:-3] for f in os.listdir(SRC) if f.endswith(".py"))
 
 @pytest.mark.parametrize("module", MODULES)
 def test_import_layering(module):
-    imports = list(relative_imports(os.path.join(SRC, f"{module}.py")))
+    imports = list(from_imports(os.path.join(SRC, f"{module}.py"), 1))
     uses_synthetic = any("synthetic" in (source, name) for source, name in imports)
     assert uses_synthetic == (module in ("harness", "cli"))
     assert [name for _, name in imports if name.startswith("_")] == []
+
+
+SCRIPTS = os.path.join(ROOT, "scripts")
+
+
+@pytest.mark.parametrize("script", sorted(f for f in os.listdir(SCRIPTS) if f.endswith(".py")))
+def test_script_imports_resolve(script):
+    # no test runs every script, so a deleted or renamed public name would
+    # otherwise break one silently; the scripts import the package inside
+    # functions, after choosing its source tree
+    for module, name in from_imports(os.path.join(SCRIPTS, script), 0):
+        if module == "snpl" or module.startswith("snpl."):
+            assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
 
 
 def test_no_runtime_path_imports_scipy():
