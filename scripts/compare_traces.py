@@ -25,7 +25,9 @@ decision mismatch (a trace's ``decision`` or ``is_baseline``, or a
 scatter's selected row, differ), a structural difference (keys, list
 lengths, types or any non-float value differ; in a scatter, the header or
 any id or flag cell) or float-only differences, plus the largest absolute
-float difference and where it is. The exit code is 1 when the dumps share
+float difference and where it is; then one line per (top directory,
+method) group with its identical and float-only counts and its largest
+float difference. The exit code is 1 when the dumps share
 no file (a wrong or empty path), a decision or the structure differs, a
 file is missing on one side, or the largest float difference exceeds
 ``--tol``; else 0.
@@ -213,28 +215,38 @@ def _dump_files(root: str) -> set[str]:
     }
 
 
+def _group(rel: str) -> tuple[str, str]:
+    """(top directory, method) of a dump file: the method is the file name
+    up to its first underscore (``snpl_r00003.json``, ``csv/snpl.json``),
+    a scatter's is its case (``scatter/finite-empty.csv``)."""
+    top = rel.split(os.sep, 1)[0]
+    return top, os.path.basename(rel).split(".", 1)[0].split("_", 1)[0]
+
+
 def diff(left: str, right: str, tol: float) -> int:
     files_l, files_r = _dump_files(left), _dump_files(right)
     shared = files_l & files_r
     missing = sorted(files_l ^ files_r)
     decisions, structure = [], []
-    identical = float_only = 0
-    worst = (0.0, "")
+    groups: dict[tuple[str, str], list] = {}
     for rel in sorted(shared):
         a, b = _load(os.path.join(left, rel)), _load(os.path.join(right, rel))
         if (a["decision"], a["is_baseline"]) != (b["decision"], b["is_baseline"]):
             decisions.append(f"{rel}: {a['decision']} vs {b['decision']}")
         found = {"max": (0.0, "")}
         _walk(a, b, "", found)
+        group = groups.setdefault(_group(rel), [0, 0, (0.0, "")])
         if "struct" in found:
             structure.append(f"{rel}{found['struct']}")
         elif found.get("floats"):
-            float_only += 1
+            group[1] += 1
         else:
-            identical += 1
-        if found["max"][0] > worst[0]:
-            worst = (found["max"][0], rel + found["max"][1])
+            group[0] += 1
+        if found["max"][0] > group[2][0]:
+            group[2] = (found["max"][0], rel + found["max"][1])
 
+    identical, float_only = (sum(g[i] for g in groups.values()) for i in (0, 1))
+    worst = max((g[2] for g in groups.values()), key=lambda m: m[0], default=(0.0, ""))
     print(f"files compared: {len(shared)}; only on one side: {len(missing)}")
     for rel in missing:
         print(f"  missing: {rel}")
@@ -246,6 +258,10 @@ def diff(left: str, right: str, tol: float) -> int:
         print(f"  {line}")
     print(f"identical: {identical}; float-only differences: {float_only}")
     print(f"max float difference: {worst[0]:.3g}" + (f" at {worst[1]}" if worst[1] else ""))
+    print("per (top directory, method):")
+    for (top, method), (same, moved, (gap, where)) in sorted(groups.items()):
+        line = f"  {top} {method}: identical {same}; float-only {moved}; max {gap:.3g}"
+        print(line + (f" at {where}" if where else ""))
     return int(not shared or bool(missing or decisions or structure) or worst[0] > tol)
 
 

@@ -168,6 +168,13 @@ class SafetySpec:
     def s_count(self) -> int:
         return len(self.guardrails)
 
+    def check_outcome_count(self, n_outcomes: int) -> None:
+        """Raises ValueError naming the first goal or guardrail index beyond
+        n_outcomes outcome columns."""
+        for role, j in (("goal", self.goal), *(("guardrail", g) for g in self.guardrails)):
+            if j > n_outcomes:
+                raise ValueError(f"{role} index {j} exceeds the {n_outcomes} outcomes")
+
     def sign(self, s: int) -> float:
         """+1 for lower sense, -1 for upper; index s is 0-based into S."""
         return 1.0 if self.senses[s] == "lower" else -1.0

@@ -188,14 +188,6 @@ class InfluenceTable(ClassStats):
     values: np.ndarray
 
 
-def _check_spec_fits(spec: SafetySpec, dataset: Dataset) -> None:
-    """Raises ValueError naming the first goal or guardrail index beyond the
-    dataset's outcome columns."""
-    for role, j in (("goal", spec.goal), *(("guardrail", g) for g in spec.guardrails)):
-        if j > dataset.n_outcomes:
-            raise ValueError(f"{role} index {j} exceeds the {dataset.n_outcomes} outcomes")
-
-
 def _policy_moments(
     scores: np.ndarray,
     policies: list[Policy],
@@ -234,7 +226,7 @@ def influence_table(
     per-policy reference ``class_stats`` is checked against: its loop path
     gives the same bits.
     """
-    _check_spec_fits(spec, dataset)
+    spec.check_outcome_count(dataset.n_outcomes)
     P, S = len(policies), spec.s_count
     psi0 = policy_scores(scores, baseline, dataset.covariates)
     values = np.empty((dataset.n, P * S))
@@ -331,7 +323,7 @@ def class_stats(
     class allocated at the same addresses. It holds one class at most, so no
     older class outlives the next call.
     """
-    _check_spec_fits(spec, dataset)
+    spec.check_outcome_count(dataset.n_outcomes)
     n, S = dataset.n, spec.s_count
     plan = _class_plan(candidates)
     families, rest = plan.families, plan.rest

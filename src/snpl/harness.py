@@ -150,13 +150,16 @@ class BenchmarkConfig:
     @staticmethod
     def from_json_dict(obj: dict) -> "BenchmarkConfig":
         """A config from parsed JSON, each field checked against its JSON
-        type (an array for a tuple field); null means the default."""
+        type (an array for a tuple field, schema_version 1); null means the default."""
         if not isinstance(obj, dict):
             raise ConfigError("config must be a JSON object")
         hints = typing.get_type_hints(BenchmarkConfig)
         unknown = set(obj) - set(hints) - {"schema_version"}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        version = obj.get("schema_version")
+        if version is not None and _json_field("schema_version", version, int) != SCHEMA_VERSION:
+            raise ConfigError(f"config field 'schema_version' must be {SCHEMA_VERSION}: {version}")
         return BenchmarkConfig(**{
             name: _json_field(name, obj[name], hints[name])
             for name in hints
@@ -527,10 +530,11 @@ def check_threshold_class_fits(dataset: Dataset) -> None:
 
 
 def _check_outcome_indices(spec: SafetySpec, n_outcomes: int) -> None:
-    """Raises ConfigError unless the goal and every guardrail index name one
-    of the data's n_outcomes outcome columns."""
-    if max(max(spec.guardrails), spec.goal) > n_outcomes:
-        raise ConfigError("guardrail or goal index exceeds outcome count")
+    """``SafetySpec.check_outcome_count``, its ValueError as a ConfigError."""
+    try:
+        spec.check_outcome_count(n_outcomes)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
 
 
 def load_csv_inputs(data_path: str, config_path: str) -> tuple[BenchmarkConfig, Dataset]:

@@ -58,3 +58,33 @@ def test_dump_of_one_tree_diffs_clean(tmp_path):
         assert compare_traces.main(["dump", "--src", src, "--out", str(tmp_path / side)]) == 0
     assert (tmp_path / "a" / "paper" / "traces" / "snpl_r00000.json").exists()
     assert compare_traces.main(["diff", str(tmp_path / "a"), str(tmp_path / "b"), "--tol", "0"]) == 0
+
+
+def test_one_line_per_shape_and_method(tmp_path, capsys):
+    # two shapes x two methods; one float moves in paper/snpl and one in
+    # mid/bonferroni, by different amounts
+    moves = {("paper", "snpl"): 5e-3, ("mid", "bonferroni"): 2e-3}
+    for side in ("a", "b"):
+        for shape in ("paper", "mid"):
+            traces = tmp_path / side / shape / "traces"
+            traces.mkdir(parents=True)
+            for method in ("snpl", "bonferroni"):
+                gap = moves.get((shape, method), 0.0) if side == "b" else 0.0
+                trace = dict(TRACE, final_bounds={"margin": 0.125 + gap})
+                for r in range(2):
+                    (traces / f"{method}_r{r:05d}.json").write_text(json.dumps(trace))
+    capsys.readouterr()
+    args = ["diff", str(tmp_path / "a"), str(tmp_path / "b"), "--tol", "1"]
+    code = compare_traces.main(args)
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert "identical: 4; float-only differences: 4" in lines
+    start = lines.index("per (top directory, method):")
+    assert lines[start + 1 :] == [
+        "  mid bonferroni: identical 0; float-only 2; max 0.002"
+        " at mid/traces/bonferroni_r00000.json.final_bounds.margin",
+        "  mid snpl: identical 2; float-only 0; max 0",
+        "  paper bonferroni: identical 2; float-only 0; max 0",
+        "  paper snpl: identical 0; float-only 2; max 0.005"
+        " at paper/traces/snpl_r00000.json.final_bounds.margin",
+    ]

@@ -197,6 +197,24 @@ class TestBenchmarkConfig:
         with pytest.raises(ConfigError, match="unknown config fields"):
             BenchmarkConfig.from_json_dict({"grid": 10})
 
+    @pytest.mark.parametrize(
+        "version, message",
+        [
+            (99, "'schema_version' must be 1: 99"),
+            (2, "'schema_version' must be 1: 2"),
+            ("abc", "'schema_version' must be an integer"),
+            (True, "'schema_version' must be an integer"),
+            (1.0, "'schema_version' must be an integer"),
+        ],
+    )
+    def test_schema_version_other_than_one_rejected(self, version, message):
+        with pytest.raises(ConfigError, match=message):
+            BenchmarkConfig.from_json_dict({"schema_version": version})
+
+    @pytest.mark.parametrize("obj", [{}, {"schema_version": None}, {"schema_version": 1}])
+    def test_schema_version_one_or_absent_accepted(self, obj):
+        assert BenchmarkConfig.from_json_dict(obj) == BenchmarkConfig()
+
     def test_non_object_rejected(self):
         with pytest.raises(ConfigError, match="JSON object"):
             BenchmarkConfig.from_json_dict([1, 2])
@@ -558,7 +576,7 @@ class TestRunSingle:
 
     def test_guardrail_bounds_checked(self, tmp_path):
         data, cpath, _ = self.prepare(tmp_path, guardrails=(1, 3), weights=(0.0, 0.0))
-        with pytest.raises(ConfigError, match="exceeds outcome count"):
+        with pytest.raises(ConfigError, match="guardrail index 3 exceeds the 2 outcomes"):
             run_single(data, cpath, str(tmp_path / "out.json"))
 
 
@@ -668,12 +686,14 @@ class TestCli:
             ({"mode": 1}, "'mode' must be a string"),
             ({"gamma": 40}, "too small for snpl's bounds; lower gamma"),
             ({"gamma": 40, "mode": "finite"}, "too small for snpl's bounds; lower gamma"),
+            ({"schema_version": 99}, "'schema_version' must be 1: 99"),
+            ({"schema_version": "abc"}, "'schema_version' must be an integer"),
         ],
         ids=(
             "gamma", "folds", "eta", "p-bonferroni", "in_loop", "loop_n_sim", "epsilon",
             "guardrails-scalar", "methods-string", "weights-entry", "n-string",
             "grid_size-string", "replications-bool", "alpha-string", "save_traces-string",
-            "mode-number", "gamma-40", "gamma-40-finite",
+            "mode-number", "gamma-40", "gamma-40-finite", "schema-99", "schema-string",
         ),
     )
     def test_malformed_config_exits_two_before_any_data(
@@ -737,9 +757,9 @@ class TestCli:
             ),
             (
                 {"n": 200, "guardrails": [1, 3], "weights": [0, -0.1]},
-                "guardrail or goal index exceeds outcome count",
+                "guardrail index 3 exceeds the 2 outcomes",
             ),
-            ({"n": 200, "goal": 3}, "guardrail or goal index exceeds outcome count"),
+            ({"n": 200, "goal": 3}, "goal index 3 exceeds the 2 outcomes"),
         ],
         ids=(
             "n-below-folds", "ds-50-split", "snpl-finite-n-1", "guardrail-3", "goal-3",
@@ -801,7 +821,7 @@ class TestCli:
         code = main([command, "--data", str(data), "--config", str(cpath), "--out", str(out)])
         assert code == 2 and not out.exists()
         err = capsys.readouterr().err.splitlines()
-        assert err == ["error: guardrail or goal index exceeds outcome count"]
+        assert err == ["error: guardrail index 2 exceeds the 1 outcomes"]
 
     def test_simulate_command(self, tmp_path):
         from snpl.cli import main
