@@ -34,6 +34,9 @@ holds, once, the git sha of its checkout, whether its tracked files
 differed from that commit, a SHA-256 of its ``src/snpl/*.py`` and their
 total line count (``src_lines``, as ``wc -l`` counts), the seed, the run
 length, the pair count, the core count and the Python and numpy versions.
+
+``--out-dir`` is created if missing and checked before the first run; the
+script exits 2 with one ``error:`` line if no file can be written there.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 
@@ -212,6 +216,18 @@ def record(roots: dict, seed: int, seconds: float | None) -> dict:
     return out
 
 
+def _check_out_dir(path: str) -> str | None:
+    """Creates ``path`` if it is missing; the reason no file can be written
+    in it, or None when one can."""
+    try:
+        os.makedirs(path, exist_ok=True)
+        with tempfile.TemporaryFile(dir=path):
+            pass
+    except OSError as err:
+        return f"cannot write to --out-dir {path}: {err}"
+    return None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="the files are BENCH_<label>[_parent].json")
@@ -222,6 +238,10 @@ def main(argv=None) -> int:
                         help="run length per perfbench run (default: BENCHMARK.json run_seconds)")
     parser.add_argument("--out-dir", default=HERE, help="directory the files are written to")
     args = parser.parse_args(argv)
+    problem = _check_out_dir(args.out_dir)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        return 2
     roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.root)}
     records = record(roots, args.seed, args.seconds)
     for side, suffix in (("change", ""), ("parent", "_parent")):

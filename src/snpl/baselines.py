@@ -30,13 +30,6 @@ from .estimators import class_stats, influence_table, mode_scores
 __all__ = ["hcpi_run", "bonferroni_run"]
 
 
-def _subset(dataset: Dataset, rows: np.ndarray) -> Dataset:
-    return Dataset(
-        dataset.covariates[rows], dataset.actions[rows], dataset.outcomes[rows],
-        dataset.propensities[rows],
-    )
-
-
 def hcpi_run(
     dataset: Dataset,
     policies: list[Policy],
@@ -73,11 +66,11 @@ def hcpi_run(
         raise ValueError("both splits must be nonempty")
     recorded_seed, (rng_split, rng_nuis_l, rng_nuis_t, rng_supt) = run_streams(seed, 4)
 
-    perm = rng_split.permutation(n)
-    learn_rows = np.sort(perm[:n_learn])
-    test_rows = np.sort(perm[n_learn:])
-    data_l = _subset(dataset, learn_rows)
-    data_t = _subset(dataset, test_rows)
+    learn = np.zeros(n, dtype=bool)
+    learn[rng_split.permutation(n)[:n_learn]] = True
+    learn_rows, test_rows = np.flatnonzero(learn), np.flatnonzero(~learn)
+    data_l = Dataset._of_rows(dataset, learn_rows)
+    data_t = Dataset._of_rows(dataset, test_rows)
 
     if mode == "asymptotic" and (n_learn < hyper.folds or n - n_learn < hyper.folds):
         raise ValueError("split too small for cross-fitting folds")

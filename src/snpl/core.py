@@ -43,6 +43,12 @@ class Dataset:
     stay as checked; views of the same memory made before are not covered.
     ``c`` is the positivity floor, the smallest propensity. Datasets compare
     and hash by identity, as arrays have no single truth value.
+
+    A split side (``_of_rows``) is taken from the rows of a checked dataset,
+    so it is not checked again; it records ``_source``, the pair (parent,
+    rows). ``_derived`` keeps what the package computes from the rows
+    alone (``estimators.class_stats``'s family buckets); it is freed with
+    the dataset.
     """
 
     covariates: np.ndarray
@@ -50,12 +56,31 @@ class Dataset:
     outcomes: np.ndarray
     propensities: np.ndarray
     c: float = field(init=False)
+    _source: tuple | None = field(default=None, init=False, repr=False)
+    _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         validate_dataset(self)
+        self._seal()
+
+    def _seal(self) -> None:
         for array in (self.covariates, self.actions, self.outcomes, self.propensities):
             array.flags.writeable = False
         object.__setattr__(self, "c", float(self.propensities.min()))
+
+    @classmethod
+    def _of_rows(cls, parent: "Dataset", rows: np.ndarray) -> "Dataset":
+        """The dataset of ``parent``'s rows at the indices ``rows``,
+        read-only, with its own c; raises ValueError on no rows."""
+        side = object.__new__(cls)
+        for name in ("covariates", "actions", "outcomes", "propensities"):
+            object.__setattr__(side, name, getattr(parent, name)[rows])
+        if side.n == 0:
+            raise ValueError("dataset must be nonempty")
+        object.__setattr__(side, "_source", (parent, rows))
+        object.__setattr__(side, "_derived", {})
+        side._seal()
+        return side
 
     @property
     def n(self) -> int:
@@ -171,9 +196,10 @@ class SafetySpec:
     def check_outcome_count(self, n_outcomes: int) -> None:
         """Raises ValueError naming the first goal or guardrail index beyond
         n_outcomes outcome columns."""
+        noun = "outcome" if n_outcomes == 1 else "outcomes"
         for role, j in (("goal", self.goal), *(("guardrail", g) for g in self.guardrails)):
             if j > n_outcomes:
-                raise ValueError(f"{role} index {j} exceeds the {n_outcomes} outcomes")
+                raise ValueError(f"{role} index {j} exceeds the {n_outcomes} {noun}")
 
     def sign(self, s: int) -> float:
         """+1 for lower sense, -1 for upper; index s is 0-based into S."""
@@ -377,8 +403,9 @@ def run_streams(seed, count: int) -> tuple[tuple, list[np.random.Generator]]:
 def validate_dataset(dataset: Dataset) -> None:
     """Checks the logged-data assumptions; raises ValueError with the
     offending row index on the first violation. Idempotent and side-effect
-    free. ``Dataset`` calls it when built, through this module's global
-    name, so a wrapper bound to that name sees every call.
+    free. ``Dataset`` calls it when built (a split side excepted), through
+    this module's global name, so a wrapper bound to that name sees every
+    call.
     """
     X, A, Y = dataset.covariates, dataset.actions, dataset.outcomes
     E = dataset.propensities

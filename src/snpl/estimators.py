@@ -133,8 +133,10 @@ def arm_scores(dataset: Dataset, nuisance: NuisanceModel | None = None) -> np.nd
     weight = hit / dataset.propensities
     if nuisance is None:
         return weight[:, :, None] * dataset.outcomes[:, None, :]
-    resid = dataset.outcomes[:, None, :] - nuisance.mu
-    return weight[:, :, None] * resid + nuisance.mu
+    out = dataset.outcomes[:, None, :] - nuisance.mu
+    out *= weight[:, :, None]
+    out += nuisance.mu
+    return out
 
 
 def mode_scores(
@@ -252,16 +254,18 @@ def influence_table(
 @dataclass(frozen=True, eq=False)
 class _ClassPlan:
     """The grouping of one candidate list (see ``class_stats``); each family
-    also holds a member to evaluate its feature with."""
+    also holds a member to evaluate its feature with. ``token`` names the
+    plan in a dataset's bucket store without holding its policies."""
 
     candidates: tuple[Policy, ...]
     families: tuple[tuple[np.ndarray, np.ndarray, ThresholdPolicy], ...]
     rest: list[int]
     policy_ids: tuple[str, ...]
+    token: object
 
 
 # The one slot: the plan of the last candidate list ``class_stats`` saw.
-_last_plan = _ClassPlan((), (), [], ())
+_last_plan = _ClassPlan((), (), [], (), object())
 
 
 def _class_plan(candidates: list[Policy]) -> _ClassPlan:
@@ -288,9 +292,43 @@ def _class_plan(candidates: list[Policy]) -> _ClassPlan:
         members = np.asarray(members)[order]
         families.append((members, cutoffs[order], candidates[members[0]]))
     _last_plan = plan = _ClassPlan(
-        tuple(candidates), tuple(families), rest, tuple(p.policy_id for p in candidates)
+        tuple(candidates), tuple(families), rest, tuple(p.policy_id for p in candidates),
+        object(),
     )
     return plan
+
+
+def _held_buckets(dataset: Dataset, token: object) -> list | None:
+    """The family buckets a dataset's store holds for the plan of ``token``."""
+    held, buckets = dataset._derived.get("families", (None, None))
+    return buckets if held is token else None
+
+
+def _family_buckets(dataset: Dataset, plan: _ClassPlan) -> list:
+    """Per family of the plan: the rows' buckets b_i = #{cutoffs <= g(x_i)}
+    (the t-th sorted cutoff treats exactly the rows with b_i <= t) and the
+    family's ``_coinciding`` result. They depend on the covariates and the
+    plan alone, so they are computed once per dataset and kept in its store
+    under the plan's token. A split side whose parent holds them takes the
+    parent's buckets at its rows instead of evaluating the features again."""
+    own = _held_buckets(dataset, plan.token)
+    if own is not None:
+        return own
+    parent, rows = dataset._source or (None, None)
+    above = _held_buckets(parent, plan.token) if parent is not None else None
+    out, earlier = [], []
+    for f, (members, cutoffs, member) in enumerate(plan.families):
+        if above is not None:
+            bucket = above[f][0][rows]
+        else:
+            values = member.feature_values(dataset.covariates)
+            bucket = np.searchsorted(cutoffs, values, side="right")
+        count = np.cumsum(np.bincount(bucket, minlength=len(members) + 1))[:-1]
+        same, source = _coinciding(members, count, bucket, earlier)
+        earlier.append((members, count, bucket))
+        out.append((bucket, same, source))
+    dataset._derived["families"] = (plan.token, out)
+    return out
 
 
 def class_stats(
@@ -322,6 +360,11 @@ def class_stats(
     to it by identity, since a key made only of ``id``s could match a later
     class allocated at the same addresses. It holds one class at most, so no
     older class outlives the next call.
+
+    The buckets do not depend on the scores, so they are computed once per
+    dataset and plan (``_family_buckets``) and kept with the dataset, not
+    with the plan: ``snpl`` and ``bonferroni`` share them, a ``ds-*`` split
+    side indexes its parent's, and they are freed with their dataset.
     """
     spec.check_outcome_count(dataset.n_outcomes)
     n, S = dataset.n, spec.s_count
@@ -344,16 +387,10 @@ def class_stats(
         for k in (0, 1):
             D = scores[:, k, jdx] - (1.0 + w) * base
             arm.append(np.vstack([D.T, (D * D).T, scores[:, k, spec.goal - 1]]))
-        earlier = []
-        for members, cutoffs, member in families:
-            values = member.feature_values(X)
-            # Row i falls in bucket b_i = #{cutoffs <= g(x_i)}; the t-th
-            # sorted cutoff treats exactly the rows with b_i <= t.
-            bucket = np.searchsorted(cutoffs, values, side="right")
-            nb = len(members) + 1
-            count = np.cumsum(np.bincount(bucket, minlength=nb))[:-1]
-            same, source = _coinciding(members, count, bucket, earlier)
+        buckets = _family_buckets(dataset, plan)
+        for (members, _, _), (bucket, same, source) in zip(families, buckets):
             if not same.all():
+                nb = len(members) + 1
                 treated, untreated = (
                     np.stack(
                         [np.bincount(bucket, weights=row, minlength=nb) for row in a],
@@ -366,7 +403,6 @@ def class_stats(
                     + np.cumsum(untreated[::-1], axis=0)[::-1][1:]
                 )
             sums[members[same]] = sums[source[same]]
-            earlier.append((members, count, bucket))
 
     means = sums[:, :S] / n
     variances = np.maximum(sums[:, S : 2 * S] / n - means**2, 0.0)

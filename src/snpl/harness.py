@@ -11,6 +11,7 @@ execution order and to the configured method order.
 from __future__ import annotations
 
 import csv
+import ctypes
 import functools
 import json
 import math
@@ -296,6 +297,28 @@ def _pool_job(r: int) -> tuple[int, dict]:
     return r, _execute_replication(_POOL_STATE, r)
 
 
+# glibc's mallopt parameters, and the value both are set to: 32 MiB, the
+# ceiling glibc's own dynamic mmap threshold may reach on 64-bit hosts.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_HEAP_KEEP = 32 << 20
+
+
+def _keep_heap_mapped() -> None:
+    """Keeps up to 32 MiB of freed memory in the process heap, and serves
+    blocks up to 32 MiB from it. A replication allocates and frees
+    blocks of the same sizes for every method; by default glibc trims the
+    free heap top and maps large blocks anew each time, and the process
+    then page-faults the same memory in again. The setting is
+    process-wide. No-op where the C library has no ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, _HEAP_KEEP)
+    mallopt(_M_MMAP_THRESHOLD, _HEAP_KEEP)
+
+
 def run_benchmark(
     config: BenchmarkConfig, workers: int | None = None, out_dir: str | None = None
 ) -> BenchmarkReport:
@@ -329,6 +352,7 @@ def run_benchmark(
                     f"{n - n_learn}; each side needs at least {least}"
                 )
     _check_outcome_indices(config.spec(), N_OUTCOMES)
+    _keep_heap_mapped()  # before the fork pool, so every worker inherits it
     state = {"config": config, "policies": build_class(config.grid_size), "out_dir": out_dir}
     M = config.replications
     nworkers = worker_count(M, workers)

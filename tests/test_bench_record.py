@@ -93,3 +93,33 @@ def test_record_alternates_the_checkouts_and_stores_spreads(tmp_path, monkeypatc
         "op_ms.p50": {"better_pairs": 3, "pairs": 3, "resolved": True, "regressed": False},
     }
     assert "vs_parent" not in parent
+
+
+def test_unwritable_out_dir_exits_two_before_any_run(tmp_path, monkeypatch, capsys):
+    def no_record(*args):
+        raise AssertionError("record ran")
+
+    monkeypatch.setattr(bench_record, "record", no_record)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out_dir = blocker / "sub"  # under a regular file: cannot be created
+    argv = ["--label", "x", "--parent", str(tmp_path), "--out-dir", str(out_dir)]
+    assert bench_record.main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write to --out-dir {out_dir}")
+
+
+def test_missing_out_dir_is_created_before_the_runs(tmp_path, monkeypatch):
+    out_dir = tmp_path / "new" / "dir"
+
+    def fake_record(roots, seed, seconds):
+        assert out_dir.is_dir()
+        return {side: {"git_sha": side} for side in bench_record.SIDES}
+
+    monkeypatch.setattr(bench_record, "record", fake_record)
+    argv = ["--label", "x", "--parent", str(tmp_path), "--out-dir", str(out_dir)]
+    assert bench_record.main(argv) == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == ["BENCH_x.json", "BENCH_x_parent.json"]
+    assert json.loads((out_dir / "BENCH_x_parent.json").read_text()) == {
+        "label": "x_parent", "git_sha": "parent",
+    }

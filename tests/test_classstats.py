@@ -2,6 +2,7 @@
 per-policy reference, and run decisions with the engine against runs with
 the reference."""
 
+import functools
 import gc
 import math
 import weakref
@@ -38,6 +39,7 @@ from snpl.synthetic import build_class, default_baseline, generate
 
 SPEC = SafetySpec(goal=1, guardrails=(1, 2), weights=(0.0, -0.1), alpha=0.1)
 BASE = default_baseline()
+ARRAYS = ("covariates", "actions", "outcomes", "propensities")
 
 
 def candidates(grid_size=40):
@@ -317,6 +319,128 @@ class TestPlanCache:
         class_stats(ds, [], SPEC, BASE, scores)
         gc.collect()
         assert all(ref() is None for ref in refs[1])
+
+
+def built_afresh(ds, pols, spec, baseline, scores):
+    """class_stats on an independently built, checked Dataset of ds's rows:
+    its bucket store is empty and it has no parent."""
+    twin = Dataset(*(getattr(ds, name).copy() for name in ARRAYS))
+    return class_stats(twin, pols, spec, baseline, scores)
+
+
+def split_sides(parent, rho, seed):
+    """The two sides of a hcpi_run-style split of parent."""
+    learn = np.zeros(parent.n, dtype=bool)
+    learn[np.random.default_rng(seed).permutation(parent.n)[: int(rho * parent.n)]] = True
+    return [Dataset._of_rows(parent, np.flatnonzero(side)) for side in (learn, ~learn)]
+
+
+def count_feature_calls(monkeypatch):
+    calls = []
+    real = ThresholdPolicy.feature_values
+    monkeypatch.setattr(
+        ThresholdPolicy, "feature_values", lambda self, X: calls.append(self) or real(self, X)
+    )
+    return calls
+
+
+class TestStoredBuckets:
+    """class_stats keeps each family's buckets with the dataset they were
+    computed on: a later call on that dataset reuses them, and a split side
+    takes its parent's at its rows. Either way the bits must be those of a
+    call on an independently built dataset."""
+
+    @pytest.mark.parametrize("grid_size", (2, 100))
+    @pytest.mark.parametrize("rho", (0.25, 0.5, 0.75))
+    def test_split_sides_take_their_parents_buckets(self, monkeypatch, rho, grid_size):
+        parent = generate(800, np.random.default_rng(40))
+        pols = candidates(grid_size)
+        class_stats(parent, pols, SPEC, BASE, scores_for(parent, "ipw"))
+        for side in split_sides(parent, rho, 41):
+            scores = scores_for(side, "dr")
+            calls = count_feature_calls(monkeypatch)
+            got = class_stats(side, pols, SPEC, BASE, scores)
+            # only the baseline's contraction reads a feature: the rows are
+            # bucketed from the parent's buckets
+            assert calls == [BASE]
+            monkeypatch.undo()
+            assert_same_bits(got, built_afresh(side, pols, SPEC, BASE, scores))
+
+    @pytest.mark.parametrize("grid_size", (2, 100))
+    def test_second_call_on_a_dataset_reuses_its_buckets(self, monkeypatch, grid_size):
+        # as snpl and bonferroni do: the same class, scores of another stream
+        ds = generate(600, np.random.default_rng(42))
+        pols = candidates(grid_size)
+        class_stats(ds, pols, SPEC, BASE, scores_for(ds, "dr", seed=1))
+        scores = scores_for(ds, "dr", seed=2)
+        calls = count_feature_calls(monkeypatch)
+        got = class_stats(ds, pols, SPEC, BASE, scores)
+        assert calls == [BASE]
+        monkeypatch.undo()
+        assert_same_bits(got, built_afresh(ds, pols, SPEC, BASE, scores))
+
+    def test_mixed_candidates_and_a_class_the_parent_never_saw(self):
+        parent = generate(500, np.random.default_rng(43))
+        pols = candidates(8)
+        mixed = pols[:5] + [FixedPolicy("fixed", 0.3)] + pols[5:] + [UniformPolicy(2)]
+        # the parent's store holds another class's buckets: a side buckets
+        # its own rows
+        class_stats(parent, candidates(20), SPEC, BASE, scores_for(parent, "ipw"))
+        for side in split_sides(parent, 0.5, 44):
+            scores = scores_for(side, "dr")
+            got, _ = assert_matches_reference(side, mixed, SPEC, scores)
+            assert_same_bits(got, built_afresh(side, mixed, SPEC, BASE, scores))
+        # the parent's store holds this class's buckets: a side indexes them
+        class_stats(parent, mixed, SPEC, BASE, scores_for(parent, "ipw"))
+        for side in split_sides(parent, 0.25, 45):
+            scores = scores_for(side, "ipw")
+            assert_same_bits(
+                class_stats(side, mixed, SPEC, BASE, scores),
+                built_afresh(side, mixed, SPEC, BASE, scores),
+            )
+
+    def test_three_actions_store_nothing(self):
+        # K = 3: families are off, every candidate takes the loop
+        parent = three_arm_generate(600, np.random.default_rng(46))
+        baseline, pols = three_arm_class()
+        class_stats(parent, pols, SPEC, baseline, scores_for(parent, "ipw"))
+        for side in split_sides(parent, 0.75, 47):
+            scores = scores_for(side, "ipw")
+            assert_same_bits(
+                class_stats(side, pols, SPEC, baseline, scores),
+                built_afresh(side, pols, SPEC, baseline, scores),
+            )
+            assert side._derived == {}
+        assert parent._derived == {}
+
+    @pytest.mark.parametrize("method", ("snpl", "bonferroni", "ds"))
+    def test_a_run_keeps_no_dataset_or_class_alive(self, monkeypatch, method):
+        given = []  # every dataset class_stats is handed, split sides included
+
+        def spy(dataset, *args):
+            given.append(weakref.ref(dataset))
+            return class_stats(dataset, *args)
+
+        monkeypatch.setattr(algorithm, "class_stats", spy)
+        monkeypatch.setattr(baselines, "class_stats", spy)
+        ds = generate(400, np.random.default_rng(48))
+        pols = candidates(10)
+        hyper = Hyperparams(n_sim=2000, eta=3)
+        runs = {"snpl": snpl_run, "bonferroni": bonferroni_run}
+        run = runs.get(method, functools.partial(hcpi_run, rho=0.5))
+        run(ds, pols, SPEC, BASE, "asymptotic", hyper, seed=1)
+        assert len(given) == 1
+        # the dataset, whose store holds the class's buckets, outlives the
+        # class: once the plan slot moves on, the class is gone
+        class_stats(ds, [], SPEC, BASE, scores_for(ds, "ipw"))
+        refs = [weakref.ref(p) for p in pols]
+        del pols
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        given.append(weakref.ref(ds))
+        del ds
+        gc.collect()
+        assert all(ref() is None for ref in given)
 
 
 GOAL_BEYOND = SafetySpec(goal=3, guardrails=(1, 2), weights=(0.0, -0.1), alpha=0.1)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from snpl import core
 from snpl.core import (
     MIN_N_SIM,
     Dataset,
@@ -13,7 +14,9 @@ from snpl.core import (
 )
 from snpl.synthetic import generate
 
-from conftest import LoggingPolicy, UniformPolicy, make_dataset
+from conftest import LoggingPolicy, UniformPolicy, make_dataset, tabular_generate
+
+ARRAYS = ("covariates", "actions", "outcomes", "propensities")
 
 
 class TestValidateDataset:
@@ -187,6 +190,27 @@ class TestDataset:
         assert (a == b) is False
         assert a == a
         assert hash(a) != hash(b)
+
+    @pytest.mark.parametrize("make", (generate, tabular_generate), ids=("constant", "tabular"))
+    def test_split_side_equals_a_checked_dataset_of_its_rows(self, monkeypatch, make):
+        parent = make(300, np.random.default_rng(1))
+        rows = np.flatnonzero(np.random.default_rng(2).random(parent.n) < 0.3)
+        built = Dataset(*(getattr(parent, name)[rows] for name in ARRAYS))
+
+        def no_check(dataset):
+            raise AssertionError("a split side was checked again")
+
+        monkeypatch.setattr(core, "validate_dataset", no_check)
+        side = Dataset._of_rows(parent, rows)
+        for name in ARRAYS:
+            got, want = getattr(side, name), getattr(built, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert not got.flags.writeable
+            assert not np.shares_memory(got, getattr(parent, name))
+        assert side.c == built.c == float(parent.propensities[rows].min())
+        assert side._source[0] is parent and side._source[1] is rows
+        with pytest.raises(ValueError, match="nonempty"):
+            Dataset._of_rows(parent, np.array([], dtype=np.int64))
 
     @pytest.mark.parametrize("name", ["covariates", "actions", "outcomes", "propensities"])
     def test_arrays_are_read_only(self, name):

@@ -3,10 +3,12 @@ import json
 import math
 import os
 import sys
+import types
 
 import numpy as np
 import pytest
 
+from snpl import harness
 from snpl.core import Dataset
 from snpl.harness import (
     BenchmarkConfig,
@@ -390,6 +392,30 @@ class TestRunBenchmark:
         report = run_benchmark(tiny_config(), workers=1)
         with pytest.raises(KeyError):
             report.result("snpl")
+
+    def test_sets_the_heap_thresholds_once_per_run(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        libc = types.SimpleNamespace(mallopt=mallopt)
+        monkeypatch.setattr(harness.ctypes, "CDLL", lambda name: libc)
+        run_benchmark(tiny_config(replications=2), workers=1)
+        assert calls == [(-1, 32 << 20), (-3, 32 << 20)]  # M_TRIM_, M_MMAP_THRESHOLD
+
+    @pytest.mark.parametrize("libc", ("raises", "no-mallopt"))
+    def test_heap_setting_is_a_no_op_without_mallopt(self, monkeypatch, libc):
+        def no_libc(name):
+            raise OSError("no C library")
+
+        monkeypatch.setattr(
+            harness.ctypes, "CDLL", no_libc if libc == "raises" else lambda name: object()
+        )
+        assert harness._keep_heap_mapped() is None
+        report = run_benchmark(tiny_config(replications=2), workers=1)
+        assert report.result("bonferroni").reps == 2
 
 
 class TestDatasetCsv:
@@ -821,7 +847,7 @@ class TestCli:
         code = main([command, "--data", str(data), "--config", str(cpath), "--out", str(out)])
         assert code == 2 and not out.exists()
         err = capsys.readouterr().err.splitlines()
-        assert err == ["error: guardrail index 2 exceeds the 1 outcomes"]
+        assert err == ["error: guardrail index 2 exceeds the 1 outcome"]
 
     def test_simulate_command(self, tmp_path):
         from snpl.cli import main

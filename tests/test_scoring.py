@@ -1,6 +1,7 @@
 """Each run scores each dataset once: the per-arm score array of a dataset
 (or of each split) is computed one time and passed to every later step.
-Each dataset is also checked once, when it is built."""
+Each dataset is also checked once, when it is built; a split side is taken
+from checked rows and is not checked again."""
 
 import sys
 
@@ -79,10 +80,10 @@ def test_each_policy_contracted_once(monkeypatch, mode, method):
     assert len(seen) == (1 if method == "bonferroni" else 2 + len(table))
 
 
-@pytest.mark.parametrize("method,calls", (("snpl", 0), ("bonferroni", 0), ("ds", 2)))
+@pytest.mark.parametrize("method,calls", (("snpl", 0), ("bonferroni", 0), ("ds", 0)))
 def test_given_dataset_not_validated_again(monkeypatch, method, calls):
-    # snpl and bonferroni re-check nothing they are given; ds-* checks the
-    # two splits it builds
+    # no method re-checks the data it is given, and ds-* builds its two
+    # splits from those checked rows
     dataset = generate(600, np.random.default_rng(7))
     seen = count_calls(monkeypatch, "validate_dataset", core)
     run(method, dataset, "asymptotic")
@@ -90,13 +91,14 @@ def test_given_dataset_not_validated_again(monkeypatch, method, calls):
 
 
 def test_benchmark_replication_validates_each_dataset_once(monkeypatch):
-    # the generated dataset, then the two splits of each of three ds-* methods
+    # the generated dataset only: the splits of the three ds-* methods
+    # are taken from its checked rows
     seen = count_calls(monkeypatch, "validate_dataset", core)
     config = BenchmarkConfig(
         methods=tuple(METHOD_STREAMS), n=600, replications=1, grid_size=4, n_sim=2000, eta=3
     )
     run_benchmark(config, workers=1)
-    assert len(seen) == 1 + 3 * 2
+    assert len(seen) == 1
 
 
 @pytest.mark.parametrize(
