@@ -30,7 +30,8 @@ method) group with its identical and float-only counts and its largest
 float difference. The exit code is 1 when the dumps share
 no file (a wrong or empty path), a decision or the structure differs, a
 file is missing on one side, or the largest float difference exceeds
-``--tol``; else 0.
+``--tol``; else 0. A reader that closes the output early (``| head``)
+cuts the report short, not the run: the exit code stays the same.
 """
 
 from __future__ import annotations
@@ -73,6 +74,16 @@ TABULAR_SEED = 5
 _SCATTER_FLOATS = ("estimate_", "bound_", "threshold_")
 
 
+def _say(line: str) -> None:
+    """Prints one line. Once the reader has closed stdout (``... | head``),
+    the rest of the output goes to the null device, so the run still ends
+    with its own exit code and no traceback."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def dump(src: str, out: str) -> None:
     sys.path.insert(0, os.path.abspath(src))
     import numpy as np
@@ -100,7 +111,7 @@ def dump(src: str, out: str) -> None:
         start = time.perf_counter()
         run_benchmark(config, workers=1, out_dir=os.path.join(out, name))
         elapsed = time.perf_counter() - start
-        print(f"{name}: {reps * len(METHODS)} traces in {elapsed:.2f} s", flush=True)
+        _say(f"{name}: {reps * len(METHODS)} traces in {elapsed:.2f} s")
 
     os.makedirs(os.path.join(out, "scatter"), exist_ok=True)
     for name, (mode, grid, n, seed, senses, weights, eta) in SCATTERS.items():
@@ -118,7 +129,7 @@ def dump(src: str, out: str) -> None:
         dataset = generate(n, np.random.default_rng(seed))
         path = os.path.join(out, "scatter", f"{name}.csv")
         emit_bounds_scatter(dataset, build_class(grid), config, path)
-        print(f"scatter {name}: {path}", flush=True)
+        _say(f"scatter {name}: {path}")
 
     # The data files and configs sit outside OUT: ``diff`` reads every CSV
     # there as a scatter and every JSON as a trace.
@@ -136,7 +147,7 @@ def dump(src: str, out: str) -> None:
             for method in METHODS:
                 path = os.path.join(out, case, f"{method}.json")
                 code = run_single(data_path, os.path.join(tmp, f"{method}.json"), path)
-                print(f"{case} {method}: {path} (exit {code})", flush=True)
+                _say(f"{case} {method}: {path} (exit {code})")
 
 
 def _write_tabular_csv(path: str, rng) -> None:
@@ -247,21 +258,21 @@ def diff(left: str, right: str, tol: float) -> int:
 
     identical, float_only = (sum(g[i] for g in groups.values()) for i in (0, 1))
     worst = max((g[2] for g in groups.values()), key=lambda m: m[0], default=(0.0, ""))
-    print(f"files compared: {len(shared)}; only on one side: {len(missing)}")
+    _say(f"files compared: {len(shared)}; only on one side: {len(missing)}")
     for rel in missing:
-        print(f"  missing: {rel}")
-    print(f"decision mismatches: {len(decisions)}")
+        _say(f"  missing: {rel}")
+    _say(f"decision mismatches: {len(decisions)}")
     for line in decisions:
-        print(f"  {line}")
-    print(f"structural differences: {len(structure)}")
+        _say(f"  {line}")
+    _say(f"structural differences: {len(structure)}")
     for line in structure:
-        print(f"  {line}")
-    print(f"identical: {identical}; float-only differences: {float_only}")
-    print(f"max float difference: {worst[0]:.3g}" + (f" at {worst[1]}" if worst[1] else ""))
-    print("per (top directory, method):")
+        _say(f"  {line}")
+    _say(f"identical: {identical}; float-only differences: {float_only}")
+    _say(f"max float difference: {worst[0]:.3g}" + (f" at {worst[1]}" if worst[1] else ""))
+    _say("per (top directory, method):")
     for (top, method), (same, moved, (gap, where)) in sorted(groups.items()):
         line = f"  {top} {method}: identical {same}; float-only {moved}; max {gap:.3g}"
-        print(line + (f" at {where}" if where else ""))
+        _say(line + (f" at {where}" if where else ""))
     return int(not shared or bool(missing or decisions or structure) or worst[0] > tol)
 
 

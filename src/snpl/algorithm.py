@@ -14,12 +14,10 @@ Cost: the margins of the whole class come from one
 ``estimators.class_stats`` call before the scan, which for threshold classes
 is O(n log |Pi| + |Pi|) per feature family and for other classes one O(n)
 pass per policy; each scan step is then O(1). Grouping the class into
-feature families happens once per class, not once per call: ``class_stats``
-keeps the grouping of the last class it saw, and every method of a
-replication reuses it. Bucketing the rows by a family's cutoffs happens
-once per dataset: the buckets are kept with the dataset, so ``snpl`` and
-``bonferroni`` share them, and a ``ds-*`` split side, which is not checked
-again either, takes its parent's buckets at its rows.
+feature families and bucketing the rows by each family's cutoffs happen
+once per dataset: the grouping is kept with the dataset, so ``snpl`` and
+``bonferroni`` share it, and a ``ds-*`` split side, which is not checked
+again either, takes its parent's and indexes the buckets at its rows.
 """
 
 from __future__ import annotations

@@ -47,8 +47,8 @@ class Dataset:
     A split side (``_of_rows``) is taken from the rows of a checked dataset,
     so it is not checked again; it records ``_source``, the pair (parent,
     rows). ``_derived`` keeps what the package computes from the rows
-    alone (``estimators.class_stats``'s family buckets); it is freed with
-    the dataset.
+    alone: the grouping of the last class ``estimators.class_stats`` scored
+    on them, which holds that class and is freed with the dataset.
     """
 
     covariates: np.ndarray
@@ -403,9 +403,9 @@ def run_streams(seed, count: int) -> tuple[tuple, list[np.random.Generator]]:
 def validate_dataset(dataset: Dataset) -> None:
     """Checks the logged-data assumptions; raises ValueError with the
     offending row index on the first violation. Idempotent and side-effect
-    free. ``Dataset`` calls it when built (a split side excepted), through
-    this module's global name, so a wrapper bound to that name sees every
-    call.
+    free. ``Dataset`` calls it when built (a split side excepted) by
+    looking the name up in this module, so a wrapper bound to that name sees
+    every call.
     """
     X, A, Y = dataset.covariates, dataset.actions, dataset.outcomes
     E = dataset.propensities

@@ -252,83 +252,61 @@ def influence_table(
 
 
 @dataclass(frozen=True, eq=False)
-class _ClassPlan:
-    """The grouping of one candidate list (see ``class_stats``); each family
-    also holds a member to evaluate its feature with. ``token`` names the
-    plan in a dataset's bucket store without holding its policies."""
+class _Grouping:
+    """A candidate list grouped on one dataset's rows (see ``class_stats``):
+    per threshold family, its members in cutoff order, the rows' buckets
+    b_i = #{cutoffs <= g(x_i)} (the t-th sorted cutoff treats exactly the
+    rows with b_i <= t) and the family's ``_coinciding`` result; the indices
+    of the other candidates; and the policy ids."""
 
     candidates: tuple[Policy, ...]
-    families: tuple[tuple[np.ndarray, np.ndarray, ThresholdPolicy], ...]
+    families: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
     rest: list[int]
     policy_ids: tuple[str, ...]
-    token: object
 
 
-# The one slot: the plan of the last candidate list ``class_stats`` saw.
-_last_plan = _ClassPlan((), (), [], (), object())
-
-
-def _class_plan(candidates: list[Policy]) -> _ClassPlan:
-    """The plan of a candidate list, from the slot when it holds the same
-    policy objects in the same order (by identity: ``==`` would call a
-    policy's ``__eq__``)."""
-    global _last_plan
-    plan = _last_plan
-    if len(plan.candidates) == len(candidates) and all(
-        map(operator.is_, plan.candidates, candidates)
+def _grouping(dataset: Dataset, candidates: list[Policy]) -> _Grouping:
+    """The grouping of a candidate list on a dataset's rows. It is kept in
+    the dataset's store and reused by a later call with the same policy
+    objects in the same order (matched by identity: ``==`` would call a
+    policy's ``__eq__``); policies are taken to be immutable. A split side
+    takes its parent's grouping, made first if the parent has none, and
+    indexes the parent's buckets at its rows, so neither the class nor a
+    feature is gone over again."""
+    held = dataset._derived.get("grouping")
+    if held is not None and len(held.candidates) == len(candidates) and all(
+        map(operator.is_, held.candidates, candidates)
     ):
-        return plan
-    grouped: dict[str, list[int]] = {}
-    rest: list[int] = []
-    for i, pol in enumerate(candidates):
-        if isinstance(pol, ThresholdPolicy):
-            grouped.setdefault(pol.feature, []).append(i)
-        else:
-            rest.append(i)
-    families = []
-    for members in grouped.values():
-        cutoffs = np.array([candidates[i].cutoff for i in members])
-        order = np.argsort(cutoffs, kind="stable")
-        members = np.asarray(members)[order]
-        families.append((members, cutoffs[order], candidates[members[0]]))
-    _last_plan = plan = _ClassPlan(
-        tuple(candidates), tuple(families), rest, tuple(p.policy_id for p in candidates),
-        object(),
-    )
-    return plan
-
-
-def _held_buckets(dataset: Dataset, token: object) -> list | None:
-    """The family buckets a dataset's store holds for the plan of ``token``."""
-    held, buckets = dataset._derived.get("families", (None, None))
-    return buckets if held is token else None
-
-
-def _family_buckets(dataset: Dataset, plan: _ClassPlan) -> list:
-    """Per family of the plan: the rows' buckets b_i = #{cutoffs <= g(x_i)}
-    (the t-th sorted cutoff treats exactly the rows with b_i <= t) and the
-    family's ``_coinciding`` result. They depend on the covariates and the
-    plan alone, so they are computed once per dataset and kept in its store
-    under the plan's token. A split side whose parent holds them takes the
-    parent's buckets at its rows instead of evaluating the features again."""
-    own = _held_buckets(dataset, plan.token)
-    if own is not None:
-        return own
-    parent, rows = dataset._source or (None, None)
-    above = _held_buckets(parent, plan.token) if parent is not None else None
+        return held
+    if dataset._source is not None:
+        parent, rows = dataset._source
+        above = _grouping(parent, candidates)
+        listed, rest, ids = above.candidates, above.rest, above.policy_ids
+        families = [(members, bucket[rows]) for members, bucket, _, _ in above.families]
+    else:
+        listed, ids = tuple(candidates), tuple(p.policy_id for p in candidates)
+        grouped: dict[str, list[int]] = {}
+        rest = []
+        for i, pol in enumerate(candidates):
+            if isinstance(pol, ThresholdPolicy):
+                grouped.setdefault(pol.feature, []).append(i)
+            else:
+                rest.append(i)
+        families = []
+        for members in grouped.values():
+            cutoffs = np.array([candidates[i].cutoff for i in members])
+            order = np.argsort(cutoffs, kind="stable")
+            values = candidates[members[0]].feature_values(dataset.covariates)
+            bucket = np.searchsorted(cutoffs[order], values, side="right")
+            families.append((np.asarray(members)[order], bucket))
     out, earlier = [], []
-    for f, (members, cutoffs, member) in enumerate(plan.families):
-        if above is not None:
-            bucket = above[f][0][rows]
-        else:
-            values = member.feature_values(dataset.covariates)
-            bucket = np.searchsorted(cutoffs, values, side="right")
+    for members, bucket in families:
         count = np.cumsum(np.bincount(bucket, minlength=len(members) + 1))[:-1]
         same, source = _coinciding(members, count, bucket, earlier)
         earlier.append((members, count, bucket))
-        out.append((bucket, same, source))
-    dataset._derived["families"] = (plan.token, out)
-    return out
+        out.append((members, bucket, same, source))
+    record = dataset._derived["grouping"] = _Grouping(listed, tuple(out), rest, ids)
+    return record
 
 
 def class_stats(
@@ -351,33 +329,20 @@ def class_stats(
     every row has exact-zero moments on a w = 0 guardrail either way, and
     rules that treat the same rows get identical statistics either way.
 
-    The grouping does not depend on the data, so it is done once per class:
-    a plan holds the families (members in cutoff order, sorted cutoffs),
-    the indices of the other candidates and the policy ids, and is kept in
-    one slot for the next call on the same policy objects, as every method
-    of a replication makes. Policies are taken to be immutable. The slot
-    holds a strong reference to its class and matches a call's candidates
-    to it by identity, since a key made only of ``id``s could match a later
-    class allocated at the same addresses. It holds one class at most, so no
-    older class outlives the next call.
-
-    The buckets do not depend on the scores, so they are computed once per
-    dataset and plan (``_family_buckets``) and kept with the dataset, not
-    with the plan: ``snpl`` and ``bonferroni`` share them, a ``ds-*`` split
-    side indexes its parent's, and they are freed with their dataset.
+    The grouping of a class into families, the rows' buckets and which rules
+    coincide depend on the candidates and the covariates alone, not on the
+    scores, so ``_grouping`` computes them once per dataset and keeps them
+    with it: ``snpl`` and ``bonferroni`` share them, a ``ds-*`` split side
+    indexes its parent's, and they are freed with their dataset.
     """
     spec.check_outcome_count(dataset.n_outcomes)
     n, S = dataset.n, spec.s_count
-    plan = _class_plan(candidates)
-    families, rest = plan.families, plan.rest
-    if scores.shape[1] != 2:
-        families, rest = (), list(range(len(candidates)))
-
     X = dataset.covariates
     psi0 = policy_scores(scores, baseline, X)
     # Per-candidate sums of (d_1..d_S, d_1^2..d_S^2, goal score).
     sums = np.zeros((len(candidates), 2 * S + 1))
-    if families:
+    grouping, rest = None, range(len(candidates))
+    if scores.shape[1] == 2:
         jdx = np.asarray(spec.guardrails, dtype=np.int64) - 1
         w = np.asarray(spec.weights)
         base = psi0[:, jdx]
@@ -387,8 +352,11 @@ def class_stats(
         for k in (0, 1):
             D = scores[:, k, jdx] - (1.0 + w) * base
             arm.append(np.vstack([D.T, (D * D).T, scores[:, k, spec.goal - 1]]))
-        buckets = _family_buckets(dataset, plan)
-        for (members, _, _), (bucket, same, source) in zip(families, buckets):
+        # Fetched only now: a first call's buckets are not built while the
+        # D temporaries above are alive, which would raise the peak memory.
+        grouping = _grouping(dataset, candidates)
+        rest = grouping.rest
+        for members, bucket, same, source in grouping.families:
             if not same.all():
                 nb = len(members) + 1
                 treated, untreated = (
@@ -410,8 +378,9 @@ def class_stats(
     moments = _policy_moments(scores, [candidates[i] for i in rest], X, spec, psi0)
     for i, (_, mean, variance, g) in zip(rest, moments):
         means[i], variances[i], goal[i] = mean, variance, g
+    ids = grouping.policy_ids if grouping else tuple(p.policy_id for p in candidates)
     return ClassStats(
-        plan.policy_ids, means, variances, goal,
+        ids, means, variances, goal,
         float(psi0[:, spec.goal - 1].mean()), spec, baseline.policy_id, n, dataset.c,
     )
 

@@ -19,7 +19,7 @@ import os
 import time
 import types
 import typing
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .algorithm import snpl_run
 from .baselines import bonferroni_run, hcpi_run
 from .bounds import check_mode, margins, supt_widths, union_table
 from .core import Dataset, Hyperparams, SafetySpec, ThresholdPolicy
-from .estimators import class_stats, policy_scores
+from .estimators import class_stats, influence_table, policy_scores
 from .stability import check_alpha_prime, delta_star, gamma_grid
 from .synthetic import N_OUTCOMES, build_class, generate, truth_table
 
@@ -604,8 +604,19 @@ def emit_bounds_scatter(dataset: Dataset, policies, config: BenchmarkConfig, out
     jdx = np.asarray(spec.guardrails, dtype=np.int64) - 1
     n = dataset.n
 
-    rows = [baseline] + [p for p in policies if p.policy_id != baseline.policy_id]
-    stats = class_stats(dataset, rows, spec, baseline, trace.scores)
+    # The candidates as snpl_run lists them, so class_stats finds the
+    # grouping the run left on the dataset; the baseline's row comes apart.
+    candidates = [p for p in policies if p.policy_id != baseline.policy_id]
+    rows = [baseline] + candidates
+    own = influence_table(dataset, trace.scores, [baseline], spec, baseline)
+    stats = class_stats(dataset, candidates, spec, baseline, trace.scores)
+    stats = replace(
+        stats,
+        policy_ids=own.policy_ids + stats.policy_ids,
+        means=np.vstack([own.means, stats.means]),
+        variances=np.vstack([own.variances, stats.variances]),
+        goal=np.concatenate([own.goal, stats.goal]),
+    )
     v0 = policy_scores(trace.scores, baseline, dataset.covariates)[:, jdx].mean(axis=0)
     thresholds = np.asarray(spec.weights) * v0
     estimates = stats.means + thresholds

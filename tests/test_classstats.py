@@ -23,6 +23,7 @@ from conftest import (
 )
 from snpl.bounds import asymptotic_bounds, bernstein_widths, margins, normal_widths, union_table
 from snpl.core import (
+    FEATURES,
     Dataset,
     Hyperparams,
     Policy,
@@ -203,11 +204,11 @@ def test_reference_means_are_accurate_at_large_n():
     np.testing.assert_allclose(table.means.reshape(-1), exact, rtol=0, atol=1e-16)
 
 
-def planned_afresh(ds, pols, spec, scores, baseline=BASE):
-    """class_stats on a plan built for this call: the empty class takes the
-    one plan slot first."""
-    class_stats(ds, [], spec, baseline, scores)
-    return class_stats(ds, pols, spec, baseline, scores)
+def built_afresh(ds, pols, spec, baseline, scores):
+    """class_stats on an independently built, checked Dataset of ds's rows:
+    its store is empty and it has no parent."""
+    twin = Dataset(*(getattr(ds, name).copy() for name in ARRAYS))
+    return class_stats(twin, pols, spec, baseline, scores)
 
 
 def assert_same_bits(got, want):
@@ -217,10 +218,11 @@ def assert_same_bits(got, want):
 
 
 def assert_cached_call_exact(ds, pols, spec, scores, baseline=BASE):
-    """A call that may reuse the slot's plan gives the bits of a call that
-    builds its own, and matches the per-policy reference."""
+    """A call that may reuse the dataset's stored grouping gives the bits of
+    a call on a dataset that has none, and matches the per-policy
+    reference."""
     got, _ = assert_matches_reference(ds, pols, spec, scores, baseline)
-    assert_same_bits(got, planned_afresh(ds, pols, spec, scores, baseline))
+    assert_same_bits(got, built_afresh(ds, pols, spec, baseline, scores))
     return got
 
 
@@ -240,9 +242,9 @@ class FixedPolicy(Policy):
 
 
 class TestPlanCache:
-    """class_stats groups a class once and keeps the grouping in one slot,
-    keyed on the identity of the candidate objects; every reuse must give
-    the bits of a fresh grouping."""
+    """class_stats groups a class on a dataset once and keeps the grouping in
+    the dataset's store, matched to a later call by the identity of the
+    candidate objects; every reuse must give the bits of a fresh grouping."""
 
     def test_one_class_on_two_datasets(self):
         pols = candidates()
@@ -255,7 +257,7 @@ class TestPlanCache:
         ds = generate(400, np.random.default_rng(32))
         scores = scores_for(ds, "dr")
         first, second = candidates(40), candidates(7)[::-1]
-        want = [planned_afresh(ds, pols, SPEC, scores) for pols in (first, second)]
+        want = [built_afresh(ds, pols, SPEC, BASE, scores) for pols in (first, second)]
         for _ in range(2):
             for pols, fresh in zip((first, second), want):
                 got, _ = assert_matches_reference(ds, pols, SPEC, scores)
@@ -290,7 +292,7 @@ class TestPlanCache:
                 assert np.array_equal(got.means[i], want.means[i])
                 assert np.array_equal(got.variances[i], want.variances[i])
                 assert got.goal[i] == want.goal[i]
-        # an equal but distinct policy is another class: the plan is matched
+        # an equal but distinct policy is another class: the grouping is matched
         # by identity, so the new id comes through
         twin = mixed[:5] + [FixedPolicy("fixed-c", 0.3)] + mixed[6:]
         assert twin == mixed
@@ -313,19 +315,32 @@ class TestPlanCache:
         class_stats(ds, second, SPEC, BASE, scores)
         del first, second
         gc.collect()
-        # the slot holds every policy of the last class and nothing older
+        # the dataset's store holds every policy of its last class and
+        # nothing older, and is freed with the dataset
         assert all(ref() is None for ref in refs[0])
         assert all(ref() is not None for ref in refs[1])
-        class_stats(ds, [], SPEC, BASE, scores)
+        del ds
         gc.collect()
         assert all(ref() is None for ref in refs[1])
 
-
-def built_afresh(ds, pols, spec, baseline, scores):
-    """class_stats on an independently built, checked Dataset of ds's rows:
-    its bucket store is empty and it has no parent."""
-    twin = Dataset(*(getattr(ds, name).copy() for name in ARRAYS))
-    return class_stats(twin, pols, spec, baseline, scores)
+    def test_two_datasets_scored_alternately_group_once_each(self, monkeypatch):
+        # each dataset keeps its own class's grouping, so switching between
+        # them evicts nothing: every family's feature is evaluated once per
+        # dataset
+        sets = [generate(n, np.random.default_rng(seed)) for seed, n in ((37, 500), (38, 300))]
+        classes = (candidates(40), candidates(7)[::-1])
+        scores = [scores_for(ds, "dr") for ds in sets]
+        calls = count_feature_calls(monkeypatch)
+        got = [
+            [class_stats(ds, pols, SPEC, BASE, sc) for ds, pols, sc in zip(sets, classes, scores)]
+            for _ in range(3)
+        ]
+        assert sorted(p.feature for p in calls if p is not BASE) == sorted(FEATURES * 2)
+        monkeypatch.undo()
+        for ds, pols, sc, *rounds in zip(sets, classes, scores, *got):
+            want = built_afresh(ds, pols, SPEC, BASE, sc)
+            for stats in rounds:
+                assert_same_bits(stats, want)
 
 
 def split_sides(parent, rho, seed):
@@ -399,6 +414,23 @@ class TestStoredBuckets:
                 built_afresh(side, mixed, SPEC, BASE, scores),
             )
 
+    def test_a_side_of_an_unscored_parent_groups_the_parent_once(self, monkeypatch):
+        parent = generate(800, np.random.default_rng(49))
+        pols = candidates(100)
+        sides = split_sides(parent, 0.5, 50)
+        scores = [scores_for(side, "dr") for side in sides]
+        calls = count_feature_calls(monkeypatch)
+        got = [class_stats(side, pols, SPEC, BASE, sc) for side, sc in zip(sides, scores)]
+        # the first side groups the parent, once per family; the second
+        # side and the parent itself then read no feature of a family
+        assert sorted(p.feature for p in calls if p is not BASE) == sorted(FEATURES)
+        del calls[:]
+        class_stats(parent, pols, SPEC, BASE, scores_for(parent, "ipw"))
+        assert calls == [BASE]
+        monkeypatch.undo()
+        for side, sc, stats in zip(sides, scores, got):
+            assert_same_bits(stats, built_afresh(side, pols, SPEC, BASE, sc))
+
     def test_three_actions_store_nothing(self):
         # K = 3: families are off, every candidate takes the loop
         parent = three_arm_generate(600, np.random.default_rng(46))
@@ -430,17 +462,12 @@ class TestStoredBuckets:
         run = runs.get(method, functools.partial(hcpi_run, rho=0.5))
         run(ds, pols, SPEC, BASE, "asymptotic", hyper, seed=1)
         assert len(given) == 1
-        # the dataset, whose store holds the class's buckets, outlives the
-        # class: once the plan slot moves on, the class is gone
-        class_stats(ds, [], SPEC, BASE, scores_for(ds, "ipw"))
-        refs = [weakref.ref(p) for p in pols]
-        del pols
+        # the class lives as long as the datasets it was scored on, and no
+        # longer: nothing outside them holds it
+        refs = [weakref.ref(p) for p in pols] + given + [weakref.ref(ds)]
+        del pols, ds, given
         gc.collect()
         assert all(ref() is None for ref in refs)
-        given.append(weakref.ref(ds))
-        del ds
-        gc.collect()
-        assert all(ref() is None for ref in given)
 
 
 GOAL_BEYOND = SafetySpec(goal=3, guardrails=(1, 2), weights=(0.0, -0.1), alpha=0.1)

@@ -1,6 +1,9 @@
 import importlib.util
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -88,3 +91,21 @@ def test_one_line_per_shape_and_method(tmp_path, capsys):
         "  paper snpl: identical 0; float-only 2; max 0.005"
         " at paper/traces/snpl_r00000.json.final_bounds.margin",
     ]
+
+
+@pytest.mark.parametrize("decision,code", (("g1@0.2", 0), ("g2@0.4", 1)))
+def test_closed_output_keeps_the_exit_code(tmp_path, decision, code):
+    # as under ``| head``: the reader is gone before the first line
+    left = write_dump(tmp_path / "a", TRACE)
+    right = write_dump(tmp_path / "b", dict(TRACE, decision=decision))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, str(_SCRIPT), "diff", left, right, "--tol", "0"],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert done.stderr == b""
+    assert done.returncode == code

@@ -1002,3 +1002,34 @@ class TestBoundsScatter:
         assert width == pytest.approx(want.widths[0, 0], abs=1e-12)
         assert width == pytest.approx(0.330, abs=5e-4)
         assert all(r["pruned"] == "0" and r["pruned_size"] == "0" for r in rows.values())
+
+    @pytest.mark.parametrize("mode", ("finite", "asymptotic"))
+    def test_statistics_reuse_the_runs_grouping(self, tmp_path, mode, monkeypatch):
+        # the scatter scores the candidates snpl_run just grouped on this
+        # dataset: inside its class_stats call only the baseline's
+        # contraction reads a feature
+        from snpl.core import ThresholdPolicy
+        from snpl.harness import emit_bounds_scatter
+        from snpl.synthetic import build_class
+
+        cfg = tiny_config(methods=("snpl",), mode=mode, eta=3, grid_size=8, n_sim=2000)
+        inside, read = [], []
+        real_values, real_stats = ThresholdPolicy.feature_values, harness.class_stats
+
+        def values(self, X):
+            if inside:
+                read.append(self.policy_id)
+            return real_values(self, X)
+
+        def stats(*args):
+            inside.append(True)
+            try:
+                return real_stats(*args)
+            finally:
+                inside.clear()
+
+        monkeypatch.setattr(ThresholdPolicy, "feature_values", values)
+        monkeypatch.setattr(harness, "class_stats", stats)
+        ds = generate(400, np.random.default_rng(3))
+        emit_bounds_scatter(ds, build_class(cfg.grid_size), cfg, str(tmp_path / "s.csv"))
+        assert read == [cfg.baseline().policy_id]
