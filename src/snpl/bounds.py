@@ -401,14 +401,18 @@ def asymptotic_bounds(table: InfluenceTable, level: float, n_sim: int, rng) -> L
     widths from its ``variances``. Zero-variance columns get width 0. ``meta``
     records n_sim, and ``rng`` as the seed when it is an integer, else null;
     neither applies when at most two columns have variance, where z* is
-    exact.
+    exact. When no column has variance, nothing is drawn, every width is 0
+    and z* is recorded as Phi^{-1}(level), the one-coordinate closed form.
     """
     n, spec = table.n, table.spec
     if n < 2:
         raise ValueError("bounds require n >= 2")
     cov = _covariance(table)
     signs = np.tile(spec.signs, table.policy_count)
-    z_star = supt_quantile(cov * np.outer(signs, signs), level, n_sim, rng)
+    if _active(np.diag(cov)).any():
+        z_star = supt_quantile(cov * np.outer(signs, signs), level, n_sim, rng)
+    else:
+        z_star = normal_quantile(level)
     return LowerBoundTable(
         policy_ids=table.policy_ids,
         spec=spec,
@@ -442,6 +446,8 @@ def bonferroni_normal_bounds(
         z = Phi^{-1}(1 - level / (|Pi~| |S|)),
 
     with |Pi~| = assumed_class_size (defaults to the table's policy count).
+    No library code calls it (runs take ``union_table``); it stays for
+    perfbench's tracer, which binds it, and for the tests.
     """
     if table.n < 2:
         raise ValueError("bounds require n >= 2")

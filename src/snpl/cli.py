@@ -11,7 +11,6 @@ import os
 import sys
 
 from .harness import (
-    ConfigError,
     emit_bounds_scatter,
     load_config,
     load_csv_inputs,
@@ -53,13 +52,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _check_out_file(path: str) -> None:
-    """Raises ConfigError unless a file can be created at path: its directory
+    """Raises ValueError unless a file can be created at path: its directory
     exists and path is not itself a directory."""
     parent = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(parent):
-        raise ConfigError(f"cannot write output: no directory {parent}")
+        raise ValueError(f"cannot write output: no directory {parent}")
     if os.path.isdir(path):
-        raise ConfigError(f"cannot write output: {path} is a directory")
+        raise ValueError(f"cannot write output: {path} is a directory")
 
 
 def main(argv=None) -> int:
@@ -70,7 +69,7 @@ def main(argv=None) -> int:
             try:
                 os.makedirs(args.out, exist_ok=True)
             except OSError as err:
-                raise ConfigError(f"cannot create output directory: {err}") from err
+                raise ValueError(f"cannot create output directory: {err}") from err
             report = run_benchmark(config, out_dir=args.out)
             write_report_csv(report, os.path.join(args.out, "report.csv"))
             write_json(report.to_json_dict(), os.path.join(args.out, "report.json"))
@@ -82,14 +81,14 @@ def main(argv=None) -> int:
             steps = {"--alpha-steps": args.alpha_steps, "--gamma-steps": args.gamma_steps}
             for flag, count in steps.items():
                 if count < 1:
-                    raise ConfigError(f"{flag} must be >= 1, got {count}")
+                    raise ValueError(f"{flag} must be >= 1, got {count}")
             write_gamma_grid_csv(args.out, args.alpha_steps, args.gamma_steps)
             return 0
         if args.command == "bounds-scatter":
             config, dataset = load_csv_inputs(args.data, args.config)
             emit_bounds_scatter(dataset, build_class(config.grid_size), config, args.out)
             return 0
-    except ValueError as err:  # ConfigError included; library validation too
+    except ValueError as err:  # every bad config, data file or argument
         print(f"error: {err}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

@@ -58,16 +58,13 @@ _SPLIT_RHO = {"ds-25": 0.25, "ds-50": 0.50, "ds-75": 0.75}
 SCHEMA_VERSION = 1
 
 
-class ConfigError(ValueError):
-    """Raised for malformed configs or data files; maps to exit code 2."""
-
-
 @dataclass(frozen=True)
 class BenchmarkConfig:
     """One JSON document drives both the benchmark and single runs.
 
     Defaults mirror the synthetic benchmark: alpha = 0.1, gamma = 0.1,
-    p = 0.5, folds = 5, final n_sim = 1e5, w = [0, -0.1], goal outcome 1.
+    p = 0.5, folds = 5, final n_sim = 1e5, w = [0, -0.1], goal outcome 1;
+    the six hyperparameter defaults are read from ``Hyperparams``.
     eta = null (the default) re-derives eta per class size from the
     width-ratio heuristic.
 
@@ -89,12 +86,12 @@ class BenchmarkConfig:
     weights: tuple[float, ...] = (0.0, -0.1)
     senses: tuple[str, ...] | None = None
     alpha: float = 0.1
-    gamma: float = 0.1
-    p: float = 0.5
-    eta: int | None = None
-    B: float | None = None
-    n_sim: int = 100_000
-    folds: int = 5
+    gamma: float = Hyperparams.gamma
+    p: float = Hyperparams.p
+    eta: int | None = Hyperparams.eta
+    B: float | None = Hyperparams.B
+    n_sim: int = Hyperparams.n_sim
+    folds: int = Hyperparams.folds
     master_seed: int = 0
     save_traces: bool = False
     baseline_feature: str = "g1"
@@ -103,30 +100,27 @@ class BenchmarkConfig:
 
     def __post_init__(self):
         if self.replications < 1:
-            raise ConfigError("replications must be >= 1")
+            raise ValueError("replications must be >= 1")
         if not self.methods:
-            raise ConfigError("methods must list at least one method")
+            raise ValueError("methods must list at least one method")
         if len(set(self.methods)) != len(self.methods):
-            raise ConfigError(f"methods must not repeat: {list(self.methods)}")
+            raise ValueError(f"methods must not repeat: {list(self.methods)}")
         for m in self.methods:
             if m not in METHOD_STREAMS:
-                raise ConfigError(f"unrecognized method tag '{m}'")
-        try:
-            check_mode(self.mode)
-            spec = SafetySpec(self.goal, self.guardrails, self.weights, self.alpha, self.senses)
-            hyper = Hyperparams(
-                gamma=self.gamma,
-                eta=self.eta,
-                B=self.B,
-                p=self.p,
-                n_sim=self.n_sim,
-                folds=self.folds,
-            )
-            baseline = ThresholdPolicy(self.baseline_feature, self.baseline_cutoff)
-            # a null eta is the heuristic's, which is 1 wherever alpha' nears the limit
-            check_alpha_prime(delta_star(self.alpha, 1, self.gamma)[1], self.eta or 1, spec.s_count)
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
+                raise ValueError(f"unrecognized method tag '{m}'")
+        check_mode(self.mode)
+        spec = SafetySpec(self.goal, self.guardrails, self.weights, self.alpha, self.senses)
+        hyper = Hyperparams(
+            gamma=self.gamma,
+            eta=self.eta,
+            B=self.B,
+            p=self.p,
+            n_sim=self.n_sim,
+            folds=self.folds,
+        )
+        baseline = ThresholdPolicy(self.baseline_feature, self.baseline_cutoff)
+        # a null eta is the heuristic's, which is 1 wherever alpha' nears the limit
+        check_alpha_prime(delta_star(self.alpha, 1, self.gamma)[1], self.eta or 1, spec.s_count)
         object.__setattr__(self, "_spec", spec)
         object.__setattr__(self, "_hyper", hyper)
         object.__setattr__(self, "_baseline", baseline)
@@ -153,14 +147,14 @@ class BenchmarkConfig:
         """A config from parsed JSON, each field checked against its JSON
         type (an array for a tuple field, schema_version 1); null means the default."""
         if not isinstance(obj, dict):
-            raise ConfigError("config must be a JSON object")
+            raise ValueError("config must be a JSON object")
         hints = typing.get_type_hints(BenchmarkConfig)
         unknown = set(obj) - set(hints) - {"schema_version"}
         if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+            raise ValueError(f"unknown config fields: {sorted(unknown)}")
         version = obj.get("schema_version")
         if version is not None and _json_field("schema_version", version, int) != SCHEMA_VERSION:
-            raise ConfigError(f"config field 'schema_version' must be {SCHEMA_VERSION}: {version}")
+            raise ValueError(f"config field 'schema_version' must be {SCHEMA_VERSION}: {version}")
         return BenchmarkConfig(**{
             name: _json_field(name, obj[name], hints[name])
             for name in hints
@@ -179,7 +173,7 @@ _JSON_TYPES = {
 
 def _json_field(name: str, value, hint):
     """``value`` as config field ``name`` of type ``hint``, an optional field
-    checked as its non-null type; raises ConfigError naming the field unless
+    checked as its non-null type; raises ValueError naming the field unless
     the JSON type matches (a boolean is no number)."""
     if typing.get_origin(hint) is types.UnionType:
         hint = typing.get_args(hint)[0]
@@ -191,7 +185,7 @@ def _json_field(name: str, value, hint):
         isinstance(v, accepted) and (kind is bool or not isinstance(v, bool)) for v in entries
     ):
         shape = "an array, each entry " if array else ""
-        raise ConfigError(f"config field '{name}' must be {shape}{what}: {json.dumps(value)}")
+        raise ValueError(f"config field '{name}' must be {shape}{what}: {json.dumps(value)}")
     return tuple(value) if array else value
 
 
@@ -200,7 +194,7 @@ def load_config(path: str) -> BenchmarkConfig:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
-        raise ConfigError(f"cannot read config: {err}") from err
+        raise ValueError(f"cannot read config: {err}") from err
     return BenchmarkConfig.from_json_dict(obj)
 
 
@@ -245,7 +239,7 @@ def worker_count(replications: int, workers: int | None = None) -> int:
             try:
                 workers = int(env)
             except ValueError as err:
-                raise ConfigError(f"SNPL_THREADS must be an integer: {env!r}") from err
+                raise ValueError(f"SNPL_THREADS must be an integer: {env!r}") from err
         else:
             workers = os.cpu_count() or 1
     return max(1, min(workers, replications))
@@ -275,11 +269,8 @@ def _execute_replication(state: dict, r: int) -> dict:
             ) from err
         elapsed = time.perf_counter() - start
         out[method] = (trace.decision, elapsed)
-        out_dir = state.get("out_dir")
-        if out_dir is not None and config.save_traces:
-            trace_dir = os.path.join(out_dir, "traces")
-            os.makedirs(trace_dir, exist_ok=True)
-            path = os.path.join(trace_dir, f"{method}_r{r:05d}.json")
+        if state["trace_dir"] is not None:
+            path = os.path.join(state["trace_dir"], f"{method}_r{r:05d}.json")
             write_json(trace.to_json_dict(), path)
         # Free the trace's arrays (snpl's arm scores, a split's row indices)
         # before the next method runs; the loop variable would hold them
@@ -325,7 +316,9 @@ def run_benchmark(
     """Runs every configured method on `replications` fresh synthetic
     datasets and scores decisions against the exact truth oracle. An n too
     small for a method, or a goal or guardrail index beyond the synthetic
-    outcomes, raises ConfigError before any data is generated.
+    outcomes, raises ValueError before any data is generated. Traces are
+    written to ``out_dir/traces/`` only when ``save_traces`` is set; that
+    directory is made after those checks, so a rejected config writes nothing.
 
     Detection is the fraction of non-baseline returns; Type I the fraction
     of truly unsafe policies among those (null on a zero denominator); EI
@@ -339,21 +332,25 @@ def run_benchmark(
     # sensitivity t(n, xi) two rows.
     n, folds = config.n, config.folds
     if config.mode == "asymptotic" and n < folds:
-        raise ConfigError(f"more folds than observations: n = {n}, folds = {folds}")
+        raise ValueError(f"more folds than observations: n = {n}, folds = {folds}")
     if "snpl" in config.methods and n < 2:
-        raise ConfigError(f"method 'snpl' needs n >= 2 rows, got n = {n}")
+        raise ValueError(f"method 'snpl' needs n >= 2 rows, got n = {n}")
     least = folds if config.mode == "asymptotic" else 1
     for m in config.methods:
         if m in _SPLIT_RHO:
             n_learn = int(math.floor(_SPLIT_RHO[m] * n))
             if min(n_learn, n - n_learn) < least:
-                raise ConfigError(
+                raise ValueError(
                     f"method '{m}' splits n = {n} rows into {n_learn} and "
                     f"{n - n_learn}; each side needs at least {least}"
                 )
-    _check_outcome_indices(config.spec(), N_OUTCOMES)
+    config.spec().check_outcome_count(N_OUTCOMES)
+    trace_dir = None
+    if out_dir is not None and config.save_traces:
+        trace_dir = os.path.join(out_dir, "traces")
+        os.makedirs(trace_dir, exist_ok=True)
     _keep_heap_mapped()  # before the fork pool, so every worker inherits it
-    state = {"config": config, "policies": build_class(config.grid_size), "out_dir": out_dir}
+    state = {"config": config, "policies": build_class(config.grid_size), "trace_dir": trace_dir}
     M = config.replications
     nworkers = worker_count(M, workers)
     per_rep: dict[int, dict] = {}
@@ -477,10 +474,10 @@ def read_dataset_csv(path: str, config: BenchmarkConfig) -> Dataset:
             try:
                 header = next(reader)
             except StopIteration:
-                raise ConfigError("empty data file") from None
+                raise ValueError("empty data file") from None
             rows = list(reader)
     except OSError as err:
-        raise ConfigError(f"cannot read data: {err}") from err
+        raise ValueError(f"cannot read data: {err}") from err
 
     header = [h.strip() for h in header]
     x_cols = [h for h in header if h.startswith("x")]
@@ -491,11 +488,11 @@ def read_dataset_csv(path: str, config: BenchmarkConfig) -> Dataset:
     expect_e = [f"e{k+1}" for k in range(len(e_cols))]
     expected = expect_x + ["a"] + expect_y + expect_e
     if header != expected or not x_cols or not y_cols:
-        raise ConfigError(
+        raise ValueError(
             f"data header mismatch: expected x1..xd,a,y1..yd[,e1..eK], got {header}"
         )
     if not rows:
-        raise ConfigError("data file has no rows")
+        raise ValueError("data file has no rows")
 
     nx, ny, ne = len(x_cols), len(y_cols), len(e_cols)
     X = np.empty((len(rows), nx))
@@ -504,7 +501,7 @@ def read_dataset_csv(path: str, config: BenchmarkConfig) -> Dataset:
     E = np.empty((len(rows), ne)) if ne else None
     for i, row in enumerate(rows):
         if len(row) != len(expected):
-            raise ConfigError(f"wrong field count at data row {i + 1}")
+            raise ValueError(f"wrong field count at data row {i + 1}")
         try:
             X[i] = [float(v) for v in row[:nx]]
             A[i] = int(row[nx])
@@ -512,15 +509,12 @@ def read_dataset_csv(path: str, config: BenchmarkConfig) -> Dataset:
             if ne:
                 E[i] = [float(v) for v in row[nx + 1 + ny :]]
         except ValueError as err:
-            raise ConfigError(f"unparseable value at data row {i + 1}: {err}") from err
+            raise ValueError(f"unparseable value at data row {i + 1}: {err}") from err
 
     if not ne:
         probs = config.propensity
         E = np.broadcast_to(np.asarray(probs, dtype=float), (len(rows), len(probs)))
-    try:
-        return Dataset(X, A, Y, E)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    return Dataset(X, A, Y, E)
 
 
 def write_gamma_grid_csv(path: str, alpha_steps: int = 50, gamma_steps: int = 80) -> None:
@@ -542,40 +536,32 @@ def write_gamma_grid_csv(path: str, alpha_steps: int = 50, gamma_steps: int = 80
 
 
 def check_threshold_class_fits(dataset: Dataset) -> None:
-    """Raises ConfigError unless the built-in threshold class can act on the
+    """Raises ValueError unless the built-in threshold class can act on the
     dataset: it reads columns x1..x3 and chooses between two actions."""
     if dataset.covariates.shape[1] < 3:
-        raise ConfigError("the built-in threshold policy class needs columns x1..x3")
+        raise ValueError("the built-in threshold policy class needs columns x1..x3")
     if dataset.n_actions != 2:
-        raise ConfigError(
+        raise ValueError(
             f"the built-in threshold policy class is two-action; the data has "
             f"{dataset.n_actions} actions"
         )
 
 
-def _check_outcome_indices(spec: SafetySpec, n_outcomes: int) -> None:
-    """``SafetySpec.check_outcome_count``, its ValueError as a ConfigError."""
-    try:
-        spec.check_outcome_count(n_outcomes)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
-
-
 def load_csv_inputs(data_path: str, config_path: str) -> tuple[BenchmarkConfig, Dataset]:
     """The config and CSV dataset of ``run`` and ``bounds-scatter``; raises
-    ConfigError unless the threshold class and the spec fit the data."""
+    ValueError unless the threshold class and the spec fit the data."""
     config = load_config(config_path)
     dataset = read_dataset_csv(data_path, config)
     check_threshold_class_fits(dataset)
-    _check_outcome_indices(config.spec(), dataset.n_outcomes)
+    config.spec().check_outcome_count(dataset.n_outcomes)
     return config, dataset
 
 
 def run_single(data_path: str, config_path: str, out_path: str) -> int:
     """Applies the configured method (the first entry of `methods`) to a
     CSV dataset and writes the trace JSON. Returns 0 when the decision is
-    non-baseline, 3 on baseline fallback; ConfigError propagates for the
-    CLI to map to exit code 2."""
+    non-baseline, 3 on baseline fallback; a ValueError for bad input
+    propagates for the CLI to map to exit code 2."""
     config, dataset = load_csv_inputs(data_path, config_path)
     method = config.methods[0]
     seed = (config.master_seed, 0, METHOD_STREAMS[method])

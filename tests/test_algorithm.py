@@ -8,7 +8,13 @@ import pytest
 from conftest import dr_value, ipw_value, tabular_generate, three_arm_class, three_arm_generate
 from snpl.algorithm import final_certify, snpl_run
 from snpl.baselines import bonferroni_run, hcpi_run
-from snpl.bounds import asymptotic_bounds, bonferroni_normal_bounds, finite_bounds, union_table
+from snpl.bounds import (
+    asymptotic_bounds,
+    bonferroni_normal_bounds,
+    finite_bounds,
+    normal_quantile,
+    union_table,
+)
 from snpl.core import Dataset, Hyperparams, SafetySpec, ThresholdPolicy, run_streams
 from snpl.estimators import arm_scores, class_stats, fit_nuisance, influence_table, mode_scores
 from snpl.stability import delta_star, eta_heuristic, laplace
@@ -74,6 +80,27 @@ class TestTrivialCases:
         assert decision == "g1@0.5"
         assert table.policy_ids == () and table.estimates.shape == (0, 2)
         assert goals == {} and table.certified_ids() == []
+
+
+class TestBaselineTwin:
+    """Under w = 0 on every guardrail, a rule that treats exactly the
+    baseline's rows has d = 0 in every column; its asymptotic final table
+    has no variance, so nothing is drawn and its margins are its estimates."""
+
+    @pytest.mark.parametrize("method", ("snpl", "ds-50"))
+    def test_twin_returns_the_baseline_with_zero_margins(self, method):
+        ds = generate(200, np.random.default_rng(0))
+        baseline, twin = default_baseline(), ThresholdPolicy("g1", 0.4995)
+        assert np.array_equal(twin.prob_matrix(ds.covariates), baseline.prob_matrix(ds.covariates))
+        spec, hyper = two_guardrails((0.0, 0.0)), Hyperparams(eta=1, n_sim=1000)
+        if method == "snpl":
+            trace = snpl_run(ds, [baseline, twin], spec, baseline, "asymptotic", hyper, (0, 0, 1))
+        else:
+            trace = hcpi_run(ds, [baseline, twin], spec, baseline, "asymptotic", hyper, 0, rho=0.5)
+        assert trace.final.policy_ids == (twin.policy_id,)
+        assert trace.decision == baseline.policy_id
+        assert (trace.final.widths == 0.0).all() and (trace.final.margins == 0.0).all()
+        assert trace.final.meta["z_star"] == normal_quantile(trace.final.level)
 
 
 class TestFinalCertify:

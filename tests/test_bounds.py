@@ -538,6 +538,19 @@ class TestAsymptoticBounds:
         assert out.margins[0, 1] == pytest.approx(0.3)
         assert out.widths[0, 0] > 0.0
 
+    def test_no_varying_column_draws_nothing(self):
+        # z* is the one-coordinate closed form; every width is 0, so the
+        # margins are the estimates
+        spec = SafetySpec(goal=1, guardrails=(1, 2), weights=(0.0, 0.0), alpha=0.1)
+        table = table_from_values(np.column_stack([np.zeros(50), np.full(50, -0.25)]), spec)
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        out = asymptotic_bounds(table, 0.05, 1000, rng)
+        assert rng.bit_generator.state == state
+        assert out.meta["z_star"] == normal_quantile(0.05)
+        assert (out.widths == 0.0).all()
+        assert out.margins.tolist() == [[0.0, -0.25]]
+
     def test_margin_definition(self):
         spec = SafetySpec(
             goal=1, guardrails=(1, 2), weights=(0.0, 0.0), alpha=0.1,

@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 
 from snpl import harness
-from snpl.core import Dataset
+from snpl.core import Dataset, Hyperparams
 from snpl.harness import (
     BenchmarkConfig,
-    ConfigError,
     METHOD_STREAMS,
     load_config,
     load_csv_inputs,
@@ -52,20 +51,20 @@ class TestBenchmarkConfig:
         assert cfg.hyper().folds == 5
 
     def test_validation(self):
-        with pytest.raises(ConfigError, match="replications"):
+        with pytest.raises(ValueError, match="replications"):
             BenchmarkConfig(replications=0)
-        with pytest.raises(ConfigError, match="unrecognized method tag"):
+        with pytest.raises(ValueError, match="unrecognized method tag"):
             BenchmarkConfig(methods=("ds-33",))
-        with pytest.raises(ConfigError, match="mode"):
+        with pytest.raises(ValueError, match="mode"):
             BenchmarkConfig(mode="bootstrap")
-        with pytest.raises(ConfigError, match="w length"):
+        with pytest.raises(ValueError, match="w length"):
             BenchmarkConfig(guardrails=(1,), weights=(0.0, -0.1))
 
     def test_n_sim_checked_when_built(self):
         assert BenchmarkConfig(n_sim=100).n_sim == 100
-        with pytest.raises(ConfigError, match="n_sim must be >= 100"):
+        with pytest.raises(ValueError, match="n_sim must be >= 100"):
             BenchmarkConfig(n_sim=50)
-        with pytest.raises(ConfigError, match="n_sim must be >= 100"):
+        with pytest.raises(ValueError, match="n_sim must be >= 100"):
             BenchmarkConfig.from_json_dict({"n_sim": 50})
 
     @pytest.mark.parametrize(
@@ -74,9 +73,9 @@ class TestBenchmarkConfig:
         ids=("empty", "repeated"),
     )
     def test_methods_checked_when_built(self, methods, message):
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(ValueError, match=message):
             BenchmarkConfig(methods=methods)
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(ValueError, match=message):
             BenchmarkConfig.from_json_dict({"methods": list(methods)})
 
     @pytest.mark.parametrize(
@@ -86,7 +85,7 @@ class TestBenchmarkConfig:
         ids=("cutoff", "feature"),
     )
     def test_baseline_built_once_when_built(self, setting, message):
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(ValueError, match=message):
             BenchmarkConfig(**setting)
         cfg = BenchmarkConfig(baseline_feature="g2", baseline_cutoff=0.25)
         assert cfg.baseline() is cfg.baseline()
@@ -107,7 +106,7 @@ class TestBenchmarkConfig:
             try:
                 BenchmarkConfig(mode=mode, gamma=mid, grid_size=2)
                 lo = mid
-            except ConfigError as err:
+            except ValueError as err:
                 assert "too small for snpl's bounds" in str(err)
                 hi = mid
         assert 36.0 < lo < 37.0
@@ -117,8 +116,11 @@ class TestBenchmarkConfig:
             trace = snpl_run(ds, build_class(2), cfg.spec(), cfg.baseline(), mode, cfg.hyper())
             assert 0.0 < trace.svt.alpha_prime < 1e-300 and math.isfinite(trace.svt.B)
 
-    def test_spec_errors_become_config_errors(self):
-        with pytest.raises(ConfigError, match="nonpositive"):
+    def test_hyperparameter_defaults_are_hyperparams_own(self):
+        assert BenchmarkConfig().hyper() == Hyperparams()
+
+    def test_spec_errors_raised_when_built(self):
+        with pytest.raises(ValueError, match="nonpositive"):
             BenchmarkConfig(weights=(0.5, 0.0))
 
     @pytest.mark.parametrize(
@@ -132,7 +134,7 @@ class TestBenchmarkConfig:
         ids=("gamma", "folds", "eta", "p-bonferroni"),
     )
     def test_hyperparameter_errors_raised_when_built(self, setting, message):
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(ValueError, match=message):
             BenchmarkConfig(**setting)
 
     @pytest.mark.parametrize(
@@ -158,7 +160,7 @@ class TestBenchmarkConfig:
 
         monkeypatch.setattr(harness, "generate", no_data)
         cfg = BenchmarkConfig(replications=1, **setting)
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(ValueError, match=message):
             run_benchmark(cfg, workers=1)
 
     @pytest.mark.parametrize(
@@ -196,7 +198,7 @@ class TestBenchmarkConfig:
         assert back == cfg
 
     def test_unknown_fields_rejected(self):
-        with pytest.raises(ConfigError, match="unknown config fields"):
+        with pytest.raises(ValueError, match="unknown config fields"):
             BenchmarkConfig.from_json_dict({"grid": 10})
 
     @pytest.mark.parametrize(
@@ -210,7 +212,7 @@ class TestBenchmarkConfig:
         ],
     )
     def test_schema_version_other_than_one_rejected(self, version, message):
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(ValueError, match=message):
             BenchmarkConfig.from_json_dict({"schema_version": version})
 
     @pytest.mark.parametrize("obj", [{}, {"schema_version": None}, {"schema_version": 1}])
@@ -218,17 +220,17 @@ class TestBenchmarkConfig:
         assert BenchmarkConfig.from_json_dict(obj) == BenchmarkConfig()
 
     def test_non_object_rejected(self):
-        with pytest.raises(ConfigError, match="JSON object"):
+        with pytest.raises(ValueError, match="JSON object"):
             BenchmarkConfig.from_json_dict([1, 2])
 
     def test_load_config_missing_file(self, tmp_path):
-        with pytest.raises(ConfigError, match="cannot read config"):
+        with pytest.raises(ValueError, match="cannot read config"):
             load_config(str(tmp_path / "none.json"))
 
     def test_load_config_bad_json(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text("{not json")
-        with pytest.raises(ConfigError, match="cannot read config"):
+        with pytest.raises(ValueError, match="cannot read config"):
             load_config(str(path))
 
     def test_load_config_round_trip(self, tmp_path):
@@ -252,7 +254,7 @@ class TestWorkerCount:
 
     def test_env_must_be_integer(self, monkeypatch):
         monkeypatch.setenv("SNPL_THREADS", "many")
-        with pytest.raises(ConfigError, match="SNPL_THREADS"):
+        with pytest.raises(ValueError, match="SNPL_THREADS"):
             worker_count(5)
 
     def test_default_at_least_one(self, monkeypatch):
@@ -388,6 +390,36 @@ class TestRunBenchmark:
         assert rows[0] == "method,detection,detection_se,type1,type1_se,ei,ei_se,reps"
         assert rows[1].split(",")[3] == "" and rows[1].split(",")[4] == ""
 
+    def test_no_traces_without_save_traces(self, tmp_path):
+        run_benchmark(tiny_config(replications=1), workers=1, out_dir=str(tmp_path))
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_replication_failure_names_method_and_seed(self, monkeypatch, workers):
+        real_run = harness.snpl_run
+
+        def failing_run(*args):
+            if args[-1][1] == 1:
+                raise ArithmeticError("boom")
+            return real_run(*args)
+
+        monkeypatch.setattr(harness, "snpl_run", failing_run)
+        cfg = tiny_config(methods=("snpl",), replications=3, master_seed=0)
+        message = r"^method 'snpl' failed in replication 1 \(seed \(0, 1, 1\)\): boom$"
+        with pytest.raises(RuntimeError, match=message):
+            run_benchmark(cfg, workers=workers)
+        assert harness._POOL_STATE == {}
+
+    def test_flat_guardrails_complete_in_asymptotic_mode(self):
+        # w = 0 on both guardrails: a ds-* learning side picks a twin of the
+        # baseline (d = 0 everywhere), whose final table has no variance
+        cfg = BenchmarkConfig(
+            methods=tuple(METHOD_STREAMS), n=200, grid_size=100, replications=1,
+            weights=(0.0, 0.0), n_sim=1000, master_seed=3,
+        )
+        report = run_benchmark(cfg, workers=1)
+        assert [r.detection for r in report.results] == [0.0] * len(METHOD_STREAMS)
+
     def test_unknown_method_in_report_lookup(self):
         report = run_benchmark(tiny_config(), workers=1)
         with pytest.raises(KeyError):
@@ -473,13 +505,13 @@ class TestDatasetCsv:
     def test_header_mismatch(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("x1,a,x2,y1\n0.1,1,0.2,0\n")
-        with pytest.raises(ConfigError, match="data header mismatch"):
+        with pytest.raises(ValueError, match="data header mismatch"):
             read_dataset_csv(str(path), tiny_config())
 
     def test_wrong_field_count(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("x1,x2,x3,a,y1,y2\n0.1,0.2,0.3,1,1\n")
-        with pytest.raises(ConfigError, match="wrong field count at data row 1"):
+        with pytest.raises(ValueError, match="wrong field count at data row 1"):
             read_dataset_csv(str(path), tiny_config())
 
     def test_unparseable_value(self, tmp_path):
@@ -487,25 +519,25 @@ class TestDatasetCsv:
         path.write_text(
             "x1,x2,x3,a,y1,y2\n0.1,0.2,0.3,1,1,0\n0.1,0.2,oops,2,0,1\n"
         )
-        with pytest.raises(ConfigError, match="unparseable value at data row 2"):
+        with pytest.raises(ValueError, match="unparseable value at data row 2"):
             read_dataset_csv(str(path), tiny_config())
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("")
-        with pytest.raises(ConfigError, match="empty data file"):
+        with pytest.raises(ValueError, match="empty data file"):
             read_dataset_csv(str(path), tiny_config())
 
     def test_no_rows(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("x1,x2,x3,a,y1,y2\n")
-        with pytest.raises(ConfigError, match="no rows"):
+        with pytest.raises(ValueError, match="no rows"):
             read_dataset_csv(str(path), tiny_config())
 
     def test_validation_wrapped(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("x1,x2,x3,a,y1,y2\n0.1,0.2,0.3,1,2.5,0\n")
-        with pytest.raises(ConfigError, match="outcome out of range at row 0"):
+        with pytest.raises(ValueError, match="outcome out of range at row 0"):
             read_dataset_csv(str(path), tiny_config())
 
     def test_propensity_vector_length_sets_actions(self, tmp_path):
@@ -517,14 +549,14 @@ class TestDatasetCsv:
         assert read_dataset_csv(str(path), cfg).n_actions == 3
         cpath = tmp_path / "c.json"
         write_json(cfg.to_json_dict(), str(cpath))
-        with pytest.raises(ConfigError, match="two-action; the data has 3 actions"):
+        with pytest.raises(ValueError, match="two-action; the data has 3 actions"):
             load_csv_inputs(str(path), str(cpath))
 
     def test_short_propensity_columns_fail_validation(self, tmp_path):
         # a lone e-column implies K=1; the dataset check rejects it
         path = tmp_path / "d.csv"
         path.write_text("x1,x2,x3,a,y1,y2,e1\n0.1,0.2,0.3,2,1,0,1.0\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="at least two actions"):
             read_dataset_csv(str(path), tiny_config())
 
 
@@ -602,7 +634,7 @@ class TestRunSingle:
 
     def test_guardrail_bounds_checked(self, tmp_path):
         data, cpath, _ = self.prepare(tmp_path, guardrails=(1, 3), weights=(0.0, 0.0))
-        with pytest.raises(ConfigError, match="guardrail index 3 exceeds the 2 outcomes"):
+        with pytest.raises(ValueError, match="guardrail index 3 exceeds the 2 outcomes"):
             run_single(data, cpath, str(tmp_path / "out.json"))
 
 
@@ -1002,6 +1034,26 @@ class TestBoundsScatter:
         assert width == pytest.approx(want.widths[0, 0], abs=1e-12)
         assert width == pytest.approx(0.330, abs=5e-4)
         assert all(r["pruned"] == "0" and r["pruned_size"] == "0" for r in rows.values())
+
+    def test_baseline_twin_writes_finite_values(self, tmp_path):
+        # w = 0: the pruned twin g1@0.4995 treats the baseline's rows, so no
+        # row of the final table varies and every width is 0
+        from snpl.core import ThresholdPolicy
+        from snpl.harness import emit_bounds_scatter
+
+        cfg = BenchmarkConfig(methods=("snpl",), weights=(0.0, 0.0), eta=1, n_sim=1000)
+        ds = generate(200, np.random.default_rng(0))
+        out = tmp_path / "s.csv"
+        emit_bounds_scatter(ds, [cfg.baseline(), ThresholdPolicy("g1", 0.4995)], cfg, str(out))
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["policy_id"], r["pruned"], r["selected"]) for r in rows] == [
+            ("g1@0.5", "0", "1"), ("g1@0.4995", "1", "0"),
+        ]
+        for r in rows:
+            for s in (1, 2):
+                assert math.isfinite(float(r[f"bound_{s}"]))
+                assert r[f"bound_{s}"] == r[f"estimate_{s}"]
 
     @pytest.mark.parametrize("mode", ("finite", "asymptotic"))
     def test_statistics_reuse_the_runs_grouping(self, tmp_path, mode, monkeypatch):
