@@ -9,19 +9,21 @@
 ``BENCHMARK.json`` gates, it runs ``perfbench/run.py --trace 0`` of both
 checkouts ``PAIRS`` (10) times, each in its own checkout, swapping which
 goes first in every pair, so drift of the host lands on both sides alike; then
-one ``--trace 1`` run of each, for the per-layer metrics. ``--seconds``
-defaults to the benchmark's ``run_seconds``. Each file holds, per workload:
+``TRACED`` (3) ``--trace 1`` runs of each, alternating the same way, for the
+per-layer metrics. ``--seconds`` defaults to the benchmark's
+``run_seconds``. Each file holds, per workload:
 
 - ``end_to_end``: the median of each gated metric over the untraced runs;
 - ``end_to_end_spread``: per gated metric, its ``median``, the quartiles
   ``q1`` and ``q3`` (inclusive method) and the ``runs`` in run order;
 - ``method_ms_p50``: the median over the untraced runs of the per-method
   call times they print (``snpl``, ``bonferroni``, ``ds``);
-- ``stages_self_ms``: the traced run's stage split, self ms per op;
-- ``per_layer``: the traced run's per-layer metrics;
-- ``decisions_sha`` (the distinct values of the untraced runs and the
-  traced one's), ops attempted and failed, summed over the untraced runs
-  and for the traced one;
+- ``stages_self_ms``: the median over the traced runs of each stage's self
+  ms per op;
+- ``per_layer``: the median over the traced runs of each per-layer metric;
+- ``decisions_sha`` (the distinct values of the untraced runs and of the
+  traced ones), ops attempted and failed, summed over the untraced runs and
+  over the traced ones;
 
 and the change's file has, per workload, ``vs_parent``: per gated metric,
 in how many pairs the change was better (``better_pairs`` of ``pairs``);
@@ -63,6 +65,10 @@ SIDES = ("parent", "change")
 # Untraced runs of each side per workload; a claimed gain must win at
 # least 9 of 10 such pairs.
 PAIRS = 10
+
+# Traced runs of each side per workload. A single one would put a drift of
+# the host into one side's stage split only.
+TRACED = 3
 
 
 def _git(root: str, *args: str) -> str:
@@ -155,9 +161,15 @@ def _checkout(root: str) -> dict:
     }
 
 
-def _workload(plain: list[dict], traced: dict, bench: dict) -> dict:
-    """One side's record of one workload from its untraced runs, in run
-    order, and its traced run."""
+def _medians(runs: list[dict]) -> dict:
+    """Per key, the median of the runs' values."""
+    return {key: statistics.median(run[key] for run in runs) for key in runs[0]}
+
+
+def _workload(plain: list[dict], traced: list[dict], bench: dict) -> dict:
+    """One side's record of one workload from its untraced and its traced
+    runs, each in run order."""
+    kinds = (("untraced", plain), ("traced", traced))
     e2e = {
         m["name"]: spread([run["metrics"][m["name"]] for run in plain])
         for m in bench["end_to_end"]
@@ -165,18 +177,14 @@ def _workload(plain: list[dict], traced: dict, bench: dict) -> dict:
     return {
         "end_to_end": {name: s["median"] for name, s in e2e.items()},
         "end_to_end_spread": e2e,
-        "method_ms_p50": {
-            m: statistics.median(run["method_ms_p50"][m] for run in plain)
-            for m in plain[0]["method_ms_p50"]
-        },
-        "stages_self_ms": traced["stages"],
-        "per_layer": traced["metrics"],
+        "method_ms_p50": _medians([run["method_ms_p50"] for run in plain]),
+        "stages_self_ms": _medians([run["stages"] for run in traced]),
+        "per_layer": _medians([run["metrics"] for run in traced]),
         "decisions_sha": {
-            "untraced": sorted({run["decisions_sha"] for run in plain}),
-            "traced": traced["decisions_sha"],
+            kind: sorted({run["decisions_sha"] for run in runs}) for kind, runs in kinds
         },
-        "ops": {"untraced": sum(run["attempted"] for run in plain), "traced": traced["attempted"]},
-        "failed": {"untraced": sum(run["failed"] for run in plain), "traced": traced["failed"]},
+        "ops": {kind: sum(run["attempted"] for run in runs) for kind, runs in kinds},
+        "failed": {kind: sum(run["failed"] for run in runs) for kind, runs in kinds},
     }
 
 
@@ -202,10 +210,11 @@ def record(roots: dict, seed: int, seconds: float | None) -> dict:
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
                 print(f"{name}: pair {i + 1}/{PAIRS}, {side} untraced", flush=True)
                 plain[side].append(_perfbench(roots[side], name, seed, seconds, 0))
-        traced = {}
-        for side in SIDES if PAIRS % 2 == 0 else SIDES[::-1]:
-            print(f"{name}: {side} traced", flush=True)
-            traced[side] = _perfbench(roots[side], name, seed, seconds, 1)
+        traced = {side: [] for side in SIDES}
+        for i in range(PAIRS, PAIRS + TRACED):
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                print(f"{name}: traced {i - PAIRS + 1}/{TRACED}, {side}", flush=True)
+                traced[side].append(_perfbench(roots[side], name, seed, seconds, 1))
         for side in SIDES:
             out[side]["workloads"][name] = _workload(plain[side], traced[side], bench)
         parent, change = (out[side]["workloads"][name]["end_to_end_spread"] for side in SIDES)

@@ -62,8 +62,6 @@ def hcpi_run(
         raise ValueError("empty policy class")
     n = dataset.n
     n_learn = int(math.floor(rho * n))
-    if n_learn < 1 or n - n_learn < 1:
-        raise ValueError("both splits must be nonempty")
     recorded_seed, (rng_split, rng_nuis_l, rng_nuis_t, rng_supt) = run_streams(seed, 4)
 
     learn = np.zeros(n, dtype=bool)
@@ -71,9 +69,6 @@ def hcpi_run(
     learn_rows, test_rows = np.flatnonzero(learn), np.flatnonzero(~learn)
     data_l = Dataset._of_rows(dataset, learn_rows)
     data_t = Dataset._of_rows(dataset, test_rows)
-
-    if mode == "asymptotic" and (n_learn < hyper.folds or n - n_learn < hyper.folds):
-        raise ValueError("split too small for cross-fitting folds")
 
     scores_l = mode_scores(data_l, mode, hyper.folds, rng_nuis_l)
     stats = class_stats(data_l, candidates, spec, baseline, scores_l)

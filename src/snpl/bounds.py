@@ -8,14 +8,16 @@ standardized correlated Gaussians, exact at one or two coordinates and
 simulated beyond. A Bonferroni-normal variant serves as the union-bound
 comparator and the in-loop bound.
 
-The width functions (``bernstein_widths``, ``normal_widths``,
-``supt_widths``) and ``margins`` work on arrays of (1/n)-normalized
-variances and means shaped (..., |S|). ``union_table`` builds every
-union-corrected ``LowerBoundTable`` from an ``estimators.ClassStats``, whether
-an influence table (``finite_bounds``, ``bonferroni_normal_bounds``) or the
-class statistics of the scan, the baselines and the bounds scatter. Every
-bound builder takes only the record: its spec, n and propensity floor c
-are those of the rows the statistics came from.
+``union_table`` builds every union-corrected ``LowerBoundTable`` from an
+``estimators.ClassStats`` (an influence table for ``finite_bounds`` and
+``bonferroni_normal_bounds``, or the class statistics of the scan, the
+baselines and the bounds scatter). It holds both union width formulas,
+empirical-Bernstein and Bonferroni-normal, and the rule that a bound table
+needs n >= 2 rows, which ``asymptotic_bounds`` repeats since sup-t is not a
+union table. Every bound builder takes only the record: its spec, n and
+propensity floor c are those of the rows the statistics came from.
+``supt_widths`` and ``margins`` work on arrays of (1/n)-normalized
+variances and means shaped (..., |S|).
 
 This module also owns the pairing of a guarantee mode with its bounds:
 ``finite`` takes the empirical-Bernstein widths and tables, ``asymptotic``
@@ -55,8 +57,6 @@ __all__ = [
     "asymptotic_bounds",
     "bonferroni_normal_bounds",
     "normal_quantile",
-    "bernstein_widths",
-    "normal_widths",
     "supt_widths",
     "margins",
     "check_mode",
@@ -131,50 +131,6 @@ def normal_quantile(p: float) -> float:
     if not 0.0 < p < 1.0:
         raise ValueError("quantile argument must lie in (0, 1)")
     return _NORMAL.inv_cdf(float(p))
-
-
-def _log_term(spec: SafetySpec, level: float, class_size: int) -> float:
-    """L = log(3 |Pi~| |S| / (2 level)) of the Bernstein width."""
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie in (0, 1)")
-    if class_size < 1:
-        raise ValueError("class size must be positive")
-    arg = 3.0 * class_size * spec.s_count / (2.0 * level)
-    if not math.isfinite(arg):
-        raise ValueError("level too small: log argument overflows")
-    return math.log(arg)
-
-
-def _bonferroni_z(spec: SafetySpec, level: float, class_size: int) -> float:
-    """z = Phi^{-1}(1 - level / (|Pi~| |S|)) of the Bonferroni-normal width,
-    taken as -Phi^{-1}(level / (|Pi~| |S|)) so that a tiny per-test level
-    does not round away in 1 - level / (|Pi~| |S|)."""
-    if class_size < 1:
-        raise ValueError("class size must be positive")
-    per_test = level / (class_size * spec.s_count)
-    if not 0.0 < per_test < 0.5:
-        raise ValueError("per-test level must lie in (0, 0.5)")
-    return -normal_quantile(per_test)
-
-
-def bernstein_widths(
-    variances: np.ndarray, spec: SafetySpec, level: float, class_size: int, n: int, c: float
-) -> np.ndarray:
-    """Empirical-Bernstein widths sigma_j sqrt(2L/n) + 3 R_j L / n with
-    L = log(3 |Pi~| |S| / (2 level)), R_j = (2 + w_j) / c and |Pi~| =
-    class_size, for variances shaped (..., |S|)."""
-    L = _log_term(spec, level, class_size)
-    R = (2.0 + np.asarray(spec.weights)) / c
-    return np.sqrt(variances) * math.sqrt(2.0 * L / n) + 3.0 * R * L / n
-
-
-def normal_widths(
-    variances: np.ndarray, spec: SafetySpec, level: float, class_size: int, n: int
-) -> np.ndarray:
-    """Bonferroni-normal widths z sqrt(var / n) with z = Phi^{-1}(1 - level /
-    (|Pi~| |S|)) and |Pi~| = class_size; the per-test level must lie in
-    (0, 0.5), so widths are never negative."""
-    return _bonferroni_z(spec, level, class_size) * np.sqrt(variances) / math.sqrt(n)
 
 
 def supt_widths(variances: np.ndarray, z_star: float, n: int) -> np.ndarray:
@@ -273,10 +229,8 @@ def finite_bounds(
         L = log(3 |Pi~| |S| / (2 level)),  R_j = (2 + w_j) / c,
 
     with |Pi~| = assumed_class_size (defaults to the table's policy count),
-    and the spec, n and c the table's.
+    and the spec, n and c the table's: ``union_table`` in finite mode.
     """
-    if table.n < 2:
-        raise ValueError("bounds require n >= 2")
     return union_table(table, "finite", level, assumed_class_size)
 
 
@@ -445,12 +399,10 @@ def bonferroni_normal_bounds(
         C_j(pi) = D_j(pi) -/+ z sqrt(Sigma_jj / n),
         z = Phi^{-1}(1 - level / (|Pi~| |S|)),
 
-    with |Pi~| = assumed_class_size (defaults to the table's policy count).
-    No library code calls it (runs take ``union_table``); it stays for
-    perfbench's tracer, which binds it, and for the tests.
+    with |Pi~| = assumed_class_size (defaults to the table's policy count):
+    ``union_table`` in asymptotic mode. No library code calls it (runs take
+    ``union_table``); it stays for perfbench's tracer, which binds it.
     """
-    if table.n < 2:
-        raise ValueError("bounds require n >= 2")
     return union_table(table, "asymptotic", level, assumed_class_size)
 
 
@@ -466,17 +418,38 @@ def union_table(
     """The mode's union-corrected bound table over |Pi~| = class_size
     (defaults to the statistics' policy count), from the statistics' means
     and (1/n)-normalized variances and their spec, n and c, one row per
-    policy: ``bernstein_widths`` in finite mode (method ``finite``; c sets
-    the range term), ``normal_widths`` in asymptotic mode (method
-    ``bonferroni-normal``)."""
+    policy. Finite mode (method ``finite``) takes the empirical-Bernstein
+    widths sigma_j sqrt(2L/n) + 3 R_j L / n with L = log(3 |Pi~| |S| /
+    (2 level)) and R_j = (2 + w_j) / c; asymptotic mode (method
+    ``bonferroni-normal``) the Bonferroni-normal widths z sqrt(var / n)
+    with z = Phi^{-1}(1 - level / (|Pi~| |S|)), taken as
+    -Phi^{-1}(level / (|Pi~| |S|)) so that a tiny per-test level does not
+    round away. That per-test level must lie in (0, 0.5), so widths are
+    never negative. ``meta`` records L or z. Raises ValueError at n < 2."""
     spec, n = stats.spec, stats.n
+    if n < 2:
+        raise ValueError("bounds require n >= 2")
     m = stats.policy_count if class_size is None else class_size
+    if m < 1:
+        raise ValueError("class size must be positive")
+    sd = np.sqrt(stats.variances)
     if mode == "finite":
-        widths = bernstein_widths(stats.variances, spec, level, m, n, stats.c)
-        method, meta = "finite", {"log_term": _log_term(spec, level, m)}
+        if not 0.0 < level < 1.0:
+            raise ValueError("level must lie in (0, 1)")
+        arg = 3.0 * m * spec.s_count / (2.0 * level)
+        if not math.isfinite(arg):
+            raise ValueError("level too small: log argument overflows")
+        L = math.log(arg)
+        R = (2.0 + np.asarray(spec.weights)) / stats.c
+        widths = sd * math.sqrt(2.0 * L / n) + 3.0 * R * L / n
+        method, meta = "finite", {"log_term": L}
     else:
-        widths = normal_widths(stats.variances, spec, level, m, n)
-        method, meta = "bonferroni-normal", {"z": _bonferroni_z(spec, level, m)}
+        per_test = level / (m * spec.s_count)
+        if not 0.0 < per_test < 0.5:
+            raise ValueError("per-test level must lie in (0, 0.5)")
+        z = -normal_quantile(per_test)
+        widths = z * sd / math.sqrt(n)
+        method, meta = "bonferroni-normal", {"z": z}
     meta.update(class_size=m, s_count=spec.s_count, n=n)
     return LowerBoundTable(stats.policy_ids, spec, stats.means, widths, method, level, meta)
 

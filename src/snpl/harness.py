@@ -327,23 +327,23 @@ def run_benchmark(
     not for the whole class. Aggregation iterates replications in index
     order, so reports do not depend on completion order.
     """
-    # Cross-fitting needs at least one row per fold in every sample it
-    # fits on; a finite-mode split needs one row on each side, and snpl's
-    # sensitivity t(n, xi) two rows.
-    n, folds = config.n, config.folds
-    if config.mode == "asymptotic" and n < folds:
-        raise ValueError(f"more folds than observations: n = {n}, folds = {folds}")
-    if "snpl" in config.methods and n < 2:
-        raise ValueError(f"method 'snpl' needs n >= 2 rows, got n = {n}")
-    least = folds if config.mode == "asymptotic" else 1
+    # Every sample a method fits or certifies on (all n rows for snpl and
+    # bonferroni, each side of the split for ds-*) needs one row per
+    # cross-fitting fold in asymptotic mode and a bound table's two rows in
+    # finite mode.
+    n = config.n
+    least = config.folds if config.mode == "asymptotic" else 2
     for m in config.methods:
         if m in _SPLIT_RHO:
-            n_learn = int(math.floor(_SPLIT_RHO[m] * n))
-            if min(n_learn, n - n_learn) < least:
-                raise ValueError(
-                    f"method '{m}' splits n = {n} rows into {n_learn} and "
-                    f"{n - n_learn}; each side needs at least {least}"
-                )
+            n_learn = math.floor(_SPLIT_RHO[m] * n)
+            sizes = (n_learn, n - n_learn)
+        else:
+            sizes = (n,)
+        if min(sizes) < least:
+            raise ValueError(
+                f"method '{m}' needs at least {least} rows per sample in {config.mode} "
+                f"mode; n = {n} gives sample sizes {' and '.join(map(str, sizes))}"
+            )
     config.spec().check_outcome_count(N_OUTCOMES)
     trace_dir = None
     if out_dir is not None and config.save_traces:
@@ -424,24 +424,13 @@ def write_json(obj: dict, path: str) -> None:
 
 
 def write_report_csv(report: BenchmarkReport, path: str) -> None:
+    """One row per method: every ``MethodResult`` field but ``wall_time``,
+    a null Type I rate as an empty cell."""
+    names = [f.name for f in fields(MethodResult) if f.name != "wall_time"]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["method", "detection", "detection_se", "type1", "type1_se", "ei", "ei_se", "reps"]
-        )
-        for r in report.results:
-            writer.writerow(
-                [
-                    r.method,
-                    repr(r.detection),
-                    repr(r.detection_se),
-                    "" if r.type1 is None else repr(r.type1),
-                    "" if r.type1_se is None else repr(r.type1_se),
-                    repr(r.ei),
-                    repr(r.ei_se),
-                    r.reps,
-                ]
-            )
+        writer.writerow(names)
+        writer.writerows([getattr(r, name) for name in names] for r in report.results)
 
 
 def write_dataset_csv(dataset: Dataset, path: str) -> None:

@@ -1,15 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
 from snpl.baselines import bonferroni_run, hcpi_run
 from snpl.bounds import (
     asymptotic_bounds,
-    bernstein_widths,
     bonferroni_normal_bounds,
     finite_bounds,
     margins,
     normal_quantile,
-    normal_widths,
+    union_table,
 )
 from conftest import dr_value, ipw_value, tabular_generate, three_arm_class, three_arm_generate
 from snpl.core import Dataset, Hyperparams, SafetySpec, ThresholdPolicy, Trace
@@ -74,7 +75,7 @@ class TestHcpi:
 
     def test_split_too_small_for_folds(self):
         ds = generate(8, np.random.default_rng(4))
-        with pytest.raises(ValueError, match="split too small"):
+        with pytest.raises(ValueError, match="more folds than observations"):
             hcpi_run(
                 ds, self.candidates(), two_guardrails(), default_baseline(),
                 rho=0.5, mode="asymptotic", seed=0,
@@ -274,10 +275,13 @@ class TestBonferroniTraceMatchesDecision:
                 if mode == "asymptotic" else None
             )
             stats = class_stats(ds, candidates, spec, baseline, arm_scores(ds, nuis))
+            meta = union_table(stats, mode, spec.alpha).meta
             if mode == "finite":
-                widths = bernstein_widths(stats.variances, spec, spec.alpha, m, n, ds.c)
+                L, R = meta["log_term"], (2.0 + np.asarray(spec.weights)) / ds.c
+                widths = np.sqrt(stats.variances) * math.sqrt(2.0 * L / n) + 3.0 * R * L / n
             else:
-                widths = normal_widths(stats.variances, spec, spec.alpha, m, n)
+                widths = meta["z"] * np.sqrt(stats.variances) / math.sqrt(n)
+            assert meta["class_size"] == m
             margin = margins(stats.means, widths, spec)
             rows = np.flatnonzero(margin.min(axis=1) > 0.0)
             assert bool(rows.size) == certifies

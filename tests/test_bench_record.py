@@ -73,6 +73,7 @@ def test_record_alternates_the_checkouts_and_stores_spreads(tmp_path, monkeypatc
     monkeypatch.setattr(bench_record, "_perfbench", fake_perfbench)
     monkeypatch.setattr(bench_record, "_checkout", lambda root: {"git_sha": root})
     monkeypatch.setattr(bench_record, "PAIRS", 3)
+    monkeypatch.setattr(bench_record, "TRACED", 1)
     out = bench_record.record(roots, seed=0, seconds=None)
 
     p, c = roots["parent"], roots["change"]
@@ -86,13 +87,57 @@ def test_record_alternates_the_checkouts_and_stores_spreads(tmp_path, monkeypatc
     assert change["end_to_end"] == {"ops_per_s": 14.0, "op_ms.p50": 1000.0 / 14.0}
     assert change["method_ms_p50"] == {"snpl": 2.0}
     assert change["per_layer"]["layer.ms"] == 1.0 and change["stages_self_ms"] == {"scan": 1.0}
-    assert change["decisions_sha"] == {"untraced": ["abc"], "traced": "abc"}
+    assert change["decisions_sha"] == {"untraced": ["abc"], "traced": ["abc"]}
     assert change["ops"] == {"untraced": 60, "traced": 10}
     assert change["vs_parent"] == {
         "ops_per_s": {"better_pairs": 3, "pairs": 3, "resolved": True, "regressed": False},
         "op_ms.p50": {"better_pairs": 3, "pairs": 3, "resolved": True, "regressed": False},
     }
     assert "vs_parent" not in parent
+
+
+def test_traced_metrics_are_medians_of_alternating_runs(tmp_path, monkeypatch):
+    bench = {
+        "run_seconds": 3,
+        "workloads": [{"name": "w"}],
+        "end_to_end": [{"name": "ops_per_s", "better": "higher", "bound": 0.25}],
+    }
+    roots = {"parent": str(tmp_path / "p"), "change": str(tmp_path / "c")}
+    for root in roots.values():
+        pathlib.Path(root).mkdir()
+    (tmp_path / "c" / "BENCHMARK.json").write_text(json.dumps(bench))
+    calls = []
+    # per side, the traced runs' values in run order: a slow middle run on
+    # the change side, a fast first one on the parent side
+    stage_ms = {roots["parent"]: [2.0, 5.0, 4.0], roots["change"]: [3.0, 30.0, 1.0]}
+
+    def fake_perfbench(root, workload, seed, seconds, trace):
+        calls.append((root, trace))
+        k = sum(1 for c in calls if c == (root, trace)) - 1
+        value = stage_ms[root][k] if trace else 1.0
+        return {
+            "metrics": {"ops_per_s": 10.0, "layer.ms": 10.0 * value},
+            "attempted": 10,
+            "failed": k if trace else 0,
+            "decisions_sha": f"sha{k}" if trace else "abc",
+            "method_ms_p50": {"snpl": 1.0},
+            "stages": {"scan": value, "fit": 2.0 * value},
+        }
+
+    monkeypatch.setattr(bench_record, "_perfbench", fake_perfbench)
+    monkeypatch.setattr(bench_record, "_checkout", lambda root: {"git_sha": root})
+    monkeypatch.setattr(bench_record, "PAIRS", 2)
+    out = bench_record.record(roots, seed=0, seconds=None)
+
+    p, c = roots["parent"], roots["change"]
+    assert calls[4:] == [(p, 1), (c, 1), (c, 1), (p, 1), (p, 1), (c, 1)]
+    parent, change = out["parent"]["workloads"]["w"], out["change"]["workloads"]["w"]
+    assert change["stages_self_ms"] == {"scan": 3.0, "fit": 6.0}
+    assert parent["stages_self_ms"] == {"scan": 4.0, "fit": 8.0}
+    assert change["per_layer"] == {"ops_per_s": 10.0, "layer.ms": 30.0}
+    assert change["decisions_sha"] == {"untraced": ["abc"], "traced": ["sha0", "sha1", "sha2"]}
+    assert change["ops"] == {"untraced": 20, "traced": 30}
+    assert change["failed"] == {"untraced": 0, "traced": 3}
 
 
 def test_unwritable_out_dir_exits_two_before_any_run(tmp_path, monkeypatch, capsys):

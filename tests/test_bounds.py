@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,17 +13,16 @@ from snpl.bounds import (
     _owens_t,
     LowerBoundTable,
     asymptotic_bounds,
-    bernstein_widths,
     bonferroni_normal_bounds,
     finite_bounds,
     margins,
     normal_quantile,
-    normal_widths,
     supt_quantile,
     supt_widths,
+    union_table,
 )
 from snpl.core import SafetySpec
-from snpl.estimators import InfluenceTable
+from snpl.estimators import ClassStats, InfluenceTable
 
 
 def one_guardrail_spec(w=0.0, sense="lower", alpha=0.1) -> SafetySpec:
@@ -632,14 +632,18 @@ class TestWidthFunctions:
         values = np.random.default_rng(5).random((50, 6))
         table = table_from_values(values, self.spec)
         var = np.var(values, axis=0).reshape(3, 2)
-        pairs = (
-            (finite_bounds(table, 0.1, 7),
-             bernstein_widths(var, self.spec, 0.1, 7, 50, 0.5)),
-            (bonferroni_normal_bounds(table, 0.1, 7),
-             normal_widths(var, self.spec, 0.1, 7, 50)),
-        )
+        fin = finite_bounds(table, 0.1, 7)
+        L = fin.meta["log_term"]
+        assert L == pytest.approx(math.log(3.0 * 7 * 2 / (2.0 * 0.1)), rel=1e-15)
+        R = (2.0 + np.array([0.0, -0.5])) / 0.5
+        bonf = bonferroni_normal_bounds(table, 0.1, 7)
+        assert bonf.meta["z"] == pytest.approx(-ndtri(0.1 / (7 * 2)), rel=1e-14)
         sup = asymptotic_bounds(table, 0.1, 1000, 3)
-        pairs += ((sup, supt_widths(var, sup.meta["z_star"], 50)),)
+        pairs = (
+            (fin, np.sqrt(var) * math.sqrt(2.0 * L / 50) + 3.0 * R * L / 50),
+            (bonf, bonf.meta["z"] * np.sqrt(var) / math.sqrt(50)),
+            (sup, supt_widths(var, sup.meta["z_star"], 50)),
+        )
         for out, widths in pairs:
             assert out.widths.shape == (3, 2)
             np.testing.assert_allclose(out.widths, widths, rtol=0, atol=1e-14)
@@ -647,22 +651,43 @@ class TestWidthFunctions:
                 out.margins, margins(table.means, widths, self.spec), rtol=0, atol=1e-14
             )
 
-    def test_normal_widths_need_per_test_level_below_half(self):
+    def test_bonferroni_widths_need_per_test_level_below_half(self):
         # level 0.6 over one policy and one guardrail would give z < 0
         spec = one_guardrail_spec(alpha=0.6)
+        table = table_from_values(np.tile([-1.0, 1.0], 50)[:, None], spec)
         with pytest.raises(ValueError, match="per-test level"):
-            normal_widths(np.ones((1, 1)), spec, 0.6, 1, 100)
-        assert normal_widths(np.ones((1, 1)), spec, 0.6, 2, 100)[0, 0] > 0.0
+            union_table(table, "asymptotic", 0.6, 1)
+        assert union_table(table, "asymptotic", 0.6, 2).widths[0, 0] > 0.0
 
     def test_widths_validate_level_and_class_size(self):
+        table = table_from_values(np.ones((100, 2)), self.spec)
         with pytest.raises(ValueError, match="level"):
-            bernstein_widths(np.ones((1, 2)), self.spec, 1.0, 1, 100, 0.5)
+            union_table(table, "finite", 1.0, 1)
         with pytest.raises(ValueError, match="class size"):
-            bernstein_widths(np.ones((1, 2)), self.spec, 0.1, 0, 100, 0.5)
+            union_table(table, "finite", 0.1, 0)
         # an empty table at its own policy count, as a union over nothing
         empty = table_from_values(np.zeros((10, 0)), self.spec)
         with pytest.raises(ValueError, match="class size"):
             bonferroni_normal_bounds(empty, 0.1)
+
+    @pytest.mark.parametrize("mode", ("finite", "asymptotic"))
+    def test_union_table_needs_two_rows(self, mode):
+        # class statistics of one row, at a level and class size every
+        # other check accepts
+        stats = ClassStats(
+            policy_ids=("p0",),
+            means=np.array([[0.5, 0.5]]),
+            variances=np.zeros((1, 2)),
+            goal=np.zeros(1),
+            baseline_goal=0.0,
+            spec=self.spec,
+            baseline_id="base",
+            n=1,
+            c=0.5,
+        )
+        with pytest.raises(ValueError, match="bounds require n >= 2"):
+            union_table(stats, mode, 0.1)
+        assert union_table(replace(stats, n=2), mode, 0.1).meta["n"] == 2
 
     def test_supt_widths_zero_below_floor(self):
         widths = supt_widths(np.array([4.0, 1e-13, 0.0]), -2.0, 100)

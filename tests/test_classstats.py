@@ -21,7 +21,7 @@ from conftest import (
     three_arm_class,
     three_arm_generate,
 )
-from snpl.bounds import asymptotic_bounds, bernstein_widths, margins, normal_widths, union_table
+from snpl.bounds import asymptotic_bounds, margins, union_table
 from snpl.core import (
     FEATURES,
     Dataset,
@@ -89,7 +89,8 @@ class TestAgainstReference:
         )
         ds = make_data(500, np.random.default_rng(2))
         got, want = assert_matches_reference(ds, candidates(), spec, scores_for(ds, "dr"))
-        widths = normal_widths(want.variances, spec, 0.1, 7, ds.n)
+        z = union_table(want, "asymptotic", 0.1, 7).meta["z"]
+        widths = z * np.sqrt(want.variances) / math.sqrt(ds.n)
         np.testing.assert_allclose(
             margins(got.means, widths, spec), margins(want.means, widths, spec), rtol=0, atol=1e-12
         )
@@ -535,13 +536,15 @@ class TestRecordContext:
         stats = class_stats(part, pols, self.UPPER, BASE, scores)
         table = influence_table(part, scores, pols, self.UPPER, BASE)
         finite = union_table(stats, "finite", 0.1)
+        L, R = finite.meta["log_term"], (2.0 + np.array([0.0, -0.1])) / part.c
+        assert L == math.log(3.0 * len(pols) * 2 / (2.0 * 0.1))
         np.testing.assert_array_equal(
             finite.widths,
-            bernstein_widths(stats.variances, self.UPPER, 0.1, len(pols), part.n, part.c),
+            np.sqrt(stats.variances) * math.sqrt(2.0 * L / part.n) + 3.0 * R * L / part.n,
         )
         normal = union_table(stats, "asymptotic", 0.1, 7)
         np.testing.assert_array_equal(
-            normal.widths, normal_widths(stats.variances, self.UPPER, 0.1, 7, part.n)
+            normal.widths, normal.meta["z"] * np.sqrt(stats.variances) / math.sqrt(part.n)
         )
         supt = asymptotic_bounds(table, 0.1, 1000, 0)
         assert supt.meta["n"] == part.n

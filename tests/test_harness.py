@@ -140,15 +140,29 @@ class TestBenchmarkConfig:
     @pytest.mark.parametrize(
         "setting, message",
         [
-            ({"n": 3}, "more folds than observations"),
-            ({"n": 8, "methods": ("ds-50",)}, "'ds-50' splits n = 8 rows into 4 and 4"),
-            ({"n": 19, "methods": ("ds-25",)}, "'ds-25' splits n = 19 rows into 4 and 15"),
-            ({"n": 3, "methods": ("ds-25",), "mode": "finite"}, "each side needs at least 1"),
-            ({"n": 1, "methods": ("ds-75",), "mode": "finite"}, "into 0 and 1"),
-            ({"n": 1, "mode": "finite"}, "method 'snpl' needs n >= 2 rows, got n = 1"),
+            ({"n": 3}, "'snpl' needs at least 5 rows per sample in asymptotic mode; n = 3 "
+                       "gives sample sizes 3"),
+            ({"n": 8, "methods": ("ds-50",)}, "'ds-50' needs at least 5 rows per sample in "
+                                              "asymptotic mode; n = 8 gives sample sizes 4 and 4"),
+            ({"n": 19, "methods": ("ds-25",)}, "n = 19 gives sample sizes 4 and 15"),
+            ({"n": 3, "methods": ("ds-25",), "mode": "finite"}, "at least 2 rows per sample in "
+                                                                "finite mode; n = 3 gives sample "
+                                                                "sizes 0 and 3"),
+            ({"n": 1, "methods": ("ds-75",), "mode": "finite"}, "sample sizes 0 and 1"),
+            ({"n": 1, "mode": "finite"}, "'snpl' needs at least 2 rows per sample in finite "
+                                         "mode; n = 1 gives sample sizes 1"),
+            ({"n": 4, "methods": ("ds-25", "ds-75"), "mode": "finite"},
+             "'ds-25' needs at least 2 rows per sample in finite mode; n = 4 gives sample "
+             "sizes 1 and 3"),
+            ({"n": 2, "methods": ("snpl", "bonferroni", "ds-50"), "mode": "finite"},
+             "'ds-50' needs at least 2 rows per sample in finite mode; n = 2 gives sample "
+             "sizes 1 and 1"),
+            ({"n": 1, "methods": ("bonferroni",), "mode": "finite"},
+             "'bonferroni' needs at least 2 rows per sample in finite mode; n = 1 gives "
+             "sample sizes 1"),
         ],
         ids=("snpl-n-below-folds", "ds-50", "ds-25", "ds-25-finite", "ds-75-finite",
-             "snpl-finite-n-1"),
+             "snpl-finite-n-1", "finite-ds", "finite-tiny", "finite-bonferroni-n-1"),
     )
     def test_sample_size_errors_raised_when_built(self, setting, message, monkeypatch):
         # n is checked where it makes rows: the config builds, and
@@ -169,28 +183,20 @@ class TestBenchmarkConfig:
             {"n": 5},
             {"n": 10, "methods": ("ds-50",)},
             {"n": 20, "methods": ("ds-25", "ds-50", "ds-75")},
-            {"n": 4, "methods": ("ds-25", "ds-75"), "mode": "finite"},
-            {"n": 2, "methods": ("snpl", "bonferroni", "ds-50"), "mode": "finite"},
-            {"n": 1, "methods": ("bonferroni",), "mode": "finite"},
+            {"n": 8, "methods": ("ds-25", "ds-75"), "mode": "finite"},
+            {"n": 4, "methods": ("snpl", "bonferroni", "ds-50"), "mode": "finite"},
+            {"n": 2, "methods": ("snpl", "bonferroni"), "mode": "finite"},
         ],
-        ids=("asymptotic-n-equals-folds", "ds-50", "ds-all", "finite-ds", "finite-tiny",
-             "finite-bonferroni-n-1"),
+        ids=("asymptotic-n-equals-folds", "ds-50", "ds-all", "finite-ds-n-8",
+             "finite-tiny-n-4", "finite-n-2"),
     )
-    def test_smallest_sample_sizes_accepted(self, setting, monkeypatch):
-        # run_benchmark passes its sample-size check and goes on to generate
-        from snpl import harness
-
-        class Generated(Exception):
-            pass
-
-        def generated(*args):
-            raise Generated
-
-        monkeypatch.setattr(harness, "generate", generated)
-        cfg = BenchmarkConfig(replications=1, grid_size=2, **setting)
-        assert cfg.n == setting["n"]
-        with pytest.raises(Generated):
-            run_benchmark(cfg, workers=1)
+    @pytest.mark.filterwarnings("ignore:singular design")
+    def test_smallest_sample_sizes_accepted(self, setting):
+        # every accepted size runs a replication of every method end to end
+        cfg = BenchmarkConfig(replications=1, grid_size=2, n_sim=100, **setting)
+        report = run_benchmark(cfg, workers=1)
+        assert [r.method for r in report.results] == list(setting.get("methods", ("snpl",)))
+        assert all(r.reps == 1 for r in report.results)
 
     def test_json_round_trip(self):
         cfg = tiny_config(eta=7, senses=("lower", "upper"), weights=(0.0, 0.0))
@@ -807,11 +813,17 @@ class TestCli:
     @pytest.mark.parametrize(
         "setting, message",
         [
-            ({"n": 3, "methods": ["snpl"]}, "more folds than observations"),
-            ({"n": 8, "methods": ["ds-50"], "replications": 1}, "method 'ds-50' splits"),
+            (
+                {"n": 3, "methods": ["snpl"]},
+                "method 'snpl' needs at least 5 rows per sample in asymptotic mode",
+            ),
+            (
+                {"n": 8, "methods": ["ds-50"], "replications": 1},
+                "method 'ds-50' needs at least 5 rows per sample",
+            ),
             (
                 {"n": 1, "mode": "finite", "replications": 1, "grid_size": 2},
-                "method 'snpl' needs n >= 2",
+                "method 'snpl' needs at least 2 rows per sample in finite mode",
             ),
             (
                 {"n": 200, "guardrails": [1, 3], "weights": [0, -0.1]},
@@ -862,7 +874,26 @@ class TestCli:
         assert capsys.readouterr().err == ""
         assert main(["simulate", "--config", str(cpath), "--out", str(tmp_path / "sim")]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert err == ["error: more folds than observations: n = 3, folds = 5"]
+        assert err == [
+            "error: method 'snpl' needs at least 5 rows per sample in asymptotic mode; "
+            "n = 3 gives sample sizes 3"
+        ]
+
+    def test_one_row_bonferroni_finite_run_exits_two(self, tmp_path, capsys):
+        # a union-corrected table of one row certifies nothing: the run
+        # stops before it writes a trace
+        from snpl.cli import main
+
+        ds = generate(60, np.random.default_rng(7))
+        one = Dataset(ds.covariates[:1], ds.actions[:1], ds.outcomes[:1], ds.propensities[:1])
+        data = tmp_path / "d.csv"
+        write_dataset_csv(one, str(data))
+        cpath = tmp_path / "c.json"
+        cpath.write_text(json.dumps({"methods": ["bonferroni"], "mode": "finite", "grid_size": 5}))
+        out = tmp_path / "t.json"
+        assert main(["run", "--data", str(data), "--config", str(cpath), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: bounds require n >= 2"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "bounds-scatter"])
     def test_outcome_index_beyond_data_exits_two(self, tmp_path, capsys, command):

@@ -106,7 +106,7 @@ def test_benchmark_replication_validates_each_dataset_once(monkeypatch):
     (
         ("snpl", "more folds than observations"),
         ("bonferroni", "more folds than observations"),
-        ("ds", "split too small for cross-fitting folds"),
+        ("ds", "more folds than observations"),
     ),
 )
 def test_fewer_rows_than_folds_rejected(method, message):
