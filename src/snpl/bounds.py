@@ -386,7 +386,8 @@ def asymptotic_bounds(table: InfluenceTable, level: float, n_sim: int, rng) -> L
 
 
 def _covariance(table: InfluenceTable) -> np.ndarray:
-    """(1/n)-normalized covariance of the influence columns."""
+    """(1/n)-normalized covariance of the influence columns. Its rounding,
+    and so z*, follows the layout of ``values``, which is row-major."""
     centered = table.values - table.means.reshape(-1)
     return centered.T @ centered / table.n
 

@@ -33,9 +33,15 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Logged data stored columnwise: X (n, d_X), A (n,) in {1..K}, Y (n, d_Y),
-    and the known logging propensities e(k, x_i) as an (n, K) array (a
+    """Logged data: X (n, d_X), A (n,) in {1..K}, Y (n, d_Y), and the known
+    logging propensities e(k, x_i) as an (n, K) array (a
     covariate-independent design passes ``np.broadcast_to(probs, (n, K))``).
+
+    Memory order: the datasets the package builds (``synthetic.generate``,
+    ``harness.read_dataset_csv``, a split side) hold X and Y column-major,
+    so a pass over one column's n rows is one unit-stride loop (see
+    ``estimators``); a caller's own arrays are kept as given, in either
+    order, with the same results bit for bit.
 
     Valid by construction: building one checks the logged-data assumptions
     the bounds rest on and raises ValueError naming the first offending row.
@@ -71,10 +77,19 @@ class Dataset:
     @classmethod
     def _of_rows(cls, parent: "Dataset", rows: np.ndarray) -> "Dataset":
         """The dataset of ``parent``'s rows at the indices ``rows``,
-        read-only, with its own c; raises ValueError on no rows."""
+        read-only, with its own c; raises ValueError on no rows. Each 2-D
+        array is gathered column by column into a column-major one."""
         side = object.__new__(cls)
         for name in ("covariates", "actions", "outcomes", "propensities"):
-            object.__setattr__(side, name, getattr(parent, name)[rows])
+            array = getattr(parent, name)
+            if array.ndim == 2:
+                out = np.empty((len(rows), array.shape[1]), array.dtype, order="F")
+                for j in range(array.shape[1]):
+                    array[:, j].take(rows, out=out[:, j])
+                array = out
+            else:
+                array = array.take(rows)
+            object.__setattr__(side, name, array)
         if side.n == 0:
             raise ValueError("dataset must be nonempty")
         object.__setattr__(side, "_source", (parent, rows))
@@ -146,8 +161,11 @@ class ThresholdPolicy(Policy):
         return self.feature_values(covariates) < self.cutoff
 
     def prob_matrix(self, covariates: np.ndarray) -> np.ndarray:
-        m = self.treat_mask(covariates).astype(float)
-        return np.column_stack([m, 1.0 - m])
+        m = self.treat_mask(covariates)
+        P = np.empty((len(m), 2), order="F")
+        P[:, 0] = m
+        np.subtract(1.0, P[:, 0], out=P[:, 1])
+        return P
 
 
 @dataclass(frozen=True)

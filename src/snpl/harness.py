@@ -484,9 +484,9 @@ def read_dataset_csv(path: str, config: BenchmarkConfig) -> Dataset:
         raise ValueError("data file has no rows")
 
     nx, ny, ne = len(x_cols), len(y_cols), len(e_cols)
-    X = np.empty((len(rows), nx))
+    X = np.empty((len(rows), nx), order="F")  # column-major, as in ``Dataset``
     A = np.empty(len(rows), dtype=np.int64)
-    Y = np.empty((len(rows), ny))
+    Y = np.empty((len(rows), ny), order="F")
     E = np.empty((len(rows), ne)) if ne else None
     for i, row in enumerate(rows):
         if len(row) != len(expected):

@@ -44,17 +44,20 @@ def default_baseline() -> ThresholdPolicy:
 
 def generate(n: int, rng: np.random.Generator) -> Dataset:
     """Draws a dataset of size n; draw order is covariates, treatment,
-    Y1 uniforms, Y2 uniforms, so results are reproducible from the seed."""
+    Y1 uniforms, Y2 uniforms, so results are reproducible from the seed.
+    X and Y are column-major, like every dataset the package builds (see
+    ``Dataset``)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    X = rng.random((n, 3))
+    X = np.asfortranarray(rng.random((n, 3)))
     treated = rng.random(n) < 0.5
     A = np.where(treated, 1, 2).astype(np.int64)
     f1 = 0.5 * (1.0 - treated * X[:, 1])
     f2 = 0.5 * (1.0 + treated * X[:, 0] * X[:, 2])
-    y1 = (rng.random(n) < f1).astype(float)
-    y2 = (rng.random(n) < f2).astype(float)
-    return Dataset(X, A, np.column_stack([y1, y2]), np.broadcast_to([0.5, 0.5], (n, 2)))
+    Y = np.empty((n, 2), order="F")
+    Y[:, 0] = rng.random(n) < f1
+    Y[:, 1] = rng.random(n) < f2
+    return Dataset(X, A, Y, np.broadcast_to([0.5, 0.5], (n, 2)))
 
 
 def build_class(grid_size: int) -> list[ThresholdPolicy]:
